@@ -26,9 +26,16 @@ Node* linear(Tape& t, Node* x, Param& w, Param* bias, const std::string& layer_i
   if (w.value.dim(1) != in) throw std::invalid_argument("linear: shape mismatch");
   const int rows = leading_rows(x->value);
 
-  Tensor xin = x->value;
-  apply_activation_precision(t.ctx, layer_id + ".in", xin);
-  const Tensor wq = apply_weight_precision(t.ctx, w.value);
+  // FP32 reads the operands in place (see conv2d).
+  const bool in_place = t.ctx.precision == Precision::kFP32 && !t.ctx.calibrating;
+  Tensor xcopy, wcopy;
+  if (!in_place) {
+    xcopy = x->value;
+    apply_activation_precision(t.ctx, layer_id + ".in", xcopy);
+    wcopy = apply_weight_precision(t.ctx, w.value);
+  }
+  const Tensor& xin = in_place ? x->value : xcopy;
+  const Tensor& wq = in_place ? w.value : wcopy;
 
   std::vector<int> out_shape(x->value.shape());
   out_shape.back() = out_f;

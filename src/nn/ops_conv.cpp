@@ -76,10 +76,17 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const int ocg = oc / groups;
   const int col_rows = icg * k * k;
 
-  // Deployment-precision view of inputs and weights.
-  Tensor xin = x->value;
-  apply_activation_precision(t.ctx, layer_id + ".in", xin);
-  const Tensor wq = apply_weight_precision(t.ctx, w.value);
+  // Deployment-precision view of inputs and weights: FP32 reads both in
+  // place, a precision transform or calibration works on copies.
+  const bool in_place = t.ctx.precision == Precision::kFP32 && !t.ctx.calibrating;
+  Tensor xcopy, wcopy;
+  if (!in_place) {
+    xcopy = x->value;
+    apply_activation_precision(t.ctx, layer_id + ".in", xcopy);
+    wcopy = apply_weight_precision(t.ctx, w.value);
+  }
+  const Tensor& xin = in_place ? x->value : xcopy;
+  const Tensor& wq = in_place ? w.value : wcopy;
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});

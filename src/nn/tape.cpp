@@ -21,7 +21,6 @@ Node* Tape::input(Tensor t, bool requires_grad) {
   auto node = std::make_unique<Node>();
   node->value = std::move(t);
   node->requires_grad = requires_grad;
-  if (requires_grad) node->grad = Tensor(node->value.shape());
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }
@@ -29,12 +28,16 @@ Node* Tape::input(Tensor t, bool requires_grad) {
 Node* Tape::make(Tensor value) {
   auto node = std::make_unique<Node>();
   node->value = std::move(value);
-  node->grad = Tensor(node->value.shape());
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }
 
 void Tape::backward(Node* loss) {
+  // Grads are allocated here, not at make(): an eval forward never pays for
+  // them. Grads that already exist (an earlier backward) keep accumulating.
+  for (const auto& n : nodes_)
+    if (n->requires_grad && n->grad.empty())
+      n->grad = Tensor(n->value.shape());
   loss->grad.fill(1.0f);
   // Nodes were appended in execution order; reverse order is a valid
   // topological order for reverse mode.

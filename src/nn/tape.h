@@ -1,9 +1,12 @@
 // Define-by-run autograd tape.
 //
 // Every forward pass records Nodes (value + backward closure) on a Tape;
-// Tape::backward replays closures in reverse. Model parameters live outside
-// the tape (struct Param) and closures accumulate directly into their grad
-// buffers, so weights are never copied per step.
+// Tape::backward replays closures in reverse. Node grads are allocated
+// lazily: a forward leaves them empty, and backward zero-allocates the grad
+// of every requires_grad node before it replays the closures, so an eval
+// forward does no gradient work. Model parameters live outside the tape
+// (struct Param) and closures accumulate directly into their grad buffers,
+// so weights are never copied per step.
 //
 // The tape also carries the InferenceCtx — the *model-inference* SysNoise
 // knobs of Sec. 3.2: data precision (FP32/FP16/INT8 fake-quant at
@@ -83,6 +86,7 @@ class Tape {
   void backward(Node* loss);
 
   std::size_t num_nodes() const { return nodes_.size(); }
+  const Node& node(std::size_t i) const { return *nodes_[i]; }
   void clear();
 
  private:

@@ -250,7 +250,13 @@ void parallel_ranges(int total, int align,
     span.attr("total", static_cast<std::int64_t>(total));
     span.attr("ranges", ranges.size());
   }
-  WorkerPool::instance().run(ranges, fn);
+  // BackendScope is thread-local: every range, whichever thread runs it,
+  // computes with the caller's backend.
+  const ComputeBackend backend = active_backend();
+  WorkerPool::instance().run(ranges, [&](int begin, int end) {
+    const BackendScope scope(backend);
+    fn(begin, end);
+  });
 }
 
 const char* simd_isa_name() {

@@ -109,10 +109,11 @@ void ensure_gemm_pool_helpers(int n);
 
 // Split [0, total) into at most gemm_workers() contiguous chunks (aligned
 // down to `align` boundaries) and run fn(begin, end) for each, across the
-// process worker pool plus the calling thread. Ranges are disjoint, so any
-// writer touching only its range is race-free and order-independent; runs
-// inline when gemm_workers() == 1, total is small, or the caller is itself
-// a pool worker (no nested fan-out).
+// process worker pool plus the calling thread. Every range runs under the
+// caller's active_backend(), whichever thread executes it. Ranges are
+// disjoint, so any writer touching only its range is race-free and
+// order-independent; runs inline when gemm_workers() == 1, total is small,
+// or the caller is itself a pool worker (no nested fan-out).
 void parallel_ranges(int total, int align,
                      const std::function<void(int, int)>& fn);
 

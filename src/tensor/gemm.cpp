@@ -1,8 +1,9 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
 // Three implementations of every variant:
-//  - reference: the seed's scalar loops, bit-identical to the historical
-//    output. Keeps the zero-skip (`if (av == 0.0f) continue;`) as a
+//  - reference: the seed's scalar loops (gemm_acc register-tiled with an
+//    identical per-element operation sequence), bit-identical to the
+//    historical output. Keeps the zero-skip (`if (av == 0.0f) continue;`) as a
 //    documented reference-only property — it drops 0 x inf = NaN
 //    propagation, so results depend on the sparsity of A when B holds
 //    non-finite values. The other backends do NOT skip.
@@ -42,15 +43,22 @@ namespace sysnoise {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference backend: the seed's loops, preserved verbatim.
+// Reference backend: the seed's loops. ref_gemm_acc is register-tiled, but
+// every C element sees the seed's exact operation sequence.
 // ---------------------------------------------------------------------------
 
 constexpr int kRefBlockK = 128;
 constexpr int kRefBlockN = 256;
+// Columns of one register-resident C strip.
+constexpr int kRefTileN = 32;
 
 void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
                   float* c) {
-  // i-k-j loop order with k/n blocking: B rows stream through cache.
+  // i-k-j loop order with k/n blocking: B rows stream through cache. Each
+  // full kRefTileN-column strip of a C row is loaded into a local
+  // accumulator once per (k0, n0) block, takes the same kk-ascending,
+  // zero-skipping updates the untiled loop applies to C, and is stored
+  // once; leftover columns run the untiled loop.
   for (int k0 = 0; k0 < k; k0 += kRefBlockK) {
     const int k1 = std::min(k, k0 + kRefBlockK);
     for (int n0 = 0; n0 < n; n0 += kRefBlockN) {
@@ -58,11 +66,24 @@ void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
       for (int i = 0; i < m; ++i) {
         float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
         const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+        int j0 = n0;
+        for (; j0 + kRefTileN <= n1; j0 += kRefTileN) {
+          float acc[kRefTileN];
+          for (int j = 0; j < kRefTileN; ++j) acc[j] = crow[j0 + j];
+          for (int kk = k0; kk < k1; ++kk) {
+            const float av = arow[kk];
+            if (av == 0.0f) continue;
+            const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n + j0;
+            for (int j = 0; j < kRefTileN; ++j) acc[j] += av * brow[j];
+          }
+          for (int j = 0; j < kRefTileN; ++j) crow[j0 + j] = acc[j];
+        }
+        if (j0 == n1) continue;
         for (int kk = k0; kk < k1; ++kk) {
           const float av = arow[kk];
           if (av == 0.0f) continue;
           const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
-          for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
+          for (int j = j0; j < n1; ++j) crow[j] += av * brow[j];
         }
       }
     }

@@ -43,38 +43,6 @@ int Tensor::dim(int i) const {
   return shape_[static_cast<std::size_t>(i)];
 }
 
-float& Tensor::at4(int n, int c, int h, int w) {
-  assert(rank() == 4);
-  const std::size_t idx =
-      ((static_cast<std::size_t>(n) * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
-  assert(idx < data_.size());
-  return data_[idx];
-}
-
-float Tensor::at4(int n, int c, int h, int w) const {
-  return const_cast<Tensor*>(this)->at4(n, c, h, w);
-}
-
-float& Tensor::at2(int r, int c) {
-  assert(rank() == 2);
-  const std::size_t idx = static_cast<std::size_t>(r) * shape_[1] + c;
-  assert(idx < data_.size());
-  return data_[idx];
-}
-
-float Tensor::at2(int r, int c) const { return const_cast<Tensor*>(this)->at2(r, c); }
-
-float& Tensor::at3(int a, int b, int c) {
-  assert(rank() == 3);
-  const std::size_t idx = (static_cast<std::size_t>(a) * shape_[1] + b) * shape_[2] + c;
-  assert(idx < data_.size());
-  return data_[idx];
-}
-
-float Tensor::at3(int a, int b, int c) const {
-  return const_cast<Tensor*>(this)->at3(a, b, c);
-}
-
 Tensor Tensor::reshaped(std::vector<int> new_shape) const {
   if (shape_numel(new_shape) != data_.size())
     throw std::invalid_argument("reshaped: element count mismatch");

@@ -45,15 +45,36 @@ class Tensor {
     return data_[i];
   }
 
-  // NCHW accessors (rank-4 only).
-  float& at4(int n, int c, int h, int w);
-  float at4(int n, int c, int h, int w) const;
+  // NCHW accessors (rank-4 only). Inline: im2col and pooling call them once
+  // per element.
+  float& at4(int n, int c, int h, int w) {
+    assert(rank() == 4);
+    const std::size_t idx =
+        ((static_cast<std::size_t>(n) * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
+    assert(idx < data_.size());
+    return data_[idx];
+  }
+  float at4(int n, int c, int h, int w) const {
+    return const_cast<Tensor*>(this)->at4(n, c, h, w);
+  }
   // Rank-2 accessor (rows, cols).
-  float& at2(int r, int c);
-  float at2(int r, int c) const;
+  float& at2(int r, int c) {
+    assert(rank() == 2);
+    const std::size_t idx = static_cast<std::size_t>(r) * shape_[1] + c;
+    assert(idx < data_.size());
+    return data_[idx];
+  }
+  float at2(int r, int c) const { return const_cast<Tensor*>(this)->at2(r, c); }
   // Rank-3 accessor.
-  float& at3(int a, int b, int c);
-  float at3(int a, int b, int c) const;
+  float& at3(int a, int b, int c) {
+    assert(rank() == 3);
+    const std::size_t idx = (static_cast<std::size_t>(a) * shape_[1] + b) * shape_[2] + c;
+    assert(idx < data_.size());
+    return data_[idx];
+  }
+  float at3(int a, int b, int c) const {
+    return const_cast<Tensor*>(this)->at3(a, b, c);
+  }
 
   // Reinterpret the flat buffer with a new shape of identical element count.
   Tensor reshaped(std::vector<int> new_shape) const;

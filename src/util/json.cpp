@@ -214,6 +214,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 
   [[noreturn]] void fail(const std::string& why) {
     throw std::runtime_error("Json::parse: " + why + " at offset " +
@@ -247,8 +248,14 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // A throw abandons the whole parse, so only success unwinds depth_.
+      if (++depth_ > Json::kMaxParseDepth)
+        fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth));
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(parse_string());
     if (consume_literal("true")) return Json(true);
     if (consume_literal("false")) return Json(false);

@@ -59,7 +59,11 @@ class Json {
   std::string dump(int indent = -1) const;
 
   // Parse a complete JSON document (trailing non-space input is an error).
+  // Arrays and objects may nest at most kMaxParseDepth levels; deeper input
+  // throws instead of exhausting the stack. The repo's own plan, shard and
+  // journal documents nest fewer than ten levels.
   static Json parse(const std::string& text);
+  static constexpr int kMaxParseDepth = 256;
 
  private:
   Type type_ = Type::kNull;

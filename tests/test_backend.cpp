@@ -9,13 +9,17 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -246,6 +250,74 @@ TEST(BackendParity, WorkerFanOutIsBitIdenticalToSerialAtAnyWorkerCount) {
   }
 }
 
+// The seed's reference gemm_acc loop, verbatim: the oracle the register-
+// tiled reference kernel must match bit for bit.
+void seed_ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
+                       float* c) {
+  constexpr int kRefBlockK = 128;
+  constexpr int kRefBlockN = 256;
+  // i-k-j loop order with k/n blocking: B rows stream through cache.
+  for (int k0 = 0; k0 < k; k0 += kRefBlockK) {
+    const int k1 = std::min(k, k0 + kRefBlockK);
+    for (int n0 = 0; n0 < n; n0 += kRefBlockN) {
+      const int n1 = std::min(n, n0 + kRefBlockN);
+      for (int i = 0; i < m; ++i) {
+        float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
+        const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+        for (int kk = k0; kk < k1; ++kk) {
+          const float av = arow[kk];
+          if (av == 0.0f) continue;
+          const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
+          for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
+  // Shapes straddle the 32-column register tile, the 256-column and
+  // 128-deep blocks, and n below one tile; rows reach the pool split.
+  const std::vector<std::array<int, 3>> shapes = {
+      {3, 31, 5},    {2, 32, 7},     {5, 33, 129},  {9, 63, 128},
+      {4, 255, 127}, {3, 256, 130},  {17, 257, 64}, {8, 300, 260},
+      {1, 1, 1},     {12, 95, 300},  {16, 288, 33}, {2, 7, 256}};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  Rng rng(2024);
+  for (const auto& [m, n, k] : shapes) {
+    for (const bool special : {false, true}) {
+      auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+      auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
+      const auto c0 = random_vec(static_cast<std::size_t>(m) * n, rng);
+      // Exercise the zero-skip with +0 and -0 in A and, when `special`,
+      // non-finite B entries that only the skip keeps out of some outputs.
+      for (std::size_t i = 0; i < a.size(); i += 3)
+        a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      if (special)
+        for (std::size_t i = 0; i < b.size(); i += 7)
+          b[i] = i % 3 == 0 ? inf : (i % 3 == 1 ? -inf : nan);
+      for (const bool acc : {false, true}) {
+        std::vector<float> expect =
+            acc ? c0 : std::vector<float>(c0.size(), 0.0f);
+        seed_ref_gemm_acc(m, n, k, a.data(), b.data(), expect.data());
+        for (const int workers : {1, kForcedHelpers + 1}) {
+          const GemmParallelScope fan(workers);
+          const auto got = run_variant(acc ? Variant::kGemmAcc : Variant::kGemm,
+                                       ComputeBackend::kReference, m, n, k, a,
+                                       b, c0);
+          EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                                expect.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " n=" << n << " k=" << k << " special=" << special
+              << " acc=" << acc << " workers=" << workers;
+        }
+      }
+    }
+  }
+}
+
 TEST(BackendParity, SimdDriftsFromReferenceWhenAVectorIsaDispatches) {
   // FMA's single rounding makes the simd kernel a genuinely different float
   // profile — the measured noise the axis exists for. Only asserted when a
@@ -371,6 +443,36 @@ TEST(Backend, BackToBackJobsExecuteEachRangeExactlyOnce) {
     });
   }
   for (int i = 0; i < kTotal; ++i) EXPECT_EQ(counts[i], kJobs) << "i=" << i;
+}
+
+TEST(Backend, ParallelRangesRunEveryRangeUnderTheCallersBackend) {
+  // BackendScope is thread-local, so a range a pool helper picks up must
+  // still compute with the caller's backend. Every range waits until a
+  // second one is running, which puts at least one range on a helper.
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  const ComputeBackend want = default_backend() == ComputeBackend::kSimd
+                                  ? ComputeBackend::kBlocked
+                                  : ComputeBackend::kSimd;
+  const BackendScope scope(want);
+  const GemmParallelScope fan(kForcedHelpers + 1);
+  constexpr int kTotal = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  std::set<std::thread::id> threads;
+  std::vector<ComputeBackend> seen(kTotal, default_backend());
+  parallel_ranges(kTotal, 1, [&](int begin, int end) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++running;
+    threads.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return running >= 2; });
+    for (int i = begin; i < end; ++i)
+      seen[static_cast<std::size_t>(i)] = active_backend();
+  });
+  EXPECT_GE(threads.size(), 2u);
+  for (int i = 0; i < kTotal; ++i)
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], want) << "i=" << i;
 }
 
 TEST(Backend, ParallelRangesRunsInlineWithoutAGrant) {
@@ -502,9 +604,13 @@ TEST(BackendConv, BackwardGradientsAgreeAcrossBackendsWithinEpsilon) {
     nn::Param wp(w);
     nn::Node* in = tape.input(x, /*requires_grad=*/true);
     nn::Node* y = nn::conv2d(tape, in, wp, nullptr, {1, 1, 2}, "t");
-    // Loss = sum(y): seed dL/dy = 1 everywhere and run the conv backward.
-    y->grad.fill(1.0f);
-    y->backprop();
+    // Loss = sum(y) as a linear layer of ones over the flattened output, so
+    // dL/dy = 1 everywhere (exactly, on every backend).
+    const int numel = static_cast<int>(y->value.size());
+    nn::Param ones(Tensor::full({1, numel}, 1.0f));
+    nn::Node* loss = nn::linear(tape, nn::reshape(tape, y, {1, numel}), ones,
+                                nullptr, "sum");
+    tape.backward(loss);
     if (backend == ComputeBackend::kReference) {
       ref_gw = wp.grad.vec();
       ref_gx = in->grad.vec();

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <functional>
 
+#include "models/classifiers.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -606,6 +607,35 @@ TEST(EndToEnd, CeilModeChangesPredictionsNotCrashes) {
   Tensor ceil_logits = run(true);
   EXPECT_EQ(floor_logits.shape(), ceil_logits.shape());
   EXPECT_GT(max_abs_diff(floor_logits, ceil_logits), 1e-6f);  // the noise
+}
+
+// ---------------------------------------------------------------------------
+// Lazy grads: an eval forward allocates none, backward allocates them
+// ---------------------------------------------------------------------------
+
+TEST(LazyGrads, EvalForwardLeavesEveryGradEmptyAndBackwardAllocatesThem) {
+  // One model per op family the zoo uses: depthwise convs, residual
+  // conv/bn/pool, attention + layernorm, windowed attention.
+  for (const char* name : {"MCUNet", "ResNet-XS", "ViT-T", "Swin-T"}) {
+    Rng rng(17);
+    auto model = models::make_classifier(name, 10, rng);
+    const Tensor x = random_tensor({2, 3, 32, 32}, rng);
+    Tape t;
+    Node* logits = model->forward(t, t.input(x), BnMode::kEval);
+    ASSERT_GT(t.num_nodes(), 2u) << name;
+    for (std::size_t i = 0; i < t.num_nodes(); ++i)
+      EXPECT_TRUE(t.node(i).grad.empty()) << name << " node " << i;
+
+    // TENT-style: backward on an eval tape still gives every requires_grad
+    // node a grad shaped like its value; the input gets none.
+    Node* loss = softmax_cross_entropy(t, logits, {1, 2});
+    t.backward(loss);
+    EXPECT_TRUE(t.node(0).grad.empty()) << name;
+    for (std::size_t i = 0; i < t.num_nodes(); ++i)
+      if (t.node(i).requires_grad)
+        EXPECT_EQ(t.node(i).grad.shape(), t.node(i).value.shape())
+            << name << " node " << i;
+  }
 }
 
 }  // namespace

@@ -79,6 +79,22 @@ TEST(JsonUtil, ValueTreeRoundTrips) {
   EXPECT_THROW(util::Json::parse("{\"unterminated\": "), std::runtime_error);
 }
 
+TEST(JsonUtil, NestingDepthIsCappedInsteadOfOverflowingTheStack) {
+  // A million unclosed '[' used to recurse once per level until the stack
+  // ran out; now the parser refuses past the cap, with objects counted too.
+  EXPECT_THROW(util::Json::parse(std::string(1000000, '[')), std::runtime_error);
+  const int cap = util::Json::kMaxParseDepth;
+  const std::string ok =
+      std::string(static_cast<std::size_t>(cap), '[') +
+      std::string(static_cast<std::size_t>(cap), ']');
+  EXPECT_EQ(util::Json::parse(ok).dump(), ok);
+  EXPECT_THROW(util::Json::parse("[" + ok + "]"), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i <= cap; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(cap) + 1, '}');
+  EXPECT_THROW(util::Json::parse(objects), std::runtime_error);
+}
+
 TEST(ConfigJson, RoundTripsEveryAxisOption) {
   // Flip every knob away from default, one sweep-plan config at a time, and
   // require a lossless round trip (describe() is the canonical identity).
