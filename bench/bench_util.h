@@ -8,26 +8,26 @@
 //   --merge f1 f2 ...      merge shard-result files from earlier --shard
 //                          runs into the final report (no models needed)
 //
-// plus the distributed runtime (dist/coordinator.h) on the same plan seam:
+// plus the distributed runtime — the sweep service (svc/service.h) and
+// its workers (dist/worker.h) — on the same plan seam:
 //
-//   --coordinate <port> [--min-workers N]
-//                          serve this bench's SweepPlans as a coordinator:
-//                          workers (sysnoise_worker, or any bench started
-//                          with --connect) evaluate leased work units, the
-//                          bench merges the streamed results and renders
-//                          the ordinary report — byte-identical to the
-//                          single-process run. Port 0 binds an ephemeral
-//                          port; the chosen one is printed and written to
+//   --coordinate <port> [--min-workers N] [--min-workers-timeout-s S]
+//                          serve this bench's SweepPlans from an in-process
+//                          volatile sweep service: once N workers
+//                          (sysnoise_worker, or any bench started with
+//                          --connect) joined, submit the plans, let the
+//                          workers evaluate the leased work units, collect
+//                          the merged results and render the ordinary
+//                          report — byte-identical to the single-process
+//                          run. Port 0 binds an ephemeral port; the chosen
+//                          one is printed and written to
 //                          <results_dir>/<bench>.port for worker launchers
-//   --connect host:port    join a coordinator as a worker instead of
+//   --connect host:port    join a sweep service as a worker instead of
 //                          running anything locally
 //
-// and the resident sweep service (svc/service.h, tools/sysnoise_svc.cpp)
-// on the same seam:
-//
 //   --submit host:port [--priority N]
-//                          submit this bench's jobs to a running sweep
-//                          service instead of coordinating them here, then
+//                          submit this bench's jobs to a resident sweep
+//                          service (tools/sysnoise_svc.cpp), then
 //                          watch the jobs and render the merged report —
 //                          byte-identical to the single-process run, even
 //                          when the service is killed and restarted midway
@@ -71,13 +71,12 @@
 #include "core/executor.h"
 #include "core/plan.h"
 #include "core/staged_eval.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "dist/coordinator.h"
 #include "dist/task_factory.h"
 #include "dist/worker.h"
 #include "net/socket.h"
 #include "svc/client.h"
+#include "svc/service.h"
 #include "util/json.h"
 
 namespace sysnoise::bench {
@@ -160,10 +159,10 @@ struct BenchCli {
   int shard_count = 1;
   bool emit_plan = false;
   std::vector<std::string> merge_files;
-  int coordinate_port = -1;  // >= 0: serve as a distributed coordinator
+  int coordinate_port = -1;  // >= 0: serve the plans to remote workers
   int min_workers = 1;
   int min_workers_timeout_s = 0;  // 0 = wait forever for the quorum
-  std::string connect_host;  // non-empty: join a coordinator as a worker
+  std::string connect_host;  // non-empty: join a sweep service as a worker
   int connect_port = 0;
   std::string submit_host;   // non-empty: submit jobs to a sweep service
   int submit_port = 0;
@@ -327,11 +326,6 @@ class BenchTrace {
 
   bool active() const { return session_.active(); }
 
-  // Extra summary sections (e.g. "fleet_metrics" from a coordinator run).
-  void add_summary(const std::string& key, util::Json value) {
-    if (session_.active()) session_.add_summary(key, std::move(value));
-  }
-
   // Close the top-level span and flush the trace files; idempotent (the
   // destructor calls it with no stats for early-exit paths).
   void finish(const core::StageStats* stages) {
@@ -374,10 +368,10 @@ inline void print_stage_cache_stats(const BenchCli& cli,
 // Distributed mode (shared by every bench)
 // ---------------------------------------------------------------------------
 
-// --connect: serve a coordinator as a zoo-backed worker. Returns the bench's
-// exit code. Bench-agnostic — the coordinator's welcome message says which
+// --connect: serve a sweep service as a zoo-backed worker. Returns the
+// bench's exit code. Bench-agnostic — each job's task spec says which
 // models to resolve, so `bench_table2 --connect` can serve a fig3 sweep.
-// Connection attempts retry for a couple of minutes (the coordinator may
+// Connection attempts retry for ten minutes (a --coordinate bench may
 // still be training/loading the models it is about to serve).
 inline int run_bench_worker(const BenchCli& cli) {
   core::StageStats stages;
@@ -399,7 +393,7 @@ inline int run_bench_worker(const BenchCli& cli) {
   return stats.done ? 0 : 1;
 }
 
-// Row-sharded benches have no SweepPlan for a coordinator/service to lease.
+// Row-sharded benches have no SweepPlan for a sweep service to lease.
 inline void reject_coordinate(const BenchCli& cli) {
   if (!cli.dist_jobs()) return;
   std::fprintf(stderr,
@@ -410,58 +404,21 @@ inline void reject_coordinate(const BenchCli& cli) {
   std::exit(2);
 }
 
-// --coordinate: serve `jobs` until remote workers finished every work unit;
-// returns one full MetricMap per job, ready for assembly. The caller built
-// the jobs' plans from its models, exactly like the single-process path.
-// The actual bound port (which may be ephemeral: `--coordinate 0`) is
-// printed AND written to <results_dir>/<bench>.port so scripts launching
-// workers can read it instead of hard-coding a collision-prone number.
-inline std::vector<core::MetricMap> serve_coordinator(
-    const BenchCli& cli, const std::vector<dist::DistJob>& jobs,
-    BenchTrace* trace = nullptr) {
-  dist::CoordinatorOptions opts;
-  opts.port = cli.coordinate_port;
-  opts.min_workers = cli.min_workers;
-  opts.min_workers_timeout_s = cli.min_workers_timeout_s;
-  opts.auth_token = cli.token;
-  opts.verbose = true;
-  dist::Coordinator coordinator(opts);
-  // Atomic: worker launchers poll for this file and must never read a
-  // half-written port number.
-  write_file_atomic(cli.bench + ".port",
-                    std::to_string(coordinator.port()) + "\n");
-  std::printf("[%s] coordinating on port %d (min workers: %d; port file: "
-              "%s/%s.port)\n",
-              cli.bench.c_str(), coordinator.port(), cli.min_workers,
-              results_dir().c_str(), cli.bench.c_str());
-  std::fflush(stdout);
-  std::vector<core::MetricMap> results = coordinator.run(jobs);
-  if (trace != nullptr && trace->active()) {
-    // One fleet-wide view for the summary: this process's instruments plus
-    // the cumulative snapshots the workers shipped with their results. The
-    // per-process metrics file stays coordinator-local, so sysnoise_trace
-    // can sum the fleet's files without double counting.
-    trace->add_summary("fleet_metrics",
-                       obs::merge_snapshots(obs::metrics().snapshot(),
-                                            coordinator.worker_metrics()));
-  }
-  const dist::CoordinatorStats stats = coordinator.stats();
-  std::printf("[%s] distributed sweep done: %zu workers, %zu units "
-              "(%zu re-leased after expiry/death), %zu results\n",
-              cli.bench.c_str(), stats.workers_joined,
-              stats.scheduler.completed, stats.scheduler.re_leases,
-              stats.results_received);
-  return results;
-}
+// One schedulable sweep: the opaque task spec workers resolve
+// (dist/task_factory.h) plus the plan to evaluate.
+struct DistJob {
+  util::Json task_spec;
+  core::SweepPlan plan;
+};
 
 // --emit-jobs: write the (task-spec, plan) job list as JSON for later
 // `sysnoise_ctl submit` against a running sweep service.
 inline void write_jobs_file(const BenchCli& cli,
-                            const std::vector<dist::DistJob>& jobs) {
+                            const std::vector<DistJob>& jobs) {
   util::Json j = util::Json::object();
   j.set("bench", cli.bench);
   util::Json jjobs = util::Json::array();
-  for (const dist::DistJob& job : jobs) {
+  for (const DistJob& job : jobs) {
     util::Json jj = util::Json::object();
     jj.set("task", job.task_spec);
     jj.set("plan", job.plan.to_json());
@@ -473,15 +430,16 @@ inline void write_jobs_file(const BenchCli& cli,
   std::printf("wrote %s (%zu jobs)\n", cli.jobs_file().c_str(), jobs.size());
 }
 
-// --submit: hand the jobs to a resident sweep service and collect each
-// merged MetricMap by watching until done — riding out service restarts, so
-// the report a bench renders this way survives a kill -9 of the service
+// Hand the jobs to the sweep service at host:port and collect each merged
+// MetricMap by watching until done — riding out service restarts, so the
+// report a bench renders this way survives a kill -9 of a resident service
 // byte-identically.
 inline std::vector<core::MetricMap> submit_jobs(
-    const BenchCli& cli, const std::vector<dist::DistJob>& jobs) {
+    const BenchCli& cli, const std::string& host, int port,
+    const std::vector<DistJob>& jobs) {
   svc::ClientOptions copts;
-  copts.host = cli.submit_host;
-  copts.port = cli.submit_port;
+  copts.host = host;
+  copts.port = port;
   copts.token = cli.token;
   copts.verbose = true;
   svc::ServiceClient client(copts);
@@ -508,19 +466,72 @@ inline std::vector<core::MetricMap> submit_jobs(
   return results;
 }
 
+// --coordinate: serve `jobs` from an in-process volatile sweep service until
+// remote workers finished every work unit; returns one full MetricMap per
+// job, ready for assembly. The caller built the jobs' plans from its
+// models, exactly like the single-process path. The actual bound port
+// (which may be ephemeral: `--coordinate 0`) is printed AND written to
+// <results_dir>/<bench>.port so scripts launching workers can read it
+// instead of hard-coding a collision-prone number. The jobs are submitted
+// once --min-workers workers joined; when --min-workers-timeout-s runs out
+// first, the bench exits non-zero.
+inline std::vector<core::MetricMap> coordinate_jobs(
+    const BenchCli& cli, const std::vector<DistJob>& jobs) {
+  svc::ServiceOptions opts;
+  opts.port = cli.coordinate_port;
+  opts.auth_token = cli.token;
+  opts.verbose = true;
+  svc::SweepService service(opts);
+  // Atomic: worker launchers poll for this file and must never read a
+  // half-written port number.
+  write_file_atomic(cli.bench + ".port", std::to_string(service.port()) + "\n");
+  std::printf("[%s] coordinating on port %d (min workers: %d; port file: "
+              "%s/%s.port)\n",
+              cli.bench.c_str(), service.port(), cli.min_workers,
+              results_dir().c_str(), cli.bench.c_str());
+  std::fflush(stdout);
+  // --min-workers-timeout-s 0 waits for the quorum forever, an hour at a
+  // time.
+  const std::chrono::milliseconds quorum_wait =
+      cli.min_workers_timeout_s > 0
+          ? std::chrono::milliseconds(
+                std::chrono::seconds(cli.min_workers_timeout_s))
+          : std::chrono::hours(1);
+  while (!service.wait_workers(static_cast<std::size_t>(cli.min_workers),
+                               quorum_wait)) {
+    if (cli.min_workers_timeout_s == 0) continue;
+    const std::size_t joined = service.stats().workers_joined;
+    service.stop();
+    std::fprintf(stderr,
+                 "[%s] only %zu of %d required workers joined within %ds\n",
+                 cli.bench.c_str(), joined, cli.min_workers,
+                 cli.min_workers_timeout_s);
+    std::exit(1);
+  }
+  std::vector<core::MetricMap> results =
+      submit_jobs(cli, "127.0.0.1", service.port(), jobs);
+  service.stop();  // attached workers get `done` on their next request
+  const svc::ServiceStats stats = service.stats();
+  std::printf("[%s] distributed sweep done: %zu workers, %zu units "
+              "(%zu re-leased after expiry/death), %zu results\n",
+              cli.bench.c_str(), stats.workers_joined,
+              stats.scheduler.completed, stats.scheduler.re_leases,
+              stats.results_received);
+  return results;
+}
+
 // Dispatch the dist_jobs() modes once the bench built its job list. Returns
 // true with `*results` filled (coordinate/submit — the caller assembles and
 // renders), or false when the invocation is complete (--emit-jobs).
-inline bool dist_results(const BenchCli& cli,
-                         const std::vector<dist::DistJob>& jobs,
-                         std::vector<core::MetricMap>* results,
-                         BenchTrace* trace = nullptr) {
+inline bool dist_results(const BenchCli& cli, const std::vector<DistJob>& jobs,
+                         std::vector<core::MetricMap>* results) {
   if (cli.emit_jobs) {
     write_jobs_file(cli, jobs);
     return false;
   }
-  *results = cli.submitting() ? submit_jobs(cli, jobs)
-                              : serve_coordinator(cli, jobs, trace);
+  *results = cli.submitting()
+                 ? submit_jobs(cli, cli.submit_host, cli.submit_port, jobs)
+                 : coordinate_jobs(cli, jobs);
   return true;
 }
 
@@ -719,7 +730,7 @@ inline int run_standard_modes(const BenchCli& cli, BenchTrace& trace,
 
   std::vector<core::SweepPlan> plans;
   std::vector<PlanRun> runs;
-  std::vector<dist::DistJob> jobs;
+  std::vector<DistJob> jobs;
   std::vector<std::shared_ptr<void>> owners;
   for (std::size_t i = 0; i < def.units; ++i) {
     PlanUnit unit = def.make(i);
@@ -754,7 +765,7 @@ inline int run_standard_modes(const BenchCli& cli, BenchTrace& trace,
   }
   if (cli.dist_jobs()) {
     std::vector<core::MetricMap> results;
-    if (!dist_results(cli, jobs, &results, &trace)) return 0;  // --emit-jobs
+    if (!dist_results(cli, jobs, &results)) return 0;  // --emit-jobs
     std::vector<PlanRun> out;
     for (std::size_t i = 0; i < jobs.size(); ++i)
       out.push_back({std::move(jobs[i].plan), std::move(results[i])});

@@ -112,7 +112,7 @@ std::string planned_forward_suffix(const PlannedConfig& p);
 // configs sharing a forward pass (same forward key — e.g. the detection
 // post-processing options) are never split apart, with units ordered so
 // shared preprocess keys stay adjacent. This is the unit of leasing in the
-// distributed runtime (dist/coordinator.h): splitting a forward group
+// distributed runtime (svc/service.h): splitting a forward group
 // across workers would re-run its forward pass once per worker, while
 // anything coarser would starve dynamic balancing. Plans without stage keys
 // (non-staged tasks) degrade to one unit per distinct metric key.

@@ -3,35 +3,32 @@
 //
 // Transport: length-prefixed compact JSON frames (net/frame.h) over one TCP
 // connection per worker, strict request/response lockstep driven by the
-// worker:
+// worker. The server is the sweep service (svc/service.h) — resident
+// (sysnoise_svc) or in-process for a bench's --coordinate run:
 //
-//   worker -> coordinator          coordinator -> worker
-//   ---------------------          ---------------------
-//   hello {protocol, worker}       welcome {protocol, heartbeat_ms,
-//                                           jobs: [{task, plan}, ...]}
+//   worker -> service              service -> worker
+//   -----------------              -----------------
+//   hello {protocol, worker}       welcome {protocol, heartbeat_ms}
 //   lease_request {}               lease {job, unit, configs: [i...]}
 //                                  | wait {ms}       (nothing leasable yet)
-//                                  | done {}         (sweep complete)
+//                                  | done {}         (service stopping)
+//   job_request {job}              job_info {job, task, plan}
 //   heartbeat {}                   ok {}             (refreshes leases)
 //   result {job, unit,             ok {}
-//           metrics: {key: v}}
+//           metrics: {key: v}}     | error {message} (rejected; closed)
 //   error {message}                (connection closed)
 //
-// The worker always speaks next; while evaluating a lease it keeps the
-// conversation alive with heartbeats, so a worker silent for longer than a
-// few heartbeat intervals is dead by definition — that silence (or a raw
-// disconnect) is what expires its leases back to the scheduler.
+// Jobs arrive while workers are attached, so a lease may name a job the
+// worker has never seen: it fetches the task spec and plan with
+// job_request before evaluating. The worker always speaks next; while
+// evaluating a lease it keeps the conversation alive with heartbeats, so a
+// worker silent for longer than a few heartbeat intervals is dead by
+// definition — that silence (or a raw disconnect) is what expires its
+// leases back to the scheduler.
 //
-// The resident sweep service (svc/service.h) speaks a superset of this
-// vocabulary on the same framing. Worker sessions gain dynamic job
-// discovery (the service's welcome carries no jobs — a lease may name a job
-// the worker has never seen, fetched on demand):
-//
-//   job_request {job}              job_info {job, task, plan}
-//
-// and control clients (svc/client.h, sysnoise_ctl) open a connection, send
-// one request — authenticated by a "token" field when the service was
-// started with a shared secret — and read the reply:
+// Control clients (svc/client.h, sysnoise_ctl) open a connection, send one
+// request — authenticated by a "token" field when the service was started
+// with a shared secret — and read the reply:
 //
 //   client -> service              service -> client
 //   -----------------              -----------------
@@ -58,10 +55,10 @@
 
 namespace sysnoise::dist {
 
-// Bump on incompatible message changes; hello/welcome verify it. (The
-// service/control additions are a compatible superset: version 1 peers
-// never send them.)
-constexpr int kProtocolVersion = 1;
+// Bump on incompatible message changes; hello/welcome verify it. Version 2:
+// the welcome no longer carries the job list, every job is fetched with
+// job_request.
+constexpr int kProtocolVersion = 2;
 
 // Message type strings.
 namespace msg {
@@ -75,7 +72,7 @@ inline constexpr const char* kHeartbeat = "heartbeat";
 inline constexpr const char* kResult = "result";
 inline constexpr const char* kOk = "ok";
 inline constexpr const char* kError = "error";
-// Dynamic job discovery (worker <-> service).
+// Job discovery (worker <-> service).
 inline constexpr const char* kJobRequest = "job_request";
 inline constexpr const char* kJobInfo = "job_info";
 // Control plane (client <-> service).
@@ -97,12 +94,10 @@ std::string message_type(const util::Json& j);
 
 // Validate a hello frame: right type, matching protocol version, and — when
 // `auth_token` is non-empty — a matching shared-secret "token" field.
-// Returns "" when acceptable, else the diagnostic for the error reply. The
-// one handshake check behind the coordinator and the sweep service, so auth
-// cannot drift between them.
+// Returns "" when acceptable, else the diagnostic for the error reply.
 std::string check_hello(const util::Json& m, const std::string& auth_token);
 
-// What a worker needs to rebuild the coordinator's EvalTask: the task
+// What a worker needs to rebuild the submitter's EvalTask: the task
 // family plus the zoo model name (training is deterministic and disk-
 // cached, so "same name" means "same weights" on every machine sharing a
 // SYSNOISE_CACHE_DIR convention — and bit-identical weights even without

@@ -2,7 +2,7 @@
 // ({kind, model, tag}) into a live StagedEvalTask over the shared benchmark
 // dataset, training or loading the model exactly like the bench binaries
 // do. Training is deterministic, so a worker resolving "classification /
-// ResNet-M" holds bit-identical weights to the coordinator that planned the
+// ResNet-M" holds bit-identical weights to the bench that planned the
 // sweep — which is what makes the distributed report byte-identical to the
 // single-process one.
 #pragma once
@@ -12,7 +12,7 @@
 
 namespace sysnoise::dist {
 
-// Build the spec for a zoo model (the coordinator side of the contract).
+// Build the spec for a zoo model (the submitting side of the contract).
 TaskSpec classifier_spec(const std::string& model, const std::string& tag = "");
 TaskSpec detector_spec(const std::string& model);
 TaskSpec segmenter_spec(const std::string& model);

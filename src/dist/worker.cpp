@@ -24,11 +24,9 @@ namespace sysnoise::dist {
 
 namespace {
 
-// One job this worker knows about: preloaded from the welcome frame
-// (coordinator) or fetched on demand via job_request (service, whose jobs
-// arrive while workers are already attached). The resolved task lives here
-// too, so resolution — possibly training a model — happens at most once per
-// job.
+// One job this worker knows about, fetched via job_request the first time
+// a lease names it. The resolved task lives here too, so resolution —
+// possibly training a model — happens at most once per job.
 struct KnownJob {
   util::Json task_spec;
   core::SweepPlan plan;
@@ -41,7 +39,7 @@ void wlog(const WorkerOptions& opts, const std::string& line) {
   std::fflush(stdout);
 }
 
-// Send an error frame (best effort) so the coordinator can log why this
+// Send an error frame (best effort) so the service can log why this
 // worker is about to disappear.
 void send_error(net::TcpSocket& sock, const std::string& message) {
   util::Json err = make_message(msg::kError);
@@ -59,7 +57,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
   sock.set_recv_timeout_ms(opts.recv_timeout_ms);
 
   // Handshake failures never throw: callers retry thrown connect errors,
-  // and neither a vanished coordinator (stats.disconnected — maybe it
+  // and neither a vanished service (stats.disconnected — maybe it
   // finished already) nor a rejected hello (stats.error — retrying a
   // protocol mismatch can only ever fail again) is retryable the same way.
   util::Json hello = make_message(msg::kHello);
@@ -74,7 +72,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
     const util::Json* message = welcome.get("message");
     stats.error = message != nullptr && message->is_string()
                       ? message->as_string()
-                      : "coordinator rejected hello";
+                      : "service rejected hello";
     return stats;
   }
   const util::Json* proto = welcome.get("protocol");
@@ -86,19 +84,12 @@ WorkerRunStats run_worker(const std::string& host, int port,
 
   // Past the handshake nothing may throw out of here (test workers run on
   // bare threads, and the binary would retry a non-retryable failure):
-  // recv_json throws on a corrupt frame, welcome-field accessors throw on
-  // shape violations — all reported like any error.
+  // recv_json throws on a corrupt frame, field accessors throw on shape
+  // violations — all reported like any error.
   try {
     const int heartbeat_ms = welcome.at("heartbeat_ms").as_int();
     std::map<int, KnownJob> jobs;
-    const util::Json& jjobs = welcome.at("jobs");
-    for (std::size_t i = 0; i < jjobs.size(); ++i)
-      jobs.emplace(static_cast<int>(i),
-                   KnownJob{jjobs.at(i).at("task"),
-                            core::SweepPlan::from_json(jjobs.at(i).at("plan")),
-                            std::nullopt});
-    wlog(opts, "joined: " + std::to_string(jobs.size()) + " jobs, heartbeat " +
-                   std::to_string(heartbeat_ms) + "ms");
+    wlog(opts, "joined: heartbeat " + std::to_string(heartbeat_ms) + "ms");
 
     core::SweepCache cache;  // worker-wide metric memo across leases
     const core::StagedExecutor executor(opts.stats, opts.disk);
@@ -130,7 +121,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
       if (type == msg::kError) {
         stats.error = reply.get("message") != nullptr
                           ? reply.at("message").as_string()
-                          : "coordinator error";
+                          : "service error";
         return stats;
       }
       if (type != msg::kLease) {
@@ -151,8 +142,8 @@ WorkerRunStats run_worker(const std::string& host, int port,
       const int unit = reply.at("unit").as_int();
       auto it = jobs.find(job);
       if (it == jobs.end()) {
-        // A service job submitted after this worker's welcome: fetch its
-        // spec and plan before evaluating the lease.
+        // First lease of this job: fetch its spec and plan before
+        // evaluating.
         util::Json req = make_message(msg::kJobRequest);
         req.set("job", job);
         util::Json info;
@@ -183,7 +174,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
                      std::to_string(unit) + " (" +
                      std::to_string(indices.size()) + " configs)");
 
-      // Lease lifecycle span, correlated with the coordinator's grant span
+      // Lease lifecycle span, correlated with the service's grant span
       // by the shared "j<job>u<unit>" lease id (both sides derive it from
       // the lease frame — no extra protocol field needed).
       obs::TraceSpan lease_span("worker.lease");
@@ -194,7 +185,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
       }
 
       // Resolve + evaluate on a helper thread while this one keeps the
-      // lease alive: the coordinator treats silence longer than the lease
+      // lease alive: the service treats silence longer than the lease
       // timeout as death, and both can take arbitrarily long — first-lease
       // resolution may TRAIN the model on a cold-cache machine, so it must
       // sit under the heartbeat loop too. Resolution failures surface
@@ -257,15 +248,9 @@ WorkerRunStats run_worker(const std::string& host, int port,
       for (const auto& [key, value] : metrics) jmetrics.set(key, value);
       result.set("metrics", std::move(jmetrics));
       if (obs::trace_enabled()) {
-        // Ship this worker's cumulative metric snapshot with the result so
-        // the coordinator's per-sweep summary covers the whole fleet. The
-        // field is absent when tracing is off — the frame bytes are
-        // unchanged — and cumulative, so the coordinator keeps only the
-        // latest snapshot per worker rather than summing.
         obs::metrics().counter_add("worker.leases_completed");
         obs::metrics().counter_add("worker.configs_evaluated",
                                    indices.size());
-        result.set("obs", obs::metrics().snapshot());
       }
       const auto send_start = std::chrono::steady_clock::now();
       util::Json ok;
@@ -295,7 +280,7 @@ WorkerRunStats run_worker_retrying(const std::string& host, int port,
                                    const WorkerOptions& opts,
                                    std::chrono::seconds connect_timeout) {
   const auto deadline = std::chrono::steady_clock::now() + connect_timeout;
-  // Capped exponential backoff: quick retries while a coordinator is still
+  // Capped exponential backoff: quick retries while a service is still
   // binding, without hammering a host that is down for minutes.
   std::chrono::milliseconds delay{250};
   constexpr std::chrono::milliseconds kMaxDelay{5000};

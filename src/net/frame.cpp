@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -26,8 +27,17 @@ bool recv_json(TcpSocket& sock, util::Json* message) {
                              (static_cast<std::uint32_t>(header[2]) << 8) |
                              static_cast<std::uint32_t>(header[3]);
   if (size > kMaxFrameBytes) return false;
-  std::string payload(size, '\0');
-  if (!sock.recv_all(payload.data(), payload.size())) return false;
+  // The declared length is a claim, not a commitment: grow the buffer only
+  // as bytes arrive, so a header asking for kMaxFrameBytes costs one chunk
+  // until the peer actually sends that much.
+  constexpr std::size_t kChunkBytes = 1u << 20;
+  std::string payload;
+  while (payload.size() < size) {
+    const std::size_t have = payload.size();
+    const std::size_t n = std::min<std::size_t>(kChunkBytes, size - have);
+    payload.resize(have + n);
+    if (!sock.recv_all(payload.data() + have, n)) return false;
+  }
   *message = util::Json::parse(payload);
   return true;
 }

@@ -1,4 +1,4 @@
-// Length-prefixed JSON framing over a TcpSocket: every coordinator/worker
+// Length-prefixed JSON framing over a TcpSocket: every worker/service
 // message is one util::Json document serialized compact and prefixed with a
 // 4-byte big-endian length. Framing (not newline delimiting) keeps the
 // protocol payload-agnostic — metric maps with arbitrary strings, encoded
@@ -21,7 +21,8 @@ bool send_json(TcpSocket& sock, const util::Json& message);
 
 // Receive one frame and parse it. Returns false on EOF/timeout/oversized
 // frame; throws std::runtime_error on unparseable payload (a framing error,
-// not a clean shutdown).
+// not a clean shutdown). Memory grows with the bytes received, not with the
+// length the header declares.
 bool recv_json(TcpSocket& sock, util::Json* message);
 
 }  // namespace sysnoise::net

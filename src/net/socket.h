@@ -2,8 +2,8 @@
 // RAII-owned connected socket (TcpSocket) and a listening socket
 // (TcpListener) with a poll-based accept timeout so accept loops can check
 // a stop flag instead of blocking forever. IPv4, Linux-only, no TLS — the
-// coordinator/worker protocol is trusted-network tooling, like the shard
-// files it replaces.
+// service/worker protocol is trusted-network tooling, like the shard files
+// it replaces.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,8 @@ class TcpSocket {
   // "?" when the socket is invalid or the peer is already gone.
   std::string peer() const;
 
-  // Cap how long a recv may wait for bytes (0 = wait forever). The
-  // coordinator uses this as its dead-worker tripwire: a live worker is
+  // Cap how long a recv may wait for bytes (0 = wait forever). The sweep
+  // service uses this as its dead-worker tripwire: a live worker is
   // never silent for longer than its heartbeat interval.
   void set_recv_timeout_ms(int ms);
 

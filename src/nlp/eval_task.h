@@ -22,7 +22,7 @@ namespace sysnoise::nlp {
 // exactly like bench_table5_nlp trains one (corpus 480 x seed 31337, init
 // Rng 77, 8 epochs at 2e-3, calibration over the corpus head). Training is
 // deterministic, so a dist worker rebuilding the model holds bit-identical
-// weights to the coordinator that planned the sweep.
+// weights to the bench that planned the sweep.
 struct TrainedLm {
   std::string name;
   std::unique_ptr<CausalLm> lm;

@@ -14,10 +14,9 @@
 //
 // On top of them, MetricsRegistry is the process-wide named-instrument
 // store every layer records into (counters, gauges, latency histograms).
-// Snapshots serialize to JSON and merge across processes — a dist worker
-// ships its snapshot with each result frame, and the coordinator folds it
-// into a fleet-wide view — so the per-sweep flight-recorder summary covers
-// every process that touched the sweep.
+// Snapshots serialize to JSON and merge across processes —
+// `sysnoise_trace --dir` sums every process's metrics file of a traced run
+// into one fleet-wide view covering every process that touched the sweep.
 //
 // Naming convention: "<layer>.<thing>[.<detail>]" with layers
 // staged / gemm / dist / svc / serve (e.g. "staged.forward_disk_hits",

@@ -17,7 +17,7 @@
 // Enable via TraceSession — explicitly with a directory, or from the
 // SYSNOISE_TRACE=<dir> environment variable. On destruction the session
 // writes three files into the directory, names suffixed with the pid so
-// concurrent processes (a coordinator and its workers) never collide:
+// concurrent processes (a bench and its workers) never collide:
 //
 //   <name>_<pid>_trace.json    Chrome trace_event JSON ("traceEvents"
 //                              array) — load in chrome://tracing or

@@ -4,8 +4,8 @@
 // TCP connection per request (the service closes after replying), with
 // capped-backoff reconnection — a client watching a job survives the
 // service being killed and restarted mid-sweep, which is exactly the
-// journaled-resume scenario the service exists for. Used by sysnoise_ctl
-// and by benches running with --submit.
+// journaled-resume scenario the service exists for. Used by sysnoise_ctl,
+// DistExecutor, and benches running with --submit or --coordinate.
 #pragma once
 
 #include <chrono>

@@ -1,19 +1,16 @@
-#include "dist/dist_executor.h"
+#include "svc/dist_executor.h"
 
-#include <utility>
-
-namespace sysnoise::dist {
+namespace sysnoise::svc {
 
 core::MetricMap DistExecutor::execute(const core::EvalTask& task,
                                       const core::SweepPlan& plan,
                                       const core::SweepOptions& opts) const {
   (void)task;  // evaluated by workers, from the spec
-  std::vector<core::MetricMap> results =
-      coordinator_.run({DistJob{task_spec_, plan}});
-  core::MetricMap metrics = std::move(results.front());
+  ServiceClient client(service_);
+  core::MetricMap metrics = client.collect(client.submit(task_spec_, plan));
   if (opts.memoize && opts.cache != nullptr)
     for (const auto& [key, value] : metrics) opts.cache->store(key, value);
   return metrics;
 }
 
-}  // namespace sysnoise::dist
+}  // namespace sysnoise::svc

@@ -1,9 +1,10 @@
 // DistExecutor: the distributed runtime behind the standard Executor seam.
-// execute() hands the plan (with an opaque task spec for the workers) to a
-// Coordinator and blocks until connected workers have evaluated every work
-// unit — so swapping ThreadPoolExecutor/StagedExecutor for DistExecutor
-// changes where the evaluations run, never the results (bit-identity is the
-// executor contract, and the coordinator enforces it on merge).
+// execute() submits the plan (with an opaque task spec for the workers) to
+// a sweep service (svc/service.h) and collects the merged metrics once
+// attached workers have evaluated every work unit — so swapping
+// ThreadPoolExecutor/StagedExecutor for DistExecutor changes where the
+// evaluations run, never the results (bit-identity is the executor
+// contract, and the service enforces it on merge).
 //
 // Note the inversion the distributed runtime forces: the `task` argument is
 // never evaluated locally — workers rebuild their own instance from the
@@ -11,17 +12,19 @@
 // which is populated with the remote results so later local sweeps memoize.
 #pragma once
 
-#include "core/executor.h"
-#include "dist/coordinator.h"
+#include <utility>
 
-namespace sysnoise::dist {
+#include "core/executor.h"
+#include "svc/client.h"
+
+namespace sysnoise::svc {
 
 class DistExecutor : public core::Executor {
  public:
-  // `coordinator` must outlive the executor. `task_spec` is what workers
+  // `service` locates the sweep service; `task_spec` is what workers
   // resolve (dist/task_factory.h for zoo models).
-  DistExecutor(Coordinator& coordinator, util::Json task_spec)
-      : coordinator_(coordinator), task_spec_(std::move(task_spec)) {}
+  DistExecutor(ClientOptions service, util::Json task_spec)
+      : service_(std::move(service)), task_spec_(std::move(task_spec)) {}
 
   const char* name() const override { return "dist"; }
   core::MetricMap execute(const core::EvalTask& task,
@@ -29,8 +32,8 @@ class DistExecutor : public core::Executor {
                           const core::SweepOptions& opts = {}) const override;
 
  private:
-  Coordinator& coordinator_;
+  ClientOptions service_;
   util::Json task_spec_;
 };
 
-}  // namespace sysnoise::dist
+}  // namespace sysnoise::svc

@@ -19,7 +19,6 @@
 #include <sys/socket.h>
 
 #include "dist/protocol.h"
-#include "dist/result_merge.h"
 #include "dist/scheduler.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -43,6 +42,67 @@ util::Json metrics_to_json(const core::MetricMap& metrics) {
   util::Json j = util::Json::object();
   for (const auto& [key, value] : metrics) j.set(key, value);
   return j;
+}
+
+// The (job, unit, metrics) triple of a result frame. `metrics` points into
+// the frame and is only valid while it lives.
+struct ParsedResult {
+  int job = -1;
+  std::size_t unit = 0;
+  const util::Json* metrics = nullptr;
+};
+
+// Shape-check a result frame ({job, unit, metrics-object}, job and unit
+// non-negative). Returns "" and fills *out, else a diagnostic. Whether the
+// job and unit exist is the caller's check.
+std::string parse_result_frame(const util::Json& m, ParsedResult* out) {
+  const util::Json* jjob = m.get("job");
+  const util::Json* junit = m.get("unit");
+  const util::Json* jmetrics = m.get("metrics");
+  if (jjob == nullptr || !jjob->is_number() || junit == nullptr ||
+      !junit->is_number() || jmetrics == nullptr || !jmetrics->is_object())
+    return "malformed result frame";
+  if (jjob->as_int() < 0 || junit->as_int() < 0)
+    return "result for negative job/unit";
+  out->job = jjob->as_int();
+  out->unit = static_cast<std::size_t>(junit->as_int());
+  out->metrics = jmetrics;
+  return "";
+}
+
+// Fold one unit's metrics into its job's merged map. The frame must carry a
+// numeric metric for every planned config of the unit, and re-reported keys
+// (a unit completed by both the original and a replacement worker) must
+// agree bit-exactly: executors are bit-identical, so anything else means
+// non-determinism somewhere and must fail the job loudly, never average
+// out. Returns "" or the diagnostic; on failure `merged` may hold a prefix
+// of the frame's keys, which is never served because the job fails.
+std::string merge_unit_metrics(core::MetricMap& merged,
+                               const util::Json& jmetrics,
+                               const core::SweepPlan& plan,
+                               const std::vector<std::size_t>& configs) {
+  for (const std::size_t c : configs) {
+    const std::string& key = plan.configs[c].metric_key;
+    if (jmetrics.get(key) == nullptr) return "no metric for \"" + key + "\"";
+  }
+  for (const auto& [key, value] : jmetrics.items()) {
+    if (!value.is_number()) return "non-numeric metric \"" + key + "\"";
+    const auto [it, inserted] = merged.emplace(key, value.as_number());
+    if (!inserted && it->second != value.as_number())
+      return "workers disagree on \"" + key + "\"";
+  }
+  return "";
+}
+
+// Poll `done` every 20 ms until it holds (true) or `timeout` runs out.
+template <typename Pred>
+bool poll_until(Pred done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return true;
 }
 
 }  // namespace
@@ -139,9 +199,10 @@ struct SweepService::Impl {
   void handle(net::TcpSocket sock);
   void serve_worker(net::TcpSocket& sock, const util::Json& hello);
   void serve_control(net::TcpSocket& sock, const util::Json& request);
-  // Returns false when the connection must be dropped (protocol/merge
-  // failure already reported, or the crash hook fired mid-result).
-  bool handle_result(const util::Json& m, int worker_id);
+  // Returns false when the connection must be dropped: the result was
+  // rejected (*rejection holds why) or the crash hook fired mid-result.
+  bool handle_result(const util::Json& m, int worker_id,
+                     std::string* rejection);
 };
 
 void SweepService::Impl::log(const char* fmt, ...) const {
@@ -267,8 +328,9 @@ void SweepService::Impl::replay() {
                                  " has out-of-range unit for job " +
                                  std::to_string(id));
       if (job.unit_done[local]) continue;  // duplicate record: idempotent
-      const std::string merge_error =
-          dist::merge_metrics(job.merged, record.at("metrics"));
+      const std::string merge_error = merge_unit_metrics(
+          job.merged, record.at("metrics"), job.plan,
+          scheduler->unit_at(job.unit_base + local).configs);
       if (!merge_error.empty())
         throw std::runtime_error(
             "SweepService: journal replay of job " + std::to_string(id) +
@@ -378,9 +440,10 @@ util::Json SweepService::Impl::status_json() const {
   return j;
 }
 
-bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
-  dist::ParsedResult parsed;
-  std::string error = dist::parse_result_frame(m, &parsed);
+bool SweepService::Impl::handle_result(const util::Json& m, int worker_id,
+                                       std::string* rejection) {
+  ParsedResult parsed;
+  std::string error = parse_result_frame(m, &parsed);
   {
     std::lock_guard<std::mutex> lock(mu);
     JobState* job = nullptr;
@@ -393,19 +456,22 @@ bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
       else
         job = &it->second;
     }
-    if (error.empty() && job->canceled) {
-      // The job was canceled while this worker was evaluating: accept the
-      // frame politely (the worker did nothing wrong) and drop the result.
-      log("dropping result for canceled job %d from worker %d", parsed.job,
-          worker_id);
+    if (error.empty() && (job->canceled || !job->error.empty())) {
+      // The job was canceled or failed while this worker was evaluating:
+      // accept the frame politely (the worker did nothing wrong) and drop
+      // the result.
+      log("dropping result for %s job %d from worker %d", job->state(),
+          parsed.job, worker_id);
       return true;
     }
     if (error.empty()) {
       const std::string merge_error =
-          dist::merge_metrics(job->merged, *parsed.metrics);
+          merge_unit_metrics(job->merged, *parsed.metrics, job->plan,
+                             scheduler->unit_at(parsed.unit).configs);
       if (!merge_error.empty()) {
-        // Bit-exactness violation: fail THIS JOB loudly (the merged map is
-        // poisoned) but keep serving the others.
+        // A missing or contradicting metric: fail THIS JOB loudly (the
+        // merged map is incomplete or poisoned) but keep serving the
+        // others.
         job->error = merge_error;
         scheduler->drop_job(job->id);
         error = merge_error;
@@ -417,6 +483,7 @@ bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
     }
     if (!error.empty()) {
       log("result from worker %d rejected: %s", worker_id, error.c_str());
+      *rejection = error;
       return false;
     }
     if (scheduler->complete(parsed.unit)) {
@@ -494,13 +561,12 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
   }
   if (obs::trace_enabled()) obs::metrics().counter_add("svc.workers_joined");
 
-  // Unlike the coordinator, the welcome carries no jobs: they arrive while
-  // workers are already attached, fetched on demand via job_request.
+  // Jobs arrive while workers are attached, so the welcome names none:
+  // workers fetch each one with job_request.
   util::Json welcome = make_message(msg::kWelcome);
   welcome.set("protocol", dist::kProtocolVersion);
   welcome.set("heartbeat_ms",
               static_cast<int>(opts.heartbeat_interval.count()));
-  welcome.set("jobs", util::Json::array());
 
   const int wait_ms = static_cast<int>(opts.heartbeat_interval.count());
   util::Json m;
@@ -567,11 +633,12 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
         scheduler->heartbeat(worker_id, Clock::now());
         if (!net::send_json(sock, make_message(msg::kOk))) break;
       } else if (type == msg::kResult) {
-        if (!handle_result(m, worker_id)) {
+        std::string rejection;
+        if (!handle_result(m, worker_id, &rejection)) {
           if (!crashed.load()) {
             worker_errors.fetch_add(1);
             util::Json err = make_message(msg::kError);
-            err.set("message", "result rejected");
+            err.set("message", "result rejected: " + rejection);
             net::send_json(sock, err);
           }
           break;
@@ -885,18 +952,20 @@ void SweepService::stop() {
 util::Json SweepService::status() const { return impl_->status_json(); }
 
 bool SweepService::wait_idle(std::chrono::milliseconds timeout) const {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->mu);
-      bool idle = true;
-      for (const auto& [id, job] : impl_->jobs)
-        if (!job.terminal()) idle = false;
-      if (idle) return true;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  return poll_until(
+      [this] {
+        std::lock_guard<std::mutex> lock(impl_->mu);
+        for (const auto& [id, job] : impl_->jobs)
+          if (!job.terminal()) return false;
+        return true;
+      },
+      timeout);
+}
+
+bool SweepService::wait_workers(std::size_t n,
+                                std::chrono::milliseconds timeout) const {
+  return poll_until([this, n] { return impl_->workers_joined.load() >= n; },
+                    timeout);
 }
 
 ServiceStats SweepService::stats() const {
@@ -909,6 +978,7 @@ ServiceStats SweepService::stats() const {
   s.worker_errors = impl_->worker_errors.load();
   s.handlers_live = static_cast<std::size_t>(impl_->active_handlers.load());
   s.crash_hook_fired = impl_->crashed.load();
+  s.scheduler = impl_->scheduler->stats();
   return s;
 }
 

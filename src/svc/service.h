@@ -1,21 +1,25 @@
-// The resident sweep service: the long-lived successor of the one-shot
-// Coordinator (dist/coordinator.h). Where a coordinator serves one fixed
-// job list per run() and forgets everything on exit, the service accepts
-// serialized SweepPlans over the wire for as long as it lives, queues them
-// with priorities, leases their work units to authenticated workers through
-// the same LeaseScheduler policy, and journals every submission, lease
-// grant and completed unit result (svc/journal.h) — so a service killed at
-// any instant replays its journal on restart and resumes every in-flight
-// sweep without re-running completed units, producing merged results
-// bit-identical to an uninterrupted run.
+// The sweep service: the one lease server of the distributed sweep
+// runtime. It accepts serialized SweepPlans over the wire for as long as it
+// lives, queues them with priorities, leases their work units to
+// authenticated workers (dist/worker.h) through the LeaseScheduler policy,
+// and merges the streamed unit results, verifying that every unit reports
+// each of its planned metrics and that re-reported metrics agree
+// bit-exactly.
+//
+// With a journal path it is the resident daemon (sysnoise_svc): every
+// submission, lease grant and completed unit result is journaled
+// (svc/journal.h), so a service killed at any instant replays its journal
+// on restart and resumes every in-flight sweep without re-running
+// completed units, producing merged results bit-identical to an
+// uninterrupted run. Without one it is volatile — the in-process form a
+// bench's --coordinate run serves its plans from.
 //
 // One TCP listener serves both planes (dist/protocol.h vocabulary):
-// workers introduce themselves with hello and speak the coordinator's
-// lease/heartbeat/result loop (plus job_request for jobs submitted after
-// they joined); control clients (svc/client.h, sysnoise_ctl) send
-// submit/cancel/status/fetch/watch requests. When the service was started
-// with an auth token, both planes must present it and are rejected loudly
-// otherwise.
+// workers introduce themselves with hello and speak the lease/heartbeat/
+// result loop, fetching each job's plan with job_request; control clients
+// (svc/client.h, sysnoise_ctl) send submit/cancel/status/fetch/watch
+// requests. When the service was started with an auth token, both planes
+// must present it and are rejected loudly otherwise.
 #pragma once
 
 #include <chrono>
@@ -24,6 +28,7 @@
 #include <string>
 
 #include "core/plan.h"
+#include "dist/scheduler.h"
 #include "util/json.h"
 
 namespace sysnoise::svc {
@@ -56,6 +61,7 @@ struct ServiceStats {
   std::size_t worker_errors = 0;
   std::size_t handlers_live = 0;  // connection handlers currently running
   bool crash_hook_fired = false;
+  dist::SchedulerStats scheduler;  // lease grants, re-leases, expiries, ...
 };
 
 class SweepService {
@@ -83,6 +89,10 @@ class SweepService {
   // Block until every submitted job is terminal (done/canceled/failed) —
   // test convenience; a real deployment never drains.
   bool wait_idle(std::chrono::milliseconds timeout) const;
+
+  // Block until at least `n` workers have joined over the service lifetime
+  // (a --min-workers quorum); false when `timeout` ran out first.
+  bool wait_workers(std::size_t n, std::chrono::milliseconds timeout) const;
 
   ServiceStats stats() const;
 

@@ -10,7 +10,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/executor.h"
@@ -18,12 +17,12 @@
 #include "core/staged_eval.h"
 #include "core/synthetic_task.h"
 #include "core/sweep.h"
-#include "dist/coordinator.h"
-#include "dist/dist_executor.h"
 #include "dist/worker.h"
 #include "models/eval_tasks.h"
 #include "models/train.h"
 #include "models/zoo.h"
+#include "svc/dist_executor.h"
+#include "tests/dist_loopback.h"
 #include "util/json.h"
 
 namespace sysnoise::core {
@@ -353,20 +352,7 @@ using core::SyntheticStagedTask;
 using core::TaskKind;
 using core::expect_reports_identical;
 
-TaskResolver fixed_resolver(const core::EvalTask& task) {
-  return [&task](const util::Json&) {
-    ResolvedWorkerTask out;
-    out.task = &task;
-    return out;
-  };
-}
-
-CoordinatorOptions fast_opts() {
-  CoordinatorOptions opts;
-  opts.lease_timeout = std::chrono::milliseconds(400);
-  opts.heartbeat_interval = std::chrono::milliseconds(50);
-  return opts;
-}
+using loopback::fixed_resolver;
 
 TEST(BatchedDist, LoopbackWorkersBatchForwardsAndStayBitIdentical) {
   const SyntheticStagedTask task(TaskKind::kDetection, true, 2, 2, 1,
@@ -377,19 +363,13 @@ TEST(BatchedDist, LoopbackWorkersBatchForwardsAndStayBitIdentical) {
 
   for (const int workers : {1, 2}) {
     task.reset();
-    Coordinator coordinator(fast_opts());
-    std::vector<std::thread> pool;
-    for (int w = 0; w < workers; ++w)
-      pool.emplace_back([&coordinator, &task] {
-        run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-      });
-    const std::vector<MetricMap> results =
-        coordinator.run({DistJob{util::Json::object(), plan}});
-    for (std::thread& t : pool) t.join();
+    loopback::Loopback lb;
+    lb.add_workers(workers, fixed_resolver(task));
     expect_reports_identical(expected,
-                             core::assemble_report(plan, results.at(0)));
-    // The coordinator leases batch-compatible forward groups together, so
-    // the workers' StagedExecutors stacked them through batched calls.
+                             core::assemble_report(plan, lb.run(plan)));
+    lb.stop();
+    // The service leases batch-compatible forward groups together, so the
+    // workers' StagedExecutors stacked them through batched calls.
     EXPECT_GT(task.fwd_batched_calls(), 0) << workers << " workers";
   }
 }
@@ -400,13 +380,11 @@ TEST(BatchedDist, DistExecutorBatchesBehindTheExecutorSeam) {
   const MetricMap expected = core::ThreadPoolExecutor().execute(task, plan);
 
   task.reset();
-  Coordinator coordinator(fast_opts());
-  std::thread worker([&coordinator, &task] {
-    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-  });
-  const DistExecutor executor(coordinator, util::Json::object());
+  loopback::Loopback lb;
+  lb.add_worker(fixed_resolver(task));
+  const svc::DistExecutor executor(lb.client_options(), util::Json::object());
   const MetricMap metrics = executor.execute(task, plan);
-  worker.join();
+  lb.stop();
   EXPECT_EQ(metrics, expected);
   EXPECT_GT(task.fwd_batched_calls(), 0);
 }

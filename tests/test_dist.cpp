@@ -1,13 +1,18 @@
-// Tests of the distributed sweep runtime: net framing, protocol round
-// trips, work-unit grouping, the lease scheduler (expiry, re-lease,
-// disconnect release, duplicate completion), coordinator/worker loopback
-// bit-identity for N ∈ {1,2,3} workers, fault tolerance (a worker killed
-// mid-lease — by disconnect and by silent death — still yields a
-// byte-identical report), the DistExecutor seam, and a real-model loopback
-// run matching the seeded single-process sweep.
+// Tests of the distributed sweep runtime: net framing (including the
+// bounded receive of an oversized claimed frame), protocol round trips,
+// work-unit grouping, the lease scheduler (expiry, re-lease, disconnect
+// release, duplicate completion), service/worker loopback bit-identity for
+// N ∈ {1,2,3} workers, the min-workers quorum, fault tolerance (a worker
+// killed mid-lease — by disconnect and by silent death — still yields a
+// byte-identical report; incomplete or contradicting results fail the job
+// loudly), the DistExecutor seam, and a real-model loopback run matching
+// the seeded single-process sweep.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,8 +23,6 @@
 #include "core/report.h"
 #include "core/synthetic_task.h"
 #include "core/sweep.h"
-#include "dist/coordinator.h"
-#include "dist/dist_executor.h"
 #include "dist/protocol.h"
 #include "dist/scheduler.h"
 #include "dist/task_factory.h"
@@ -28,6 +31,8 @@
 #include "models/zoo.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "svc/dist_executor.h"
+#include "tests/dist_loopback.h"
 #include "util/json.h"
 
 namespace sysnoise::dist {
@@ -39,6 +44,9 @@ using core::MetricMap;
 using core::SweepPlan;
 using core::SyntheticStagedTask;
 using core::TaskKind;
+using loopback::fixed_resolver;
+using loopback::Loopback;
+using loopback::RawWorker;
 
 void expect_reports_identical(const AxisReport& a, const AxisReport& b) {
   EXPECT_EQ(a.model, b.model);
@@ -54,23 +62,6 @@ void expect_reports_identical(const AxisReport& a, const AxisReport& b) {
       EXPECT_EQ(a.axes[i].options[j].delta, b.axes[i].options[j].delta)
           << a.axes[i].axis << "/" << a.axes[i].options[j].label;
   }
-}
-
-// The resolver loopback workers run with: every spec resolves to the one
-// in-process task (the coordinator and workers share the process in tests).
-TaskResolver fixed_resolver(const core::EvalTask& task) {
-  return [&task](const util::Json&) {
-    ResolvedWorkerTask out;
-    out.task = &task;
-    return out;
-  };
-}
-
-CoordinatorOptions fast_opts() {
-  CoordinatorOptions opts;
-  opts.lease_timeout = std::chrono::milliseconds(400);
-  opts.heartbeat_interval = std::chrono::milliseconds(50);
-  return opts;
 }
 
 // ---------------------------------------------------------------------------
@@ -109,6 +100,38 @@ TEST(NetFrame, JsonRoundTripsIncludingLargeFrames) {
   util::Json dummy;
   net::TcpSocket closed;
   EXPECT_FALSE(net::recv_json(closed, &dummy));
+}
+
+// Peak resident set of this process, in KiB.
+long max_rss_kib() {
+  struct rusage usage = {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(NetFrame, ClaimedFrameLengthIsNotAllocatedUpFront) {
+  // A peer declares a frame just under the cap, sends one byte and hangs
+  // up: the receive must fail without ever holding the claimed size.
+  net::TcpListener listener = net::TcpListener::listen(0);
+  const std::uint32_t claimed = static_cast<std::uint32_t>(net::kMaxFrameBytes);
+  std::thread peer([&] {
+    net::TcpSocket sock = net::TcpSocket::connect("127.0.0.1", listener.port());
+    const unsigned char frame[] = {
+        static_cast<unsigned char>(claimed >> 24),
+        static_cast<unsigned char>(claimed >> 16),
+        static_cast<unsigned char>(claimed >> 8),
+        static_cast<unsigned char>(claimed), '['};
+    sock.send_all(frame, sizeof(frame));
+  });
+  net::TcpSocket conn = listener.accept(2000);
+  ASSERT_TRUE(conn.valid());
+  const long before_kib = max_rss_kib();
+  util::Json ignored;
+  EXPECT_FALSE(net::recv_json(conn, &ignored));
+  peer.join();
+  EXPECT_LT(max_rss_kib() - before_kib, 32L << 10)
+      << "peak RSS grew by " << (max_rss_kib() - before_kib) << " KiB for a "
+      << (claimed >> 20) << " MiB claim";
 }
 
 // ---------------------------------------------------------------------------
@@ -211,40 +234,27 @@ TEST(Scheduler, ExpiredLeaseIsReLeasedAndDeadWorkerLosesLeases) {
 }
 
 // ---------------------------------------------------------------------------
-// coordinator/worker loopback
+// service/worker loopback
 // ---------------------------------------------------------------------------
 
-// One coordinator + `workers` in-process workers over the synthetic staged
-// task; returns the assembled report and the coordinator stats.
-AxisReport loopback_sweep(const SyntheticStagedTask& task, int workers,
-                          CoordinatorOptions opts, CoordinatorStats* stats_out,
-                          WorkerOptions worker_opts = {}) {
-  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  Coordinator coordinator(opts);
-  std::vector<std::thread> pool;
-  for (int w = 0; w < workers; ++w)
-    pool.emplace_back([&coordinator, &task, worker_opts] {
-      run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task),
-                 worker_opts);
-    });
-  const std::vector<MetricMap> results =
-      coordinator.run({DistJob{util::Json::object(), plan}});
-  for (std::thread& t : pool) t.join();
-  if (stats_out != nullptr) *stats_out = coordinator.stats();
-  return core::assemble_report(plan, results.at(0));
+AxisReport local_report(const core::EvalTask& task, const SweepPlan& plan) {
+  return core::assemble_report(plan,
+                               core::ThreadPoolExecutor().execute(task, plan));
 }
 
 TEST(Distributed, LoopbackMatchesThreadPoolForOneTwoThreeWorkers) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
+  const AxisReport expected = local_report(task, plan);
 
   for (const int workers : {1, 2, 3}) {
-    CoordinatorStats stats;
-    const AxisReport report =
-        loopback_sweep(task, workers, fast_opts(), &stats);
-    expect_reports_identical(expected, report);
+    Loopback lb;
+    lb.add_workers(workers, fixed_resolver(task));
+    expect_reports_identical(expected,
+                             core::assemble_report(plan, lb.run(plan)));
+    for (const WorkerRunStats& w : lb.stop())
+      EXPECT_TRUE(w.done) << w.error;
+    const svc::ServiceStats stats = lb.service().stats();
     EXPECT_EQ(stats.workers_joined, static_cast<std::size_t>(workers))
         << workers;
     EXPECT_EQ(stats.worker_errors, 0u);
@@ -254,40 +264,31 @@ TEST(Distributed, LoopbackMatchesThreadPoolForOneTwoThreeWorkers) {
 }
 
 TEST(Distributed, MinWorkersHoldsLeasesUntilQuorum) {
+  // --coordinate submits only once the quorum joined, so no lease can go
+  // out before it: the first worker idles on `wait` until the second comes.
   const SyntheticStagedTask task(TaskKind::kClassification, false);
-  CoordinatorOptions opts = fast_opts();
-  opts.min_workers = 2;
-  CoordinatorStats stats;
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
-  const AxisReport report = loopback_sweep(task, 2, opts, &stats);
-  expect_reports_identical(expected, report);
-  EXPECT_EQ(stats.workers_joined, 2u);
+  Loopback lb;
+  lb.add_worker(fixed_resolver(task));
+  lb.add_worker(fixed_resolver(task), {}, std::chrono::milliseconds(100));
+  ASSERT_TRUE(lb.service().wait_workers(2, std::chrono::seconds(10)));
+  EXPECT_EQ(lb.service().stats().scheduler.leases_granted, 0u);
+  expect_reports_identical(local_report(task, plan),
+                           core::assemble_report(plan, lb.run(plan)));
+  lb.stop();
+  EXPECT_EQ(lb.service().stats().workers_joined, 2u);
 }
 
 TEST(Distributed, MinWorkersTimeoutFailsLoudly) {
-  // A quorum that never arrives must fail the run with a diagnostic, not
-  // hold leases forever.
+  // A quorum that never arrives must end the wait with a verdict the bench
+  // turns into a diagnostic, not hold the plans forever.
   const SyntheticStagedTask task(TaskKind::kClassification, false);
-  CoordinatorOptions opts = fast_opts();
-  opts.min_workers = 2;
-  opts.min_workers_timeout_s = 1;
-  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  Coordinator coordinator(opts);
-  EXPECT_THROW(
-      {
-        try {
-          coordinator.run({DistJob{util::Json::object(), plan}});
-        } catch (const std::runtime_error& e) {
-          EXPECT_NE(
-              std::string(e.what()).find("required workers joined within"),
-              std::string::npos)
-              << e.what();
-          throw;
-        }
-      },
-      std::runtime_error);
+  Loopback lb;
+  lb.add_worker(fixed_resolver(task));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(lb.service().wait_workers(2, std::chrono::seconds(1)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(lb.service().wait_workers(1, std::chrono::seconds(10)));
 }
 
 TEST(Distributed, WorkerRetryReportsAttemptCount) {
@@ -325,24 +326,16 @@ TEST(Distributed, MultipleJobsMergePerJob) {
   util::Json seg_spec = util::Json::object();
   seg_spec.set("which", "seg");
 
-  Coordinator coordinator(fast_opts());
-  std::vector<std::thread> pool;
-  for (int w = 0; w < 2; ++w)
-    pool.emplace_back([&] {
-      run_worker("127.0.0.1", coordinator.port(), resolver, {});
-    });
-  const std::vector<MetricMap> results = coordinator.run(
-      {DistJob{det_spec, det_plan}, DistJob{seg_spec, seg_plan}});
-  for (std::thread& t : pool) t.join();
+  Loopback lb;
+  lb.add_workers(2, resolver);
+  const std::vector<MetricMap> results =
+      lb.run({{det_spec, det_plan}, {seg_spec, seg_plan}});
+  lb.stop();
 
-  expect_reports_identical(
-      core::assemble_report(det_plan,
-                            core::ThreadPoolExecutor().execute(det, det_plan)),
-      core::assemble_report(det_plan, results.at(0)));
-  expect_reports_identical(
-      core::assemble_report(seg_plan,
-                            core::ThreadPoolExecutor().execute(seg, seg_plan)),
-      core::assemble_report(seg_plan, results.at(1)));
+  expect_reports_identical(local_report(det, det_plan),
+                           core::assemble_report(det_plan, results.at(0)));
+  expect_reports_identical(local_report(seg, seg_plan),
+                           core::assemble_report(seg_plan, results.at(1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -352,186 +345,108 @@ TEST(Distributed, MultipleJobsMergePerJob) {
 TEST(Distributed, WorkerKilledMidLeaseByDisconnectIsReLeased) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
+  const AxisReport expected = local_report(task, plan);
 
-  Coordinator coordinator(fast_opts());
+  Loopback lb;
+  const int job = lb.submit(plan);
   // The doomed worker completes one lease, takes another, and drops the
-  // connection without a result — a worker killed mid-lease.
+  // connection without a result — a worker killed mid-lease. The survivor
+  // joins a beat later and finishes everything.
   WorkerOptions doomed;
   doomed.abandon_after_leases = 1;
-  std::thread crasher([&] {
-    const WorkerRunStats stats = run_worker(
-        "127.0.0.1", coordinator.port(), fixed_resolver(task), doomed);
-    EXPECT_TRUE(stats.abandoned);
-  });
-  // The survivor joins a beat later and finishes everything.
-  std::thread survivor([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const WorkerRunStats stats =
-        run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-    EXPECT_TRUE(stats.done);
-  });
-  const std::vector<MetricMap> results =
-      coordinator.run({DistJob{util::Json::object(), plan}});
-  crasher.join();
-  survivor.join();
+  lb.add_worker(fixed_resolver(task), doomed);
+  lb.add_worker(fixed_resolver(task), {}, std::chrono::milliseconds(50));
+  const AxisReport report = core::assemble_report(plan, lb.collect(job));
+  const std::vector<WorkerRunStats> workers = lb.stop();
+  EXPECT_TRUE(workers.at(0).abandoned);
+  EXPECT_TRUE(workers.at(1).done) << workers.at(1).error;
 
-  const AxisReport report = core::assemble_report(plan, results.at(0));
   expect_reports_identical(expected, report);
   // Byte-identical all the way to the rendered artifact, not just the
   // doubles: the CI diff contract.
   EXPECT_EQ(core::render_axis_table({expected}, "METRIC"),
             core::render_axis_table({report}, "METRIC"));
   EXPECT_EQ(core::axis_report_csv({expected}), core::axis_report_csv({report}));
-  const CoordinatorStats stats = coordinator.stats();
-  EXPECT_GE(stats.scheduler.released + stats.scheduler.expired, 1u);
-  EXPECT_GE(stats.scheduler.re_leases, 1u);
+  const SchedulerStats stats = lb.service().stats().scheduler;
+  EXPECT_GE(stats.released + stats.expired, 1u);
+  EXPECT_GE(stats.re_leases, 1u);
 }
 
 TEST(Distributed, SilentWorkerLeaseExpiresAndIsReLeased) {
   const SyntheticStagedTask task(TaskKind::kClassification, true);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
 
-  CoordinatorOptions opts = fast_opts();
-  opts.lease_timeout = std::chrono::milliseconds(200);
-  Coordinator coordinator(opts);
-
+  Loopback lb(loopback::fast_options(std::chrono::milliseconds(200)));
+  const int job = lb.submit(plan);
   // A raw client that takes a lease and then holds the socket open in
   // silence — no heartbeat, no disconnect. Only lease expiry can save the
   // sweep.
-  std::thread zombie([&] {
-    net::TcpSocket sock =
-        net::TcpSocket::connect("127.0.0.1", coordinator.port());
-    util::Json hello = make_message(msg::kHello);
-    hello.set("protocol", kProtocolVersion);
-    ASSERT_TRUE(net::send_json(sock, hello));
-    util::Json welcome;
-    ASSERT_TRUE(net::recv_json(sock, &welcome));
-    ASSERT_TRUE(net::send_json(sock, make_message(msg::kLeaseRequest)));
-    util::Json lease;
-    ASSERT_TRUE(net::recv_json(sock, &lease));
-    ASSERT_EQ(message_type(lease), "lease");
-    // ... and say nothing until the coordinator shuts the sweep down.
-    util::Json ignored;
-    net::recv_json(sock, &ignored);
-  });
-  std::thread survivor([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const WorkerRunStats stats =
-        run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-    EXPECT_TRUE(stats.done);
-  });
-  const std::vector<MetricMap> results =
-      coordinator.run({DistJob{util::Json::object(), plan}});
-  zombie.join();
-  survivor.join();
+  RawWorker zombie(lb.port());
+  ASSERT_EQ(message_type(zombie.lease()), msg::kLease);
+  lb.add_worker(fixed_resolver(task), {}, std::chrono::milliseconds(100));
+  const MetricMap metrics = lb.collect(job);
+  EXPECT_TRUE(lb.stop().at(0).done);
 
-  expect_reports_identical(expected,
-                           core::assemble_report(plan, results.at(0)));
-  const CoordinatorStats stats = coordinator.stats();
-  EXPECT_GE(stats.scheduler.expired, 1u);
-  EXPECT_GE(stats.scheduler.re_leases, 1u);
+  expect_reports_identical(local_report(task, plan),
+                           core::assemble_report(plan, metrics));
+  const SchedulerStats stats = lb.service().stats().scheduler;
+  EXPECT_GE(stats.expired, 1u);
+  EXPECT_GE(stats.re_leases, 1u);
 }
 
 TEST(Distributed, LateResultFromExpiredLeaseIsAcceptedOrDuplicate) {
-  // A worker whose lease expired (and was completed by someone else) sends
-  // its result anyway: the coordinator verifies agreement instead of
-  // failing, and the run stays byte-identical.
+  // A worker whose lease expired (and was re-leased to someone else) sends
+  // its result anyway: the service verifies agreement instead of failing,
+  // and the run stays byte-identical.
   const SyntheticStagedTask task(TaskKind::kSegmentation, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
 
-  CoordinatorOptions opts = fast_opts();
-  opts.lease_timeout = std::chrono::milliseconds(150);
-  Coordinator coordinator(opts);
-
-  std::thread slow([&] {
-    net::TcpSocket sock =
-        net::TcpSocket::connect("127.0.0.1", coordinator.port());
-    util::Json hello = make_message(msg::kHello);
-    hello.set("protocol", kProtocolVersion);
-    ASSERT_TRUE(net::send_json(sock, hello));
-    util::Json welcome;
-    ASSERT_TRUE(net::recv_json(sock, &welcome));
-    const SweepPlan wplan =
-        SweepPlan::from_json(welcome.at("jobs").at(0).at("plan"));
-    ASSERT_TRUE(net::send_json(sock, make_message(msg::kLeaseRequest)));
-    util::Json lease;
-    ASSERT_TRUE(net::recv_json(sock, &lease));
-    ASSERT_EQ(message_type(lease), "lease");
-    // Sleep past expiry, then evaluate honestly and submit late.
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    std::vector<std::size_t> indices;
-    const util::Json& jconfigs = lease.at("configs");
-    for (std::size_t i = 0; i < jconfigs.size(); ++i)
-      indices.push_back(static_cast<std::size_t>(jconfigs.at(i).as_int()));
-    const MetricMap metrics = core::ThreadPoolExecutor().execute(
-        task, wplan.slice(indices));
-    util::Json result = make_message(msg::kResult);
-    result.set("job", lease.at("job").as_int());
-    result.set("unit", lease.at("unit").as_int());
-    util::Json jm = util::Json::object();
-    for (const auto& [key, value] : metrics) jm.set(key, value);
-    result.set("metrics", std::move(jm));
-    if (net::send_json(sock, result)) {
-      util::Json ok;
-      net::recv_json(sock, &ok);  // ok — or the run already shut down
-    }
-  });
-  std::thread survivor([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-  });
-  const std::vector<MetricMap> results =
-      coordinator.run({DistJob{util::Json::object(), plan}});
-  slow.join();
-  survivor.join();
-  expect_reports_identical(expected,
-                           core::assemble_report(plan, results.at(0)));
+  Loopback lb(loopback::fast_options(std::chrono::milliseconds(150)));
+  const int job = lb.submit(plan);
+  RawWorker slow(lb.port());
+  const util::Json lease = slow.lease();
+  ASSERT_EQ(message_type(lease), msg::kLease);
+  const SweepPlan slice = slow.slice(lease);
+  lb.add_worker(fixed_resolver(task), {}, std::chrono::milliseconds(50));
+  // Sleep past expiry, then evaluate honestly and submit late.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const util::Json reply = slow.result(
+      lease, loopback::metrics_json(core::ThreadPoolExecutor().execute(
+                 task, slice)));
+  EXPECT_EQ(message_type(reply), msg::kOk);
+  const MetricMap metrics = lb.collect(job);
+  lb.stop();
+  expect_reports_identical(local_report(task, plan),
+                           core::assemble_report(plan, metrics));
+  EXPECT_GE(lb.service().stats().scheduler.re_leases, 1u);
 }
 
 TEST(Distributed, DisagreeingDuplicateResultFailsTheRunLoudly) {
   // Executors must be bit-identical; a worker contradicting an already-
   // merged metric has to fail the sweep with a diagnostic — not average,
-  // not hang.
+  // not hang. The liar reports its unit honestly first, then again with
+  // one real key changed (a made-up key would be rejected as missing).
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  Coordinator coordinator(fast_opts());
 
-  std::thread liar([&] {
-    net::TcpSocket sock =
-        net::TcpSocket::connect("127.0.0.1", coordinator.port());
-    util::Json hello = make_message(msg::kHello);
-    hello.set("protocol", kProtocolVersion);
-    ASSERT_TRUE(net::send_json(sock, hello));
-    util::Json welcome;
-    ASSERT_TRUE(net::recv_json(sock, &welcome));
-    ASSERT_TRUE(net::send_json(sock, make_message(msg::kLeaseRequest)));
-    util::Json lease;
-    ASSERT_TRUE(net::recv_json(sock, &lease));
-    ASSERT_EQ(message_type(lease), "lease");
-    auto submit = [&](double value) {
-      util::Json result = make_message(msg::kResult);
-      result.set("job", lease.at("job").as_int());
-      result.set("unit", lease.at("unit").as_int());
-      util::Json jm = util::Json::object();
-      jm.set("some-metric", value);
-      result.set("metrics", std::move(jm));
-      if (!net::send_json(sock, result)) return;
-      util::Json reply;
-      net::recv_json(sock, &reply);
-    };
-    submit(1.0);
-    submit(2.0);  // contradicts the first — poisons the run
-  });
+  Loopback lb;
+  const int job = lb.submit(plan);
+  RawWorker liar(lb.port());
+  const util::Json lease = liar.lease();
+  ASSERT_EQ(message_type(lease), msg::kLease);
+  MetricMap honest =
+      core::ThreadPoolExecutor().execute(task, liar.slice(lease));
+  EXPECT_EQ(message_type(liar.result(lease, loopback::metrics_json(honest))),
+            msg::kOk);
+  honest.begin()->second += 1.0;
+  const util::Json rejected =
+      liar.result(lease, loopback::metrics_json(honest));
+  EXPECT_EQ(message_type(rejected), msg::kError);
+
   EXPECT_THROW(
       {
         try {
-          coordinator.run({DistJob{util::Json::object(), plan}});
+          lb.collect(job);
         } catch (const std::runtime_error& e) {
           EXPECT_NE(std::string(e.what()).find("disagree"), std::string::npos)
               << e.what();
@@ -539,37 +454,69 @@ TEST(Distributed, DisagreeingDuplicateResultFailsTheRunLoudly) {
         }
       },
       std::runtime_error);
-  liar.join();
+  EXPECT_GE(lb.service().stats().worker_errors, 1u);
 }
 
-TEST(Distributed, GarbageConnectionDoesNotKillTheCoordinator) {
+TEST(Distributed, ResultMissingItsUnitsMetricsFailsTheJob) {
+  // A worker that answers every lease with metrics its unit never planned
+  // must not complete the job: the first such frame fails it, naming the
+  // missing key, and the worker is told so.
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
+  ASSERT_EQ(plan.configs.size(), 24u);
+
+  core::WorkUnitOptions unit_opts;
+  unit_opts.merge_batch_compatible = true;
+  const std::size_t units = core::plan_work_units(plan, unit_opts).size();
+
+  Loopback lb;
+  const int job = lb.submit(plan);
+  RawWorker bogus(lb.port());
+  util::Json junk = util::Json::object();
+  junk.set("bogus", 1);
+  std::size_t answered = 0;
+  while (answered < units) {
+    const util::Json lease = bogus.lease();
+    if (message_type(lease) != msg::kLease) break;
+    ++answered;
+    const util::Json reply = bogus.result(lease, junk);
+    if (message_type(reply) != msg::kOk) {
+      EXPECT_EQ(message_type(reply), msg::kError);
+      EXPECT_NE(reply.at("message").as_string().find("no metric for"),
+                std::string::npos)
+          << reply.dump();
+      break;
+    }
+  }
+  EXPECT_EQ(answered, 1u);
+  ASSERT_TRUE(lb.service().wait_idle(std::chrono::seconds(10)));
+  const util::Json fetched = svc::ServiceClient(lb.client_options()).fetch(job);
+  EXPECT_EQ(fetched.at("state").as_string(), "failed");
+  EXPECT_NE(fetched.at("error").as_string().find("no metric for \""),
+            std::string::npos)
+      << fetched.dump();
+  EXPECT_EQ(fetched.get("metrics"), nullptr);
+}
+
+TEST(Distributed, GarbageConnectionDoesNotKillTheService) {
   // A non-protocol client (port scanner, version skew) sends a length-valid
   // frame of non-JSON bytes: the handler contains the parse error, the
   // sweep completes off the healthy worker.
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const AxisReport expected =
-      core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
-  Coordinator coordinator(fast_opts());
-
-  std::thread scanner([&] {
-    net::TcpSocket sock =
-        net::TcpSocket::connect("127.0.0.1", coordinator.port());
+  Loopback lb;
+  {
+    net::TcpSocket sock = net::TcpSocket::connect("127.0.0.1", lb.port());
     const unsigned char frame[] = {0, 0, 0, 4, 'j', 'u', 'n', 'k'};
     sock.send_all(frame, sizeof(frame));
     util::Json ignored;
     net::recv_json(sock, &ignored);  // error reply or close — either is fine
-  });
-  std::thread worker([&] {
-    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-  });
-  const std::vector<MetricMap> results =
-      coordinator.run({DistJob{util::Json::object(), plan}});
-  scanner.join();
-  worker.join();
-  expect_reports_identical(expected,
-                           core::assemble_report(plan, results.at(0)));
-  EXPECT_GE(coordinator.stats().worker_errors, 1u);
+  }
+  lb.add_worker(fixed_resolver(task));
+  expect_reports_identical(local_report(task, plan),
+                           core::assemble_report(plan, lb.run(plan)));
+  lb.stop();
+  EXPECT_GE(lb.service().stats().worker_errors, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -581,16 +528,14 @@ TEST(Distributed, DistExecutorMatchesStagedExecutorAndFillsTheCache) {
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
   const MetricMap expected = core::StagedExecutor().execute(task, plan);
 
-  Coordinator coordinator(fast_opts());
-  std::thread worker([&] {
-    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-  });
+  Loopback lb;
+  lb.add_worker(fixed_resolver(task));
   core::SweepCache cache;
   core::SweepOptions opts;
   opts.cache = &cache;
-  const DistExecutor dist(coordinator, util::Json::object());
+  const svc::DistExecutor dist(lb.client_options(), util::Json::object());
   const MetricMap metrics = dist.execute(task, plan, opts);
-  worker.join();
+  lb.stop();
 
   EXPECT_EQ(metrics, expected);  // bit-identical, key for key
   EXPECT_EQ(cache.size(), metrics.size());  // remote results memoized
@@ -614,23 +559,15 @@ TEST(Distributed, RealClassifierLoopbackMatchesSeededSingleProcessSweep) {
   // Distributed: two workers resolving the spec through the zoo, exactly
   // like sysnoise_worker would (same process here, so the zoo cache is
   // warm and the resolution is instant).
-  CoordinatorOptions opts = fast_opts();
-  opts.lease_timeout = std::chrono::milliseconds(5000);
-  Coordinator coordinator(opts);
-  std::vector<std::thread> pool;
-  for (int w = 0; w < 2; ++w)
-    pool.emplace_back([&] {
-      const WorkerRunStats stats = run_worker(
-          "127.0.0.1", coordinator.port(), zoo_task_resolver(), {});
-      EXPECT_TRUE(stats.done);
-      EXPECT_TRUE(stats.error.empty()) << stats.error;
-    });
-  const std::vector<MetricMap> results = coordinator.run(
-      {DistJob{classifier_spec("MCUNet").to_json(), plan}});
-  for (std::thread& t : pool) t.join();
+  Loopback lb(loopback::fast_options(std::chrono::milliseconds(5000)));
+  lb.add_workers(2, zoo_task_resolver());
+  const MetricMap metrics = lb.run(plan, classifier_spec("MCUNet").to_json());
+  for (const WorkerRunStats& w : lb.stop()) {
+    EXPECT_TRUE(w.done);
+    EXPECT_TRUE(w.error.empty()) << w.error;
+  }
 
-  expect_reports_identical(expected,
-                           core::assemble_report(plan, results.at(0)));
+  expect_reports_identical(expected, core::assemble_report(plan, metrics));
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audio/eval_task.h"
@@ -23,12 +22,12 @@
 #include "core/sweep.h"
 #include "core/synthetic_task.h"
 #include "data/noise_config.h"
-#include "dist/coordinator.h"
 #include "dist/task_factory.h"
 #include "dist/worker.h"
 #include "nlp/eval_task.h"
 #include "nlp/lm.h"
 #include "nlp/tasks.h"
+#include "tests/dist_loopback.h"
 #include "util/json.h"
 
 namespace sysnoise {
@@ -74,35 +73,18 @@ audio::TrainedTts& shared_tts() {
   return tt;
 }
 
-dist::CoordinatorOptions fast_opts() {
-  dist::CoordinatorOptions opts;
-  opts.lease_timeout = std::chrono::milliseconds(5000);
-  opts.heartbeat_interval = std::chrono::milliseconds(50);
-  return opts;
-}
-
-// Runs the plan through an in-process coordinator + `workers` loopback
+// Runs the plan through an in-process sweep service + `workers` loopback
 // workers resolving every spec to `task`, exactly like test_dist.
 MetricMap loopback_metrics(const core::EvalTask& task, const SweepPlan& plan,
                            int workers) {
-  const dist::TaskResolver resolver = [&task](const util::Json&) {
-    dist::ResolvedWorkerTask out;
-    out.task = &task;
-    return out;
-  };
-  dist::Coordinator coordinator(fast_opts());
-  std::vector<std::thread> pool;
-  for (int w = 0; w < workers; ++w)
-    pool.emplace_back([&coordinator, &resolver] {
-      const dist::WorkerRunStats stats =
-          dist::run_worker("127.0.0.1", coordinator.port(), resolver, {});
-      EXPECT_TRUE(stats.done);
-      EXPECT_TRUE(stats.error.empty()) << stats.error;
-    });
-  const std::vector<MetricMap> results =
-      coordinator.run({dist::DistJob{util::Json::object(), plan}});
-  for (std::thread& t : pool) t.join();
-  return results.at(0);
+  loopback::Loopback lb(loopback::fast_options(std::chrono::seconds(5)));
+  lb.add_workers(workers, loopback::fixed_resolver(task));
+  const MetricMap metrics = lb.run(plan);
+  for (const dist::WorkerRunStats& w : lb.stop()) {
+    EXPECT_TRUE(w.done);
+    EXPECT_TRUE(w.error.empty()) << w.error;
+  }
+  return metrics;
 }
 
 // ---------------------------------------------------------------------------

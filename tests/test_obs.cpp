@@ -194,11 +194,12 @@ TEST_F(ObsTest, SnapshotMergeEqualsSingleProcessRegistry) {
       obs::merge_snapshots(worker_a.snapshot(), worker_b.snapshot());
   EXPECT_EQ(merged.dump(), single.snapshot().dump());
 
-  // ...and the registry fold (what the coordinator does) agree exactly.
-  obs::MetricsRegistry coordinator;
-  coordinator.merge_snapshot(worker_a.snapshot());
-  coordinator.merge_snapshot(worker_b.snapshot());
-  EXPECT_EQ(coordinator.snapshot().dump(), single.snapshot().dump());
+  // ...and the registry fold (which merge_snapshots is built on) agree
+  // exactly.
+  obs::MetricsRegistry fleet;
+  fleet.merge_snapshot(worker_a.snapshot());
+  fleet.merge_snapshot(worker_b.snapshot());
+  EXPECT_EQ(fleet.snapshot().dump(), single.snapshot().dump());
 }
 
 TEST_F(ObsTest, HistogramJsonRoundTripIsExact) {

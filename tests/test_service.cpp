@@ -1,7 +1,8 @@
 // Tests of the resident sweep service: the write-ahead journal (round trip,
 // torn-tail tolerance, corrupt-record refusal), the job queue lifecycle
 // (submit/status/watch/fetch/cancel over the control plane), priority
-// ordering of lease grants, shared-secret auth rejection, and — the heart
+// ordering of lease grants, shared-secret auth rejection (and survival of
+// an unauthenticated hostile frame), and — the heart
 // of the subsystem — crash/resume: a service killed after k journaled
 // results (the in-process kill -9 stand-in) restarts from its journal,
 // re-runs only the unjournaled units, and produces merged metrics
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -30,6 +32,7 @@
 #include "svc/journal.h"
 #include "svc/service.h"
 #include "tensor/backend.h"
+#include "tests/dist_loopback.h"
 #include "util/json.h"
 
 namespace sysnoise::svc {
@@ -44,23 +47,9 @@ using dist::LeaseScheduler;
 using dist::TaskResolver;
 using dist::WorkerRunStats;
 using dist::WorkUnit;
-
-// Every spec resolves to the one in-process task (loopback tests share the
-// process between service and workers).
-TaskResolver fixed_resolver(const core::EvalTask& task) {
-  return [&task](const util::Json&) {
-    dist::ResolvedWorkerTask out;
-    out.task = &task;
-    return out;
-  };
-}
-
-ServiceOptions fast_svc() {
-  ServiceOptions opts;
-  opts.lease_timeout = std::chrono::milliseconds(400);
-  opts.heartbeat_interval = std::chrono::milliseconds(50);
-  return opts;
-}
+using loopback::fast_options;
+using loopback::fixed_resolver;
+using loopback::Loopback;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "sysnoise_" + name + "_" +
@@ -192,19 +181,12 @@ TEST(Service, SubmitWatchFetchLifecycleMatchesLocalExecution) {
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
   const MetricMap expected = core::ThreadPoolExecutor().execute(task, plan);
 
-  SweepService service(fast_svc());
+  Loopback lb;
   // Worker attaches BEFORE any job exists: it must idle on `wait`, then
   // discover the submitted job dynamically via job_request.
-  std::thread worker([&] {
-    const WorkerRunStats stats = dist::run_worker(
-        "127.0.0.1", service.port(), fixed_resolver(task), {});
-    EXPECT_TRUE(stats.done);
-    EXPECT_TRUE(stats.error.empty()) << stats.error;
-  });
+  lb.add_worker(fixed_resolver(task));
 
-  ClientOptions copts;
-  copts.port = service.port();
-  ServiceClient client(copts);
+  ServiceClient client(lb.client_options());
   const int job = client.submit(util::Json::object(), plan, 0, "lifecycle");
   EXPECT_GT(job, 0);
 
@@ -232,10 +214,12 @@ TEST(Service, SubmitWatchFetchLifecycleMatchesLocalExecution) {
   EXPECT_EQ(runtime.at("default_backend").as_string(),
             backend_name(default_backend()));
 
-  service.stop();  // workers get `done` on their next request
-  worker.join();
-  EXPECT_EQ(service.stats().results_received, unit_count(plan));
-  EXPECT_EQ(service.stats().worker_errors, 0u);
+  // Workers get `done` on their next request.
+  const WorkerRunStats stats = lb.stop().at(0);
+  EXPECT_TRUE(stats.done);
+  EXPECT_TRUE(stats.error.empty()) << stats.error;
+  EXPECT_EQ(lb.service().stats().results_received, unit_count(plan));
+  EXPECT_EQ(lb.service().stats().worker_errors, 0u);
 }
 
 TEST(Service, HighPriorityJobLeasesBeforeEarlierLowPriorityJob) {
@@ -244,24 +228,19 @@ TEST(Service, HighPriorityJobLeasesBeforeEarlierLowPriorityJob) {
   const std::string journal = temp_path("svc_priority");
   std::remove(journal.c_str());
 
-  ServiceOptions opts = fast_svc();
+  ServiceOptions opts = fast_options();
   opts.journal_path = journal;
-  SweepService service(opts);
-  ClientOptions copts;
-  copts.port = service.port();
-  ServiceClient client(copts);
+  Loopback lb(opts);
+  ServiceClient client(lb.client_options());
   // Both jobs queued before any worker exists: the scheduler must prefer
   // the later-submitted high-priority job for every lease.
   const int low = client.submit(util::Json::object(), plan, 0, "low");
   const int high = client.submit(util::Json::object(), plan, 7, "high");
 
-  std::thread worker([&] {
-    dist::run_worker("127.0.0.1", service.port(), fixed_resolver(task), {});
-  });
+  lb.add_worker(fixed_resolver(task));
   const MetricMap high_metrics = client.collect(high);
   const MetricMap low_metrics = client.collect(low);
-  service.stop();
-  worker.join();
+  lb.stop();
 
   const MetricMap expected = core::ThreadPoolExecutor().execute(task, plan);
   EXPECT_EQ(high_metrics, expected);
@@ -289,22 +268,15 @@ TEST(Service, SubmitsWhileWorkersAreLeasingStaySafe) {
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
   const MetricMap expected = core::ThreadPoolExecutor().execute(task, plan);
 
-  SweepService service(fast_svc());
-  std::thread worker([&] {
-    const WorkerRunStats stats = dist::run_worker(
-        "127.0.0.1", service.port(), fixed_resolver(task), {});
-    EXPECT_TRUE(stats.done);
-  });
-  ClientOptions copts;
-  copts.port = service.port();
-  ServiceClient client(copts);
+  Loopback lb;
+  lb.add_worker(fixed_resolver(task));
+  ServiceClient client(lb.client_options());
   std::vector<int> jobs;
   for (int i = 0; i < 4; ++i)
     jobs.push_back(client.submit(util::Json::object(), plan, i, "burst"));
   for (const int job : jobs) EXPECT_EQ(client.collect(job), expected);
-  service.stop();
-  worker.join();
-  EXPECT_EQ(service.stats().worker_errors, 0u);
+  EXPECT_TRUE(lb.stop().at(0).done);
+  EXPECT_EQ(lb.service().stats().worker_errors, 0u);
 }
 
 // Raw submit frame with an explicit idempotency key, the way a client whose
@@ -332,7 +304,7 @@ TEST(Service, RetriedSubmitWithSameIdempotencyKeyRegistersOneJob) {
 
   int first = 0;
   {
-    ServiceOptions opts = fast_svc();
+    ServiceOptions opts = fast_options();
     opts.journal_path = journal;
     SweepService service(opts);
     first = raw_submit(service.port(), plan, "key-1");
@@ -346,7 +318,7 @@ TEST(Service, RetriedSubmitWithSameIdempotencyKeyRegistersOneJob) {
   // The key is journaled with the submission, so dedup survives a restart —
   // the lost-reply-then-crash case the key exists for.
   {
-    ServiceOptions opts = fast_svc();
+    ServiceOptions opts = fast_options();
     opts.journal_path = journal;
     SweepService service(opts);
     EXPECT_EQ(raw_submit(service.port(), plan, "key-1"), first);
@@ -364,7 +336,7 @@ TEST(Service, AbandonedWatcherOfStalledJobIsReaped) {
   // poll + keepalive), not held until service stop().
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  SweepService service(fast_svc());
+  SweepService service(fast_options());
   ClientOptions copts;
   copts.port = service.port();
   const int job =
@@ -391,7 +363,7 @@ TEST(Service, AbandonedWatcherOfStalledJobIsReaped) {
 TEST(Service, CancelVoidsQueuedJobAndRefusesTerminalOnes) {
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  SweepService service(fast_svc());  // no workers: jobs stay queued
+  SweepService service(fast_options());  // no workers: jobs stay queued
   ClientOptions copts;
   copts.port = service.port();
   ServiceClient client(copts);
@@ -415,9 +387,10 @@ TEST(Service, CancelVoidsQueuedJobAndRefusesTerminalOnes) {
 TEST(Service, RejectsWrongOrMissingTokenLoudlyOnBothPlanes) {
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  ServiceOptions opts = fast_svc();
+  ServiceOptions opts = fast_options();
   opts.auth_token = "open-sesame";
-  SweepService service(opts);
+  Loopback lb(opts);
+  SweepService& service = lb.service();
 
   // Worker plane: a token-less hello and a wrong-token hello both get an
   // explicit error frame, not a silent close.
@@ -454,15 +427,52 @@ TEST(Service, RejectsWrongOrMissingTokenLoudlyOnBothPlanes) {
   const int job = client.submit(util::Json::object(), plan, 0, "authed");
   dist::WorkerOptions wopts;
   wopts.auth_token = "open-sesame";
-  std::thread worker([&] {
-    const WorkerRunStats stats = dist::run_worker(
-        "127.0.0.1", service.port(), fixed_resolver(task), wopts);
-    EXPECT_TRUE(stats.done);
-  });
+  lb.add_worker(fixed_resolver(task), wopts);
   EXPECT_EQ(client.collect(job),
             core::ThreadPoolExecutor().execute(task, plan));
-  service.stop();
-  worker.join();
+  EXPECT_TRUE(lb.stop().at(0).done);
+}
+
+TEST(Service, UnauthenticatedNestedFrameLeavesTheServiceServing) {
+  // The hostile-input reproduction: before any token check, a peer sends
+  // one 4 MB frame of nested '['. The service must contain it as a worker
+  // error and go on serving legitimate workers bit-identically.
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
+  ServiceOptions opts = fast_options();
+  opts.auth_token = "open-sesame";
+  Loopback lb(opts);
+  {
+    net::TcpSocket sock = net::TcpSocket::connect("127.0.0.1", lb.port());
+    const std::string nested(4u << 20, '[');
+    const auto size = static_cast<std::uint32_t>(nested.size());
+    const unsigned char header[4] = {
+        static_cast<unsigned char>(size >> 24),
+        static_cast<unsigned char>(size >> 16),
+        static_cast<unsigned char>(size >> 8),
+        static_cast<unsigned char>(size)};
+    ASSERT_TRUE(sock.send_all(header, sizeof(header)));
+    ASSERT_TRUE(sock.send_all(nested.data(), nested.size()));
+    util::Json ignored;
+    EXPECT_FALSE(net::recv_json(sock, &ignored));  // closed, no reply
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (lb.service().stats().worker_errors == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(lb.service().stats().worker_errors, 1u);
+
+  ClientOptions copts = lb.client_options();
+  copts.token = "open-sesame";
+  const int job = ServiceClient(copts).submit(util::Json::object(), plan);
+  dist::WorkerOptions wopts;
+  wopts.auth_token = "open-sesame";
+  lb.add_worker(fixed_resolver(task), wopts);
+  EXPECT_EQ(ServiceClient(copts).collect(job),
+            core::ThreadPoolExecutor().execute(task, plan));
+  EXPECT_TRUE(lb.stop().at(0).done);
+  EXPECT_EQ(lb.service().stats().worker_errors, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,7 +495,7 @@ TEST(Service, KilledAfterKResultsResumesBitIdenticalWithoutRerunningUnits) {
     // Phase 1: serve until exactly k results are journaled, then drop
     // everything on the floor (the in-process kill -9).
     {
-      ServiceOptions opts = fast_svc();
+      ServiceOptions opts = fast_options();
       opts.journal_path = journal;
       opts.crash_after_results = k;
       SweepService service(opts);
@@ -513,7 +523,7 @@ TEST(Service, KilledAfterKResultsResumesBitIdenticalWithoutRerunningUnits) {
     // Phase 2: a fresh process (same journal, same port) replays and
     // resumes; a watcher that outlives both incarnations still collects.
     {
-      ServiceOptions opts = fast_svc();
+      ServiceOptions opts = fast_options();
       opts.journal_path = journal;
       opts.port = port;  // SO_REUSEADDR: same port, like a restarted daemon
       SweepService service(opts);
@@ -547,7 +557,7 @@ TEST(Service, WatcherRidesOutTheCrashAndRestart) {
   const std::string journal = temp_path("svc_watcher");
   std::remove(journal.c_str());
 
-  ServiceOptions opts = fast_svc();
+  ServiceOptions opts = fast_options();
   opts.journal_path = journal;
   opts.crash_after_results = 2;
   auto service = std::make_unique<SweepService>(opts);
@@ -576,7 +586,7 @@ TEST(Service, WatcherRidesOutTheCrashAndRestart) {
   worker1.join();
   service.reset();  // the dead incarnation releases the port
 
-  ServiceOptions opts2 = fast_svc();
+  ServiceOptions opts2 = fast_options();
   opts2.journal_path = journal;
   opts2.port = port;
   SweepService revived(opts2);
@@ -599,7 +609,7 @@ TEST(Service, RestartToleratesTornTailAndReRunsItsUnit) {
 
   // Run a sweep to completion so the journal holds a full history...
   {
-    ServiceOptions opts = fast_svc();
+    ServiceOptions opts = fast_options();
     opts.journal_path = journal;
     SweepService service(opts);
     ClientOptions copts;
@@ -618,7 +628,7 @@ TEST(Service, RestartToleratesTornTailAndReRunsItsUnit) {
     std::ofstream f(journal, std::ios::binary | std::ios::app);
     f << "{\"rec\":\"result\",\"job\":1,\"unit\":0,\"metr";
   }
-  ServiceOptions opts = fast_svc();
+  ServiceOptions opts = fast_options();
   opts.journal_path = journal;
   SweepService service(opts);
   EXPECT_EQ(service.stats().results_replayed, unit_count(plan));

@@ -1,23 +1,22 @@
 // sysnoise_worker — generic distributed-sweep worker.
 //
-// Connects to a coordinator (a table/fig bench started with --coordinate,
-// or anything serving the dist/protocol.h vocabulary), reconstructs the
-// advertised tasks from the model zoo, and evaluates leases until the sweep
-// is complete:
+// Connects to a sweep service — the in-process one of a table/fig bench
+// started with --coordinate, or a resident sysnoise_svc — rebuilds each
+// leased job's task from the model zoo, and evaluates leases until the
+// service says done:
 //
 //   sysnoise_worker --connect host:port [--threads N]
 //                   [--connect-timeout-s S] [--token T] [--reconnect]
 //                   [--quiet]
 //
 // Connection attempts retry for --connect-timeout-s (default 120s) with
-// capped exponential backoff, so workers can be launched before/while the
-// coordinator is still training or loading its models. --token presents the
-// shared secret a coordinator/service started with one requires.
+// capped exponential backoff, so workers can be launched before/while a
+// --coordinate bench is still training or loading its models. --token
+// presents the shared secret a service started with one requires.
 // --reconnect keeps serving across disconnects (the resident sweep service
 // being killed and restarted mid-sweep) instead of exiting — the worker
 // only stops on `done`, a rejection, or an evaluation error. Exit status: 0
-// when the coordinator reported the sweep done, 2 on usage errors, 1
-// otherwise.
+// when the service reported done, 2 on usage errors, 1 otherwise.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -79,9 +78,8 @@ int main(int argc, char** argv) {
   if (host.empty()) usage(argv[0]);
 
   // SYSNOISE_TRACE=<dir>: flush <dir>/worker_<pid>_{trace,metrics,summary}
-  // .json on exit (obs/trace.h). The worker also ships its cumulative
-  // metrics snapshot to the coordinator with every result frame while
-  // tracing, so the coordinator's summary covers the fleet.
+  // .json on exit (obs/trace.h); `sysnoise_trace --dir` merges them with
+  // the service's files into the fleet view.
   obs::TraceSession trace = obs::TraceSession::from_env("worker");
   core::StageStats stages;
   core::DiskStageCache disk;
