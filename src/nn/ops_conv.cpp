@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/ops.h"
@@ -10,25 +11,80 @@ namespace sysnoise::nn {
 
 namespace {
 
+// Output positions o in [lo, hi) whose input coordinate o*stride - pad + tap
+// lies inside [0, in); every other o reads padding.
+struct ValidSpan {
+  int lo, hi;
+};
+
+ValidSpan valid_span(int in, int tap, int stride, int pad, int out) {
+  // First o with o*stride - pad + tap >= bound, clamped to [0, out].
+  auto first_at_or_after = [&](int bound) {
+    const int numer = bound + pad - tap;
+    return numer <= 0 ? 0 : std::min((numer + stride - 1) / stride, out);
+  };
+  const int lo = first_at_or_after(0);
+  return {lo, std::max(first_at_or_after(in), lo)};
+}
+
+// col layout: [c_count*k*k, oh*ow]. Row-wise gather of image n's channels
+// [c_begin, c_begin + c_count): zeros for padding, a copy (stride 1) or a
+// strided read of each in-bounds span.
 void im2col(const Tensor& x, int n, int c_begin, int c_count, int k, int stride,
             int pad, int oh, int ow, float* col) {
   const int h = x.dim(2), w = x.dim(3);
-  // col layout: [c_count*k*k, oh*ow]
-  for (int c = 0; c < c_count; ++c)
-    for (int ky = 0; ky < k; ++ky)
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
+  const float* src =
+      x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) * plane;
+  for (int c = 0; c < c_count; ++c, src += plane)
+    for (int ky = 0; ky < k; ++ky) {
+      const ValidSpan ys = valid_span(h, ky, stride, pad, oh);
       for (int kx = 0; kx < k; ++kx) {
-        float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * stride - pad + ky;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * stride - pad + kx;
-            row[oy * ow + ox] =
-                (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                    ? x.at4(n, c_begin + c, iy, ix)
-                    : 0.0f;
-          }
+        const ValidSpan xs = valid_span(w, kx, stride, pad, ow);
+        float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * ohw;
+        std::fill(row, row + static_cast<std::size_t>(ys.lo) * ow, 0.0f);
+        // Stride 1 with ow == w: input and column rows share a pitch, so the
+        // in-bounds spans of all rows form one run. It is copied at once; the
+        // per-row fills below then overwrite the gaps between spans with 0.
+        const bool one_run = stride == 1 && ow == w && xs.lo < xs.hi;
+        if (one_run && ys.lo < ys.hi) {
+          const float* in = src + static_cast<std::size_t>(ys.lo - pad + ky) * w +
+                            (xs.lo - pad + kx);
+          std::copy(in, in + static_cast<std::size_t>(ys.hi - 1 - ys.lo) * ow +
+                               (xs.hi - xs.lo),
+                    row + static_cast<std::size_t>(ys.lo) * ow + xs.lo);
         }
+        for (int oy = ys.lo; oy < ys.hi; ++oy) {
+          float* dst = row + static_cast<std::size_t>(oy) * ow;
+          std::fill(dst, dst + xs.lo, 0.0f);
+          if (!one_run && xs.lo < xs.hi) {
+            const float* in = src + static_cast<std::size_t>(oy * stride - pad + ky) * w +
+                              (xs.lo * stride - pad + kx);
+            if (stride == 1)
+              std::copy(in, in + (xs.hi - xs.lo), dst + xs.lo);
+            else
+              for (int ox = xs.lo; ox < xs.hi; ++ox, in += stride) dst[ox] = *in;
+          }
+          std::fill(dst + xs.hi, dst + ow, 0.0f);
+        }
+        std::fill(row + static_cast<std::size_t>(ys.hi) * ow, row + ohw, 0.0f);
       }
+    }
+}
+
+// The [c_count*k*k, oh*ow] column matrix of image n. A 1x1, stride-1,
+// unpadded conv's columns are the input channels' [c_count, h*w] slab
+// itself, so it is returned in place; every other conv gathers into
+// scratch slot `slot`.
+const float* conv_columns(const Tensor& x, int n, int c_begin, int c_count, int k,
+                          int stride, int pad, int oh, int ow, int slot) {
+  if (k == 1 && stride == 1 && pad == 0)
+    return x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) *
+                          x.dim(2) * x.dim(3);
+  float* col = tls_scratch(static_cast<std::size_t>(c_count) * k * k * oh * ow, slot);
+  im2col(x, n, c_begin, c_count, k, stride, pad, oh, ow, col);
+  return col;
 }
 
 void col2im_acc(const float* col, int n, int c_begin, int c_count, int k, int stride,
@@ -48,6 +104,25 @@ void col2im_acc(const float* col, int n, int c_begin, int c_count, int k, int st
           }
         }
       }
+}
+
+// Flat index of the first strict maximum in output (oy, ox)'s window,
+// scanned row-major over its in-bounds taps: the element max-pool outputs.
+// -1 if no value beats -inf.
+int pool_argmax(const float* plane, int h, int w, int oy, int ox, int kernel,
+                int stride, int pad) {
+  const int ty = oy * stride - pad, tx = ox * stride - pad;
+  float best = -std::numeric_limits<float>::infinity();
+  int best_idx = -1;
+  for (int iy = std::max(ty, 0); iy < std::min(ty + kernel, h); ++iy)
+    for (int ix = std::max(tx, 0); ix < std::min(tx + kernel, w); ++ix) {
+      const float v = plane[iy * w + ix];
+      if (v > best) {
+        best = v;
+        best_idx = iy * w + ix;
+      }
+    }
+  return best_idx;
 }
 
 }  // namespace
@@ -92,12 +167,11 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   Tensor out({n, oc, oh, ow});
   // im2col columns come from the thread-local scratch arena (slot 2): sized
   // once per (shape, groups) high-water mark, reused across the whole batch
-  // loop and across forward calls instead of a fresh vector per invocation.
-  const std::size_t col_floats = static_cast<std::size_t>(col_rows) * oh * ow;
+  // loop and across forward calls. A 1x1 stride-1 conv reads the input.
   auto conv_one = [&](int idx) {
     const int ni = idx / groups, g = idx % groups;
-    float* col = tls_scratch(col_floats, /*slot=*/2);
-    im2col(xin, ni, g * icg, icg, k, spec.stride, spec.pad, oh, ow, col);
+    const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride, spec.pad,
+                                    oh, ow, /*slot=*/2);
     // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
     float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
     const float* w_ptr = wq.data() + static_cast<std::size_t>(g) * ocg * col_rows;
@@ -133,12 +207,12 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   y->backprop = [y, xn, wp, bp, sp, n, icg, k, oh, ow, ocg, groups, col_rows,
                  backend]() {
     const BackendScope bw_scope(backend);
-    const std::size_t col_floats = static_cast<std::size_t>(col_rows) * oh * ow;
-    float* col = tls_scratch(col_floats, /*slot=*/2);
-    float* gcol = tls_scratch(col_floats, /*slot=*/3);
+    float* gcol =
+        tls_scratch(static_cast<std::size_t>(col_rows) * oh * ow, /*slot=*/3);
     for (int ni = 0; ni < n; ++ni) {
       for (int g = 0; g < groups; ++g) {
-        im2col(xn->value, ni, g * icg, icg, k, sp.stride, sp.pad, oh, ow, col);
+        const float* col = conv_columns(xn->value, ni, g * icg, icg, k, sp.stride,
+                                        sp.pad, oh, ow, /*slot=*/2);
         const float* gout = &y->grad.at4(ni, g * ocg, 0, 0);
         // grad_w += gout [ocg x ohw] * col^T  (col is [col_rows x ohw])
         float* gw = wp->grad.data() + static_cast<std::size_t>(g) * ocg * col_rows;
@@ -171,46 +245,50 @@ Node* maxpool2d(Tape& t, Node* x, int kernel, int stride, int pad) {
   const bool ceil_mode = t.ctx.ceil_mode;
   const int oh = pooled_size(h, kernel, stride, pad, ceil_mode);
   const int ow = pooled_size(w, kernel, stride, pad, ceil_mode);
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const float neg_inf = -std::numeric_limits<float>::infinity();
   Tensor out({n, c, oh, ow});
-  auto argmax = std::make_shared<std::vector<int>>(out.size());
-  for (int ni = 0; ni < n; ++ni)
-    for (int ci = 0; ci < c; ++ci)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          int best_idx = -1;
-          for (int ky = 0; ky < kernel; ++ky) {
-            const int iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (int kx = 0; kx < kernel; ++kx) {
-              const int ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= w) continue;
-              const float v = x->value.at4(ni, ci, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
-              }
-            }
-          }
-          // Ceil-mode windows fully inside padding see no valid input; emit 0.
-          out.at4(ni, ci, oy, ox) = best_idx >= 0 ? best : 0.0f;
-          (*argmax)[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)] =
-              best_idx;
+  const float* src = x->value.data();
+  float* dst = out.data();
+  // Each output row folds its windows tap by tap — rows of the window in
+  // order, then kx — so every output sees its window in pool_argmax's
+  // row-major order under the same strict `v > best` rule, without the index.
+  for (int p = 0; p < n * c; ++p, src += plane)
+    for (int oy = 0; oy < oh; ++oy, dst += ow) {
+      std::fill(dst, dst + ow, neg_inf);
+      const int ty = oy * stride - pad;
+      for (int iy = std::max(ty, 0); iy < std::min(ty + kernel, h); ++iy) {
+        const float* row = src + static_cast<std::size_t>(iy) * w;
+        for (int kx = 0; kx < kernel; ++kx) {
+          const ValidSpan xs = valid_span(w, kx, stride, pad, ow);
+          for (int ox = xs.lo, ix = xs.lo * stride - pad + kx; ox < xs.hi;
+               ++ox, ix += stride)
+            dst[ox] = row[ix] > dst[ox] ? row[ix] : dst[ox];
         }
+      }
+      // found = something beat -inf. Windows that are all NaN or -inf, or
+      // lie entirely in padding, emit 0.
+      for (int ox = 0; ox < ow; ++ox) {
+        const bool found = dst[ox] > neg_inf;
+        dst[ox] = found ? dst[ox] : 0.0f;
+      }
+    }
   Node* y = t.make(std::move(out));
   Node* xn = x;
-  y->backprop = [y, xn, argmax, c, oh, ow, w]() {
+  // Backward re-finds each window's first maximum in the input instead of
+  // keeping an argmax per output from the forward.
+  y->backprop = [y, xn, kernel, stride, pad, c, h, w, oh, ow, plane]() {
     if (!xn->requires_grad) return;
     const int n2 = y->value.dim(0);
-    for (int ni = 0; ni < n2; ++ni)
-      for (int ci = 0; ci < c; ++ci)
-        for (int oy = 0; oy < oh; ++oy)
-          for (int ox = 0; ox < ow; ++ox) {
-            const int idx =
-                (*argmax)[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)];
-            if (idx < 0) continue;
-            xn->grad.at4(ni, ci, idx / w, idx % w) += y->grad.at4(ni, ci, oy, ox);
-          }
+    const float* src = xn->value.data();
+    float* gx = xn->grad.data();
+    const float* gy = y->grad.data();
+    for (int p = 0; p < n2 * c; ++p, src += plane, gx += plane)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox, ++gy) {
+          const int idx = pool_argmax(src, h, w, oy, ox, kernel, stride, pad);
+          if (idx >= 0) gx[idx] += *gy;
+        }
   };
   return y;
 }

@@ -1,15 +1,13 @@
 // Process-wide measurement primitives and the metrics registry.
 //
-// The histogram/gauge types originated in serve/metrics.h (which now
-// re-exports them) and keep their contracts: the histogram's bucket bounds
-// are a fixed, process-wide geometric grid (quarter-octave steps from 1
-// microsecond up, plus an overflow bucket), so histograms recorded by
-// different workers, replay cells or processes merge by adding counts — no
-// rebinning, no information loss relative to either input. Quantiles are
-// reported as exact bucket upper bounds (the bound of the bucket holding
-// the ceil(q * total)-th smallest sample), which makes p50/p95/p99
-// deterministic, merge-stable, and bit-exact across runs: the same
-// recorded multiset always yields the same quantile, and
+// The histogram's bucket bounds are a fixed, process-wide geometric grid
+// (quarter-octave steps from 1 microsecond up, plus an overflow bucket),
+// so histograms recorded by different workers, replay cells or processes
+// merge by adding counts — no rebinning, no information loss relative to
+// either input. Quantiles are reported as exact bucket upper bounds (the
+// bound of the bucket holding the ceil(q * total)-th smallest sample),
+// which makes p50/p95/p99 deterministic, merge-stable, and bit-exact across
+// runs: the same recorded multiset always yields the same quantile, and
 // merge(a, b).quantile == concat(a, b).quantile by construction.
 //
 // On top of them, MetricsRegistry is the process-wide named-instrument

@@ -31,7 +31,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "serve/metrics.h"
+#include "obs/metrics.h"
 #include "serve/serving_model.h"
 #include "serve/trace.h"
 #include "util/json.h"
@@ -57,9 +57,9 @@ struct ServingStats {
   std::size_t shed = 0;
   std::size_t batches = 0;     // forward invocations
   int correct = 0;             // served requests whose prediction matched
-  LatencyHistogram latency;    // admission -> completion, served only
-  GaugeStats queue_depth;      // depth seen by each arrival, pre-admission
-  GaugeStats batch_occupancy;  // requests per launched batch
+  obs::LatencyHistogram latency;    // admission -> completion, served only
+  obs::GaugeStats queue_depth;      // depth seen by each arrival, pre-admission
+  obs::GaugeStats batch_occupancy;  // requests per launched batch
 
   // 100 * correct / served, the formula (and therefore the exact double)
   // of the offline eval loops when the served multiset covers the

@@ -623,6 +623,295 @@ TEST(BackendConv, BackwardGradientsAgreeAcrossBackendsWithinEpsilon) {
   }
 }
 
+// The seed's per-element im2col gather and col2im scatter, verbatim: the
+// oracle conv that the row-wise gather and the in-place 1x1 columns must
+// match, forward and backward.
+void seed_im2col(const Tensor& x, int n, int c_begin, int c_count, int k,
+                 int stride, int pad, int oh, int ow, float* col) {
+  const int h = x.dim(2), w = x.dim(3);
+  for (int c = 0; c < c_count; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) {
+        float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * oh * ow;
+        for (int oy = 0; oy < oh; ++oy) {
+          const int iy = oy * stride - pad + ky;
+          for (int ox = 0; ox < ow; ++ox) {
+            const int ix = ox * stride - pad + kx;
+            row[oy * ow + ox] =
+                (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                    ? x.at4(n, c_begin + c, iy, ix)
+                    : 0.0f;
+          }
+        }
+      }
+}
+
+void seed_col2im_acc(const float* col, int n, int c_begin, int c_count, int k,
+                     int stride, int pad, int oh, int ow, Tensor& gx) {
+  const int h = gx.dim(2), w = gx.dim(3);
+  for (int c = 0; c < c_count; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) {
+        const float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * oh * ow;
+        for (int oy = 0; oy < oh; ++oy) {
+          const int iy = oy * stride - pad + ky;
+          if (iy < 0 || iy >= h) continue;
+          for (int ox = 0; ox < ow; ++ox) {
+            const int ix = ox * stride - pad + kx;
+            if (ix < 0 || ix >= w) continue;
+            gx.at4(n, c_begin + c, iy, ix) += row[oy * ow + ox];
+          }
+        }
+      }
+}
+
+// conv2d as the seed computed it: the ctx's deployment-precision view of
+// input and weights, the seed gather, one GEMM per (image, group) under the
+// ctx's backend, then the bias.
+Tensor seed_conv(const nn::InferenceCtx& ctx, const Tensor& x, const Tensor& w,
+                 const Tensor& bias, const ConvCase& cc) {
+  Tensor xin = x;
+  nn::apply_activation_precision(ctx, "t.in", xin);
+  const Tensor wq = nn::apply_weight_precision(ctx, w);
+  const BackendScope scope(ctx.backend);
+  const int icg = cc.c / cc.groups, ocg = cc.oc / cc.groups, k = cc.k;
+  const int oh = (cc.h + 2 * cc.pad - k) / cc.stride + 1;
+  const int ow = (cc.w + 2 * cc.pad - k) / cc.stride + 1;
+  const int col_rows = icg * k * k;
+  Tensor out({cc.n, cc.oc, oh, ow});
+  std::vector<float> col(static_cast<std::size_t>(col_rows) * oh * ow);
+  for (int ni = 0; ni < cc.n; ++ni)
+    for (int g = 0; g < cc.groups; ++g) {
+      seed_im2col(xin, ni, g * icg, icg, k, cc.stride, cc.pad, oh, ow, col.data());
+      gemm(ocg, oh * ow, col_rows,
+           wq.data() + static_cast<std::size_t>(g) * ocg * col_rows, col.data(),
+           &out.at4(ni, g * ocg, 0, 0));
+    }
+  for (int ni = 0; ni < cc.n; ++ni)
+    for (int ci = 0; ci < cc.oc; ++ci) {
+      float* p = &out.at4(ni, ci, 0, 0);
+      for (int i = 0; i < oh * ow; ++i) p[i] += bias[static_cast<std::size_t>(ci)];
+    }
+  return out;
+}
+
+// The seed's conv2d backward for upstream grad gy: grads of the weights and
+// of the input, accumulated into zeroed tensors.
+void seed_conv_backward(const Tensor& x, const Tensor& w, const Tensor& gy,
+                        const ConvCase& cc, ComputeBackend backend, Tensor& gw,
+                        Tensor& gx) {
+  const BackendScope scope(backend);
+  const int icg = cc.c / cc.groups, ocg = cc.oc / cc.groups, k = cc.k;
+  const int oh = gy.dim(2), ow = gy.dim(3);
+  const int col_rows = icg * k * k;
+  std::vector<float> col(static_cast<std::size_t>(col_rows) * oh * ow);
+  std::vector<float> gcol(col.size());
+  for (int ni = 0; ni < cc.n; ++ni)
+    for (int g = 0; g < cc.groups; ++g) {
+      seed_im2col(x, ni, g * icg, icg, k, cc.stride, cc.pad, oh, ow, col.data());
+      const float* gout =
+          gy.data() + static_cast<std::size_t>(ni * cc.oc + g * ocg) * oh * ow;
+      gemm_bt_acc(ocg, col_rows, oh * ow, gout, col.data(),
+                  gw.data() + static_cast<std::size_t>(g) * ocg * col_rows);
+      gemm_at(col_rows, oh * ow, ocg,
+              w.data() + static_cast<std::size_t>(g) * ocg * col_rows, gout,
+              gcol.data());
+      seed_col2im_acc(gcol.data(), ni, g * icg, icg, k, cc.stride, cc.pad, oh, ow,
+                      gx);
+    }
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
+  // Every kernel/stride/pad combination over an odd-sized image whose last
+  // window overhangs, and a narrow one (w < k for k >= 5), for a plain, a
+  // grouped and a depthwise conv. k=1/stride 1/pad 0 is the in-place 1x1
+  // path; pad 2 with k <= 3 pads more than k/2.
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  struct Grouping {
+    int n, c, oc, groups;
+  };
+  const Grouping groupings[] = {{1, 4, 6, 1}, {2, 4, 4, 2}, {2, 3, 3, 3}};
+  const std::array<int, 2> sizes[] = {{9, 7}, {6, 3}};
+  const nn::Precision precisions[] = {nn::Precision::kFP32, nn::Precision::kFP16,
+                                      nn::Precision::kINT8};
+  Rng rng(77);
+  int cases = 0;
+  for (const int k : {1, 3, 5, 7})
+    for (const int stride : {1, 2, 3})
+      for (const int pad : {0, 1, 2})
+        for (const auto& [h, wd] : sizes)
+          for (const Grouping& gp : groupings) {
+            if (h + 2 * pad < k || wd + 2 * pad < k) continue;
+            const ConvCase cc{gp.n, gp.c, h, wd, gp.oc, k, stride, pad, gp.groups};
+            const Tensor x = random_tensor({cc.n, cc.c, cc.h, cc.w}, rng);
+            const Tensor w = random_tensor({cc.oc, cc.c / cc.groups, k, k}, rng);
+            const Tensor bias = random_tensor({cc.oc}, rng);
+            nn::ActRanges ranges;
+            ranges["t.in"].observe(x);
+            ++cases;
+            for (const ComputeBackend backend : kAllBackends)
+              for (const nn::Precision precision : precisions) {
+                nn::InferenceCtx ctx;
+                ctx.backend = backend;
+                ctx.precision = precision;
+                ctx.ranges = &ranges;
+                const Tensor expect = seed_conv(ctx, x, w, bias, cc);
+                for (const bool fan_out : {false, true}) {
+                  std::unique_ptr<GemmParallelScope> fan;
+                  if (fan_out)
+                    fan = std::make_unique<GemmParallelScope>(kForcedHelpers + 1);
+                  nn::Tape tape;
+                  tape.ctx = ctx;
+                  nn::Param wp(w), bp(bias);
+                  nn::Node* in = tape.input(x, /*requires_grad=*/true);
+                  nn::Node* y = nn::conv2d(tape, in, wp, &bp,
+                                           {stride, pad, cc.groups}, "t");
+                  const std::string where =
+                      std::string(backend_name(backend)) + " " +
+                      nn::precision_name(precision) + " k=" + std::to_string(k) +
+                      " s=" + std::to_string(stride) + " p=" + std::to_string(pad) +
+                      " " + std::to_string(h) + "x" + std::to_string(wd) +
+                      " g=" + std::to_string(cc.groups) +
+                      " fan=" + std::to_string(fan_out);
+                  EXPECT_TRUE(same_bytes(y->value, expect)) << where;
+                  if (precision != nn::Precision::kFP32) continue;
+                  // Backward (straight-through, so FP32 only): a random
+                  // upstream grad through a linear head.
+                  const int numel = static_cast<int>(y->value.size());
+                  nn::Param head(random_tensor({1, numel}, rng));
+                  tape.backward(nn::linear(
+                      tape, nn::reshape(tape, y, {1, numel}), head, nullptr, "h"));
+                  Tensor gw(w.shape()), gx(x.shape());
+                  seed_conv_backward(x, w, y->grad, cc, backend, gw, gx);
+                  EXPECT_TRUE(same_bytes(wp.grad, gw)) << where << " grad_w";
+                  EXPECT_TRUE(same_bytes(in->grad, gx)) << where << " grad_x";
+                }
+              }
+          }
+  EXPECT_EQ(cases, 189);
+}
+
+// The seed's max-pool, verbatim: strict `v > best` scan that records each
+// output's argmax, and the backward that scatters through it.
+struct SeedPool {
+  Tensor out;
+  std::vector<int> argmax;
+};
+
+SeedPool seed_maxpool(const Tensor& x, int kernel, int stride, int pad,
+                      bool ceil_mode) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int oh = nn::pooled_size(h, kernel, stride, pad, ceil_mode);
+  const int ow = nn::pooled_size(w, kernel, stride, pad, ceil_mode);
+  SeedPool r{Tensor({n, c, oh, ow}), {}};
+  r.argmax.resize(r.out.size());
+  for (int ni = 0; ni < n; ++ni)
+    for (int ci = 0; ci < c; ++ci)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          int best_idx = -1;
+          for (int ky = 0; ky < kernel; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (int kx = 0; kx < kernel; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= w) continue;
+              const float v = x.at4(ni, ci, iy, ix);
+              if (v > best) {
+                best = v;
+                best_idx = iy * w + ix;
+              }
+            }
+          }
+          r.out.at4(ni, ci, oy, ox) = best_idx >= 0 ? best : 0.0f;
+          r.argmax[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)] =
+              best_idx;
+        }
+  return r;
+}
+
+Tensor seed_maxpool_grad(const SeedPool& p, const Tensor& gy, const Tensor& x) {
+  const int c = x.dim(1), w = x.dim(3), oh = gy.dim(2), ow = gy.dim(3);
+  Tensor gx(x.shape());
+  for (int ni = 0; ni < gy.dim(0); ++ni)
+    for (int ci = 0; ci < c; ++ci)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          const int idx =
+              p.argmax[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)];
+          if (idx < 0) continue;
+          gx.at4(ni, ci, idx / w, idx % w) += gy.at4(ni, ci, oy, ox);
+        }
+  return gx;
+}
+
+TEST(BackendPool, MaxPoolForwardAndBackwardAreBytewiseTheSeedArgmaxPool) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // (kernel, stride, pad): the zoo's 3/2/1 and 2/2/0, plus pads >= kernel
+  // whose first window lies entirely in padding.
+  const std::array<int, 3> specs[] = {{3, 2, 1}, {2, 2, 0}, {1, 2, 1}, {2, 3, 2}};
+  const std::array<int, 2> sizes[] = {{7, 6}, {8, 8}, {5, 9}};
+  Rng rng(404);
+  int empty_windows = 0;
+  for (const auto& [h, w] : sizes) {
+    Tensor x = random_tensor({2, 5, h, w}, rng);
+    // Channel 1 is all -inf, channel 2 all NaN; channel 3 mixes NaN, -inf
+    // and signed zeros (ties the strict rule resolves by scan order); the
+    // others get a sprinkle of NaN.
+    for (int ni = 0; ni < 2; ++ni)
+      for (int iy = 0; iy < h; ++iy)
+        for (int ix = 0; ix < w; ++ix) {
+          x.at4(ni, 1, iy, ix) = -inf;
+          x.at4(ni, 2, iy, ix) = nan;
+          const int r = (iy * w + ix + ni) % 4;
+          x.at4(ni, 3, iy, ix) = r == 0 ? nan : r == 1 ? -inf : r == 2 ? -0.0f : 0.0f;
+          if ((iy * 7 + ix * 3 + ni) % 11 == 0) x.at4(ni, 4, iy, ix) = nan;
+        }
+    for (const auto& [kernel, stride, pad] : specs)
+      for (const bool ceil_mode : {false, true}) {
+        const SeedPool seed = seed_maxpool(x, kernel, stride, pad, ceil_mode);
+        const std::size_t ohw =
+            static_cast<std::size_t>(seed.out.dim(2)) * seed.out.dim(3);
+        for (std::size_t i = 0; i < seed.argmax.size(); ++i)
+          if (seed.argmax[i] < 0 && (i / ohw) % 5 == 0) ++empty_windows;
+        const std::string where = std::to_string(h) + "x" + std::to_string(w) +
+                                  " k=" + std::to_string(kernel) +
+                                  " s=" + std::to_string(stride) +
+                                  " p=" + std::to_string(pad) +
+                                  " ceil=" + std::to_string(ceil_mode);
+        const Tensor head_w =
+            random_tensor({1, static_cast<int>(seed.out.size())}, rng);
+        // training: a leaf input on a training tape; TENT: an eval tape whose
+        // pool input is an op output (grads flow into it, not a leaf).
+        for (const bool tent : {false, true}) {
+          nn::Tape tape;
+          tape.training = !tent;
+          tape.ctx.ceil_mode = ceil_mode;
+          nn::Node* in = tape.input(x, /*requires_grad=*/!tent);
+          nn::Node* pool_in = tent ? nn::scale(tape, in, 1.0f) : in;
+          nn::Node* y = nn::maxpool2d(tape, pool_in, kernel, stride, pad);
+          EXPECT_TRUE(same_bytes(y->value, seed.out)) << where << " tent=" << tent;
+          const int numel = static_cast<int>(y->value.size());
+          nn::Param head(head_w);
+          tape.backward(nn::linear(tape, nn::reshape(tape, y, {1, numel}), head,
+                                   nullptr, "h"));
+          EXPECT_TRUE(same_bytes(pool_in->grad, seed_maxpool_grad(seed, y->grad, x)))
+              << where << " tent=" << tent;
+        }
+      }
+  }
+  // Windows with no value above -inf in the all-finite channel 0 lie
+  // entirely in padding: the padded specs must produce some.
+  EXPECT_GT(empty_windows, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Stage-cache scoping: forward products never mix across backends
 // ---------------------------------------------------------------------------
