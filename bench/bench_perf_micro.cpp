@@ -133,6 +133,25 @@ int pool_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
+// The monolithic baselines run the ThreadPoolExecutor explicitly: sweep()
+// and stepwise() run the staged engine, which these rows are measured
+// against.
+core::AxisReport monolithic_sweep(const core::EvalTask& task,
+                                  const core::SweepOptions& opts) {
+  const core::SweepPlan plan =
+      core::plan_sweep(task, core::registry_or_global(opts));
+  return core::assemble_report(
+      plan, core::ThreadPoolExecutor().execute(task, plan, opts));
+}
+
+std::vector<core::StepPoint> monolithic_stepwise(
+    const core::EvalTask& task, const core::SweepOptions& opts) {
+  const core::SweepPlan plan =
+      core::plan_stepwise(task, core::registry_or_global(opts));
+  return core::assemble_steps(
+      plan, core::ThreadPoolExecutor().execute(task, plan, opts));
+}
+
 // Old-runner behavior: sweep and stepwise each serial, unmemoized, each
 // config re-running the full preprocess -> forward -> metric chain, and
 // each call re-evaluating the trained baseline.
@@ -142,8 +161,8 @@ void BM_FullTableSweepSerial(benchmark::State& state) {
   opts.threads = 1;
   opts.memoize = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::sweep(task, opts));
-    benchmark::DoNotOptimize(core::stepwise(task, opts));
+    benchmark::DoNotOptimize(monolithic_sweep(task, opts));
+    benchmark::DoNotOptimize(monolithic_stepwise(task, opts));
   }
 }
 BENCHMARK(BM_FullTableSweepSerial)->Unit(benchmark::kMillisecond);
@@ -160,8 +179,8 @@ void BM_FullTableSweepMemoParallel(benchmark::State& state) {
     core::SweepOptions opts;
     opts.threads = pool_threads();
     opts.cache = &cache;
-    benchmark::DoNotOptimize(core::sweep(task, opts));
-    benchmark::DoNotOptimize(core::stepwise(task, opts));
+    benchmark::DoNotOptimize(monolithic_sweep(task, opts));
+    benchmark::DoNotOptimize(monolithic_stepwise(task, opts));
   }
 }
 BENCHMARK(BM_FullTableSweepMemoParallel)->Unit(benchmark::kMillisecond);
@@ -180,8 +199,8 @@ void BM_FullTableSweepStaged(benchmark::State& state) {
     opts.threads = pool_threads();
     opts.cache = &cache;
     opts.batch_forwards = false;
-    benchmark::DoNotOptimize(core::staged_sweep(task, opts));
-    benchmark::DoNotOptimize(core::staged_stepwise(task, opts));
+    benchmark::DoNotOptimize(core::sweep(task, opts));
+    benchmark::DoNotOptimize(core::stepwise(task, opts));
   }
 }
 BENCHMARK(BM_FullTableSweepStaged)->Unit(benchmark::kMillisecond);
@@ -198,8 +217,8 @@ void BM_FullTableSweepBatched(benchmark::State& state) {
     core::SweepOptions opts;
     opts.threads = pool_threads();
     opts.cache = &cache;
-    benchmark::DoNotOptimize(core::staged_sweep(task, opts));
-    benchmark::DoNotOptimize(core::staged_stepwise(task, opts));
+    benchmark::DoNotOptimize(core::sweep(task, opts));
+    benchmark::DoNotOptimize(core::stepwise(task, opts));
   }
 }
 BENCHMARK(BM_FullTableSweepBatched)->Unit(benchmark::kMillisecond);
@@ -245,14 +264,14 @@ std::string perf_json_workload(const char* name, core::TaskKind kind) {
   serial.memoize = false;
   core::AxisReport serial_report;
   const double serial_ms = time_ms(
-      [&] { serial_report = core::sweep(task, serial); }, kGatedReps);
+      [&] { serial_report = monolithic_sweep(task, serial); }, kGatedReps);
 
   const double memo_ms = time_ms([&] {
     core::SweepCache cache;
     core::SweepOptions opts;
     opts.threads = pool_threads();
     opts.cache = &cache;
-    core::sweep(task, opts);
+    monolithic_sweep(task, opts);
   });
 
   core::AxisReport staged_report;
@@ -265,7 +284,7 @@ std::string perf_json_workload(const char* name, core::TaskKind kind) {
         opts.cache = &cache;
         opts.batch_forwards = false;
         stats = {};
-        staged_report = core::staged_sweep(task, opts, &stats);
+        staged_report = core::sweep(task, opts, &stats);
       },
       kGatedReps);
 
@@ -279,7 +298,7 @@ std::string perf_json_workload(const char* name, core::TaskKind kind) {
     opts.threads = pool_threads();
     opts.cache = &cache;
     batched_stats = {};
-    batched_report = core::staged_sweep(task, opts, &batched_stats);
+    batched_report = core::sweep(task, opts, &batched_stats);
   });
   const double configs_per_batch =
       static_cast<double>(batched_stats.evaluations) /

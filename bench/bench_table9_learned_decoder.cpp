@@ -2,6 +2,7 @@
 // Train x test matrix over {Pillow, OpenCV, Learned} decode stages.
 // Expected shape vs the paper: no clear gain from the learned codec — its
 // row looks like just another decoder.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -27,27 +28,23 @@ int main(int argc, char** argv) {
   auto eval_with_decoder = [&](models::TrainedClassifier& tc,
                                const std::string& dec) {
     if (dec == "Learned") {
-      // Manual eval loop through the learned decode stage.
-      int correct = 0;
+      // The learned decode stage replaces the whole pre-processing chain;
+      // the forward+metric loop is the shared classifier one.
       const int n = static_cast<int>(ds.eval.size());
+      PreprocessedBatches batches;
+      batches.batch_size = 16;
+      batches.num_samples = n;
       for (int b = 0; b < n; b += 16) {
-        const int bs = std::min(16, n - b);
         std::vector<Tensor> inputs;
-        for (int i = 0; i < bs; ++i)
+        for (int i = b; i < std::min(b + 16, n); ++i)
           inputs.push_back(core::preprocess_learned(
-              ds.eval[static_cast<std::size_t>(b + i)].jpeg, *codec, spec));
-        nn::Tape t;
-        nn::Node* logits =
-            tc.model->forward(t, t.input(models::stack_batch(inputs)),
-                              nn::BnMode::kEval);
-        for (int i = 0; i < bs; ++i) {
-          int best = 0;
-          for (int c = 1; c < logits->value.dim(1); ++c)
-            if (logits->value.at2(i, c) > logits->value.at2(i, best)) best = c;
-          if (best == ds.eval[static_cast<std::size_t>(b + i)].label) ++correct;
-        }
+              ds.eval[static_cast<std::size_t>(i)].jpeg, *codec, spec));
+        batches.inputs.push_back(models::stack_batch(inputs));
       }
-      return 100.0 * correct / std::max(1, n);
+      return models::eval_classifier_batches_multi(
+                 *tc.model, {&batches}, ds.eval,
+                 SysNoiseConfig::training_default(), &tc.ranges)
+          .front();
     }
     SysNoiseConfig cfg = SysNoiseConfig::training_default();
     cfg.decoder = dec == "Pillow" ? jpeg::DecoderVendor::kPillow

@@ -52,6 +52,7 @@
 #pragma once
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -68,6 +69,7 @@
 
 #include <unistd.h>
 
+#include "core/disk_stage_cache.h"
 #include "core/executor.h"
 #include "core/plan.h"
 #include "core/staged_eval.h"
@@ -233,26 +235,20 @@ inline BenchCli parse_cli(int argc, char** argv, const char* bench_name) {
         cli.merge_files.push_back(argv[++i]);
       if (cli.merge_files.empty()) usage(argv[0]);
     } else if (arg == "--coordinate") {
-      if (++i >= argc) usage(argv[0]);
-      // All-digit parse: atoi would turn a typo'd "4510x" into a silent
+      // Strict parse: atoi would turn a typo'd "4510x" into a silent
       // ephemeral-port bind. 0 is the explicit "pick an ephemeral port"
       // request (the bench prints the actual one).
-      cli.coordinate_port = 0;
-      const char* p = argv[i];
-      if (*p == '\0') usage(argv[0]);
-      for (; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') usage(argv[0]);
-        cli.coordinate_port = cli.coordinate_port * 10 + (*p - '0');
-        if (cli.coordinate_port > 65535) usage(argv[0]);
-      }
+      if (++i >= argc ||
+          !net::parse_int(argv[i], 0, 65535, &cli.coordinate_port))
+        usage(argv[0]);
     } else if (arg == "--min-workers") {
-      if (++i >= argc) usage(argv[0]);
-      cli.min_workers = std::atoi(argv[i]);
-      if (cli.min_workers < 1) usage(argv[0]);
+      if (++i >= argc ||
+          !net::parse_int(argv[i], 1, INT_MAX, &cli.min_workers))
+        usage(argv[0]);
     } else if (arg == "--min-workers-timeout-s") {
-      if (++i >= argc) usage(argv[0]);
-      cli.min_workers_timeout_s = std::atoi(argv[i]);
-      if (cli.min_workers_timeout_s < 0) usage(argv[0]);
+      if (++i >= argc ||
+          !net::parse_int(argv[i], 0, INT_MAX, &cli.min_workers_timeout_s))
+        usage(argv[0]);
     } else if (arg == "--connect") {
       if (++i >= argc) usage(argv[0]);
       if (!net::parse_host_port(argv[i], &cli.connect_host,
@@ -263,8 +259,9 @@ inline BenchCli parse_cli(int argc, char** argv, const char* bench_name) {
       if (!net::parse_host_port(argv[i], &cli.submit_host, &cli.submit_port))
         usage(argv[0]);
     } else if (arg == "--priority") {
-      if (++i >= argc) usage(argv[0]);
-      cli.priority = std::atoi(argv[i]);
+      if (++i >= argc ||
+          !net::parse_int(argv[i], INT_MIN, INT_MAX, &cli.priority))
+        usage(argv[0]);
     } else if (arg == "--emit-jobs") {
       cli.emit_jobs = true;
     } else if (arg == "--token") {
@@ -398,7 +395,7 @@ inline void reject_coordinate(const BenchCli& cli) {
   if (!cli.dist_jobs()) return;
   std::fprintf(stderr,
                "[%s] --coordinate/--submit/--emit-jobs need a plan-level "
-               "bench (tables 2-4, fig3); this bench only supports "
+               "bench (tables 2-5, 10, fig3); this bench only supports "
                "--connect\n",
                cli.bench.c_str());
   std::exit(2);

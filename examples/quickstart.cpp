@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/axis.h"
+#include "models/train.h"
 #include "models/zoo.h"
 
 using namespace sysnoise;
@@ -41,10 +42,7 @@ int main() {
       t.ctx = cfg.inference_ctx(&tc.ranges);
       nn::Node* logits = tc.model->forward(
           t, t.input(preprocess(ds.eval[i].jpeg, cfg, spec)), nn::BnMode::kEval);
-      int best = 0;
-      for (int c = 1; c < logits->value.dim(1); ++c)
-        if (logits->value.at2(0, c) > logits->value.at2(0, best)) best = c;
-      return best;
+      return models::first_argmax(logits->value.data(), logits->value.dim(1));
     };
     const int p_train = predict(train_cfg);
     const int p_deploy = predict(deploy_cfg);

@@ -257,20 +257,6 @@ float train_tts(TtsModel& model, const TtsDataset& ds, int epochs, float lr,
   return last;
 }
 
-double eval_tts_mse(TtsModel& model, const TtsDataset& ds, Precision precision,
-                    StftImpl deploy_stft, ActRanges* ranges) {
-  double total = 0.0;
-  for (const auto& s : ds.eval) {
-    Tape t;
-    t.ctx.precision = precision;
-    t.ctx.ranges = ranges;
-    Node* pred = model.forward(t, s.tokens, 1, ds.spec.seq_len, BnMode::kEval);
-    const Tensor gt = ground_truth_spec(s, ds, deploy_stft);
-    total += mse(pred->value, gt.reshaped({1, static_cast<int>(gt.size())}));
-  }
-  return total / static_cast<double>(ds.eval.size());
-}
-
 double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
                               Precision precision, StftImpl deploy_stft,
                               ActRanges* ranges) {

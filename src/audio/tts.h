@@ -57,11 +57,6 @@ std::unique_ptr<TtsModel> make_tts_model(const std::string& name,
 float train_tts(TtsModel& model, const TtsDataset& ds, int epochs, float lr,
                 std::uint64_t seed = 3);
 
-// Mean squared error of predictions vs ground-truth spectrograms where the
-// deployment side may flip model precision and/or the STFT implementation.
-double eval_tts_mse(TtsModel& model, const TtsDataset& ds, nn::Precision precision,
-                    StftImpl deploy_stft, nn::ActRanges* ranges);
-
 // The Table 10 metric: MSE between the *deployment* pipeline output and
 // the *training* pipeline output (model at `precision`, features extracted
 // with `deploy_stft`, versus FP32 + reference STFT). Zero when the two

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -214,46 +215,40 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
         values[i] = task.run_postprocess(pending[i]->cfg, fwd_of[g]);
   });
 
-  if (stats != nullptr) {
-    StageStats s;
-    // Per planned evaluation: the first arrival at a stage key is the miss
-    // that materializes it; every other member reuses the product.
-    s.preprocess_misses = pre_cache.misses();
-    s.preprocess_hits = pending.size() - pre_cache.misses();
-    s.forward_misses = groups.size();
-    s.forward_hits = pending.size() - groups.size();
-    s.evaluations = pending.size();
-    s.preprocess_disk_hits = disk_hits.load();
-    s.preprocess_computed = computed.load();
-    s.preprocess_persisted = persisted.load();
-    s.forward_disk_hits = fwd_disk_hits.load();
-    s.forward_computed = fwd_computed.load();
-    s.forward_persisted = fwd_persisted.load();
-    s.batched_forward_calls = batch_calls.load();
-    s.batched_forward_configs = batch_cfgs.load();
-    s.max_configs_per_batch = batch_max.load();
-    *stats += s;
-  }
+  // One accounting record per call: accumulated into the caller's stats
+  // and, while tracing, published as the staged.<field> counters.
+  StageStats s;
+  // Per planned evaluation: the first arrival at a stage key is the miss
+  // that materializes it; every other member reuses the product.
+  s.preprocess_misses = pre_cache.misses();
+  s.preprocess_hits = pending.size() - pre_cache.misses();
+  s.forward_misses = groups.size();
+  s.forward_hits = pending.size() - groups.size();
+  s.evaluations = pending.size();
+  s.preprocess_disk_hits = disk_hits.load();
+  s.preprocess_computed = computed.load();
+  s.preprocess_persisted = persisted.load();
+  s.forward_disk_hits = fwd_disk_hits.load();
+  s.forward_computed = fwd_computed.load();
+  s.forward_persisted = fwd_persisted.load();
+  s.batched_forward_calls = batch_calls.load();
+  s.batched_forward_configs = batch_cfgs.load();
+  s.max_configs_per_batch = batch_max.load();
+  if (stats != nullptr) *stats += s;
   if (obs::trace_enabled()) {
     // Once per evaluation batch (cold path): cache effectiveness counters
     // for the flight-recorder summary. Purely observational — never read
-    // back by any computation.
+    // back by any computation. The largest stack is a gauge, sampled only
+    // when a forward ran.
     obs::MetricsRegistry& m = obs::metrics();
-    m.counter_add("staged.evaluations", pending.size());
-    m.counter_add("staged.preprocess_hits",
-                  pending.size() - pre_cache.misses());
-    m.counter_add("staged.preprocess_misses", pre_cache.misses());
-    m.counter_add("staged.forward_hits", pending.size() - groups.size());
-    m.counter_add("staged.forward_misses", groups.size());
-    m.counter_add("staged.preprocess_disk_hits", disk_hits.load());
-    m.counter_add("staged.preprocess_computed", computed.load());
-    m.counter_add("staged.forward_disk_hits", fwd_disk_hits.load());
-    m.counter_add("staged.forward_computed", fwd_computed.load());
-    m.counter_add("staged.batched_forward_calls", batch_calls.load());
-    m.counter_add("staged.batched_forward_configs", batch_cfgs.load());
-    if (batch_calls.load() > 0)
+    const util::Json fields = s.to_json();
+    for (const auto& [field, value] : fields.items())
+      if (field != "max_configs_per_batch")
+        m.counter_add("staged." + field,
+                      static_cast<std::uint64_t>(value.as_number()));
+    if (s.batched_forward_calls > 0)
       m.gauge_add("staged.max_configs_per_batch",
-                  static_cast<double>(batch_max.load()));
+                  static_cast<double>(s.max_configs_per_batch));
   }
   return values;
 }

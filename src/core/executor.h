@@ -8,16 +8,17 @@
 // wall time and locality, never results.
 //
 //  * ThreadPoolExecutor — the monolithic path: each planned config runs the
-//    task's full evaluate() chain, fanned out over a thread pool.
-//  * StagedExecutor — stage-shared evaluation for StagedEvalTasks (configs
-//    grouped by forward key; pre-processing computed once per preprocess
-//    key), with cross-config batched forwards: forward-key groups whose
-//    configs advertise the same forward_batch_key (same weights + inference
-//    knobs) stack their stage-1 batches through ONE network invocation
-//    (SweepOptions::batch_forwards / max_forward_batch). Optionally backed
-//    by a disk StageCache so products persist across processes and bench
-//    binaries. Falls back to the monolithic path for tasks that are not
-//    staged.
+//    task's full evaluate() chain, fanned out over a thread pool. It is the
+//    oracle the other executors are tested against.
+//  * StagedExecutor — the engine behind sweep()/stepwise(): stage-shared
+//    evaluation for StagedEvalTasks (configs grouped by forward key;
+//    pre-processing computed once per preprocess key), with cross-config
+//    batched forwards: forward-key groups whose configs advertise the same
+//    forward_batch_key (same weights + inference knobs) stack their stage-1
+//    batches through ONE network invocation (SweepOptions::batch_forwards /
+//    max_forward_batch). Optionally backed by a disk StageCache so products
+//    persist across processes and bench binaries. Falls back to the
+//    monolithic path for tasks that are not staged.
 //  * ShardExecutor — deterministically partitions the plan into i/N slices
 //    (plan-order round-robin), executes only its slice through an inner
 //    executor, and statically merges partial MetricMaps back into the full
@@ -44,7 +45,7 @@ class Executor {
                             const SweepOptions& opts = {}) const = 0;
 };
 
-// The in-process thread-pool path previously fused into sweep().
+// The monolithic in-process thread-pool path.
 class ThreadPoolExecutor : public Executor {
  public:
   const char* name() const override { return "thread-pool"; }
@@ -52,8 +53,8 @@ class ThreadPoolExecutor : public Executor {
                     const SweepOptions& opts = {}) const override;
 };
 
-// The stage-cache-aware path previously fused into staged_sweep(). `stats`
-// (optional) accumulates stage-cache accounting across execute() calls;
+// The stage-cache-aware path sweep()/stepwise() run. `stats` (optional)
+// accumulates stage-cache accounting across execute() calls;
 // `disk` (optional) persists/loads encoded stage-1 products so repeat
 // invocations skip the pre-processing work entirely.
 class StagedExecutor : public Executor {

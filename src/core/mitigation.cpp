@@ -350,12 +350,13 @@ double eval_classifier_tent(models::Classifier& model,
     nn::Tape t;
     t.ctx = cfg.inference_ctx(ranges);
     nn::Node* logits = model.forward(t, t.input(batch), nn::BnMode::kAdapt);
-    for (int i = 0; i < bs; ++i) {
-      int best = 0;
-      for (int c = 1; c < logits->value.dim(1); ++c)
-        if (logits->value.at2(i, c) > logits->value.at2(i, best)) best = c;
-      if (best == eval[static_cast<std::size_t>(b + i)].label) ++correct;
-    }
+    const int classes = logits->value.dim(1);
+    for (int i = 0; i < bs; ++i)
+      if (models::first_argmax(logits->value.data() +
+                                   static_cast<std::size_t>(i) * classes,
+                               classes) ==
+          eval[static_cast<std::size_t>(b + i)].label)
+        ++correct;
   }
   return 100.0 * correct / std::max(1, n);
 }

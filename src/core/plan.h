@@ -81,12 +81,12 @@ struct SweepPlan {
 
 // The registry a sweep resolves against: SweepOptions::registry when set,
 // the process-global one otherwise. The single source of truth for every
-// plan construction site (sweep, staged_sweep, seeded bench helpers).
+// plan construction site (sweep, stepwise, seeded bench helpers).
 const AxisRegistry& registry_or_global(const SweepOptions& opts);
 
-// Extracted planners (previously fused into sweep()/staged_sweep()): the
-// full-table plan is baseline + every applicable axis option + Combined;
-// the stepwise plan is baseline + one cumulative step per applicable axis.
+// The planners behind sweep()/stepwise(): the full-table plan is baseline
+// + every applicable axis option + Combined; the stepwise plan is baseline
+// + one cumulative step per applicable axis.
 // When `task` is a StagedEvalTask the per-config stage keys are captured
 // into the plan too.
 SweepPlan plan_sweep(const EvalTask& task, const AxisRegistry& registry);

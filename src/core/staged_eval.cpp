@@ -4,9 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/executor.h"
-#include "core/plan.h"
-
 namespace sysnoise::core {
 
 std::string forward_key_suffix(const SysNoiseConfig& cfg) {
@@ -75,59 +72,42 @@ std::size_t StageCache::size() const {
   return entries_.size();
 }
 
+namespace {
+
+// Every StageStats field in declaration order: the one list operator+=,
+// to_json() and (through to_json) the staged.* trace counters walk.
+constexpr std::pair<const char*, std::size_t StageStats::*> kStageFields[] = {
+    {"preprocess_hits", &StageStats::preprocess_hits},
+    {"preprocess_misses", &StageStats::preprocess_misses},
+    {"forward_hits", &StageStats::forward_hits},
+    {"forward_misses", &StageStats::forward_misses},
+    {"evaluations", &StageStats::evaluations},
+    {"preprocess_disk_hits", &StageStats::preprocess_disk_hits},
+    {"preprocess_computed", &StageStats::preprocess_computed},
+    {"preprocess_persisted", &StageStats::preprocess_persisted},
+    {"forward_disk_hits", &StageStats::forward_disk_hits},
+    {"forward_computed", &StageStats::forward_computed},
+    {"forward_persisted", &StageStats::forward_persisted},
+    {"batched_forward_calls", &StageStats::batched_forward_calls},
+    {"batched_forward_configs", &StageStats::batched_forward_configs},
+    {"max_configs_per_batch", &StageStats::max_configs_per_batch},
+};
+
+}  // namespace
+
 StageStats& StageStats::operator+=(const StageStats& o) {
-  preprocess_hits += o.preprocess_hits;
-  preprocess_misses += o.preprocess_misses;
-  forward_hits += o.forward_hits;
-  forward_misses += o.forward_misses;
-  evaluations += o.evaluations;
-  preprocess_disk_hits += o.preprocess_disk_hits;
-  preprocess_computed += o.preprocess_computed;
-  preprocess_persisted += o.preprocess_persisted;
-  forward_disk_hits += o.forward_disk_hits;
-  forward_computed += o.forward_computed;
-  forward_persisted += o.forward_persisted;
-  batched_forward_calls += o.batched_forward_calls;
-  batched_forward_configs += o.batched_forward_configs;
-  max_configs_per_batch = std::max(max_configs_per_batch, o.max_configs_per_batch);
+  // Counts add up; the largest stack is a maximum.
+  for (const auto& [name, field] : kStageFields)
+    this->*field = field == &StageStats::max_configs_per_batch
+                       ? std::max(this->*field, o.*field)
+                       : this->*field + o.*field;
   return *this;
 }
 
 util::Json StageStats::to_json() const {
   util::Json j = util::Json::object();
-  j.set("preprocess_hits", preprocess_hits);
-  j.set("preprocess_misses", preprocess_misses);
-  j.set("forward_hits", forward_hits);
-  j.set("forward_misses", forward_misses);
-  j.set("evaluations", evaluations);
-  j.set("preprocess_disk_hits", preprocess_disk_hits);
-  j.set("preprocess_computed", preprocess_computed);
-  j.set("preprocess_persisted", preprocess_persisted);
-  j.set("forward_disk_hits", forward_disk_hits);
-  j.set("forward_computed", forward_computed);
-  j.set("forward_persisted", forward_persisted);
-  j.set("batched_forward_calls", batched_forward_calls);
-  j.set("batched_forward_configs", batched_forward_configs);
-  j.set("max_configs_per_batch", max_configs_per_batch);
+  for (const auto& [name, field] : kStageFields) j.set(name, this->*field);
   return j;
-}
-
-// Thin compositions of the explicit lifecycle, staged flavor: plan ->
-// StagedExecutor -> assemble. The stage-sharing machinery itself lives in
-// core/executor.cpp.
-
-AxisReport staged_sweep(const StagedEvalTask& task, const SweepOptions& opts,
-                        StageStats* stats) {
-  const SweepPlan plan = plan_sweep(task, registry_or_global(opts));
-  return assemble_report(plan,
-                         StagedExecutor(stats).execute(task, plan, opts));
-}
-
-std::vector<StepPoint> staged_stepwise(const StagedEvalTask& task,
-                                       const SweepOptions& opts,
-                                       StageStats* stats) {
-  const SweepPlan plan = plan_stepwise(task, registry_or_global(opts));
-  return assemble_steps(plan, StagedExecutor(stats).execute(task, plan, opts));
 }
 
 }  // namespace sysnoise::core

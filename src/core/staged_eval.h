@@ -6,13 +6,13 @@
 // A StagedEvalTask names each stage's inputs with a key (`preprocess_key`
 // covers decoder/resize/color/normalization, `forward_key` adds the
 // inference knobs) and materializes stage products behind opaque pointers.
-// `staged_sweep()` plans every axis option up front, groups the plan by
-// shared stage keys, and evaluates group-by-group: pre-processed batches
-// are computed once per preprocess key, and forward outputs once per
-// forward key — so e.g. the detection post-processing axis (box-decode
-// offset) is measured without re-running the forward pass at all. Results
-// are bit-identical to the monolithic sweep() (tested); only the wall time
-// changes.
+// The StagedExecutor behind sweep()/stepwise() groups the plan by shared
+// stage keys and evaluates group-by-group: pre-processed batches are
+// computed once per preprocess key, and forward outputs once per forward
+// key — so e.g. the detection post-processing axis (box-decode offset) is
+// measured without re-running the forward pass at all. Results are
+// bit-identical to the monolithic evaluate() chain run per config
+// (ThreadPoolExecutor, tested); only the wall time changes.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +41,7 @@ std::string forward_key_suffix(const SysNoiseConfig& cfg);
 
 // An EvalTask whose evaluation factors into the three pipeline stages.
 // evaluate() is the monolithic chain of the three run_* hooks, so any
-// StagedEvalTask still works with the plain sweep()/stepwise() engine.
+// StagedEvalTask still works with the ThreadPoolExecutor.
 class StagedEvalTask : public EvalTask {
  public:
   // Stable encoding of every config knob the pre-processing stage reads.
@@ -147,9 +147,10 @@ class StageCache {
   std::size_t misses_ = 0;
 };
 
-// Stage-cache accounting for one staged_sweep/staged_stepwise call,
-// surfaced alongside the SweepOptions::cache (metric memo) stats. A "hit"
-// is a planned evaluation that reused another evaluation's stage product.
+// Stage-cache accounting for one sweep()/stepwise() call (or one
+// StagedExecutor::execute), surfaced alongside the SweepOptions::cache
+// (metric memo) stats. A "hit" is a planned evaluation that reused another
+// evaluation's stage product.
 struct StageStats {
   std::size_t preprocess_hits = 0;
   std::size_t preprocess_misses = 0;  // distinct preprocess keys materialized
@@ -186,14 +187,5 @@ struct StageStats {
   // the bench perf dumps and the trace summary's "stage_stats" section.
   util::Json to_json() const;
 };
-
-// Drop-in staged replacements for sweep()/stepwise(): identical reports,
-// stage-shared evaluation. `stats` (optional) accumulates cache accounting.
-AxisReport staged_sweep(const StagedEvalTask& task,
-                        const SweepOptions& opts = {},
-                        StageStats* stats = nullptr);
-std::vector<StepPoint> staged_stepwise(const StagedEvalTask& task,
-                                       const SweepOptions& opts = {},
-                                       StageStats* stats = nullptr);
 
 }  // namespace sysnoise::core

@@ -60,17 +60,19 @@ const AxisResult* AxisReport::find(const std::string& axis) const {
   return nullptr;
 }
 
-// sweep()/stepwise() are now thin compositions of the explicit lifecycle:
+// sweep()/stepwise() are thin compositions of the explicit lifecycle:
 // plan (core/plan.h) -> execute (core/executor.h) -> assemble.
 
-AxisReport sweep(const EvalTask& task, const SweepOptions& opts) {
+AxisReport sweep(const EvalTask& task, const SweepOptions& opts,
+                 StageStats* stats) {
   const SweepPlan plan = plan_sweep(task, registry_or_global(opts));
-  return assemble_report(plan, ThreadPoolExecutor().execute(task, plan, opts));
+  return assemble_report(plan, StagedExecutor(stats).execute(task, plan, opts));
 }
 
-std::vector<StepPoint> stepwise(const EvalTask& task, const SweepOptions& opts) {
+std::vector<StepPoint> stepwise(const EvalTask& task, const SweepOptions& opts,
+                                StageStats* stats) {
   const SweepPlan plan = plan_stepwise(task, registry_or_global(opts));
-  return assemble_steps(plan, ThreadPoolExecutor().execute(task, plan, opts));
+  return assemble_steps(plan, StagedExecutor(stats).execute(task, plan, opts));
 }
 
 }  // namespace sysnoise::core

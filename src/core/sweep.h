@@ -1,9 +1,11 @@
 // Unified sweep engine: one generic sweep()/stepwise() pair drives any
 // EvalTask over every applicable NoiseAxis in the registry, replacing the
-// old per-task measure_*/stepwise_* quintuplet. Axis options are evaluated
-// concurrently on a small thread pool, and identical configs are memoized
-// through an optional cross-call SweepCache (the trained-baseline eval used
-// to be recomputed by every entry point).
+// old per-task measure_*/stepwise_* quintuplet. Both run the StagedExecutor
+// (core/executor.h): stage products are shared by key, compatible forwards
+// are batched, and tasks that are not staged fall back to the monolithic
+// evaluate() chain. Identical configs are memoized through an optional
+// cross-call SweepCache (the trained-baseline eval used to be recomputed by
+// every entry point).
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,8 @@
 #include "core/axis.h"
 
 namespace sysnoise::core {
+
+struct StageStats;  // core/staged_eval.h
 
 // Task-agnostic evaluation surface the sweep engine drives. Thin adapters
 // for the concrete model families live in models/eval_tasks.h.
@@ -106,11 +110,14 @@ struct StepPoint {
   double delta = 0.0;
 };
 
-// Sweep every applicable axis (Tables 2-4 rows).
-AxisReport sweep(const EvalTask& task, const SweepOptions& opts = {});
+// Sweep every applicable axis (Tables 2-4 rows). `stats` (optional)
+// accumulates the stage-cache accounting of staged tasks.
+AxisReport sweep(const EvalTask& task, const SweepOptions& opts = {},
+                 StageStats* stats = nullptr);
 
 // Fig. 3 stepwise accumulation over the applicable axes in registry order.
 std::vector<StepPoint> stepwise(const EvalTask& task,
-                                const SweepOptions& opts = {});
+                                const SweepOptions& opts = {},
+                                StageStats* stats = nullptr);
 
 }  // namespace sysnoise::core

@@ -1,7 +1,6 @@
-// Internal helpers shared by the executors (core/executor.cpp) and the
-// sweep()/staged_sweep() wrappers: the metric-memoization front-end over a
-// SweepPlan and a small parallel-for. Not part of the public API — include
-// only from core/*.cpp and tests.
+// Internal helpers shared by the executors (core/executor.cpp): the
+// metric-memoization front-end over a SweepPlan and a small parallel-for.
+// Not part of the public API — include only from core/*.cpp and tests.
 #pragma once
 
 #include <atomic>

@@ -57,9 +57,10 @@ class SyntheticTask : public EvalTask {
 };
 
 // Staged counterpart with per-stage work/counters. The metric chains the
-// three stage hashes, so staged_sweep() (stage products shared) and plain
-// sweep() (full chain per config) are bit-identical by construction — what
-// changes is how often each stage runs, which the counters expose.
+// three stage hashes, so the StagedExecutor (stage products shared) and the
+// ThreadPoolExecutor (full chain per config) are bit-identical by
+// construction — what changes is how often each stage runs, which the
+// counters expose.
 //
 // `fwd_overhead_rounds` models the fixed per-invocation cost of a network
 // forward pass (tape setup, per-layer weight-precision transforms) that

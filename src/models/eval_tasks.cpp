@@ -5,9 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/executor.h"
-#include "core/plan.h"
-
 namespace sysnoise::models {
 
 // ---------------------------------------------------------------------------
@@ -281,6 +278,15 @@ std::vector<const PreprocessedBatches*> batches_of(
   return out;
 }
 
+// One stage-2 product per config, in order.
+template <typename T>
+std::vector<core::StageProduct> products_of(std::vector<T> values) {
+  std::vector<core::StageProduct> out;
+  out.reserve(values.size());
+  for (T& v : values) out.push_back(std::make_shared<const T>(std::move(v)));
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -304,11 +310,10 @@ core::StageProduct ClassifierTask::run_preprocess(const SysNoiseConfig& cfg) con
       benchmark_cls_dataset().eval, cfg, cls_pipeline_spec()));
 }
 
+// The adapters' single-config forward is the batched loop over one config.
 core::StageProduct ClassifierTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  const auto& batches = *static_cast<const PreprocessedBatches*>(pre.get());
-  return std::make_shared<const double>(eval_classifier_batches(
-      *tc_.model, batches, benchmark_cls_dataset().eval, cfg, &tc_.ranges));
+  return run_forward_batched({&cfg}, {pre}).front();
 }
 
 double ClassifierTask::run_postprocess(const SysNoiseConfig&,
@@ -323,13 +328,9 @@ std::string ClassifierTask::forward_batch_key(const SysNoiseConfig& cfg) const {
 std::vector<core::StageProduct> ClassifierTask::run_forward_batched(
     const std::vector<const SysNoiseConfig*>& cfgs,
     const std::vector<core::StageProduct>& pres) const {
-  const std::vector<double> accs = eval_classifier_batches_multi(
+  return products_of(eval_classifier_batches_multi(
       *tc_.model, batches_of(pres), benchmark_cls_dataset().eval,
-      *cfgs.front(), &tc_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(accs.size());
-  for (const double acc : accs) out.push_back(std::make_shared<const double>(acc));
-  return out;
+      *cfgs.front(), &tc_.ranges));
 }
 
 std::string ClassifierTask::preprocess_scope() const {
@@ -384,9 +385,7 @@ core::StageProduct DetectorTask::run_preprocess(const SysNoiseConfig& cfg) const
 
 core::StageProduct DetectorTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  const auto& batches = *static_cast<const PreprocessedBatches*>(pre.get());
-  return std::make_shared<const RawDetections>(
-      detector_forward_batches(*td_.model, batches, cfg, &td_.ranges));
+  return run_forward_batched({&cfg}, {pre}).front();
 }
 
 double DetectorTask::run_postprocess(const SysNoiseConfig& cfg,
@@ -402,13 +401,8 @@ std::string DetectorTask::forward_batch_key(const SysNoiseConfig& cfg) const {
 std::vector<core::StageProduct> DetectorTask::run_forward_batched(
     const std::vector<const SysNoiseConfig*>& cfgs,
     const std::vector<core::StageProduct>& pres) const {
-  std::vector<RawDetections> raws = detector_forward_batches_multi(
-      *td_.model, batches_of(pres), *cfgs.front(), &td_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(raws.size());
-  for (RawDetections& raw : raws)
-    out.push_back(std::make_shared<const RawDetections>(std::move(raw)));
-  return out;
+  return products_of(detector_forward_batches_multi(
+      *td_.model, batches_of(pres), *cfgs.front(), &td_.ranges));
 }
 
 std::string DetectorTask::preprocess_scope() const {
@@ -466,9 +460,7 @@ core::StageProduct SegmenterTask::run_preprocess(const SysNoiseConfig& cfg) cons
 
 core::StageProduct SegmenterTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  const auto& batches = *static_cast<const PreprocessedBatches*>(pre.get());
-  return std::make_shared<const double>(eval_segmenter_batches(
-      *ts_.model, batches, benchmark_seg_dataset(), cfg, &ts_.ranges));
+  return run_forward_batched({&cfg}, {pre}).front();
 }
 
 double SegmenterTask::run_postprocess(const SysNoiseConfig&,
@@ -483,14 +475,9 @@ std::string SegmenterTask::forward_batch_key(const SysNoiseConfig& cfg) const {
 std::vector<core::StageProduct> SegmenterTask::run_forward_batched(
     const std::vector<const SysNoiseConfig*>& cfgs,
     const std::vector<core::StageProduct>& pres) const {
-  const std::vector<double> mious = eval_segmenter_batches_multi(
+  return products_of(eval_segmenter_batches_multi(
       *ts_.model, batches_of(pres), benchmark_seg_dataset(), *cfgs.front(),
-      &ts_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(mious.size());
-  for (const double miou : mious)
-    out.push_back(std::make_shared<const double>(miou));
-  return out;
+      &ts_.ranges));
 }
 
 std::string SegmenterTask::preprocess_scope() const {
@@ -527,24 +514,11 @@ core::StageProduct SegmenterTask::decode_forward(
 // ---------------------------------------------------------------------------
 
 core::AxisReport sweep_seeded(const core::EvalTask& task, double trained_metric,
-                              core::SweepCache& cache, core::SweepOptions opts) {
+                              core::SweepCache& cache, core::SweepOptions opts,
+                              core::StageStats* stats) {
   cache.seed(task, SysNoiseConfig::training_default(), trained_metric);
   opts.cache = &cache;
-  return core::sweep(task, opts);
-}
-
-core::AxisReport staged_sweep_seeded(const core::StagedEvalTask& task,
-                                     double trained_metric,
-                                     core::SweepCache& cache,
-                                     core::SweepOptions opts,
-                                     core::StageStats* stats,
-                                     core::DiskStageCache* disk) {
-  cache.seed(task, SysNoiseConfig::training_default(), trained_metric);
-  opts.cache = &cache;
-  const core::SweepPlan plan =
-      core::plan_sweep(task, core::registry_or_global(opts));
-  return core::assemble_report(
-      plan, core::StagedExecutor(stats, disk).execute(task, plan, opts));
+  return core::sweep(task, opts, stats);
 }
 
 }  // namespace sysnoise::models

@@ -2,14 +2,14 @@
 // sweep engine: each wraps a zoo model plus the shared benchmark dataset
 // and pipeline spec behind core::StagedEvalTask, exposing the three-stage
 // split (preprocess -> forward -> postprocess) with per-stage cache keys so
-// core::staged_sweep() can share pre-processed batches across inference-
-// side configs and (for detection) forward outputs across post-processing
-// configs. Every adapter still works with the monolithic core::sweep().
+// core::sweep() can share pre-processed batches across inference-side
+// configs and (for detection) forward outputs across post-processing
+// configs. Every adapter's evaluate() is still the monolithic chain the
+// core::ThreadPoolExecutor runs.
 #pragma once
 
 #include <mutex>
 
-#include "core/disk_stage_cache.h"
 #include "core/staged_eval.h"
 #include "core/sweep.h"
 #include "models/zoo.h"
@@ -162,21 +162,12 @@ class SegmenterTask : public core::StagedEvalTask {
 
 // Seed `cache` with `trained_metric` (the clean-pipeline number the zoo
 // already computed at load time) for the training-default config, then run
-// the sweep through the cache — the baseline eval is never recomputed.
+// core::sweep() through the cache — the baseline eval is never recomputed.
+// `stats` (optional) surfaces stage-cache accounting next to the SweepCache
+// stats.
 core::AxisReport sweep_seeded(const core::EvalTask& task, double trained_metric,
                               core::SweepCache& cache,
-                              core::SweepOptions opts = {});
-
-// Staged counterpart: same seeding, but evaluated through a
-// core::StagedExecutor so stage intermediates are shared too. This is what
-// the table benches drive; `stats` (optional) surfaces stage-cache
-// accounting next to the SweepCache stats, and `disk` (optional) persists
-// pre-processed batches across processes through the disk StageCache.
-core::AxisReport staged_sweep_seeded(const core::StagedEvalTask& task,
-                                     double trained_metric,
-                                     core::SweepCache& cache,
-                                     core::SweepOptions opts = {},
-                                     core::StageStats* stats = nullptr,
-                                     core::DiskStageCache* disk = nullptr);
+                              core::SweepOptions opts = {},
+                              core::StageStats* stats = nullptr);
 
 }  // namespace sysnoise::models

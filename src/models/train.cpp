@@ -111,28 +111,6 @@ PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& e
   return preprocess_batches(jpegs, cfg, spec, batch_size);
 }
 
-double eval_classifier_batches(Classifier& model,
-                               const PreprocessedBatches& batches,
-                               const std::vector<data::ClsSample>& eval,
-                               const SysNoiseConfig& cfg, ActRanges* ranges) {
-  const int n = batches.num_samples;
-  int correct = 0, b = 0;
-  for (const Tensor& input : batches.inputs) {
-    const int bs = input.dim(0);
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
-    for (int i = 0; i < bs; ++i) {
-      int best = 0;
-      for (int c = 1; c < logits->value.dim(1); ++c)
-        if (logits->value.at2(i, c) > logits->value.at2(i, best)) best = c;
-      if (best == eval[static_cast<std::size_t>(b + i)].label) ++correct;
-    }
-    b += bs;
-  }
-  return 100.0 * correct / std::max(1, n);
-}
-
 std::vector<double> eval_classifier_batches_multi(
     Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
@@ -144,21 +122,17 @@ std::vector<double> eval_classifier_batches_multi(
   int b = 0;
   std::vector<int> fronts;
   for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
-    int row = 0;
-    for (std::size_t ci = 0; ci < k; ++ci) {
-      for (int i = 0; i < fronts[ci]; ++i) {
-        int best = 0;
-        for (int c = 1; c < logits->value.dim(1); ++c)
-          if (logits->value.at2(row + i, c) > logits->value.at2(row + i, best))
-            best = c;
-        if (best == eval[static_cast<std::size_t>(b + i)].label) ++correct[ci];
-      }
-      row += fronts[ci];
-    }
+    Node* logits = model.forward(
+        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
+    const int classes = logits->value.dim(1);
+    const float* row_logits = logits->value.data();
+    for (std::size_t ci = 0; ci < k; ++ci)
+      for (int i = 0; i < fronts[ci]; ++i, row_logits += classes)
+        if (first_argmax(row_logits, classes) ==
+            eval[static_cast<std::size_t>(b + i)].label)
+          ++correct[ci];
     b += fronts.front();
   }
   std::vector<double> accs;
@@ -172,9 +146,10 @@ std::vector<double> eval_classifier_batches_multi(
 double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& eval,
                        const SysNoiseConfig& cfg, const PipelineSpec& spec,
                        ActRanges* ranges, int batch_size) {
-  return eval_classifier_batches(
-      model, preprocess_cls_batches(eval, cfg, spec, batch_size), eval, cfg,
-      ranges);
+  const PreprocessedBatches batches =
+      preprocess_cls_batches(eval, cfg, spec, batch_size);
+  return eval_classifier_batches_multi(model, {&batches}, eval, cfg, ranges)
+      .front();
 }
 
 void calibrate_classifier(Classifier& model,
@@ -249,21 +224,6 @@ PreprocessedBatches preprocess_det_batches(const data::DetDataset& ds,
   return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/8);
 }
 
-RawDetections detector_forward_batches(Detector& model,
-                                       const PreprocessedBatches& batches,
-                                       const SysNoiseConfig& cfg,
-                                       ActRanges* ranges) {
-  RawDetections raw;
-  raw.batches.reserve(batches.inputs.size());
-  for (const Tensor& input : batches.inputs) {
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    DetectorOutput out = model.forward(t, t.input(input), BnMode::kEval);
-    raw.batches.push_back(detach_detector_output(out));
-  }
-  return raw;
-}
-
 std::vector<RawDetections> detector_forward_batches_multi(
     Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const SysNoiseConfig& cfg, ActRanges* ranges) {
@@ -274,10 +234,10 @@ std::vector<RawDetections> detector_forward_batches_multi(
   for (RawDetections& r : out) r.batches.reserve(per_cfg.front()->inputs.size());
   std::vector<int> fronts;
   for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    DetectorOutput o = model.forward(t, t.input(input), BnMode::kEval);
+    DetectorOutput o = model.forward(
+        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
     const RawDetectorOutput raw = detach_detector_output(o);
     std::vector<RawDetectorOutput> subs(k);
     for (RawDetectorOutput& sub : subs) sub.shapes = raw.shapes;
@@ -314,9 +274,10 @@ double detector_map_from_raw(const Detector& model, const RawDetections& raw,
 double eval_detector(Detector& model, const data::DetDataset& ds,
                      const SysNoiseConfig& cfg, const PipelineSpec& spec,
                      ActRanges* ranges) {
-  const RawDetections raw = detector_forward_batches(
-      model, preprocess_det_batches(ds, cfg, spec), cfg, ranges);
-  return detector_map_from_raw(model, raw, ds, cfg);
+  const PreprocessedBatches batches = preprocess_det_batches(ds, cfg, spec);
+  const std::vector<RawDetections> raw =
+      detector_forward_batches_multi(model, {&batches}, cfg, ranges);
+  return detector_map_from_raw(model, raw.front(), ds, cfg);
 }
 
 void calibrate_detector(Detector& model, const data::DetDataset& ds,
@@ -394,35 +355,6 @@ PreprocessedBatches preprocess_seg_batches(const data::SegDataset& ds,
   return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/4);
 }
 
-double eval_segmenter_batches(Segmenter& model,
-                              const PreprocessedBatches& batches,
-                              const data::SegDataset& ds,
-                              const SysNoiseConfig& cfg, ActRanges* ranges) {
-  std::vector<int> all_pred, all_gt;
-  std::size_t sample = 0;
-  for (const Tensor& input : batches.inputs) {
-    const int bs = input.dim(0);
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
-    const int c = logits->value.dim(1), h = logits->value.dim(2),
-              w = logits->value.dim(3);
-    for (int i = 0; i < bs; ++i) {
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          int best = 0;
-          for (int cc = 1; cc < c; ++cc)
-            if (logits->value.at4(i, cc, y, x) > logits->value.at4(i, best, y, x))
-              best = cc;
-          all_pred.push_back(best);
-        }
-      const auto& mask = ds.eval[sample++].mask;
-      all_gt.insert(all_gt.end(), mask.begin(), mask.end());
-    }
-  }
-  return 100.0 * seg::mean_iou(all_pred, all_gt, ds.num_classes);
-}
-
 std::vector<double> eval_segmenter_batches_multi(
     Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const data::SegDataset& ds, const SysNoiseConfig& cfg, ActRanges* ranges) {
@@ -434,26 +366,18 @@ std::vector<double> eval_segmenter_batches_multi(
   std::size_t sample = 0;
   std::vector<int> fronts;
   for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
+    Node* logits = model.forward(
+        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
     const int c = logits->value.dim(1), h = logits->value.dim(2),
               w = logits->value.dim(3);
-    int row = 0;
-    for (std::size_t ci = 0; ci < k; ++ci) {
-      for (int i = 0; i < fronts[ci]; ++i)
-        for (int y = 0; y < h; ++y)
-          for (int x = 0; x < w; ++x) {
-            int best = 0;
-            for (int cc = 1; cc < c; ++cc)
-              if (logits->value.at4(row + i, cc, y, x) >
-                  logits->value.at4(row + i, best, y, x))
-                best = cc;
-            all_pred[ci].push_back(best);
-          }
-      row += fronts[ci];
-    }
+    // Per-pixel argmax over the channel axis (channel stride h * w).
+    const float* scores = logits->value.data();
+    for (std::size_t ci = 0; ci < k; ++ci)
+      for (int i = 0; i < fronts[ci]; ++i, scores += c * h * w)
+        for (int px = 0; px < h * w; ++px)
+          all_pred[ci].push_back(first_argmax(scores + px, c, h * w));
     for (int i = 0; i < fronts.front(); ++i) {
       const auto& mask = ds.eval[sample++].mask;
       all_gt.insert(all_gt.end(), mask.begin(), mask.end());
@@ -469,8 +393,9 @@ std::vector<double> eval_segmenter_batches_multi(
 double eval_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const SysNoiseConfig& cfg, const PipelineSpec& spec,
                       ActRanges* ranges) {
-  return eval_segmenter_batches(model, preprocess_seg_batches(ds, cfg, spec),
-                                ds, cfg, ranges);
+  const PreprocessedBatches batches = preprocess_seg_batches(ds, cfg, spec);
+  return eval_segmenter_batches_multi(model, {&batches}, ds, cfg, ranges)
+      .front();
 }
 
 void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,

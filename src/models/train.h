@@ -5,6 +5,7 @@
 // perturb the pipeline per sample without touching the loops.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 
 #include "data/datasets.h"
@@ -42,28 +43,33 @@ double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& ev
                        const SysNoiseConfig& cfg, const PipelineSpec& spec,
                        nn::ActRanges* ranges, int batch_size = 16);
 
-// Staged form: forward+metric over already-materialized stage-1 batches
-// (`cfg` supplies only the inference-side knobs here). eval_classifier() is
-// exactly preprocess_cls_batches + this, so the two paths are bit-identical.
-double eval_classifier_batches(Classifier& model,
-                               const PreprocessedBatches& batches,
-                               const std::vector<data::ClsSample>& eval,
-                               const SysNoiseConfig& cfg, nn::ActRanges* ranges);
+// Top-1 rule of every classification path (this loop, TENT, serving): the
+// index of the first maximum of `n` values `stride` apart. A strict `>`
+// keeps the earliest of tied maxima, and a NaN never wins a comparison, so
+// a NaN in column 0 yields 0 and a later NaN is skipped.
+inline int first_argmax(const float* v, int n, std::ptrdiff_t stride = 1) {
+  int best = 0;
+  for (int c = 1; c < n; ++c)
+    if (v[c * stride] > v[best * stride]) best = c;
+  return best;
+}
 
-// Cross-config batched form: `per_cfg` holds one stage-1 product per config
-// (same dataset, same batch layout, different pre-processing knobs; `cfg`
-// supplies the shared inference knobs). Aligned batches are stacked along
-// the leading axis and pushed through ONE forward pass per batch index,
-// then split back per config — every op in the network is per-sample, so
-// each config's metric is bit-identical to eval_classifier_batches run
-// alone. Throws std::invalid_argument on batch-layout mismatch.
+// The forward+metric loop over already-materialized stage-1 batches
+// (`cfg` supplies only the inference-side knobs here). `per_cfg` holds one
+// stage-1 product per config (same dataset, same batch layout, different
+// pre-processing knobs); aligned batches are stacked along the leading axis
+// and pushed through ONE forward pass per batch index, then split back per
+// config — every op in the network is per-sample, so each config's metric
+// is bit-identical to a call with that config alone. eval_classifier() is
+// preprocess_cls_batches + this loop over `{&batches}`. Throws
+// std::invalid_argument on batch-layout mismatch.
 std::vector<double> eval_classifier_batches_multi(
     Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
     nn::ActRanges* ranges);
 
-// Stage-1 materialization for each task family, with the same batch sizes
-// the monolithic eval loops use (cls 16, det 8, seg 4).
+// Stage-1 materialization for each task family, with the batch sizes the
+// eval_* entry points use (cls 16, det 8, seg 4).
 PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& eval,
                                            const SysNoiseConfig& cfg,
                                            const PipelineSpec& spec,
@@ -100,15 +106,9 @@ struct RawDetections {
   std::vector<RawDetectorOutput> batches;  // forward outputs per eval batch
 };
 
-RawDetections detector_forward_batches(Detector& model,
-                                       const PreprocessedBatches& batches,
-                                       const SysNoiseConfig& cfg,
-                                       nn::ActRanges* ranges);
-
-// Cross-config batched form: one forward per aligned batch index over the
-// stacked configs, the per-level output tensors split back per config —
-// bit-identical RawDetections to running detector_forward_batches per
-// config (see eval_classifier_batches_multi).
+// One forward per aligned batch index over the stacked configs, the
+// per-level output tensors split back into per-config RawDetections (see
+// eval_classifier_batches_multi).
 std::vector<RawDetections> detector_forward_batches_multi(
     Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const SysNoiseConfig& cfg, nn::ActRanges* ranges);
@@ -131,13 +131,7 @@ double eval_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const SysNoiseConfig& cfg, const PipelineSpec& spec,
                       nn::ActRanges* ranges);
 
-// Staged form over materialized stage-1 batches.
-double eval_segmenter_batches(Segmenter& model,
-                              const PreprocessedBatches& batches,
-                              const data::SegDataset& ds,
-                              const SysNoiseConfig& cfg, nn::ActRanges* ranges);
-
-// Cross-config batched form (see eval_classifier_batches_multi).
+// The forward+metric loop (see eval_classifier_batches_multi).
 std::vector<double> eval_segmenter_batches_multi(
     Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
     const data::SegDataset& ds, const SysNoiseConfig& cfg,

@@ -24,22 +24,29 @@ namespace {
 
 }  // namespace
 
+bool parse_int(const std::string& text, int min, int max, int* out) {
+  const bool negative = min < 0 && !text.empty() && text[0] == '-';
+  std::size_t i = negative ? 1 : 0;
+  if (i == text.size()) return false;
+  long long value = 0;
+  for (; i < text.size(); ++i) {
+    if (text[i] < '0' || text[i] > '9') return false;
+    value = value * 10 + (text[i] - '0');
+    if (value > (1LL << 31)) return false;  // past every int, before overflow
+  }
+  if (negative) value = -value;
+  if (value < min || value > max) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
 bool parse_host_port(const std::string& hostport, std::string* host,
                      int* port) {
   const std::size_t colon = hostport.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= hostport.size())
+      !parse_int(hostport.substr(colon + 1), 1, 65535, port))
     return false;
-  int value = 0;
-  for (std::size_t i = colon + 1; i < hostport.size(); ++i) {
-    const char c = hostport[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-    if (value > 65535) return false;
-  }
-  if (value <= 0) return false;
   *host = hostport.substr(0, colon);
-  *port = value;
   return true;
 }
 

@@ -11,6 +11,13 @@
 
 namespace sysnoise::net {
 
+// Strict decimal integer: `text` must be all digits, with one leading '-'
+// accepted only when `min` is negative, and the value must lie in
+// [min, max]. Returns false otherwise — empty, "1O", "2x", "+3", overflow —
+// so a typo'd integer flag is a usage error, never a silent atoi prefix.
+// Behind the benches' dist flags, sysnoise_ctl's and the port below.
+bool parse_int(const std::string& text, int min, int max, int* out);
+
 // Parse "host:port" (the last ':' splits, so bare IPv6 is out of scope —
 // the runtime is IPv4-only). Returns false unless the host is non-empty and
 // the port is all digits in [1, 65535]. The one parser behind every

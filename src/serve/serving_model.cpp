@@ -27,23 +27,18 @@ std::vector<int> ClassifierServingModel::predict(
                               std::to_string(s));
     parts.push_back(&inputs_[static_cast<std::size_t>(s)]);
   }
-  const Tensor input = stack_parts(parts);
   nn::Tape t;
   t.ctx = cfg_.inference_ctx(&tc_.ranges);
-  nn::Node* logits = t.input(input);
-  logits = tc_.model->forward(t, logits, nn::BnMode::kEval);
-  // The exact argmax of the offline evaluation loops (first max wins), so a
-  // served prediction can never disagree with the sweep over tie-breaking.
+  const nn::Node* logits =
+      tc_.model->forward(t, t.input(stack_parts(parts)), nn::BnMode::kEval);
+  // The offline loop's top-1 rule, so a served prediction can never
+  // disagree with the sweep over tie-breaking.
+  const int classes = logits->value.dim(1);
   std::vector<int> preds;
   preds.reserve(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    int best = 0;
-    for (int c = 1; c < logits->value.dim(1); ++c)
-      if (logits->value.at2(static_cast<int>(i), c) >
-          logits->value.at2(static_cast<int>(i), best))
-        best = c;
-    preds.push_back(best);
-  }
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    preds.push_back(models::first_argmax(
+        logits->value.data() + i * static_cast<std::size_t>(classes), classes));
   return preds;
 }
 
@@ -54,8 +49,9 @@ bool ClassifierServingModel::correct(int sample, int prediction) const {
 double ClassifierServingModel::offline_accuracy() const {
   const auto batches =
       models::preprocess_cls_batches(eval_, cfg_, spec_, /*batch_size=*/16);
-  return models::eval_classifier_batches(*tc_.model, batches, eval_, cfg_,
-                                         &tc_.ranges);
+  return models::eval_classifier_batches_multi(*tc_.model, {&batches}, eval_,
+                                               cfg_, &tc_.ranges)
+      .front();
 }
 
 namespace {

@@ -60,8 +60,8 @@ class ClassifierServingModel : public ServingModel {
   const SysNoiseConfig& config() const { return cfg_; }
 
   // The offline sweep baseline for this deployment config: the exact
-  // eval_classifier_batches metric (production batch layout, bs=16) the
-  // table benches report — what served accuracy is diffed against.
+  // eval_classifier_batches_multi metric (production batch layout, bs=16)
+  // the table benches report — what served accuracy is diffed against.
   double offline_accuracy() const;
 
  private:

@@ -1,12 +1,14 @@
-// Tests of the cross-config batched forward engine (PR 5): synthetic
+// Tests of the cross-config batched forward engine: synthetic
 // batched-vs-unbatched bit-identity with invocation accounting (including
 // the max_forward_batch cap), the batch-compatible work-unit merge, the
-// multi-config eval loops matching the per-config loops bit-exactly for
-// real zoo models of all three task kinds (including odd/singleton batch
-// sizes), and batched forwards flowing through the distributed runtime —
-// both the in-process loopback and the DistExecutor seam.
+// eval loops matching the seed single-config loops bytewise for real zoo
+// models of all three task kinds (stacked and alone, including
+// odd/singleton batch sizes), and batched forwards flowing through the
+// distributed runtime — both the in-process loopback and the DistExecutor
+// seam.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -21,6 +23,7 @@
 #include "models/eval_tasks.h"
 #include "models/train.h"
 #include "models/zoo.h"
+#include "seg/miou.h"
 #include "svc/dist_executor.h"
 #include "tests/dist_loopback.h"
 #include "util/json.h"
@@ -55,7 +58,7 @@ TEST(BatchedForward, SyntheticSweepBitIdenticalWithFewerInvocationsPerKind) {
     SweepOptions off;
     off.batch_forwards = false;
     StageStats stats_off;
-    const AxisReport unbatched = staged_sweep(task, off, &stats_off);
+    const AxisReport unbatched = sweep(task, off, &stats_off);
     const int invocations_unbatched = task.fwd_invocations();
     EXPECT_EQ(task.fwd_batched_calls(), 0);
     EXPECT_EQ(stats_off.batched_forward_calls,
@@ -68,7 +71,7 @@ TEST(BatchedForward, SyntheticSweepBitIdenticalWithFewerInvocationsPerKind) {
 
     task.reset();
     StageStats stats_on;
-    const AxisReport batched = staged_sweep(task, {}, &stats_on);
+    const AxisReport batched = sweep(task, {}, &stats_on);
     expect_reports_identical(unbatched, batched);
     EXPECT_GT(task.fwd_batched_calls(), 0) << static_cast<int>(kind);
     EXPECT_LT(task.fwd_invocations(), invocations_unbatched);
@@ -88,19 +91,19 @@ TEST(BatchedForward, MaxForwardBatchCapsInvocationSizeAndKeepsIdentity) {
   const SyntheticStagedTask task(TaskKind::kDetection, true, 2, 2, 1, 3);
   SweepOptions off;
   off.batch_forwards = false;
-  const AxisReport expected = staged_sweep(task, off);
+  const AxisReport expected = sweep(task, off);
 
   task.reset();
   SweepOptions wide;  // default cap 8
   StageStats stats_wide;
-  expect_reports_identical(expected, staged_sweep(task, wide, &stats_wide));
+  expect_reports_identical(expected, sweep(task, wide, &stats_wide));
   const int wide_invocations = task.fwd_invocations();
 
   task.reset();
   SweepOptions narrow;
   narrow.max_forward_batch = 2;
   StageStats stats_narrow;
-  expect_reports_identical(expected, staged_sweep(task, narrow, &stats_narrow));
+  expect_reports_identical(expected, sweep(task, narrow, &stats_narrow));
   // Smaller stacks -> more invocations, but still fewer than unbatched.
   EXPECT_GT(task.fwd_invocations(), wide_invocations);
   EXPECT_LT(stats_narrow.batched_forward_calls, stats_narrow.evaluations);
@@ -108,7 +111,7 @@ TEST(BatchedForward, MaxForwardBatchCapsInvocationSizeAndKeepsIdentity) {
   task.reset();
   SweepOptions one;
   one.max_forward_batch = 1;  // degenerate cap: batching effectively off
-  expect_reports_identical(expected, staged_sweep(task, one));
+  expect_reports_identical(expected, sweep(task, one));
   EXPECT_EQ(task.fwd_batched_calls(), 0);
 }
 
@@ -116,9 +119,9 @@ TEST(BatchedForward, StepwiseSharesBatchedForwardsToo) {
   const SyntheticStagedTask task(TaskKind::kSegmentation, false, 2, 2, 1, 3);
   SweepOptions off;
   off.batch_forwards = false;
-  const auto expected = staged_stepwise(task, off);
+  const auto expected = stepwise(task, off);
   task.reset();
-  const auto batched = staged_stepwise(task, {});
+  const auto batched = stepwise(task, {});
   ASSERT_EQ(expected.size(), batched.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i].step, batched[i].step);
@@ -263,12 +266,12 @@ void expect_batched_matches(const core::StagedEvalTask& task,
   off.registry = &reg;
   off.batch_forwards = false;
   StageStats stats_off;
-  const AxisReport unbatched = core::staged_sweep(task, off, &stats_off);
+  const AxisReport unbatched = core::sweep(task, off, &stats_off);
 
   SweepOptions on;
   on.registry = &reg;
   StageStats stats_on;
-  const AxisReport batched = core::staged_sweep(task, on, &stats_on);
+  const AxisReport batched = core::sweep(task, on, &stats_on);
 
   expect_reports_identical(unbatched, batched);
   EXPECT_LT(stats_on.batched_forward_calls, stats_on.evaluations);
@@ -295,42 +298,185 @@ TEST(BatchedRealModels, SegmenterBatchedSweepMatchesUnbatched) {
   expect_batched_matches(task, batch_registry(false));
 }
 
+// ---------------------------------------------------------------------------
+// Bytewise oracles: the single-config eval loops as they stood before the
+// multi-config loops became the only ones (verbatim bodies, renamed seed_*).
+// ---------------------------------------------------------------------------
+
+using nn::ActRanges;
+using nn::BnMode;
+using nn::Node;
+using nn::Tape;
+
+double seed_cls_eval_loop(Classifier& model,
+                          const PreprocessedBatches& batches,
+                          const std::vector<data::ClsSample>& eval,
+                          const SysNoiseConfig& cfg, ActRanges* ranges) {
+  const int n = batches.num_samples;
+  int correct = 0, b = 0;
+  for (const Tensor& input : batches.inputs) {
+    const int bs = input.dim(0);
+    Tape t;
+    t.ctx = cfg.inference_ctx(ranges);
+    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
+    for (int i = 0; i < bs; ++i) {
+      int best = 0;
+      for (int c = 1; c < logits->value.dim(1); ++c)
+        if (logits->value.at2(i, c) > logits->value.at2(i, best)) best = c;
+      if (best == eval[static_cast<std::size_t>(b + i)].label) ++correct;
+    }
+    b += bs;
+  }
+  return 100.0 * correct / std::max(1, n);
+}
+
+RawDetections seed_det_forward_loop(Detector& model,
+                                    const PreprocessedBatches& batches,
+                                    const SysNoiseConfig& cfg,
+                                    ActRanges* ranges) {
+  RawDetections raw;
+  raw.batches.reserve(batches.inputs.size());
+  for (const Tensor& input : batches.inputs) {
+    Tape t;
+    t.ctx = cfg.inference_ctx(ranges);
+    DetectorOutput out = model.forward(t, t.input(input), BnMode::kEval);
+    raw.batches.push_back(detach_detector_output(out));
+  }
+  return raw;
+}
+
+double seed_seg_eval_loop(Segmenter& model,
+                          const PreprocessedBatches& batches,
+                          const data::SegDataset& ds,
+                          const SysNoiseConfig& cfg, ActRanges* ranges) {
+  std::vector<int> all_pred, all_gt;
+  std::size_t sample = 0;
+  for (const Tensor& input : batches.inputs) {
+    const int bs = input.dim(0);
+    Tape t;
+    t.ctx = cfg.inference_ctx(ranges);
+    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
+    const int c = logits->value.dim(1), h = logits->value.dim(2),
+              w = logits->value.dim(3);
+    for (int i = 0; i < bs; ++i) {
+      for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x) {
+          int best = 0;
+          for (int cc = 1; cc < c; ++cc)
+            if (logits->value.at4(i, cc, y, x) > logits->value.at4(i, best, y, x))
+              best = cc;
+          all_pred.push_back(best);
+        }
+      const auto& mask = ds.eval[sample++].mask;
+      all_gt.insert(all_gt.end(), mask.begin(), mask.end());
+    }
+  }
+  return 100.0 * seg::mean_iou(all_pred, all_gt, ds.num_classes);
+}
+
+bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Stage-1 batches of every sample's JPEG under `cfg`, `bs` per batch.
+template <class Sample>
+PreprocessedBatches batches_of(const std::vector<Sample>& samples,
+                               const SysNoiseConfig& cfg,
+                               const PipelineSpec& spec, int bs) {
+  std::vector<const std::vector<std::uint8_t>*> jpegs;
+  for (const Sample& s : samples) jpegs.push_back(&s.jpeg);
+  return preprocess_batches(jpegs, cfg, spec, bs);
+}
+
 TEST(BatchedRealModels, MultiEvalMatchesPerConfigForOddAndSingletonBatches) {
-  auto tc = models::get_classifier("MCUNet");
-  const auto& eval = models::benchmark_cls_dataset().eval;
-  const auto spec = models::cls_pipeline_spec();
   SysNoiseConfig a = SysNoiseConfig::training_default();
   SysNoiseConfig b = a;
   b.resize = ResizeMethod::kOpenCVNearest;
   SysNoiseConfig c = a;
   c.norm = NormStats::kHalfHalf;
+  const std::vector<const SysNoiseConfig*> cfgs = {&a, &b, &c};
+  auto stage1 = [&](const auto& samples, const PipelineSpec& spec, int bs) {
+    std::vector<PreprocessedBatches> pre;
+    for (const SysNoiseConfig* cfg : cfgs)
+      pre.push_back(batches_of(samples, *cfg, spec, bs));
+    return pre;
+  };
 
-  // Batch size 1 stacks singletons; 3 leaves a short odd tail; 16 is the
-  // production layout. Every layout must reproduce the per-config loops
-  // bit-exactly.
+  // Batch size 1 stacks singletons; the others leave short tails (cls 200
+  // = 66x3+2, det 40 = 13x3+1, seg 30 = 4x7+2) or are the production
+  // layout. Every layout must reproduce the seed loops bytewise, both for
+  // the three configs stacked and for each config alone (the production
+  // eval_* / run_forward call).
+  auto tc = models::get_classifier("MCUNet");
+  const auto& cls_eval = models::benchmark_cls_dataset().eval;
   for (const int bs : {1, 3, 16}) {
-    const auto pa = models::preprocess_cls_batches(eval, a, spec, bs);
-    const auto pb = models::preprocess_cls_batches(eval, b, spec, bs);
-    const auto pc = models::preprocess_cls_batches(eval, c, spec, bs);
-    const double ra =
-        models::eval_classifier_batches(*tc.model, pa, eval, a, &tc.ranges);
-    const double rb =
-        models::eval_classifier_batches(*tc.model, pb, eval, b, &tc.ranges);
-    const double rc =
-        models::eval_classifier_batches(*tc.model, pc, eval, c, &tc.ranges);
+    const auto pre = stage1(cls_eval, models::cls_pipeline_spec(), bs);
     const std::vector<double> multi = models::eval_classifier_batches_multi(
-        *tc.model, {&pa, &pb, &pc}, eval, a, &tc.ranges);
+        *tc.model, {&pre[0], &pre[1], &pre[2]}, cls_eval, a, &tc.ranges);
     ASSERT_EQ(multi.size(), 3u) << bs;
-    EXPECT_EQ(multi[0], ra) << bs;
-    EXPECT_EQ(multi[1], rb) << bs;
-    EXPECT_EQ(multi[2], rc) << bs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const double want =
+          seed_cls_eval_loop(*tc.model, pre[i], cls_eval, *cfgs[i], &tc.ranges);
+      EXPECT_TRUE(same_bytes(multi[i], want)) << "cls bs " << bs << " cfg " << i;
+      EXPECT_TRUE(same_bytes(models::eval_classifier_batches_multi(
+                                 *tc.model, {&pre[i]}, cls_eval, *cfgs[i],
+                                 &tc.ranges)
+                                 .front(),
+                             want))
+          << "cls bs " << bs << " cfg " << i;
+    }
+  }
+
+  auto td = models::get_detector("RetinaNet-MobileNet");
+  const auto& det = models::benchmark_det_dataset();
+  for (const int bs : {1, 3, 8}) {
+    const auto pre = stage1(det.eval, models::det_pipeline_spec(), bs);
+    const std::vector<RawDetections> multi =
+        models::detector_forward_batches_multi(
+            *td.model, {&pre[0], &pre[1], &pre[2]}, a, &td.ranges);
+    ASSERT_EQ(multi.size(), 3u) << bs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      // The disk-cache encoding carries every level's shape and bytes.
+      const std::string want = models::encode_raw_detections(
+          seed_det_forward_loop(*td.model, pre[i], *cfgs[i], &td.ranges));
+      EXPECT_EQ(models::encode_raw_detections(multi[i]), want)
+          << "det bs " << bs << " cfg " << i;
+      EXPECT_EQ(models::encode_raw_detections(
+                    models::detector_forward_batches_multi(
+                        *td.model, {&pre[i]}, *cfgs[i], &td.ranges)
+                        .front()),
+                want)
+          << "det bs " << bs << " cfg " << i;
+    }
+  }
+
+  auto ts = models::get_segmenter("UNet");
+  const auto& seg = models::benchmark_seg_dataset();
+  for (const int bs : {1, 4, 7}) {
+    const auto pre = stage1(seg.eval, models::seg_pipeline_spec(), bs);
+    const std::vector<double> multi = models::eval_segmenter_batches_multi(
+        *ts.model, {&pre[0], &pre[1], &pre[2]}, seg, a, &ts.ranges);
+    ASSERT_EQ(multi.size(), 3u) << bs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const double want =
+          seed_seg_eval_loop(*ts.model, pre[i], seg, *cfgs[i], &ts.ranges);
+      EXPECT_TRUE(same_bytes(multi[i], want)) << "seg bs " << bs << " cfg " << i;
+      EXPECT_TRUE(same_bytes(models::eval_segmenter_batches_multi(
+                                 *ts.model, {&pre[i]}, seg, *cfgs[i],
+                                 &ts.ranges)
+                                 .front(),
+                             want))
+          << "seg bs " << bs << " cfg " << i;
+    }
   }
 
   // Mismatched batch layouts are a caller bug, not silent corruption.
-  const auto p3 = models::preprocess_cls_batches(eval, a, spec, 3);
-  const auto p4 = models::preprocess_cls_batches(eval, b, spec, 4);
+  const auto p3 = models::preprocess_cls_batches(cls_eval, a,
+                                                 models::cls_pipeline_spec(), 3);
+  const auto p4 = models::preprocess_cls_batches(cls_eval, b,
+                                                 models::cls_pipeline_spec(), 4);
   EXPECT_THROW(models::eval_classifier_batches_multi(*tc.model, {&p3, &p4},
-                                                     eval, a, &tc.ranges),
+                                                     cls_eval, a, &tc.ranges),
                std::invalid_argument);
 }
 

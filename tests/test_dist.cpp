@@ -12,6 +12,7 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -61,6 +62,63 @@ void expect_reports_identical(const AxisReport& a, const AxisReport& b) {
     for (std::size_t j = 0; j < a.axes[i].options.size(); ++j)
       EXPECT_EQ(a.axes[i].options[j].delta, b.axes[i].options[j].delta)
           << a.axes[i].axis << "/" << a.axes[i].options[j].label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// net: strict integer and host:port parsing (every integer CLI flag)
+// ---------------------------------------------------------------------------
+
+TEST(NetParse, StrictIntegerRejectsTyposSignsAndOverflow) {
+  int v = 42;
+  EXPECT_FALSE(net::parse_int("", 0, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("1O", 0, INT_MAX, &v));  // letter O, not zero
+  EXPECT_FALSE(net::parse_int("2x", 0, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("30s", 0, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int(" 7", 0, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("+3", INT_MIN, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("-", INT_MIN, INT_MAX, &v));
+  // A sign only where the flag accepts negatives.
+  EXPECT_FALSE(net::parse_int("-3", 0, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("-0", 0, INT_MAX, &v));
+  EXPECT_EQ(v, 42);  // failures never write
+  ASSERT_TRUE(net::parse_int("-3", INT_MIN, INT_MAX, &v));
+  EXPECT_EQ(v, -3);
+  // Range: the bounds themselves pass, one past them fails.
+  ASSERT_TRUE(net::parse_int("0", 0, 65535, &v));
+  EXPECT_EQ(v, 0);
+  ASSERT_TRUE(net::parse_int("65535", 0, 65535, &v));
+  EXPECT_EQ(v, 65535);
+  EXPECT_FALSE(net::parse_int("65536", 0, 65535, &v));
+  EXPECT_FALSE(net::parse_int("0", 1, INT_MAX, &v));
+  // Overflow: INT_MAX/INT_MIN exactly, and no wrap-around past them.
+  ASSERT_TRUE(net::parse_int("2147483647", INT_MIN, INT_MAX, &v));
+  EXPECT_EQ(v, INT_MAX);
+  ASSERT_TRUE(net::parse_int("-2147483648", INT_MIN, INT_MAX, &v));
+  EXPECT_EQ(v, INT_MIN);
+  EXPECT_FALSE(net::parse_int("2147483648", INT_MIN, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("-2147483649", INT_MIN, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("4294967297", INT_MIN, INT_MAX, &v));
+  EXPECT_FALSE(net::parse_int("99999999999999999999999", 0, INT_MAX, &v));
+  ASSERT_TRUE(net::parse_int("007", 0, INT_MAX, &v));
+  EXPECT_EQ(v, 7);
+}
+
+TEST(NetParse, HostPortSplitsOnTheLastColonAndChecksThePort) {
+  std::string host = "unchanged";
+  int port = -1;
+  ASSERT_TRUE(net::parse_host_port("127.0.0.1:4510", &host, &port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 4510);
+  ASSERT_TRUE(net::parse_host_port("a:b:65535", &host, &port));
+  EXPECT_EQ(host, "a:b");
+  EXPECT_EQ(port, 65535);
+  for (const char* bad : {"", "4510", ":4510", "host:", "host:0",
+                          "host:65536", "host:-1", "host:+1", "host:45x",
+                          "host:1O", "host: 1", "host:99999999999"}) {
+    std::string h = "unchanged";
+    EXPECT_FALSE(net::parse_host_port(bad, &h, &port)) << bad;
+    EXPECT_EQ(h, "unchanged") << bad;
   }
 }
 
@@ -553,7 +611,7 @@ TEST(Distributed, RealClassifierLoopbackMatchesSeededSingleProcessSweep) {
 
   // Reference: the seeded staged sweep the table benches run.
   core::SweepCache cache;
-  const AxisReport expected = models::staged_sweep_seeded(
+  const AxisReport expected = models::sweep_seeded(
       task, tc.trained_acc, cache);
 
   // Distributed: two workers resolving the spec through the zoo, exactly

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "models/train.h"
 #include "models/zoo.h"
@@ -23,6 +24,29 @@ const data::ClsDataset& tiny_cls() {
 }
 
 const PipelineSpec kSpec{.out_h = 32, .out_w = 32};
+
+TEST(EvalLoop, FirstArgmaxKeepsTheFirstOfTiedMaximaAndNeverPicksNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tied[] = {1.0f, 3.0f, 2.0f, 3.0f};
+  EXPECT_EQ(first_argmax(tied, 4), 1);
+  const float all_tied[] = {-inf, -inf, -inf};
+  EXPECT_EQ(first_argmax(all_tied, 3), 0);
+  // With a NaN in column 0 every `v[c] > NaN` is false: the prediction
+  // stays 0.
+  const float nan_first[] = {nan, 5.0f, 7.0f};
+  EXPECT_EQ(first_argmax(nan_first, 3), 0);
+  // A later NaN never wins, and the scan goes on past it.
+  const float nan_later[] = {1.0f, nan, 0.5f, 4.0f, nan};
+  EXPECT_EQ(first_argmax(nan_later, 5), 3);
+  EXPECT_EQ(first_argmax(nan_later, 1), 0);
+  // Strided: channel-major [C, H*W] logits, argmax over C at one pixel.
+  const float chw[] = {0.0f, 9.0f,   // c0
+                       2.0f, 1.0f,   // c1
+                       2.0f, nan};   // c2
+  EXPECT_EQ(first_argmax(chw, 3, 2), 1);
+  EXPECT_EQ(first_argmax(chw + 1, 3, 2), 0);
+}
 
 TEST(Zoo, AllClassifiersConstructAndForward) {
   Tensor x({2, 3, 32, 32});

@@ -75,11 +75,11 @@ TEST_F(ObsTest, TracedSweepIsByteIdenticalToUntraced) {
   SweepOptions opts;
   opts.threads = 4;
 
-  const AxisReport untraced = core::staged_sweep(task, opts);
+  const AxisReport untraced = core::sweep(task, opts);
   EXPECT_EQ(obs::trace_drain().at("traceEvents").size(), 0u);
 
   obs::trace_enable();
-  const AxisReport traced = core::staged_sweep(task, opts);
+  const AxisReport traced = core::sweep(task, opts);
   obs::trace_disable();
 
   // The report a user sees must not differ by one byte...
@@ -97,7 +97,7 @@ TEST_F(ObsTest, EnabledTraceIsBalancedWithMonotonicPerThreadTimestamps) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   SweepOptions opts;
   opts.threads = 4;
-  core::staged_sweep(task, opts);
+  core::sweep(task, opts);
   // Extra hand-made nesting from a second thread.
   std::thread t([] {
     obs::TraceSpan outer("obs.outer");
@@ -327,18 +327,38 @@ TEST_F(ObsTest, NullSinkEventLogIsANoOp) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ObsTest, StagedExecutorRecordsCountersOnlyWhileTracing) {
-  const SyntheticStagedTask task(TaskKind::kDetection, true);
-  core::staged_sweep(task, {});
+  // Forward overhead > 0 opts the task into batched forwards, so the
+  // max_configs_per_batch gauge gets a real stack to sample.
+  const SyntheticStagedTask task(TaskKind::kDetection, true, 2, 2, 1,
+                                 /*fwd_overhead_rounds=*/3);
+  core::sweep(task, {});
   EXPECT_EQ(obs::metrics().counter_value("staged.evaluations"), 0u);
 
   obs::trace_enable();
   StageStats stats;
-  core::staged_sweep(task, {}, &stats);
+  core::sweep(task, {}, &stats);
   obs::trace_disable();
-  EXPECT_EQ(obs::metrics().counter_value("staged.evaluations"),
-            stats.evaluations);
-  EXPECT_EQ(obs::metrics().counter_value("staged.preprocess_hits"),
-            stats.preprocess_hits);
+
+  // Every staged.* counter is its StageStats field, and every field but
+  // the max_configs_per_batch gauge is published as a counter.
+  const util::Json fields = stats.to_json();
+  const util::Json snap = obs::metrics().snapshot();
+  std::size_t published = 0;
+  for (const auto& [name, value] : snap.at("counters").items()) {
+    if (name.rfind("staged.", 0) != 0) continue;
+    ++published;
+    const util::Json* field = fields.get(name.substr(7));
+    ASSERT_NE(field, nullptr) << name;
+    EXPECT_EQ(value.as_number(), field->as_number()) << name;
+  }
+  EXPECT_EQ(published, fields.size() - 1);
+  EXPECT_GT(stats.evaluations, 0u);
+  EXPECT_GT(stats.max_configs_per_batch, 1u);
+  EXPECT_EQ(snap.at("gauges")
+                .at("staged.max_configs_per_batch")
+                .at("max")
+                .as_number(),
+            static_cast<double>(stats.max_configs_per_batch));
 }
 
 TEST_F(ObsTest, StageStatsToJsonCarriesEveryField) {

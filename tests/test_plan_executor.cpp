@@ -147,12 +147,12 @@ TEST(PlanJson, PlainTaskPlansCarryNoStageKeys) {
 
 TEST(ReportJson, AxisAndStepReportsRoundTripBitExactly) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
-  const AxisReport report = staged_sweep(task);
+  const AxisReport report = sweep(task);
   const AxisReport back = axis_report_from_json(
       util::Json::parse(axis_report_to_json(report).dump()));
   expect_reports_identical(report, back);
 
-  StepReport steps{"synthetic-staged", staged_stepwise(task)};
+  StepReport steps{"synthetic-staged", stepwise(task)};
   const StepReport steps_back = step_report_from_json(
       util::Json::parse(step_report_to_json(steps).dump()));
   EXPECT_EQ(steps_back.model, steps.model);
@@ -194,8 +194,8 @@ TEST(Executors, ShardPartitionInvariantPerTaskKindAndShardCount) {
                               TaskKind::kSegmentation}) {
     const SyntheticStagedTask task(kind, true);
     const SweepPlan plan = plan_sweep(task, AxisRegistry::global());
-    const AxisReport single = staged_sweep(task);
-    const auto single_steps = staged_stepwise(task);
+    const AxisReport single = sweep(task);
+    const auto single_steps = stepwise(task);
     const SweepPlan step_plan = plan_stepwise(task, AxisRegistry::global());
 
     for (int n = 1; n <= 3; ++n) {
@@ -317,7 +317,7 @@ TEST(DiskStageCacheT, ShardsShareProductsThroughTheDisk) {
   EXPECT_GT(stats1.preprocess_disk_hits, 0u);
 
   expect_reports_identical(
-      staged_sweep(task),
+      sweep(task),
       assemble_report(plan, ShardExecutor::merge(plan, {part0, part1})));
   std::filesystem::remove_all(dir);
 }

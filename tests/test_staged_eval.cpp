@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/executor.h"
+#include "core/plan.h"
 #include "core/staged_eval.h"
 #include "core/synthetic_task.h"
 #include "core/sweep.h"
@@ -34,6 +36,18 @@ void expect_reports_identical(const AxisReport& a, const AxisReport& b) {
       EXPECT_EQ(a.axes[i].options[j].delta, b.axes[i].options[j].delta)
           << a.axes[i].axis << "/" << a.axes[i].options[j].label;
   }
+}
+
+// The oracle: every planned config runs the task's full evaluate() chain.
+AxisReport monolithic_sweep(const EvalTask& task, const SweepOptions& opts) {
+  const SweepPlan plan = plan_sweep(task, registry_or_global(opts));
+  return assemble_report(plan, ThreadPoolExecutor().execute(task, plan, opts));
+}
+
+std::vector<StepPoint> monolithic_stepwise(const EvalTask& task,
+                                           const SweepOptions& opts) {
+  const SweepPlan plan = plan_stepwise(task, registry_or_global(opts));
+  return assemble_steps(plan, ThreadPoolExecutor().execute(task, plan, opts));
 }
 
 // ---------------------------------------------------------------------------
@@ -121,12 +135,12 @@ TEST(StagedEngine, MatchesMonolithicBitIdenticallySerialAndParallel) {
   serial.threads = 1;
   SweepOptions parallel;
   parallel.threads = 8;
-  const AxisReport mono = sweep(task, serial);
-  expect_reports_identical(mono, staged_sweep(task, serial));
-  expect_reports_identical(mono, staged_sweep(task, parallel));
+  const AxisReport mono = monolithic_sweep(task, serial);
+  expect_reports_identical(mono, sweep(task, serial));
+  expect_reports_identical(mono, sweep(task, parallel));
 
-  const auto steps_mono = stepwise(task, serial);
-  const auto steps_staged = staged_stepwise(task, parallel);
+  const auto steps_mono = monolithic_stepwise(task, serial);
+  const auto steps_staged = stepwise(task, parallel);
   ASSERT_EQ(steps_mono.size(), steps_staged.size());
   for (std::size_t i = 0; i < steps_mono.size(); ++i) {
     EXPECT_EQ(steps_mono[i].step, steps_staged[i].step);
@@ -138,7 +152,7 @@ TEST(StagedEngine, PreprocessOncePerKeyAndPostprocReusesForward) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   task.reset();
   StageStats stats;
-  staged_sweep(task, {}, &stats);
+  sweep(task, {}, &stats);
 
   // Detection full-table plan: base + 3 decode + 10 resize + 1 color +
   // 2 norm + 1 layout + 2 precision + 2 backend + 1 ceil + 1 upsample +
@@ -163,7 +177,7 @@ TEST(StagedEngine, StepwiseSharesStagesAcrossCumulativeSteps) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   task.reset();
   StageStats stats;
-  staged_stepwise(task, {}, &stats);
+  stepwise(task, {}, &stats);
 
   // base + 10 cumulative steps; the five inference/post-processing steps
   // re-use the pre-processing of the last pre-processing step (+NHWC), and
@@ -179,9 +193,9 @@ TEST(StagedEngine, SharedSweepCacheStillMemoizesAcrossCalls) {
   SweepCache cache;
   SweepOptions opts;
   opts.cache = &cache;
-  const AxisReport first = staged_sweep(task, opts);
+  const AxisReport first = sweep(task, opts);
   task.reset();
-  const AxisReport second = staged_sweep(task, opts);
+  const AxisReport second = sweep(task, opts);
   expect_reports_identical(first, second);
   // Every metric came out of the memo; no stage ran at all.
   EXPECT_EQ(task.pre_runs(), 0);
@@ -276,8 +290,8 @@ TEST(StagedRealModels, ClassifierStagedMatchesMonolithic) {
   SweepOptions opts;
   opts.registry = &reg;
   StageStats stats;
-  expect_reports_identical(sweep(task, opts),
-                           staged_sweep(task, opts, &stats));
+  expect_reports_identical(monolithic_sweep(task, opts),
+                           sweep(task, opts, &stats));
   // base+FP16 share one preprocess key; resize and norm options and the
   // combined config each get their own.
   EXPECT_EQ(stats.evaluations, 5u);
@@ -292,8 +306,8 @@ TEST(StagedRealModels, DetectorStagedMatchesMonolithicWithoutPostprocForward) {
   SweepOptions opts;
   opts.registry = &reg;
   StageStats stats;
-  expect_reports_identical(sweep(task, opts),
-                           staged_sweep(task, opts, &stats));
+  expect_reports_identical(monolithic_sweep(task, opts),
+                           sweep(task, opts, &stats));
   // The post-proc option rode on the training-default forward pass: one
   // forward fewer than planned evaluations.
   EXPECT_EQ(stats.evaluations, 6u);
@@ -307,9 +321,9 @@ TEST(StagedRealModels, DetectorStagedMatchesMonolithicWithoutPostprocForward) {
   const auto& ds = models::benchmark_det_dataset();
   const auto spec = models::det_pipeline_spec();
   const auto batches = models::preprocess_det_batches(ds, offset_cfg, spec);
-  const auto raw =
-      models::detector_forward_batches(*td.model, batches, offset_cfg, &td.ranges);
-  EXPECT_EQ(models::detector_map_from_raw(*td.model, raw, ds, offset_cfg),
+  const auto raw = models::detector_forward_batches_multi(
+      *td.model, {&batches}, offset_cfg, &td.ranges);
+  EXPECT_EQ(models::detector_map_from_raw(*td.model, raw.front(), ds, offset_cfg),
             models::eval_detector(*td.model, ds, offset_cfg, spec, &td.ranges));
 }
 
@@ -319,7 +333,7 @@ TEST(StagedRealModels, SegmenterStagedMatchesMonolithic) {
   const AxisRegistry reg = tiny_registry(false);
   SweepOptions opts;
   opts.registry = &reg;
-  expect_reports_identical(sweep(task, opts), staged_sweep(task, opts));
+  expect_reports_identical(monolithic_sweep(task, opts), sweep(task, opts));
 }
 
 }  // namespace

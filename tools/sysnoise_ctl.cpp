@@ -18,6 +18,7 @@
 // (deterministic bytes, made for diffing). Exit status: 0 on success, 2 on
 // usage errors, 1 on any failure (including a job that ends canceled or
 // failed).
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -110,14 +111,14 @@ int main(int argc, char** argv) {
       if (++i >= argc) usage(argv[0]);
       jobs_path = argv[i];
     } else if (arg == "--priority") {
-      if (++i >= argc) usage(argv[0]);
-      priority = std::atoi(argv[i]);
+      if (++i >= argc || !net::parse_int(argv[i], INT_MIN, INT_MAX, &priority))
+        usage(argv[0]);
     } else if (arg == "--name") {
       if (++i >= argc) usage(argv[0]);
       name = argv[i];
     } else if (arg == "--job") {
-      if (++i >= argc) usage(argv[0]);
-      job = std::atoi(argv[i]);
+      if (++i >= argc || !net::parse_int(argv[i], 0, INT_MAX, &job))
+        usage(argv[0]);
     } else if (arg == "--out") {
       if (++i >= argc) usage(argv[0]);
       out_file = argv[i];
