@@ -206,8 +206,9 @@ void BM_FullTableSweepStaged(benchmark::State& state) {
 BENCHMARK(BM_FullTableSweepStaged)->Unit(benchmark::kMillisecond);
 
 // Batched engine (PR 5): staged sharing plus cross-config batched forwards —
-// forward-batch-compatible configs (same weights + inference knobs) stack
-// their stage-1 batches through one network invocation.
+// configs sharing the synthetic task's forward_batch_key (it opts in: its
+// per-invocation overhead is what stacking amortizes) go through one
+// network invocation.
 void BM_FullTableSweepBatched(benchmark::State& state) {
   const auto task = make_sweep_task(core::TaskKind::kDetection);
   const double trained = task.evaluate(SysNoiseConfig::training_default());

@@ -41,10 +41,9 @@ int main(int argc, char** argv) {
               ds.eval[static_cast<std::size_t>(i)].jpeg, *codec, spec));
         batches.inputs.push_back(models::stack_batch(inputs));
       }
-      return models::eval_classifier_batches_multi(
-                 *tc.model, {&batches}, ds.eval,
-                 SysNoiseConfig::training_default(), &tc.ranges)
-          .front();
+      return models::eval_classifier_batches(
+          *tc.model, batches, ds.eval, SysNoiseConfig::training_default(),
+          &tc.ranges);
     }
     SysNoiseConfig cfg = SysNoiseConfig::training_default();
     cfg.decoder = dec == "Pillow" ? jpeg::DecoderVendor::kPillow

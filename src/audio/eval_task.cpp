@@ -126,8 +126,4 @@ double TtsTask::run_postprocess(const SysNoiseConfig& cfg,
   return total / static_cast<double>(n);
 }
 
-std::string TtsTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return tt_.name + "|batch" + core::forward_key_suffix(cfg);
-}
-
 }  // namespace sysnoise::audio

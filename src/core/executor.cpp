@@ -72,16 +72,13 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
                    });
 
   // Batch sets: forward-key groups whose configs advertise the same
-  // forward_batch_key (same weights + inference knobs, different
-  // pre-processing) are computed by ONE stacked forward invocation, capped
-  // at max_forward_batch groups per call so the stacked tensor's memory
-  // stays bounded. Groups that opt out (empty key) stay singleton sets; so
-  // does everything when batching is disabled.
+  // forward_batch_key (a task that opts in; see staged_eval.h) are computed
+  // by ONE stacked forward invocation of at most kMaxForwardBatch groups.
+  // Groups that opt out (empty key) stay singleton sets; so does everything
+  // when batching is disabled.
   std::vector<std::vector<std::size_t>> sets;
   sets.reserve(groups.size());
   {
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(1, opts.max_forward_batch));
     std::map<std::string, std::size_t> open_set;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const std::string batch_key =
@@ -93,7 +90,8 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
         continue;
       }
       const auto it = open_set.find(batch_key);
-      if (it != open_set.end() && sets[it->second].size() < cap) {
+      if (it != open_set.end() &&
+          sets[it->second].size() < kMaxForwardBatch) {
         sets[it->second].push_back(g);
       } else {
         open_set[batch_key] = sets.size();

@@ -12,13 +12,14 @@
 //    oracle the other executors are tested against.
 //  * StagedExecutor — the engine behind sweep()/stepwise(): stage-shared
 //    evaluation for StagedEvalTasks (configs grouped by forward key;
-//    pre-processing computed once per preprocess key), with cross-config
-//    batched forwards: forward-key groups whose configs advertise the same
-//    forward_batch_key (same weights + inference knobs) stack their stage-1
-//    batches through ONE network invocation (SweepOptions::batch_forwards /
-//    max_forward_batch). Optionally backed by a disk StageCache so products
-//    persist across processes and bench binaries. Falls back to the
-//    monolithic path for tasks that are not staged.
+//    pre-processing computed once per preprocess key; one forward call per
+//    forward key, run in parallel). A task that opts into cross-config
+//    batching (forward_batch_key, see staged_eval.h) has up to
+//    kMaxForwardBatch compatible groups stacked through ONE network
+//    invocation instead (SweepOptions::batch_forwards); the zoo models do
+//    not. Optionally backed by a disk StageCache so products persist across
+//    processes and bench binaries. Falls back to the monolithic path for
+//    tasks that are not staged.
 //  * ShardExecutor — deterministically partitions the plan into i/N slices
 //    (plan-order round-robin), executes only its slice through an inner
 //    executor, and statically merges partial MetricMaps back into the full

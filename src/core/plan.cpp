@@ -165,14 +165,9 @@ std::string planned_forward_suffix(const PlannedConfig& p) {
 }
 
 std::vector<std::vector<std::size_t>> plan_work_units(const SweepPlan& plan) {
-  return plan_work_units(plan, WorkUnitOptions{});
-}
-
-std::vector<std::vector<std::size_t>> plan_work_units(
-    const SweepPlan& plan, const WorkUnitOptions& opts) {
   struct Unit {
     std::string pre_key;
-    std::string suffix;  // forward-batch compatibility ("" = not mergeable)
+    std::string suffix;  // planned_forward_suffix ("" = not mergeable)
     std::vector<std::size_t> members;
     std::size_t groups = 1;  // forward-key groups merged into this unit
   };
@@ -199,30 +194,26 @@ std::vector<std::vector<std::size_t>> plan_work_units(
                    [](const Unit& a, const Unit& b) {
                      return a.pre_key < b.pre_key;
                    });
-  if (opts.merge_batch_compatible) {
-    // Concatenate forward groups sharing a suffix (up to the cap) so one
-    // lease holds a whole batchable set; pre-key order within a merged unit
-    // is preserved from the sort above.
-    const std::size_t cap = std::max<std::size_t>(1, opts.max_groups_per_unit);
-    std::vector<Unit> merged;
-    std::map<std::string, std::size_t> open;  // suffix -> merged index
-    for (Unit& u : units) {
-      const auto it = u.suffix.empty() ? open.end() : open.find(u.suffix);
-      if (it != open.end() && merged[it->second].groups < cap) {
-        Unit& dst = merged[it->second];
-        dst.members.insert(dst.members.end(), u.members.begin(),
-                           u.members.end());
-        ++dst.groups;
-      } else {
-        if (!u.suffix.empty()) open[u.suffix] = merged.size();
-        merged.push_back(std::move(u));
-      }
+  // Concatenate forward groups sharing a suffix (up to the cap) into one
+  // lease; pre-key order within a merged unit is preserved from the sort
+  // above.
+  std::vector<Unit> merged;
+  std::map<std::string, std::size_t> open;  // suffix -> merged index
+  for (Unit& u : units) {
+    const auto it = u.suffix.empty() ? open.end() : open.find(u.suffix);
+    if (it != open.end() && merged[it->second].groups < kMaxForwardBatch) {
+      Unit& dst = merged[it->second];
+      dst.members.insert(dst.members.end(), u.members.begin(),
+                         u.members.end());
+      ++dst.groups;
+    } else {
+      if (!u.suffix.empty()) open[u.suffix] = merged.size();
+      merged.push_back(std::move(u));
     }
-    units = std::move(merged);
   }
   std::vector<std::vector<std::size_t>> out;
-  out.reserve(units.size());
-  for (Unit& u : units) out.push_back(std::move(u.members));
+  out.reserve(merged.size());
+  for (Unit& u : merged) out.push_back(std::move(u.members));
   return out;
 }
 

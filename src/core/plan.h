@@ -102,34 +102,25 @@ std::vector<StepPoint> assemble_steps(const SweepPlan& plan,
 // The inference-knob suffix of a planned config's forward key (forward_key
 // minus its preprocess_key prefix). Staged tasks build forward_key as
 // preprocess_key + forward_key_suffix(cfg), so two configs of one plan that
-// share this suffix run the same network invocation over different stage-1
-// products — they are forward-batch-compatible, and an executor may stack
-// their batches through one forward call. Empty for non-staged configs (or
-// keys that don't nest), which opts them out of batching.
+// share this suffix run the same network under the same inference knobs
+// over different stage-1 products. Empty for non-staged configs (or keys
+// that don't nest).
 std::string planned_forward_suffix(const PlannedConfig& p);
 
-// Stage-key-grouped work units: plan.configs indices partitioned so that
+// Stage-key-grouped work units: the unit of leasing in the distributed
+// runtime (svc/service.h). plan.configs indices are partitioned so that
 // configs sharing a forward pass (same forward key — e.g. the detection
-// post-processing options) are never split apart, with units ordered so
-// shared preprocess keys stay adjacent. This is the unit of leasing in the
-// distributed runtime (svc/service.h): splitting a forward group
-// across workers would re-run its forward pass once per worker, while
-// anything coarser would starve dynamic balancing. Plans without stage keys
+// post-processing options) are never split apart, since splitting a
+// forward group across workers would re-run its forward pass once per
+// worker. Forward groups sharing a planned_forward_suffix are then merged,
+// kMaxForwardBatch (core/staged_eval.h) groups at most per unit, so a
+// sweep is leased in a few dozen units rather than one per forward key:
+// every lease costs a round trip, a journal record and a result merge, and
+// the cap keeps units small enough for dynamic balancing. A merged unit
+// lands on one worker, whose StagedExecutor runs its groups in parallel
+// (and stacks them, for a task that opts into batching). Units are ordered
+// so shared preprocess keys stay adjacent. Plans without stage keys
 // (non-staged tasks) degrade to one unit per distinct metric key.
 std::vector<std::vector<std::size_t>> plan_work_units(const SweepPlan& plan);
-
-struct WorkUnitOptions {
-  // Merge forward-key groups whose configs share a forward suffix
-  // (planned_forward_suffix — i.e. the same inference knobs) into one unit,
-  // bounded by max_groups_per_unit. A merged unit lands on ONE worker, whose
-  // StagedExecutor can then stack the groups' pre-processed batches through
-  // a single forward call — this is how cross-config batching reaches the
-  // distributed runtime. The bound keeps leases small enough for dynamic
-  // balancing (and mirrors SweepOptions::max_forward_batch).
-  bool merge_batch_compatible = false;
-  std::size_t max_groups_per_unit = 8;
-};
-std::vector<std::vector<std::size_t>> plan_work_units(
-    const SweepPlan& plan, const WorkUnitOptions& opts);
 
 }  // namespace sysnoise::core

@@ -32,6 +32,11 @@ namespace sysnoise::core {
 // Opaque stage intermediate (stacked input batches, raw forward outputs...).
 using StageProduct = std::shared_ptr<const void>;
 
+// The most forward-key groups one stacked forward call covers
+// (StagedExecutor) and one leased work unit holds (plan_work_units): it
+// bounds a stack's memory and keeps leases small enough to balance.
+inline constexpr std::size_t kMaxForwardBatch = 8;
+
 // The canonical encoding of the model-inference knobs (precision, ceil
 // mode, upsample — deliberately NOT proposal_offset, which only the
 // post-processing stage reads). Tasks build their forward key as
@@ -62,13 +67,20 @@ class StagedEvalTask : public EvalTask {
                                  const StageProduct& fwd) const = 0;
 
   // --- optional cross-config batched forwards ----------------------------
-  // Identity of the network invocation independent of pre-processing: the
-  // weights (fingerprint) plus the inference knobs (forward_key_suffix).
+  // Identity of the network invocation independent of pre-processing.
   // Configs sharing this key run the same network over different stage-1
-  // products, so the executor may stack their batches through ONE forward
-  // call (run_forward_batched). The default empty key opts a task out of
-  // batching; forward_key stays the cache identity of the outputs either
-  // way.
+  // products, so the executor may stack up to kMaxForwardBatch of them
+  // through ONE run_forward_batched call (SweepOptions::batch_forwards).
+  // The default empty key opts a task out; forward_key stays the cache
+  // identity of the outputs either way.
+  //
+  // Opt in only when one invocation carries a fixed cost that stacking
+  // amortizes (SyntheticStagedTask's fwd_overhead_rounds). The zoo, NLP and
+  // TTS adapters do not: their eval forwards neither build grads nor copy
+  // FP32 weights, so a stack is just a bigger GEMM that leaves executor
+  // threads idle; one config per call measured faster, at lower peak RSS.
+  // The path stays because the perf harness decorates these two virtuals
+  // and its self-test runs a stacked synthetic sweep.
   virtual std::string forward_batch_key(const SysNoiseConfig& cfg) const {
     (void)cfg;
     return std::string();
@@ -169,14 +181,13 @@ struct StageStats {
   std::size_t forward_disk_hits = 0;
   std::size_t forward_computed = 0;
   std::size_t forward_persisted = 0;
-  // Cross-config batched forward accounting: how many network invocations
-  // the executor actually issued (a batched invocation computes several
-  // forward-key groups' products at once, so calls <= forward_computed and,
-  // with batch-compatible configs present, strictly fewer). The other two
+  // Forward invocation accounting: how many network invocations the
+  // executor actually issued. Only a task that opts into batching
+  // (forward_batch_key) has one invocation compute several forward-key
+  // groups' products; otherwise calls == forward_computed. The other two
   // count only MULTI-group invocations — genuine cross-config stacks, not
   // stage sharing within one forward group: planned evaluations covered by
-  // such calls, and the largest such stack. configs-per-batch =
-  // evaluations / batched_forward_calls.
+  // such calls, and the largest such stack (0 when nothing stacked).
   std::size_t batched_forward_calls = 0;
   std::size_t batched_forward_configs = 0;
   std::size_t max_configs_per_batch = 0;

@@ -1,11 +1,10 @@
 // Unified sweep engine: one generic sweep()/stepwise() pair drives any
 // EvalTask over every applicable NoiseAxis in the registry, replacing the
 // old per-task measure_*/stepwise_* quintuplet. Both run the StagedExecutor
-// (core/executor.h): stage products are shared by key, compatible forwards
-// are batched, and tasks that are not staged fall back to the monolithic
-// evaluate() chain. Identical configs are memoized through an optional
-// cross-call SweepCache (the trained-baseline eval used to be recomputed by
-// every entry point).
+// (core/executor.h): stage products are shared by key, and tasks that are
+// not staged fall back to the monolithic evaluate() chain. Identical
+// configs are memoized through an optional cross-call SweepCache (the
+// trained-baseline eval used to be recomputed by every entry point).
 #pragma once
 
 #include <cstddef>
@@ -64,15 +63,12 @@ struct SweepOptions {
   bool memoize = true;          // dedup identical configs within a call
   SweepCache* cache = nullptr;  // optional cross-call memo
   const AxisRegistry* registry = nullptr;  // default: AxisRegistry::global()
-  // Cross-config batched forwards (StagedExecutor): configs whose networks
-  // are forward-batch-compatible (same weights fingerprint + inference
-  // knobs, different pre-processing) have their stage-1 batches stacked
-  // through one forward call. Bit-identical to the unbatched staged sweep;
-  // only invocation count and wall time change.
+  // Cross-config batched forwards (StagedExecutor) for tasks that opt in
+  // through StagedEvalTask::forward_batch_key: their compatible configs'
+  // stage-1 products go through one stacked forward call. Bit-identical to
+  // the unbatched staged sweep; only invocation count and wall time change.
+  // Tasks that do not opt in (every zoo, NLP and TTS adapter) ignore it.
   bool batch_forwards = true;
-  // Upper bound on forward-key groups stacked into one batched call (bounds
-  // the stacked tensor's memory to max_forward_batch x the per-config batch).
-  int max_forward_batch = 8;
 };
 
 struct OptionDelta {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "jpeg/huffman.h"
 #include "jpeg/quant_tables.h"
@@ -349,6 +350,12 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
       case 0xC0: {  // SOF0
         j.height = get_u16(d, p + 1);
         j.width = get_u16(d, p + 3);
+        if (j.height == 0 || j.width == 0 ||
+            std::int64_t{j.height} * j.width > kMaxFramePixels)
+          throw std::runtime_error("jpeg::decode: frame " +
+                                   std::to_string(j.width) + "x" +
+                                   std::to_string(j.height) +
+                                   " is empty or too large");
         const int ncomp = d[p + 5];
         if (ncomp != 3) throw std::runtime_error("jpeg::decode: need 3 components");
         const std::uint8_t y_sampling = d[p + 7];

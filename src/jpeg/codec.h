@@ -43,7 +43,16 @@ VendorTraits vendor_traits(DecoderVendor v);
 // Encode an interleaved RGB image to a JFIF byte stream.
 std::vector<std::uint8_t> encode(const ImageU8& rgb, const EncodeOptions& opts = {});
 
+// Largest frame (height x width) the decoder accepts: far above any image
+// the benchmark decodes, and it bounds what a frame header can make the
+// decoder allocate (a few hundred bytes claiming 12288x12288 would
+// otherwise cost ~1.3 GB of planes).
+constexpr std::int64_t kMaxFramePixels = std::int64_t{1} << 24;  // 4096^2
+
 // Decode a stream produced by encode() with the given vendor behaviour.
+// Throws std::runtime_error on a malformed stream, including a frame with a
+// zero dimension or more than kMaxFramePixels pixels (checked before any
+// plane is allocated).
 ImageU8 decode(const std::vector<std::uint8_t>& bytes, DecoderVendor vendor);
 
 // Decode with explicit traits (used by tests and ablations).

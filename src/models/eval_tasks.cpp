@@ -237,54 +237,19 @@ std::string weights_fingerprint(Model& model, const nn::ActRanges& ranges) {
   return os.str();
 }
 
-// The lazily-computed (call_once) fingerprint shared by forward_scope and
-// forward_batch_key: both must pin the exact weights the outputs came from.
-template <typename Trained>
-const std::string& cached_weights_fp(Trained& trained, std::once_flag& once,
-                                     std::string* fp) {
-  std::call_once(once, [&] {
-    *fp = weights_fingerprint(*trained.model, trained.ranges);
-  });
-  return *fp;
-}
-
-// One scope builder for all three adapters, so the format (and the cached
-// call_once fingerprint discipline) cannot drift between task kinds.
+// The forward scope of all three adapters, so the format (and the
+// call_once fingerprint discipline) cannot drift between task kinds. The
+// lazily-computed weights fingerprint pins the exact weights the outputs
+// came from (zoo names survive retrains).
 template <typename Trained>
 std::string cached_forward_scope(const core::StagedEvalTask& task,
                                  Trained& trained, std::once_flag& once,
                                  std::string* fp) {
+  std::call_once(once, [&] {
+    *fp = weights_fingerprint(*trained.model, trained.ranges);
+  });
   return task.preprocess_scope() + "|fwd=" + task.cache_identity() + "#w" +
-         cached_weights_fp(trained, once, fp);
-}
-
-// Forward-batch compatibility: the network invocation's identity is the
-// weights (fingerprint — zoo names survive retrains) plus the inference
-// knobs; pre-processing deliberately stays out, that is what gets stacked.
-template <typename Trained>
-std::string cached_batch_key(const core::StagedEvalTask& task, Trained& trained,
-                             std::once_flag& once, std::string* fp,
-                             const SysNoiseConfig& cfg) {
-  return task.cache_identity() + "#w" + cached_weights_fp(trained, once, fp) +
-         core::forward_key_suffix(cfg);
-}
-
-std::vector<const PreprocessedBatches*> batches_of(
-    const std::vector<core::StageProduct>& pres) {
-  std::vector<const PreprocessedBatches*> out;
-  out.reserve(pres.size());
-  for (const core::StageProduct& p : pres)
-    out.push_back(static_cast<const PreprocessedBatches*>(p.get()));
-  return out;
-}
-
-// One stage-2 product per config, in order.
-template <typename T>
-std::vector<core::StageProduct> products_of(std::vector<T> values) {
-  std::vector<core::StageProduct> out;
-  out.reserve(values.size());
-  for (T& v : values) out.push_back(std::make_shared<const T>(std::move(v)));
-  return out;
+         *fp;
 }
 
 }  // namespace
@@ -310,27 +275,16 @@ core::StageProduct ClassifierTask::run_preprocess(const SysNoiseConfig& cfg) con
       benchmark_cls_dataset().eval, cfg, cls_pipeline_spec()));
 }
 
-// The adapters' single-config forward is the batched loop over one config.
 core::StageProduct ClassifierTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return run_forward_batched({&cfg}, {pre}).front();
+  return std::make_shared<const double>(eval_classifier_batches(
+      *tc_.model, *static_cast<const PreprocessedBatches*>(pre.get()),
+      benchmark_cls_dataset().eval, cfg, &tc_.ranges));
 }
 
 double ClassifierTask::run_postprocess(const SysNoiseConfig&,
                                        const core::StageProduct& fwd) const {
   return *static_cast<const double*>(fwd.get());
-}
-
-std::string ClassifierTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, tc_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> ClassifierTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  return products_of(eval_classifier_batches_multi(
-      *tc_.model, batches_of(pres), benchmark_cls_dataset().eval,
-      *cfgs.front(), &tc_.ranges));
 }
 
 std::string ClassifierTask::preprocess_scope() const {
@@ -385,24 +339,15 @@ core::StageProduct DetectorTask::run_preprocess(const SysNoiseConfig& cfg) const
 
 core::StageProduct DetectorTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return run_forward_batched({&cfg}, {pre}).front();
+  return std::make_shared<const RawDetections>(detector_forward_batches(
+      *td_.model, *static_cast<const PreprocessedBatches*>(pre.get()), cfg,
+      &td_.ranges));
 }
 
 double DetectorTask::run_postprocess(const SysNoiseConfig& cfg,
                                      const core::StageProduct& fwd) const {
   const auto& raw = *static_cast<const RawDetections*>(fwd.get());
   return detector_map_from_raw(*td_.model, raw, benchmark_det_dataset(), cfg);
-}
-
-std::string DetectorTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, td_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> DetectorTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  return products_of(detector_forward_batches_multi(
-      *td_.model, batches_of(pres), *cfgs.front(), &td_.ranges));
 }
 
 std::string DetectorTask::preprocess_scope() const {
@@ -460,24 +405,14 @@ core::StageProduct SegmenterTask::run_preprocess(const SysNoiseConfig& cfg) cons
 
 core::StageProduct SegmenterTask::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return run_forward_batched({&cfg}, {pre}).front();
+  return std::make_shared<const double>(eval_segmenter_batches(
+      *ts_.model, *static_cast<const PreprocessedBatches*>(pre.get()),
+      benchmark_seg_dataset(), cfg, &ts_.ranges));
 }
 
 double SegmenterTask::run_postprocess(const SysNoiseConfig&,
                                       const core::StageProduct& fwd) const {
   return *static_cast<const double*>(fwd.get());
-}
-
-std::string SegmenterTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, ts_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> SegmenterTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  return products_of(eval_segmenter_batches_multi(
-      *ts_.model, batches_of(pres), benchmark_seg_dataset(), *cfgs.front(),
-      &ts_.ranges));
 }
 
 std::string SegmenterTask::preprocess_scope() const {

@@ -1,7 +1,6 @@
 #include "models/train.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "nn/optim.h"
 #include "seg/miou.h"
@@ -11,38 +10,6 @@ namespace sysnoise::models {
 using namespace sysnoise::nn;
 
 Tensor stack_batch(const std::vector<Tensor>& items) { return stack_front(items); }
-
-namespace {
-
-// The multi-config loops stack aligned batch indices across configs, so
-// every config's stage-1 product must carry the same batch layout (they all
-// pre-process the same dataset with the same batch size — only the knobs
-// differ).
-void check_same_layout(const std::vector<const PreprocessedBatches*>& per_cfg) {
-  const PreprocessedBatches* ref = per_cfg.front();
-  for (const PreprocessedBatches* pc : per_cfg)
-    if (pc == nullptr || pc->num_samples != ref->num_samples ||
-        pc->batch_size != ref->batch_size ||
-        pc->inputs.size() != ref->inputs.size())
-      throw std::invalid_argument(
-          "batched forward: configs' stage-1 batch layouts differ");
-}
-
-// Stack batch index `bi` of every config into one [sum(b_i), ...] tensor;
-// `fronts` receives each config's contribution for the split on the way out.
-Tensor stack_config_batch(const std::vector<const PreprocessedBatches*>& per_cfg,
-                          std::size_t bi, std::vector<int>* fronts) {
-  std::vector<const Tensor*> parts;
-  parts.reserve(per_cfg.size());
-  fronts->clear();
-  for (const PreprocessedBatches* pc : per_cfg) {
-    parts.push_back(&pc->inputs[bi]);
-    fronts->push_back(pc->inputs[bi].dim(0));
-  }
-  return stack_parts(parts);
-}
-
-}  // namespace
 
 ClsPreprocessor default_cls_preprocessor(const PipelineSpec& spec) {
   const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
@@ -111,45 +78,30 @@ PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& e
   return preprocess_batches(jpegs, cfg, spec, batch_size);
 }
 
-std::vector<double> eval_classifier_batches_multi(
-    Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
-    ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<int> correct(k, 0);
-  int b = 0;
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
+double eval_classifier_batches(Classifier& model,
+                               const PreprocessedBatches& batches,
+                               const std::vector<data::ClsSample>& eval,
+                               const SysNoiseConfig& cfg, ActRanges* ranges) {
+  int correct = 0;
+  std::size_t sample = 0;
+  for (const Tensor& input : batches.inputs) {
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(
-        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
+    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
     const int classes = logits->value.dim(1);
     const float* row_logits = logits->value.data();
-    for (std::size_t ci = 0; ci < k; ++ci)
-      for (int i = 0; i < fronts[ci]; ++i, row_logits += classes)
-        if (first_argmax(row_logits, classes) ==
-            eval[static_cast<std::size_t>(b + i)].label)
-          ++correct[ci];
-    b += fronts.front();
+    for (int i = 0; i < input.dim(0); ++i, row_logits += classes)
+      if (first_argmax(row_logits, classes) == eval[sample++].label) ++correct;
   }
-  std::vector<double> accs;
-  accs.reserve(k);
-  for (std::size_t ci = 0; ci < k; ++ci)
-    accs.push_back(100.0 * correct[ci] /
-                   std::max(1, per_cfg[ci]->num_samples));
-  return accs;
+  return 100.0 * correct / std::max(1, batches.num_samples);
 }
 
 double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& eval,
                        const SysNoiseConfig& cfg, const PipelineSpec& spec,
                        ActRanges* ranges, int batch_size) {
-  const PreprocessedBatches batches =
-      preprocess_cls_batches(eval, cfg, spec, batch_size);
-  return eval_classifier_batches_multi(model, {&batches}, eval, cfg, ranges)
-      .front();
+  return eval_classifier_batches(
+      model, preprocess_cls_batches(eval, cfg, spec, batch_size), eval, cfg,
+      ranges);
 }
 
 void calibrate_classifier(Classifier& model,
@@ -224,35 +176,19 @@ PreprocessedBatches preprocess_det_batches(const data::DetDataset& ds,
   return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/8);
 }
 
-std::vector<RawDetections> detector_forward_batches_multi(
-    Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const SysNoiseConfig& cfg, ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<RawDetections> out(k);
-  for (RawDetections& r : out) r.batches.reserve(per_cfg.front()->inputs.size());
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
+RawDetections detector_forward_batches(Detector& model,
+                                       const PreprocessedBatches& batches,
+                                       const SysNoiseConfig& cfg,
+                                       ActRanges* ranges) {
+  RawDetections raw;
+  raw.batches.reserve(batches.inputs.size());
+  for (const Tensor& input : batches.inputs) {
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    DetectorOutput o = model.forward(
-        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
-    const RawDetectorOutput raw = detach_detector_output(o);
-    std::vector<RawDetectorOutput> subs(k);
-    for (RawDetectorOutput& sub : subs) sub.shapes = raw.shapes;
-    for (std::size_t l = 0; l < raw.cls.size(); ++l) {
-      std::vector<Tensor> cls = unstack_parts(raw.cls[l], fronts);
-      std::vector<Tensor> reg = unstack_parts(raw.reg[l], fronts);
-      for (std::size_t ci = 0; ci < k; ++ci) {
-        subs[ci].cls.push_back(std::move(cls[ci]));
-        subs[ci].reg.push_back(std::move(reg[ci]));
-      }
-    }
-    for (std::size_t ci = 0; ci < k; ++ci)
-      out[ci].batches.push_back(std::move(subs[ci]));
+    DetectorOutput o = model.forward(t, t.input(input), BnMode::kEval);
+    raw.batches.push_back(detach_detector_output(o));
   }
-  return out;
+  return raw;
 }
 
 double detector_map_from_raw(const Detector& model, const RawDetections& raw,
@@ -274,10 +210,9 @@ double detector_map_from_raw(const Detector& model, const RawDetections& raw,
 double eval_detector(Detector& model, const data::DetDataset& ds,
                      const SysNoiseConfig& cfg, const PipelineSpec& spec,
                      ActRanges* ranges) {
-  const PreprocessedBatches batches = preprocess_det_batches(ds, cfg, spec);
-  const std::vector<RawDetections> raw =
-      detector_forward_batches_multi(model, {&batches}, cfg, ranges);
-  return detector_map_from_raw(model, raw.front(), ds, cfg);
+  const RawDetections raw = detector_forward_batches(
+      model, preprocess_det_batches(ds, cfg, spec), cfg, ranges);
+  return detector_map_from_raw(model, raw, ds, cfg);
 }
 
 void calibrate_detector(Detector& model, const data::DetDataset& ds,
@@ -355,47 +290,35 @@ PreprocessedBatches preprocess_seg_batches(const data::SegDataset& ds,
   return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/4);
 }
 
-std::vector<double> eval_segmenter_batches_multi(
-    Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const data::SegDataset& ds, const SysNoiseConfig& cfg, ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<std::vector<int>> all_pred(k);
-  std::vector<int> all_gt;  // dataset order; identical for every config
+double eval_segmenter_batches(Segmenter& model,
+                              const PreprocessedBatches& batches,
+                              const data::SegDataset& ds,
+                              const SysNoiseConfig& cfg, ActRanges* ranges) {
+  std::vector<int> all_pred, all_gt;
   std::size_t sample = 0;
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
+  for (const Tensor& input : batches.inputs) {
     Tape t;
     t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(
-        t, t.input(stack_config_batch(per_cfg, bi, &fronts)), BnMode::kEval);
+    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
     const int c = logits->value.dim(1), h = logits->value.dim(2),
               w = logits->value.dim(3);
     // Per-pixel argmax over the channel axis (channel stride h * w).
     const float* scores = logits->value.data();
-    for (std::size_t ci = 0; ci < k; ++ci)
-      for (int i = 0; i < fronts[ci]; ++i, scores += c * h * w)
-        for (int px = 0; px < h * w; ++px)
-          all_pred[ci].push_back(first_argmax(scores + px, c, h * w));
-    for (int i = 0; i < fronts.front(); ++i) {
+    for (int i = 0; i < input.dim(0); ++i, scores += c * h * w) {
+      for (int px = 0; px < h * w; ++px)
+        all_pred.push_back(first_argmax(scores + px, c, h * w));
       const auto& mask = ds.eval[sample++].mask;
       all_gt.insert(all_gt.end(), mask.begin(), mask.end());
     }
   }
-  std::vector<double> out;
-  out.reserve(k);
-  for (std::size_t ci = 0; ci < k; ++ci)
-    out.push_back(100.0 * seg::mean_iou(all_pred[ci], all_gt, ds.num_classes));
-  return out;
+  return 100.0 * seg::mean_iou(all_pred, all_gt, ds.num_classes);
 }
 
 double eval_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const SysNoiseConfig& cfg, const PipelineSpec& spec,
                       ActRanges* ranges) {
-  const PreprocessedBatches batches = preprocess_seg_batches(ds, cfg, spec);
-  return eval_segmenter_batches_multi(model, {&batches}, ds, cfg, ranges)
-      .front();
+  return eval_segmenter_batches(model, preprocess_seg_batches(ds, cfg, spec),
+                                ds, cfg, ranges);
 }
 
 void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,

@@ -54,19 +54,16 @@ inline int first_argmax(const float* v, int n, std::ptrdiff_t stride = 1) {
   return best;
 }
 
-// The forward+metric loop over already-materialized stage-1 batches
-// (`cfg` supplies only the inference-side knobs here). `per_cfg` holds one
-// stage-1 product per config (same dataset, same batch layout, different
-// pre-processing knobs); aligned batches are stacked along the leading axis
-// and pushed through ONE forward pass per batch index, then split back per
-// config — every op in the network is per-sample, so each config's metric
-// is bit-identical to a call with that config alone. eval_classifier() is
-// preprocess_cls_batches + this loop over `{&batches}`. Throws
-// std::invalid_argument on batch-layout mismatch.
-std::vector<double> eval_classifier_batches_multi(
-    Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
-    nn::ActRanges* ranges);
+// The forward+metric loop over already-materialized stage-1 batches, one
+// forward pass per batch (`cfg` supplies only the inference-side knobs
+// here). eval_classifier() is preprocess_cls_batches + this loop; the
+// sweep adapter (ClassifierTask) and serving's offline baseline call it
+// directly.
+double eval_classifier_batches(Classifier& model,
+                               const PreprocessedBatches& batches,
+                               const std::vector<data::ClsSample>& eval,
+                               const SysNoiseConfig& cfg,
+                               nn::ActRanges* ranges);
 
 // Stage-1 materialization for each task family, with the batch sizes the
 // eval_* entry points use (cls 16, det 8, seg 4).
@@ -106,12 +103,12 @@ struct RawDetections {
   std::vector<RawDetectorOutput> batches;  // forward outputs per eval batch
 };
 
-// One forward per aligned batch index over the stacked configs, the
-// per-level output tensors split back into per-config RawDetections (see
-// eval_classifier_batches_multi).
-std::vector<RawDetections> detector_forward_batches_multi(
-    Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const SysNoiseConfig& cfg, nn::ActRanges* ranges);
+// The forward loop (see eval_classifier_batches): one tape-free
+// RawDetectorOutput per stage-1 batch.
+RawDetections detector_forward_batches(Detector& model,
+                                       const PreprocessedBatches& batches,
+                                       const SysNoiseConfig& cfg,
+                                       nn::ActRanges* ranges);
 
 double detector_map_from_raw(const Detector& model, const RawDetections& raw,
                              const data::DetDataset& ds,
@@ -131,11 +128,11 @@ double eval_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const SysNoiseConfig& cfg, const PipelineSpec& spec,
                       nn::ActRanges* ranges);
 
-// The forward+metric loop (see eval_classifier_batches_multi).
-std::vector<double> eval_segmenter_batches_multi(
-    Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const data::SegDataset& ds, const SysNoiseConfig& cfg,
-    nn::ActRanges* ranges);
+// The forward+metric loop (see eval_classifier_batches).
+double eval_segmenter_batches(Segmenter& model,
+                              const PreprocessedBatches& batches,
+                              const data::SegDataset& ds,
+                              const SysNoiseConfig& cfg, nn::ActRanges* ranges);
 
 void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,
                          const PipelineSpec& spec, nn::ActRanges& ranges,

@@ -1,6 +1,8 @@
 #include "net/socket.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -37,6 +39,21 @@ bool parse_int(const std::string& text, int min, int max, int* out) {
   if (negative) value = -value;
   if (value < min || value > max) return false;
   *out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_double(const std::string& text, double min, double max,
+                  double* out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789.eE+-") != std::string::npos)
+    return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(value) || value < min || value > max)
+    return false;
+  *out = value;
   return true;
 }
 

@@ -18,6 +18,14 @@ namespace sysnoise::net {
 // Behind the benches' dist flags, sysnoise_ctl's and the port below.
 bool parse_int(const std::string& text, int min, int max, int* out);
 
+// Strict decimal floating-point number ("2", "-0.5", "1e3", ".25"): `text`
+// must be non-empty, hold only digits, '.', 'e'/'E' and signs, parse
+// completely, be finite (no nan/inf, no overflow or underflow to a
+// denormal) and lie in [min, max]. Returns false otherwise and never writes
+// *out then — the atof of a typo'd flag ("2ms") would silently read 2.
+bool parse_double(const std::string& text, double min, double max,
+                  double* out);
+
 // Parse "host:port" (the last ':' splits, so bare IPv6 is out of scope —
 // the runtime is IPv4-only). Returns false unless the host is non-empty and
 // the port is all digits in [1, 65535]. The one parser behind every

@@ -8,14 +8,14 @@
 // calibration), every op's output for batch item n depends ONLY on input
 // item n — batchnorm uses running stats, pooling/conv/linear/upsample are
 // per-sample loops or per-row GEMMs with a fixed accumulation order, and
-// the precision hooks quantize elementwise against calibrated ranges. The
-// cross-config batched forward engine (core/executor.cpp) relies on this:
-// stacking batches from several sweep configs along the leading axis and
-// splitting the outputs must be bit-identical to separate forwards (tested
-// in tests/test_batched_forward.cpp). Any new op that mixes information
-// across the batch dimension in eval mode breaks that contract and must
-// not be reachable from model forwards, or batching must be disabled for
-// tasks using it (forward_batch_key() returning "").
+// the precision hooks quantize elementwise against calibrated ranges.
+// Serving micro-batching relies on this: a request's prediction must not
+// depend on which other requests share its batch, so served accuracy
+// equals the offline metric bit-exactly (ServeAccuracy tests). So does a
+// staged task that opts into cross-config stacking
+// (core::StagedEvalTask::forward_batch_key). Any new op that mixes
+// information across the batch dimension in eval mode breaks that contract
+// and must not be reachable from model forwards.
 #pragma once
 
 #include <string>

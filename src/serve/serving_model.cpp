@@ -47,11 +47,10 @@ bool ClassifierServingModel::correct(int sample, int prediction) const {
 }
 
 double ClassifierServingModel::offline_accuracy() const {
-  const auto batches =
-      models::preprocess_cls_batches(eval_, cfg_, spec_, /*batch_size=*/16);
-  return models::eval_classifier_batches_multi(*tc_.model, {&batches}, eval_,
-                                               cfg_, &tc_.ranges)
-      .front();
+  return models::eval_classifier_batches(
+      *tc_.model,
+      models::preprocess_cls_batches(eval_, cfg_, spec_, /*batch_size=*/16),
+      eval_, cfg_, &tc_.ranges);
 }
 
 namespace {

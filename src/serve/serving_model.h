@@ -4,13 +4,11 @@
 // with one prediction per request. The contract that makes serving
 // measurable against the offline sweep is per-sample batch independence:
 // a sample's prediction must be bit-identical no matter which other
-// requests share its micro-batch — the same property the cross-config
-// batched forward engine pins (tensor: stack_parts; BatchedRealModels
-// tests), extended here from "configs stacked along the batch axis" to
-// "arbitrary request mixes stacked along the batch axis". Under that
+// requests share its micro-batch (the per-sample forward contract of
+// nn/ops.h, with tensor: stack_parts doing the stacking). Under that
 // contract, served accuracy over a trace that covers the evaluation set
 // equals the offline sweep metric bit-exactly, whatever batches the
-// dynamic batcher happened to form.
+// dynamic batcher happened to form (ServeAccuracy tests).
 //
 // Two implementations: ClassifierServingModel binds a trained zoo
 // classifier plus a deployment config (the stage-1 pre-processing for
@@ -60,7 +58,7 @@ class ClassifierServingModel : public ServingModel {
   const SysNoiseConfig& config() const { return cfg_; }
 
   // The offline sweep baseline for this deployment config: the exact
-  // eval_classifier_batches_multi metric (production batch layout, bs=16)
+  // eval_classifier_batches metric (production batch layout, bs=16)
   // the table benches report — what served accuracy is diffed against.
   double offline_accuracy() const;
 

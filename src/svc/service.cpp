@@ -222,10 +222,7 @@ int SweepService::Impl::register_job(std::string name, int priority,
                                      util::Json task_spec, core::SweepPlan plan,
                                      int forced_id, bool journal_it,
                                      const std::string& idem) {
-  core::WorkUnitOptions unit_opts;
-  unit_opts.merge_batch_compatible = true;
-  std::vector<std::vector<std::size_t>> groups =
-      core::plan_work_units(plan, unit_opts);
+  std::vector<std::vector<std::size_t>> groups = core::plan_work_units(plan);
 
   std::lock_guard<std::mutex> lock(mu);
   if (!idem.empty()) {

@@ -1,13 +1,13 @@
-// Tests of the cross-config batched forward engine: synthetic
-// batched-vs-unbatched bit-identity with invocation accounting (including
-// the max_forward_batch cap), the batch-compatible work-unit merge, the
-// eval loops matching the seed single-config loops bytewise for real zoo
-// models of all three task kinds (stacked and alone, including
-// odd/singleton batch sizes), and batched forwards flowing through the
+// Tests of the cross-config batched forward engine, which only a task that
+// opts in through forward_batch_key uses (here SyntheticStagedTask with a
+// per-invocation overhead): batched-vs-unbatched bit-identity with
+// invocation accounting (including the kMaxForwardBatch cap), the work-unit
+// merge under the same cap, and batched forwards flowing through the
 // distributed runtime — both the in-process loopback and the DistExecutor
-// seam.
+// seam. Also the zoo's one-config eval loops against verbatim seed loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
@@ -87,32 +87,41 @@ TEST(BatchedForward, SyntheticSweepBitIdenticalWithFewerInvocationsPerKind) {
   }
 }
 
+// Forward-key groups per forward suffix (inference knobs) in a plan: the
+// groups a batching task may stack together.
+std::map<std::string, std::size_t> groups_per_suffix(const SweepPlan& plan) {
+  std::map<std::string, std::set<std::string>> fwd_keys;
+  for (const PlannedConfig& p : plan.configs)
+    fwd_keys[planned_forward_suffix(p)].insert(p.forward_key);
+  std::map<std::string, std::size_t> out;
+  for (const auto& [suffix, keys] : fwd_keys) out[suffix] = keys.size();
+  return out;
+}
+
 TEST(BatchedForward, MaxForwardBatchCapsInvocationSizeAndKeepsIdentity) {
   const SyntheticStagedTask task(TaskKind::kDetection, true, 2, 2, 1, 3);
   SweepOptions off;
   off.batch_forwards = false;
   const AxisReport expected = sweep(task, off);
 
-  task.reset();
-  SweepOptions wide;  // default cap 8
-  StageStats stats_wide;
-  expect_reports_identical(expected, sweep(task, wide, &stats_wide));
-  const int wide_invocations = task.fwd_invocations();
+  // The default inference knobs are shared by more than kMaxForwardBatch
+  // pre-processing variants, so the cap must split them.
+  const SweepPlan plan = plan_sweep(task, AxisRegistry::global());
+  std::size_t want_invocations = 0, widest = 0;
+  for (const auto& [suffix, n] : groups_per_suffix(plan)) {
+    want_invocations += (n + kMaxForwardBatch - 1) / kMaxForwardBatch;
+    widest = std::max(widest, n);
+  }
+  ASSERT_GT(widest, kMaxForwardBatch);
 
   task.reset();
-  SweepOptions narrow;
-  narrow.max_forward_batch = 2;
-  StageStats stats_narrow;
-  expect_reports_identical(expected, sweep(task, narrow, &stats_narrow));
-  // Smaller stacks -> more invocations, but still fewer than unbatched.
-  EXPECT_GT(task.fwd_invocations(), wide_invocations);
-  EXPECT_LT(stats_narrow.batched_forward_calls, stats_narrow.evaluations);
-
-  task.reset();
-  SweepOptions one;
-  one.max_forward_batch = 1;  // degenerate cap: batching effectively off
-  expect_reports_identical(expected, sweep(task, one));
-  EXPECT_EQ(task.fwd_batched_calls(), 0);
+  StageStats stats;
+  expect_reports_identical(expected, sweep(task, {}, &stats));
+  // Greedy fill per batch key: ceil(groups / cap) invocations per suffix.
+  EXPECT_EQ(static_cast<std::size_t>(task.fwd_invocations()),
+            want_invocations);
+  EXPECT_EQ(stats.batched_forward_calls, want_invocations);
+  EXPECT_GT(task.fwd_batched_calls(), 0);
 }
 
 TEST(BatchedForward, StepwiseSharesBatchedForwardsToo) {
@@ -136,33 +145,32 @@ TEST(BatchedForward, StepwiseSharesBatchedForwardsToo) {
 TEST(BatchedForward, WorkUnitMergeGroupsCompatibleUnitsAndKeepsThePartition) {
   const SyntheticStagedTask task(TaskKind::kDetection, true);
   const SweepPlan plan = plan_sweep(task, AxisRegistry::global());
-  const auto plain = plan_work_units(plan);
-  WorkUnitOptions opts;
-  opts.merge_batch_compatible = true;
-  opts.max_groups_per_unit = 4;
-  const auto merged = plan_work_units(plan, opts);
+  const auto units = plan_work_units(plan);
 
   // Still an exact partition of the config indices.
   std::set<std::size_t> seen;
-  for (const auto& unit : merged)
+  for (const auto& unit : units)
     for (const std::size_t i : unit) {
       EXPECT_LT(i, plan.configs.size());
       EXPECT_TRUE(seen.insert(i).second) << "index leased twice: " << i;
     }
   EXPECT_EQ(seen.size(), plan.configs.size());
 
-  // Pre-processing axes share the default inference knobs, so merging must
-  // produce strictly fewer units, each mixing only one forward suffix and
-  // at most max_groups_per_unit forward keys.
-  EXPECT_LT(merged.size(), plain.size());
-  for (const auto& unit : merged) {
+  // Each unit mixes one forward suffix and at most kMaxForwardBatch forward
+  // keys, and the merge is as coarse as that cap allows: one unit per
+  // ceil(groups / cap) of each suffix, as the executor stacks them.
+  std::size_t want_units = 0;
+  for (const auto& [suffix, n] : groups_per_suffix(plan))
+    want_units += (n + kMaxForwardBatch - 1) / kMaxForwardBatch;
+  EXPECT_EQ(units.size(), want_units);
+  for (const auto& unit : units) {
     std::set<std::string> suffixes, fwd_keys;
     for (const std::size_t i : unit) {
       suffixes.insert(planned_forward_suffix(plan.configs[i]));
       fwd_keys.insert(plan.configs[i].forward_key);
     }
     EXPECT_EQ(suffixes.size(), 1u);
-    EXPECT_LE(fwd_keys.size(), opts.max_groups_per_unit);
+    EXPECT_LE(fwd_keys.size(), kMaxForwardBatch);
   }
 }
 
@@ -183,125 +191,12 @@ TEST(BatchedForward, PlannedForwardSuffixStripsThePreprocessPrefix) {
 }  // namespace sysnoise::core
 
 // ---------------------------------------------------------------------------
-// Real zoo models: batched == unbatched, bit-identical, per task kind
+// Real zoo models: the one-config eval loops against bytewise oracles, the
+// seed's eval loops (verbatim bodies, renamed seed_*).
 // ---------------------------------------------------------------------------
 
 namespace sysnoise::models {
 namespace {
-
-using core::AxisRegistry;
-using core::AxisReport;
-using core::NoiseAxis;
-using core::StageStats;
-using core::SweepOptions;
-using core::TaskKind;
-using core::TaskTraits;
-using core::expect_reports_identical;
-
-// Small private registry (mirrors test_staged_eval's): several
-// pre-processing axes sharing the default inference knobs (the batchable
-// set) plus an inference-side axis that must stay in its own batch.
-AxisRegistry batch_registry(bool with_postproc) {
-  AxisRegistry reg;
-  {
-    NoiseAxis a;
-    a.name = "Resize";
-    a.key = "resize";
-    a.option_labels = {"opencv-nearest", "opencv-bicubic"};
-    a.apply = [](SysNoiseConfig& cfg, int i) {
-      cfg.resize = i == 0 ? ResizeMethod::kOpenCVNearest
-                          : ResizeMethod::kOpenCVBicubic;
-    };
-    a.stage = "Pre-processing";
-    a.tasks_label = "Cls/Det/Seg";
-    a.effect_level = "Very High";
-    reg.add(std::move(a));
-  }
-  {
-    NoiseAxis a;
-    a.name = "Normalize";
-    a.key = "normalize";
-    a.option_labels = {"0.5/0.5"};
-    a.apply = [](SysNoiseConfig& cfg, int) { cfg.norm = NormStats::kHalfHalf; };
-    a.stage = "Pre-processing";
-    a.tasks_label = "Cls/Det/Seg";
-    a.effect_level = "Middle";
-    reg.add(std::move(a));
-  }
-  {
-    NoiseAxis a;
-    a.name = "Precision";
-    a.key = "precision";
-    a.option_labels = {"FP16"};
-    a.apply = [](SysNoiseConfig& cfg, int) {
-      cfg.precision = nn::Precision::kFP16;
-    };
-    a.stage = "Model inference";
-    a.tasks_label = "Cls/Det/Seg";
-    a.effect_level = "High";
-    reg.add(std::move(a));
-  }
-  if (with_postproc) {
-    NoiseAxis a;
-    a.name = "Post-proc";
-    a.key = "postproc";
-    a.option_labels = {"offset-1"};
-    a.applies = [](const TaskTraits& t) {
-      return t.kind == TaskKind::kDetection;
-    };
-    a.apply = [](SysNoiseConfig& cfg, int) { cfg.proposal_offset = 1.0f; };
-    a.stage = "Post-processing";
-    a.tasks_label = "Det";
-    a.effect_level = "Middle";
-    reg.add(std::move(a));
-  }
-  return reg;
-}
-
-// Shared body: staged sweep with batching off vs on must produce identical
-// bits while strictly reducing network invocations.
-void expect_batched_matches(const core::StagedEvalTask& task,
-                            const AxisRegistry& reg) {
-  SweepOptions off;
-  off.registry = &reg;
-  off.batch_forwards = false;
-  StageStats stats_off;
-  const AxisReport unbatched = core::sweep(task, off, &stats_off);
-
-  SweepOptions on;
-  on.registry = &reg;
-  StageStats stats_on;
-  const AxisReport batched = core::sweep(task, on, &stats_on);
-
-  expect_reports_identical(unbatched, batched);
-  EXPECT_LT(stats_on.batched_forward_calls, stats_on.evaluations);
-  EXPECT_LT(stats_on.batched_forward_calls, stats_off.batched_forward_calls);
-  EXPECT_GT(stats_on.batched_forward_configs, 0u);
-  EXPECT_GT(stats_on.max_configs_per_batch, 1u);
-}
-
-TEST(BatchedRealModels, ClassifierBatchedSweepMatchesUnbatched) {
-  auto tc = models::get_classifier("MCUNet");
-  models::ClassifierTask task(tc);
-  expect_batched_matches(task, batch_registry(false));
-}
-
-TEST(BatchedRealModels, DetectorBatchedSweepMatchesUnbatched) {
-  auto td = models::get_detector("RetinaNet-MobileNet");
-  models::DetectorTask task(td);
-  expect_batched_matches(task, batch_registry(true));
-}
-
-TEST(BatchedRealModels, SegmenterBatchedSweepMatchesUnbatched) {
-  auto ts = models::get_segmenter("UNet");
-  models::SegmenterTask task(ts);
-  expect_batched_matches(task, batch_registry(false));
-}
-
-// ---------------------------------------------------------------------------
-// Bytewise oracles: the single-config eval loops as they stood before the
-// multi-config loops became the only ones (verbatim bodies, renamed seed_*).
-// ---------------------------------------------------------------------------
 
 using nn::ActRanges;
 using nn::BnMode;
@@ -388,96 +283,57 @@ PreprocessedBatches batches_of(const std::vector<Sample>& samples,
   return preprocess_batches(jpegs, cfg, spec, bs);
 }
 
-TEST(BatchedRealModels, MultiEvalMatchesPerConfigForOddAndSingletonBatches) {
+TEST(EvalLoops, MatchSeedLoopsForOddAndSingletonBatches) {
   SysNoiseConfig a = SysNoiseConfig::training_default();
   SysNoiseConfig b = a;
   b.resize = ResizeMethod::kOpenCVNearest;
   SysNoiseConfig c = a;
   c.norm = NormStats::kHalfHalf;
   const std::vector<const SysNoiseConfig*> cfgs = {&a, &b, &c};
-  auto stage1 = [&](const auto& samples, const PipelineSpec& spec, int bs) {
-    std::vector<PreprocessedBatches> pre;
-    for (const SysNoiseConfig* cfg : cfgs)
-      pre.push_back(batches_of(samples, *cfg, spec, bs));
-    return pre;
-  };
 
-  // Batch size 1 stacks singletons; the others leave short tails (cls 200
+  // Batch size 1 runs singletons; the others leave short tails (cls 200
   // = 66x3+2, det 40 = 13x3+1, seg 30 = 4x7+2) or are the production
-  // layout. Every layout must reproduce the seed loops bytewise, both for
-  // the three configs stacked and for each config alone (the production
-  // eval_* / run_forward call).
+  // layout. Every layout must reproduce the seed loops bytewise for each
+  // config (the production eval_* / run_forward call).
   auto tc = models::get_classifier("MCUNet");
   const auto& cls_eval = models::benchmark_cls_dataset().eval;
-  for (const int bs : {1, 3, 16}) {
-    const auto pre = stage1(cls_eval, models::cls_pipeline_spec(), bs);
-    const std::vector<double> multi = models::eval_classifier_batches_multi(
-        *tc.model, {&pre[0], &pre[1], &pre[2]}, cls_eval, a, &tc.ranges);
-    ASSERT_EQ(multi.size(), 3u) << bs;
-    for (std::size_t i = 0; i < 3; ++i) {
-      const double want =
-          seed_cls_eval_loop(*tc.model, pre[i], cls_eval, *cfgs[i], &tc.ranges);
-      EXPECT_TRUE(same_bytes(multi[i], want)) << "cls bs " << bs << " cfg " << i;
-      EXPECT_TRUE(same_bytes(models::eval_classifier_batches_multi(
-                                 *tc.model, {&pre[i]}, cls_eval, *cfgs[i],
-                                 &tc.ranges)
-                                 .front(),
-                             want))
+  for (const int bs : {1, 3, 16})
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const auto pre =
+          batches_of(cls_eval, *cfgs[i], models::cls_pipeline_spec(), bs);
+      EXPECT_TRUE(same_bytes(
+          models::eval_classifier_batches(*tc.model, pre, cls_eval, *cfgs[i],
+                                          &tc.ranges),
+          seed_cls_eval_loop(*tc.model, pre, cls_eval, *cfgs[i], &tc.ranges)))
           << "cls bs " << bs << " cfg " << i;
     }
-  }
 
   auto td = models::get_detector("RetinaNet-MobileNet");
   const auto& det = models::benchmark_det_dataset();
-  for (const int bs : {1, 3, 8}) {
-    const auto pre = stage1(det.eval, models::det_pipeline_spec(), bs);
-    const std::vector<RawDetections> multi =
-        models::detector_forward_batches_multi(
-            *td.model, {&pre[0], &pre[1], &pre[2]}, a, &td.ranges);
-    ASSERT_EQ(multi.size(), 3u) << bs;
-    for (std::size_t i = 0; i < 3; ++i) {
+  for (const int bs : {1, 3, 8})
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const auto pre =
+          batches_of(det.eval, *cfgs[i], models::det_pipeline_spec(), bs);
       // The disk-cache encoding carries every level's shape and bytes.
-      const std::string want = models::encode_raw_detections(
-          seed_det_forward_loop(*td.model, pre[i], *cfgs[i], &td.ranges));
-      EXPECT_EQ(models::encode_raw_detections(multi[i]), want)
-          << "det bs " << bs << " cfg " << i;
-      EXPECT_EQ(models::encode_raw_detections(
-                    models::detector_forward_batches_multi(
-                        *td.model, {&pre[i]}, *cfgs[i], &td.ranges)
-                        .front()),
-                want)
+      EXPECT_EQ(models::encode_raw_detections(models::detector_forward_batches(
+                    *td.model, pre, *cfgs[i], &td.ranges)),
+                models::encode_raw_detections(seed_det_forward_loop(
+                    *td.model, pre, *cfgs[i], &td.ranges)))
           << "det bs " << bs << " cfg " << i;
     }
-  }
 
   auto ts = models::get_segmenter("UNet");
   const auto& seg = models::benchmark_seg_dataset();
-  for (const int bs : {1, 4, 7}) {
-    const auto pre = stage1(seg.eval, models::seg_pipeline_spec(), bs);
-    const std::vector<double> multi = models::eval_segmenter_batches_multi(
-        *ts.model, {&pre[0], &pre[1], &pre[2]}, seg, a, &ts.ranges);
-    ASSERT_EQ(multi.size(), 3u) << bs;
-    for (std::size_t i = 0; i < 3; ++i) {
-      const double want =
-          seed_seg_eval_loop(*ts.model, pre[i], seg, *cfgs[i], &ts.ranges);
-      EXPECT_TRUE(same_bytes(multi[i], want)) << "seg bs " << bs << " cfg " << i;
-      EXPECT_TRUE(same_bytes(models::eval_segmenter_batches_multi(
-                                 *ts.model, {&pre[i]}, seg, *cfgs[i],
-                                 &ts.ranges)
-                                 .front(),
-                             want))
+  for (const int bs : {1, 4, 7})
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const auto pre =
+          batches_of(seg.eval, *cfgs[i], models::seg_pipeline_spec(), bs);
+      EXPECT_TRUE(same_bytes(
+          models::eval_segmenter_batches(*ts.model, pre, seg, *cfgs[i],
+                                         &ts.ranges),
+          seed_seg_eval_loop(*ts.model, pre, seg, *cfgs[i], &ts.ranges)))
           << "seg bs " << bs << " cfg " << i;
     }
-  }
-
-  // Mismatched batch layouts are a caller bug, not silent corruption.
-  const auto p3 = models::preprocess_cls_batches(cls_eval, a,
-                                                 models::cls_pipeline_spec(), 3);
-  const auto p4 = models::preprocess_cls_batches(cls_eval, b,
-                                                 models::cls_pipeline_spec(), 4);
-  EXPECT_THROW(models::eval_classifier_batches_multi(*tc.model, {&p3, &p4},
-                                                     cls_eval, a, &tc.ranges),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "image/metrics.h"
 #include "image/synthetic.h"
@@ -262,6 +265,62 @@ TEST(Codec, RejectsGarbage) {
   EXPECT_THROW(decode(garbage, DecoderVendor::kPillow), std::runtime_error);
   std::vector<std::uint8_t> soi_only = {0xFF, 0xD8, 0xFF, 0xD9};
   EXPECT_THROW(decode(soi_only, DecoderVendor::kPillow), std::runtime_error);
+}
+
+// Peak resident set of this process, in KiB.
+long max_rss_kib() {
+  struct rusage usage = {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A valid small stream whose SOF0 header claims `h` x `w` instead.
+std::vector<std::uint8_t> with_frame_claim(std::vector<std::uint8_t> bytes,
+                                           int h, int w) {
+  for (std::size_t i = 2; i + 9 <= bytes.size(); ++i)
+    if (bytes[i] == 0xFF && bytes[i + 1] == 0xC0) {
+      // FF C0, length (2), precision (1), height (2), width (2).
+      bytes[i + 5] = static_cast<std::uint8_t>(h >> 8);
+      bytes[i + 6] = static_cast<std::uint8_t>(h & 0xFF);
+      bytes[i + 7] = static_cast<std::uint8_t>(w >> 8);
+      bytes[i + 8] = static_cast<std::uint8_t>(w & 0xFF);
+      return bytes;
+    }
+  ADD_FAILURE() << "no SOF0 marker";
+  return bytes;
+}
+
+TEST(Codec, OversizedOrEmptyFrameClaimIsRejectedBeforeAllocation) {
+  const auto bytes = encode(test_image(24, 32), {.quality = 90});
+  ASSERT_LT(bytes.size(), 1024u);
+  ASSERT_EQ(decode(with_frame_claim(bytes, 24, 32), DecoderVendor::kPillow)
+                .width(),
+            32);  // the patch itself leaves a valid stream valid
+
+  // Under a kilobyte claiming 12288x12288: without the cap this decodes
+  // (the short scan padded) at ~1.3 GB of planes.
+  const long before_kib = max_rss_kib();
+  for (int v = 0; v < kNumDecoderVendors; ++v)
+    EXPECT_THROW(decode(with_frame_claim(bytes, 12288, 12288),
+                        static_cast<DecoderVendor>(v)),
+                 std::runtime_error)
+        << vendor_name(static_cast<DecoderVendor>(v));
+  EXPECT_LT(max_rss_kib() - before_kib, 32L << 10)
+      << "peak RSS grew by " << (max_rss_kib() - before_kib) << " KiB";
+
+  // Zero dimensions, and one row past the pixel cap.
+  EXPECT_THROW(decode(with_frame_claim(bytes, 0, 32), DecoderVendor::kPillow),
+               std::runtime_error);
+  EXPECT_THROW(decode(with_frame_claim(bytes, 24, 0), DecoderVendor::kPillow),
+               std::runtime_error);
+  const int cap_w = 4096;
+  const int over_h = static_cast<int>(kMaxFramePixels / cap_w) + 1;
+  EXPECT_THROW(decode(with_frame_claim(bytes, over_h, cap_w),
+                      DecoderVendor::kPillow),
+               std::runtime_error);
+  EXPECT_THROW(decode(with_frame_claim(bytes, 65535, 65535),
+                      DecoderVendor::kPillow),
+               std::runtime_error);
 }
 
 TEST(Codec, ChromaSubsamplingReducesSize) {

@@ -64,9 +64,7 @@ std::string read_all(const std::string& path) {
 }
 
 std::size_t unit_count(const SweepPlan& plan) {
-  core::WorkUnitOptions opts;
-  opts.merge_batch_compatible = true;
-  return core::plan_work_units(plan, opts).size();
+  return core::plan_work_units(plan).size();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 // Tests of the staged evaluation pipeline: stage-key structure
 // (preprocess_key injectivity over every registry pre-processing option
 // combination), staged == monolithic bit-identity per task kind, stage-
-// cache hit accounting, and the headline reuse guarantees — pre-processed
+// cache hit accounting (and the StageStats identities with the disk cache
+// off, cold and warm), and the headline reuse guarantees — pre-processed
 // batches computed once per key, and the detection post-processing axis
 // evaluated without re-running the forward pass.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/disk_stage_cache.h"
 #include "core/executor.h"
 #include "core/plan.h"
 #include "core/staged_eval.h"
@@ -321,9 +324,9 @@ TEST(StagedRealModels, DetectorStagedMatchesMonolithicWithoutPostprocForward) {
   const auto& ds = models::benchmark_det_dataset();
   const auto spec = models::det_pipeline_spec();
   const auto batches = models::preprocess_det_batches(ds, offset_cfg, spec);
-  const auto raw = models::detector_forward_batches_multi(
-      *td.model, {&batches}, offset_cfg, &td.ranges);
-  EXPECT_EQ(models::detector_map_from_raw(*td.model, raw.front(), ds, offset_cfg),
+  const auto raw = models::detector_forward_batches(*td.model, batches,
+                                                    offset_cfg, &td.ranges);
+  EXPECT_EQ(models::detector_map_from_raw(*td.model, raw, ds, offset_cfg),
             models::eval_detector(*td.model, ds, offset_cfg, spec, &td.ranges));
 }
 
@@ -334,6 +337,70 @@ TEST(StagedRealModels, SegmenterStagedMatchesMonolithic) {
   SweepOptions opts;
   opts.registry = &reg;
   expect_reports_identical(monolithic_sweep(task, opts), sweep(task, opts));
+}
+
+// The StageStats identities every executor run must satisfy: each planned
+// evaluation either materialized a stage key or reused one, and each
+// materialized key was either loaded from disk or computed.
+void expect_counters_reconcile(const StageStats& s, const std::string& where) {
+  EXPECT_EQ(s.preprocess_hits + s.preprocess_misses, s.evaluations) << where;
+  EXPECT_EQ(s.forward_hits + s.forward_misses, s.evaluations) << where;
+  EXPECT_EQ(s.preprocess_computed + s.preprocess_disk_hits,
+            s.preprocess_misses)
+      << where;
+  EXPECT_EQ(s.forward_computed + s.forward_disk_hits, s.forward_misses)
+      << where;
+}
+
+TEST(StagedRealModels, StageCountersReconcileWithDiskCacheOffColdAndWarm) {
+  auto td = models::get_detector("RetinaNet-MobileNet");
+  models::DetectorTask task(td);
+  const AxisRegistry reg = tiny_registry(true);
+  const SweepPlan plan = plan_sweep(task, reg);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "sysnoise_test_stage_counters";
+  std::filesystem::remove_all(dir);
+  // Separate instances over one directory: the warm run starts with no
+  // in-memory state, as a second process would.
+  DiskStageCache cold_disk(dir.string());
+  DiskStageCache warm_disk(dir.string());
+  const std::pair<const char*, DiskStageCache*> runs[] = {
+      {"disk off", nullptr}, {"cold", &cold_disk}, {"warm", &warm_disk}};
+  MetricMap first;
+  for (const auto& [where, disk] : runs) {
+    StageStats s;
+    const MetricMap metrics = StagedExecutor(&s, disk).execute(task, plan);
+    if (first.empty())
+      first = metrics;
+    else
+      EXPECT_EQ(metrics, first) << where;
+    EXPECT_EQ(s.evaluations, 6u) << where;
+    expect_counters_reconcile(s, where);
+    // The zoo adapters never stack configs: one network invocation per
+    // computed forward group, and no cross-config stack ever forms.
+    EXPECT_EQ(s.batched_forward_calls, s.forward_computed) << where;
+    EXPECT_EQ(s.batched_forward_configs, 0u) << where;
+    EXPECT_EQ(s.max_configs_per_batch, 0u) << where;
+    if (disk == &cold_disk) {
+      EXPECT_EQ(s.forward_disk_hits, 0u);
+      EXPECT_EQ(s.forward_persisted, s.forward_computed);
+    } else if (disk == &warm_disk) {
+      // Every forward product loads from disk, so stage 1 never runs.
+      EXPECT_EQ(s.forward_computed, 0u);
+      EXPECT_EQ(s.preprocess_misses, 0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
+
+  // A task that opts into stacking still reconciles; its invocations are
+  // then fewer than the forward groups they computed.
+  const SyntheticStagedTask stacked(TaskKind::kDetection, true, 1, 1, 1,
+                                    /*fwd_overhead_rounds=*/2);
+  StageStats s;
+  sweep(stacked, {}, &s);
+  expect_counters_reconcile(s, "synthetic stacked");
+  EXPECT_LT(s.batched_forward_calls, s.forward_computed);
+  EXPECT_GT(s.batched_forward_configs, 0u);
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 // backend=blocked, backend=simd, or resize=opencv_nearest. The replay
 // report is printed as JSON (or written to --out).
 #include <algorithm>
+#include <cfloat>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +40,7 @@
 
 #include "data/noise_config.h"
 #include "models/zoo.h"
+#include "net/socket.h"
 #include "serve/server.h"
 #include "serve/serving_model.h"
 #include "serve/trace.h"
@@ -90,8 +93,23 @@ void write_output(const std::string& out, const std::string& content) {
   std::fprintf(stderr, "wrote %s\n", out.c_str());
 }
 
+// Strict numeric flag values (net::parse_int/parse_double): a typo is a
+// usage error, never an atoi/atof prefix. Every real-valued flag (times,
+// rates, the time scale) is a non-negative finite number.
+int int_arg(const std::string& text, int min, const char* argv0) {
+  int v = 0;
+  if (!net::parse_int(text, min, INT_MAX, &v)) usage(argv0);
+  return v;
+}
+
+double number_arg(const std::string& text, const char* argv0) {
+  double v = 0.0;
+  if (!net::parse_double(text, 0.0, DBL_MAX, &v)) usage(argv0);
+  return v;
+}
+
 // "poisson:1000:250" / "burst:500:100:10" / "ramp:1000:50:400"
-serve::TracePhase parse_phase(const std::string& arg) {
+serve::TracePhase parse_phase(const std::string& arg, const char* argv0) {
   std::vector<std::string> parts;
   std::string cur;
   for (const char ch : arg) {
@@ -113,20 +131,20 @@ serve::TracePhase parse_phase(const std::string& arg) {
   if (parts[0] == "poisson") {
     want(3);
     p.kind = serve::PhaseKind::kPoisson;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.rate_rps = std::atof(parts[2].c_str());
+    p.duration_ms = number_arg(parts[1], argv0);
+    p.rate_rps = number_arg(parts[2], argv0);
   } else if (parts[0] == "burst") {
     want(4);
     p.kind = serve::PhaseKind::kBurst;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.burst_every_ms = std::atof(parts[2].c_str());
-    p.burst_size = std::atoi(parts[3].c_str());
+    p.duration_ms = number_arg(parts[1], argv0);
+    p.burst_every_ms = number_arg(parts[2], argv0);
+    p.burst_size = int_arg(parts[3], 1, argv0);
   } else if (parts[0] == "ramp") {
     want(4);
     p.kind = serve::PhaseKind::kRamp;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.rate_rps = std::atof(parts[2].c_str());
-    p.end_rate_rps = std::atof(parts[3].c_str());
+    p.duration_ms = number_arg(parts[1], argv0);
+    p.rate_rps = number_arg(parts[2], argv0);
+    p.end_rate_rps = number_arg(parts[3], argv0);
   } else {
     std::fprintf(stderr, "unknown phase kind \"%s\"\n", parts[0].c_str());
     std::exit(2);
@@ -165,11 +183,11 @@ int run_gen(int argc, char** argv) {
     if (arg == "--seed" && i + 1 < argc) {
       spec.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--num-samples" && i + 1 < argc) {
-      spec.num_samples = std::atoi(argv[++i]);
+      spec.num_samples = int_arg(argv[++i], 1, argv[0]);
     } else if (arg == "--random-samples") {
       spec.random_samples = true;
     } else if (arg == "--phase" && i + 1 < argc) {
-      spec.phases.push_back(parse_phase(argv[++i]));
+      spec.phases.push_back(parse_phase(argv[++i], argv[0]));
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {
@@ -205,28 +223,28 @@ int run_replay(int argc, char** argv) {
     } else if (arg == "--config" && i + 1 < argc) {
       config_name = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      opts.server.workers = std::atoi(argv[++i]);
+      opts.server.workers = int_arg(argv[++i], 1, argv[0]);
     } else if (arg == "--max-batch" && i + 1 < argc) {
-      opts.server.max_batch = std::atoi(argv[++i]);
+      opts.server.max_batch = int_arg(argv[++i], 1, argv[0]);
     } else if (arg == "--max-delay-ms" && i + 1 < argc) {
-      opts.server.max_delay_ms = std::atof(argv[++i]);
+      opts.server.max_delay_ms = number_arg(argv[++i], argv[0]);
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
       opts.server.queue_capacity =
           static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--gemm-workers" && i + 1 < argc) {
-      opts.server.gemm_workers = std::atoi(argv[++i]);
+      opts.server.gemm_workers = int_arg(argv[++i], 0, argv[0]);
     } else if (arg == "--virtual") {
       virtual_clock = true;
     } else if (arg == "--base-ms" && i + 1 < argc) {
-      opts.cost.batch_base_ms = std::atof(argv[++i]);
+      opts.cost.batch_base_ms = number_arg(argv[++i], argv[0]);
       cost_overridden = true;
     } else if (arg == "--item-ms" && i + 1 < argc) {
-      opts.cost.batch_item_ms = std::atof(argv[++i]);
+      opts.cost.batch_item_ms = number_arg(argv[++i], argv[0]);
       cost_overridden = true;
     } else if (arg == "--compute-threads" && i + 1 < argc) {
-      opts.compute_threads = std::atoi(argv[++i]);
+      opts.compute_threads = int_arg(argv[++i], 1, argv[0]);
     } else if (arg == "--time-scale" && i + 1 < argc) {
-      opts.time_scale = std::atof(argv[++i]);
+      opts.time_scale = number_arg(argv[++i], argv[0]);
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {

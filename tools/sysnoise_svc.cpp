@@ -21,6 +21,7 @@
 // metrics snapshot flushed on shutdown (obs/trace.h).
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 
 #include <unistd.h>
 
+#include "net/socket.h"
 #include "obs/trace.h"
 #include "svc/service.h"
 
@@ -80,8 +82,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--port") {
       if (++i >= argc) usage(argv[0]);
-      opts.port = std::atoi(argv[i]);
-      if (opts.port < 0 || opts.port > 65535) usage(argv[0]);
+      if (!net::parse_int(argv[i], 0, 65535, &opts.port)) usage(argv[0]);
     } else if (arg == "--journal") {
       if (++i >= argc) usage(argv[0]);
       opts.journal_path = argv[i];
@@ -93,13 +94,18 @@ int main(int argc, char** argv) {
       port_file = argv[i];
     } else if (arg == "--lease-timeout-ms") {
       if (++i >= argc) usage(argv[0]);
-      opts.lease_timeout = std::chrono::milliseconds(std::atoi(argv[i]));
+      int ms = 0;
+      if (!net::parse_int(argv[i], 1, INT_MAX, &ms)) usage(argv[0]);
+      opts.lease_timeout = std::chrono::milliseconds(ms);
     } else if (arg == "--heartbeat-ms") {
       if (++i >= argc) usage(argv[0]);
-      opts.heartbeat_interval = std::chrono::milliseconds(std::atoi(argv[i]));
+      int ms = 0;
+      if (!net::parse_int(argv[i], 1, INT_MAX, &ms)) usage(argv[0]);
+      opts.heartbeat_interval = std::chrono::milliseconds(ms);
     } else if (arg == "--crash-after-results") {
       if (++i >= argc) usage(argv[0]);
-      opts.crash_after_results = std::atoi(argv[i]);
+      if (!net::parse_int(argv[i], -1, INT_MAX, &opts.crash_after_results))
+        usage(argv[0]);
     } else if (arg == "--verbose") {
       opts.verbose = true;
     } else if (arg == "--quiet") {

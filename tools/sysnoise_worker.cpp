@@ -18,6 +18,7 @@
 // only stops on `done`, a rejection, or an evaluation error. Exit status: 0
 // when the service reported done, 2 on usage errors, 1 otherwise.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -59,10 +60,11 @@ int main(int argc, char** argv) {
       if (!net::parse_host_port(argv[i], &host, &port)) usage(argv[0]);
     } else if (arg == "--threads") {
       if (++i >= argc) usage(argv[0]);
-      opts.threads = std::atoi(argv[i]);
+      if (!net::parse_int(argv[i], 0, INT_MAX, &opts.threads)) usage(argv[0]);
     } else if (arg == "--connect-timeout-s") {
       if (++i >= argc) usage(argv[0]);
-      connect_timeout_s = std::atoi(argv[i]);
+      if (!net::parse_int(argv[i], 0, INT_MAX, &connect_timeout_s))
+        usage(argv[0]);
     } else if (arg == "--token") {
       if (++i >= argc) usage(argv[0]);
       opts.auth_token = argv[i];
