@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -48,10 +49,14 @@ std::string fwd_key_of(const StagedEvalTask& task, const PlannedConfig& p) {
   return p.forward_key.empty() ? task.forward_key(p.cfg) : p.forward_key;
 }
 
+// `pre_store` is the executor's stage-1 store for task.preprocess_scope():
+// it may already hold products of earlier calls, and what this call
+// materializes stays in it for later ones. `rec` receives the call's
+// accounting record.
 std::vector<double> staged_eval(const StagedEvalTask& task,
                                 const std::vector<const PlannedConfig*>& pending,
-                                const SweepOptions& opts, StageStats* stats,
-                                DiskStageCache* disk) {
+                                const SweepOptions& opts, DiskStageCache* disk,
+                                StageCache& pre_store, StageStats& rec) {
   // Plan: group by forward key, keeping groups with a common preprocess key
   // adjacent so their stage-1 product stays hot.
   std::vector<ForwardGroup> groups;
@@ -100,17 +105,18 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
     }
   }
 
-  StageCache pre_cache;
   std::atomic<std::size_t> disk_hits{0}, computed{0}, persisted{0};
   std::atomic<std::size_t> fwd_disk_hits{0}, fwd_computed{0}, fwd_persisted{0};
   std::atomic<std::size_t> batch_calls{0}, batch_cfgs{0}, batch_max{0};
   std::vector<StageProduct> pre_of(groups.size());
+  std::vector<char> materialized(groups.size(), 0);  // group ran the miss
   std::vector<StageProduct> fwd_of(groups.size());
   std::vector<double> values(pending.size(), 0.0);
 
   // Phase 1, parallel per group: a disk-cached forward product makes stage 1
   // unnecessary (the pre-processed batches exist only to feed the network);
-  // otherwise materialize the group's stage-1 product through pre_cache.
+  // otherwise take the group's stage-1 product from pre_store, materializing
+  // it on a miss.
   detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
     const ForwardGroup& group = groups[g];
     obs::TraceSpan span("staged.preprocess");
@@ -124,7 +130,8 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
       }
     }
     if (fwd_of[g] != nullptr) return;
-    pre_of[g] = pre_cache.get_or_compute(group.pre_key, [&] {
+    bool miss = false;
+    pre_of[g] = pre_store.get_or_compute(group.pre_key, [&] {
       if (disk != nullptr) {
         std::string bytes;
         if (disk->load(task.preprocess_scope(), group.pre_key, &bytes)) {
@@ -144,7 +151,8 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
         }
       }
       return p;
-    });
+    }, &miss);
+    materialized[g] = miss;
   });
 
   // Phase 2, parallel per batch set: one forward invocation covers every
@@ -213,40 +221,46 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
         values[i] = task.run_postprocess(pending[i]->cfg, fwd_of[g]);
   });
 
-  // One accounting record per call: accumulated into the caller's stats
-  // and, while tracing, published as the staged.<field> counters.
-  StageStats s;
-  // Per planned evaluation: the first arrival at a stage key is the miss
-  // that materializes it; every other member reuses the product.
-  s.preprocess_misses = pre_cache.misses();
-  s.preprocess_hits = pending.size() - pre_cache.misses();
-  s.forward_misses = groups.size();
-  s.forward_hits = pending.size() - groups.size();
-  s.evaluations = pending.size();
-  s.preprocess_disk_hits = disk_hits.load();
-  s.preprocess_computed = computed.load();
-  s.preprocess_persisted = persisted.load();
-  s.forward_disk_hits = fwd_disk_hits.load();
-  s.forward_computed = fwd_computed.load();
-  s.forward_persisted = fwd_persisted.load();
-  s.batched_forward_calls = batch_calls.load();
-  s.batched_forward_configs = batch_cfgs.load();
-  s.max_configs_per_batch = batch_max.load();
-  if (stats != nullptr) *stats += s;
+  // The call's one accounting record (the executor accumulates it into the
+  // caller's stats; while tracing it is published as the staged.<field>
+  // counters). Per planned evaluation: the first arrival at a stage key is
+  // the miss that materializes it; every other member reuses the product.
+  // A stage-1 product no group of this call materialized was kept from an
+  // earlier call (or a concurrent one): its evaluations are retained hits.
+  std::set<std::string> fresh;
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    if (materialized[g]) fresh.insert(groups[g].pre_key);
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    if (pre_of[g] != nullptr && fresh.count(groups[g].pre_key) == 0)
+      rec.preprocess_retained += groups[g].members.size();
+  rec.preprocess_misses = fresh.size();
+  rec.preprocess_hits = pending.size() - fresh.size();
+  rec.forward_misses = groups.size();
+  rec.forward_hits = pending.size() - groups.size();
+  rec.evaluations = pending.size();
+  rec.preprocess_disk_hits = disk_hits.load();
+  rec.preprocess_computed = computed.load();
+  rec.preprocess_persisted = persisted.load();
+  rec.forward_disk_hits = fwd_disk_hits.load();
+  rec.forward_computed = fwd_computed.load();
+  rec.forward_persisted = fwd_persisted.load();
+  rec.batched_forward_calls = batch_calls.load();
+  rec.batched_forward_configs = batch_cfgs.load();
+  rec.max_configs_per_batch = batch_max.load();
   if (obs::trace_enabled()) {
     // Once per evaluation batch (cold path): cache effectiveness counters
     // for the flight-recorder summary. Purely observational — never read
     // back by any computation. The largest stack is a gauge, sampled only
     // when a forward ran.
     obs::MetricsRegistry& m = obs::metrics();
-    const util::Json fields = s.to_json();
+    const util::Json fields = rec.to_json();
     for (const auto& [field, value] : fields.items())
       if (field != "max_configs_per_batch")
         m.counter_add("staged." + field,
                       static_cast<std::uint64_t>(value.as_number()));
-    if (s.batched_forward_calls > 0)
+    if (rec.batched_forward_calls > 0)
       m.gauge_add("staged.max_configs_per_batch",
-                  static_cast<double>(s.max_configs_per_batch));
+                  static_cast<double>(rec.max_configs_per_batch));
   }
   return values;
 }
@@ -272,8 +286,30 @@ MetricMap StagedExecutor::execute(const EvalTask& task, const SweepPlan& plan,
   }
   return detail::evaluate_plan(
       plan, opts, [&](const std::vector<const PlannedConfig*>& pending) {
-        return staged_eval(*staged, pending, opts, stats_, disk_);
+        const std::shared_ptr<StageCache> store =
+            store_for(staged->preprocess_scope());
+        StageStats call;
+        std::vector<double> values =
+            staged_eval(*staged, pending, opts, disk_, *store, call);
+        if (stats_ != nullptr) {
+          std::lock_guard<std::mutex> lock(mu_);
+          *stats_ += call;
+        }
+        return values;
       });
+}
+
+std::shared_ptr<StageCache> StagedExecutor::store_for(
+    const std::string& scope) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (kept_ == nullptr || scope != kept_scope_) {
+    // Replacing the store releases the old scope's products before this
+    // call materializes any of its own (a concurrent call still running on
+    // the old scope keeps its reference until it returns).
+    kept_ = std::make_shared<StageCache>();
+    kept_scope_ = scope;
+  }
+  return kept_;
 }
 
 ShardExecutor::ShardExecutor(const Executor& inner, int shard_index,

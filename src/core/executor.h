@@ -13,13 +13,18 @@
 //  * StagedExecutor — the engine behind sweep()/stepwise(): stage-shared
 //    evaluation for StagedEvalTasks (configs grouped by forward key;
 //    pre-processing computed once per preprocess key; one forward call per
-//    forward key, run in parallel). A task that opts into cross-config
-//    batching (forward_batch_key, see staged_eval.h) has up to
-//    kMaxForwardBatch compatible groups stacked through ONE network
+//    forward key, run in parallel). Stage-1 products outlive the call: the
+//    executor keeps those of the last preprocess_scope() it served, so the
+//    next task over the same dataset and pipeline (e.g. another model of
+//    the same table) reuses them with no pre-processing and no disk load.
+//    A call with a different scope drops them before materializing its
+//    own, so at most one scope's products are held. A task that opts into
+//    cross-config batching (forward_batch_key, see staged_eval.h) has up
+//    to kMaxForwardBatch compatible groups stacked through ONE network
 //    invocation instead (SweepOptions::batch_forwards); the zoo models do
-//    not. Optionally backed by a disk StageCache so products persist across
-//    processes and bench binaries. Falls back to the monolithic path for
-//    tasks that are not staged.
+//    not. Optionally backed by a disk StageCache so products persist
+//    across processes and bench binaries. Falls back to the monolithic
+//    path for tasks that are not staged.
 //  * ShardExecutor — deterministically partitions the plan into i/N slices
 //    (plan-order round-robin), executes only its slice through an inner
 //    executor, and statically merges partial MetricMaps back into the full
@@ -27,6 +32,9 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/plan.h"
@@ -57,7 +65,10 @@ class ThreadPoolExecutor : public Executor {
 // The stage-cache-aware path sweep()/stepwise() run. `stats` (optional)
 // accumulates stage-cache accounting across execute() calls;
 // `disk` (optional) persists/loads encoded stage-1 products so repeat
-// invocations skip the pre-processing work entirely.
+// invocations skip the pre-processing work entirely. The in-memory stage-1
+// store (see above) and the `stats` accumulation are guarded by a mutex:
+// execute() may run concurrently, and calls on different scopes each keep
+// the store they started with until they return.
 class StagedExecutor : public Executor {
  public:
   explicit StagedExecutor(StageStats* stats = nullptr,
@@ -68,8 +79,15 @@ class StagedExecutor : public Executor {
                     const SweepOptions& opts = {}) const override;
 
  private:
+  // The kept store when `scope` is the one last served; otherwise a fresh
+  // store that replaces (and so releases) it.
+  std::shared_ptr<StageCache> store_for(const std::string& scope) const;
+
   StageStats* stats_;
   DiskStageCache* disk_;
+  mutable std::mutex mu_;  // guards kept_scope_, kept_ and *stats_
+  mutable std::string kept_scope_;
+  mutable std::shared_ptr<StageCache> kept_;
 };
 
 // Deterministic i/N partition of a plan. Executes plan.slice(shard) through

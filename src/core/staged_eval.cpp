@@ -29,7 +29,8 @@ std::vector<StageProduct> StagedEvalTask::run_forward_batched(
 }
 
 StageProduct StageCache::get_or_compute(
-    const std::string& key, const std::function<StageProduct()>& compute) {
+    const std::string& key, const std::function<StageProduct()>& compute,
+    bool* materialized) {
   std::promise<StageProduct> promise;
   std::shared_future<StageProduct> future;
   bool owner = false;
@@ -37,39 +38,27 @@ StageProduct StageCache::get_or_compute(
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++hits_;
       future = it->second;
     } else {
-      ++misses_;
       future = promise.get_future().share();
       entries_.emplace(key, future);
       owner = true;
     }
   }
+  *materialized = owner;
   // The inserting thread computes; concurrent readers block on the future.
   if (owner) {
     try {
       promise.set_value(compute());
     } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        entries_.erase(key);
+      }
       promise.set_exception(std::current_exception());
     }
   }
   return future.get();
-}
-
-std::size_t StageCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::size_t StageCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::size_t StageCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
 }
 
 namespace {
@@ -79,6 +68,7 @@ namespace {
 constexpr std::pair<const char*, std::size_t StageStats::*> kStageFields[] = {
     {"preprocess_hits", &StageStats::preprocess_hits},
     {"preprocess_misses", &StageStats::preprocess_misses},
+    {"preprocess_retained", &StageStats::preprocess_retained},
     {"forward_hits", &StageStats::forward_hits},
     {"forward_misses", &StageStats::forward_misses},
     {"evaluations", &StageStats::evaluations},

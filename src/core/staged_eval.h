@@ -8,11 +8,13 @@
 // inference knobs) and materializes stage products behind opaque pointers.
 // The StagedExecutor behind sweep()/stepwise() groups the plan by shared
 // stage keys and evaluates group-by-group: pre-processed batches are
-// computed once per preprocess key, and forward outputs once per forward
-// key — so e.g. the detection post-processing axis (box-decode offset) is
-// measured without re-running the forward pass at all. Results are
-// bit-identical to the monolithic evaluate() chain run per config
-// (ThreadPoolExecutor, tested); only the wall time changes.
+// computed once per preprocess key (and kept across calls that share a
+// preprocess_scope, so several models over one dataset decode it once),
+// and forward outputs once per forward key — so e.g. the detection
+// post-processing axis (box-decode offset) is measured without re-running
+// the forward pass at all. Results are bit-identical to the monolithic
+// evaluate() chain run per config (ThreadPoolExecutor, tested); only the
+// wall time changes.
 #pragma once
 
 #include <cstddef>
@@ -94,11 +96,15 @@ class StagedEvalTask : public EvalTask {
       const std::vector<const SysNoiseConfig*>& cfgs,
       const std::vector<StageProduct>& pres) const;
 
-  // --- optional disk persistence (core/disk_stage_cache.h) ---------------
+  // --- stage-1 product identity and optional disk persistence ------------
   // Scope the pre-processing products are keyed under. preprocess_key is
   // deliberately dataset-agnostic (it encodes knobs + output geometry), so
   // the scope must name the dataset/pipeline identity — tasks over the same
-  // samples and spec share products across processes AND across models.
+  // samples and spec share products across processes (disk StageCache) AND
+  // across models: a StagedExecutor keeps the products of the last scope it
+  // served in memory, so a later task with the same scope reuses them
+  // without pre-processing. Equal scope + equal preprocess_key must
+  // therefore mean a bit-identical product, whichever task computed it.
   virtual std::string preprocess_scope() const { return cache_identity(); }
   // Encode/decode a stage-1 product for the disk cache. The default "not
   // serializable" pair opts a task out; stage products then only ever live
@@ -142,30 +148,32 @@ class StagedEvalTask : public EvalTask {
 
 // Compute-once keyed store for stage products. Concurrent requests for the
 // same key block on the first computation's shared_future instead of
-// recomputing; hit/miss counters mirror SweepCache's accounting.
+// recomputing. A failed computation is not kept: its waiters see the
+// exception, and the next request for the key computes afresh.
 class StageCache {
  public:
+  // `*materialized` is set to whether this request ran `compute` (the miss)
+  // rather than reusing an entry (a hit); the caller does the counting.
   StageProduct get_or_compute(const std::string& key,
-                              const std::function<StageProduct()>& compute);
-
-  std::size_t hits() const;
-  std::size_t misses() const;
-  std::size_t size() const;
+                              const std::function<StageProduct()>& compute,
+                              bool* materialized);
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<std::string, std::shared_future<StageProduct>> entries_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
 };
 
 // Stage-cache accounting for one sweep()/stepwise() call (or one
 // StagedExecutor::execute), surfaced alongside the SweepOptions::cache
 // (metric memo) stats. A "hit" is a planned evaluation that reused another
-// evaluation's stage product.
+// evaluation's stage product — including a stage-1 product the executor
+// kept from an earlier call with the same preprocess_scope.
 struct StageStats {
   std::size_t preprocess_hits = 0;
   std::size_t preprocess_misses = 0;  // distinct preprocess keys materialized
+  // Of the preprocess_hits, the evaluations served by a product kept from
+  // an earlier execute() call (none on a call's first visit to a scope).
+  std::size_t preprocess_retained = 0;
   std::size_t forward_hits = 0;
   std::size_t forward_misses = 0;  // distinct forward passes run
   std::size_t evaluations = 0;     // configs evaluated after metric memo

@@ -333,11 +333,19 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
     if (code == 0xD9) break;  // EOI before SOS? malformed but stop
     const std::size_t len = get_u16(d, pos);
     const std::size_t seg_end = pos + len;
-    if (seg_end > d.size()) throw std::runtime_error("jpeg::decode: truncated segment");
+    if (len < 2 || seg_end > d.size())
+      throw std::runtime_error("jpeg::decode: truncated segment");
     std::size_t p = pos + 2;
+    // Every table read below stays inside its own segment.
+    const auto need = [&](std::size_t n, const char* what) {
+      if (n > seg_end - p)
+        throw std::runtime_error(std::string("jpeg::decode: ") + what +
+                                 " longer than its segment");
+    };
     switch (code) {
       case 0xDB: {  // DQT (possibly multiple tables)
         while (p < seg_end) {
+          need(65, "DQT table");
           const int pq = d[p] >> 4, tq = d[p] & 0x0F;
           if (pq != 0 || tq > 1) throw std::runtime_error("jpeg::decode: bad DQT");
           ++p;
@@ -348,6 +356,7 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
         break;
       }
       case 0xC0: {  // SOF0
+        need(6, "SOF0 header");
         j.height = get_u16(d, p + 1);
         j.width = get_u16(d, p + 3);
         if (j.height == 0 || j.width == 0 ||
@@ -358,6 +367,7 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
                                    " is empty or too large");
         const int ncomp = d[p + 5];
         if (ncomp != 3) throw std::runtime_error("jpeg::decode: need 3 components");
+        need(6 + 3 * 3, "SOF0 component list");
         const std::uint8_t y_sampling = d[p + 7];
         j.subsampled = (y_sampling == 0x22);
         if (y_sampling != 0x22 && y_sampling != 0x11)
@@ -367,6 +377,7 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
       }
       case 0xC4: {  // DHT (possibly multiple tables)
         while (p < seg_end) {
+          need(17, "DHT counts");
           const int clazz = d[p] >> 4, id = d[p] & 0x0F;
           if (id > 1) throw std::runtime_error("jpeg::decode: bad DHT id");
           ++p;
@@ -377,6 +388,7 @@ ParsedJpeg parse_headers(const std::vector<std::uint8_t>& d) {
             total += spec.counts[static_cast<std::size_t>(i)];
           }
           p += 16;
+          need(static_cast<std::size_t>(total), "DHT symbols");
           spec.symbols.assign(d.begin() + static_cast<std::ptrdiff_t>(p),
                               d.begin() + static_cast<std::ptrdiff_t>(p + static_cast<std::size_t>(total)));
           p += static_cast<std::size_t>(total);

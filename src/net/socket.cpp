@@ -42,6 +42,21 @@ bool parse_int(const std::string& text, int min, int max, int* out) {
   return true;
 }
 
+bool parse_u64(const std::string& text, std::uint64_t min, std::uint64_t max,
+               std::uint64_t* out) {
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;  // would overflow
+    value = value * 10 + digit;
+  }
+  if (value < min || value > max) return false;
+  *out = value;
+  return true;
+}
+
 bool parse_double(const std::string& text, double min, double max,
                   double* out) {
   if (text.empty() ||

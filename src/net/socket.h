@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace sysnoise::net {
@@ -17,6 +18,12 @@ namespace sysnoise::net {
 // so a typo'd integer flag is a usage error, never a silent atoi prefix.
 // Behind the benches' dist flags, sysnoise_ctl's and the port below.
 bool parse_int(const std::string& text, int min, int max, int* out);
+
+// parse_int's rules for unsigned 64-bit values (seeds, capacities): digits
+// only — no sign, so "-1" is an error, not a wrapped SIZE_MAX — with no
+// overflow past UINT64_MAX and the value in [min, max].
+bool parse_u64(const std::string& text, std::uint64_t min, std::uint64_t max,
+               std::uint64_t* out);
 
 // Strict decimal floating-point number ("2", "-0.5", "1e3", ".25"): `text`
 // must be non-empty, hold only digits, '.', 'e'/'E' and signs, parse

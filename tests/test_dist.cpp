@@ -106,6 +106,43 @@ TEST(NetParse, StrictIntegerRejectsTyposSignsAndOverflow) {
   EXPECT_EQ(v, 7);
 }
 
+TEST(NetParse, StrictU64RejectsSignsJunkAndOverflow) {
+  std::uint64_t v = 42;
+  EXPECT_FALSE(net::parse_u64("", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("1O", 0, UINT64_MAX, &v));  // letter O
+  EXPECT_FALSE(net::parse_u64("12abc", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64(" 7", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("7 ", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("+3", 0, UINT64_MAX, &v));
+  // No sign at all: atoll("-1") cast to size_t was a SIZE_MAX queue.
+  EXPECT_FALSE(net::parse_u64("-1", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("-0", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, 42u);  // failures never write
+  // Range: the bounds themselves pass, one past them fails.
+  ASSERT_TRUE(net::parse_u64("0", 0, 256, &v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(net::parse_u64("256", 0, 256, &v));
+  EXPECT_EQ(v, 256u);
+  EXPECT_FALSE(net::parse_u64("257", 0, 256, &v));
+  EXPECT_FALSE(net::parse_u64("0", 1, UINT64_MAX, &v));
+}
+
+TEST(NetParse, StrictU64TakesTheFullRangeWithoutWrapping) {
+  std::uint64_t v = 0;
+  // Past every int and long long, where atoll saturates.
+  ASSERT_TRUE(net::parse_u64("9223372036854775808", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, std::uint64_t{1} << 63);
+  ASSERT_TRUE(net::parse_u64("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(net::parse_u64("00018446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 42;
+  EXPECT_FALSE(net::parse_u64("18446744073709551616", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("18446744073709551620", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(net::parse_u64("99999999999999999999999", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, 42u);
+}
+
 TEST(NetParse, StrictDoubleRejectsJunkNonFiniteAndOutOfRange) {
   double v = 42.0;
   EXPECT_FALSE(net::parse_double("", 0.0, 1e9, &v));

@@ -323,6 +323,55 @@ TEST(Codec, OversizedOrEmptyFrameClaimIsRejectedBeforeAllocation) {
                std::runtime_error);
 }
 
+// The message of the runtime_error decoding `bytes` throws ("" if none).
+std::string decode_error(const std::vector<std::uint8_t>& bytes,
+                         DecoderVendor vendor) {
+  try {
+    decode(bytes, vendor);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Codec, HeaderTablesLongerThanTheirSegmentThrow) {
+  // Each stream's last segment is shorter than the table it starts: a
+  // DQT precision byte with no table, an SOF0 with no frame fields, a DHT
+  // class byte with no counts.
+  const std::vector<std::vector<std::uint8_t>> streams = {
+      {0xFF, 0xD8, 0xFF, 0xDB, 0x00, 0x03, 0x00},
+      {0xFF, 0xD8, 0xFF, 0xC0, 0x00, 0x02},
+      {0xFF, 0xD8, 0xFF, 0xC4, 0x00, 0x03, 0x00},
+  };
+  for (const auto& bytes : streams)
+    for (int v = 0; v < kNumDecoderVendors; ++v)
+      EXPECT_NE(decode_error(bytes, static_cast<DecoderVendor>(v))
+                    .find("longer than its segment"),
+                std::string::npos)
+          << std::hex << static_cast<int>(bytes[3]) << " "
+          << vendor_name(static_cast<DecoderVendor>(v));
+
+  // Inside a valid stream: shrinking a DQT or DHT segment by one byte makes
+  // its last table overhang it, which is caught before the overhanging
+  // bytes are read as table data.
+  const auto valid = encode(test_image(16, 16), {.quality = 90});
+  for (const std::uint8_t code : {std::uint8_t{0xDB}, std::uint8_t{0xC4}}) {
+    std::size_t at = 2;
+    while (at + 3 < valid.size() &&
+           !(valid[at] == 0xFF && valid[at + 1] == code))
+      ++at;
+    ASSERT_LT(at + 3, valid.size());
+    auto shrunk = valid;
+    const std::size_t len = (shrunk[at + 2] << 8) | shrunk[at + 3];
+    shrunk[at + 2] = static_cast<std::uint8_t>((len - 1) >> 8);
+    shrunk[at + 3] = static_cast<std::uint8_t>((len - 1) & 0xFF);
+    EXPECT_NE(decode_error(shrunk, DecoderVendor::kPillow)
+                  .find("longer than its segment"),
+              std::string::npos)
+        << std::hex << static_cast<int>(code);
+  }
+}
+
 TEST(Codec, ChromaSubsamplingReducesSize) {
   ImageU8 img = test_image(64, 64, 11);
   auto s420 = encode(img, {.quality = 90, .chroma = ChromaMode::k420});

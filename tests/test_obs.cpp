@@ -377,11 +377,13 @@ TEST_F(ObsTest, StageStatsToJsonCarriesEveryField) {
   s.batched_forward_calls = 12;
   s.batched_forward_configs = 13;
   s.max_configs_per_batch = 14;
+  s.preprocess_retained = 15;
   const util::Json j = s.to_json();
   EXPECT_EQ(j.at("preprocess_hits").as_int(), 1);
   EXPECT_EQ(j.at("forward_disk_hits").as_int(), 9);
   EXPECT_EQ(j.at("max_configs_per_batch").as_int(), 14);
-  EXPECT_EQ(j.size(), 14u);
+  EXPECT_EQ(j.at("preprocess_retained").as_int(), 15);
+  EXPECT_EQ(j.size(), 15u);
 }
 
 }  // namespace

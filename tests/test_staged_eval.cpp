@@ -2,14 +2,22 @@
 // (preprocess_key injectivity over every registry pre-processing option
 // combination), staged == monolithic bit-identity per task kind, stage-
 // cache hit accounting (and the StageStats identities with the disk cache
-// off, cold and warm), and the headline reuse guarantees — pre-processed
+// off, cold and warm), the headline reuse guarantees — pre-processed
 // batches computed once per key, and the detection post-processing axis
-// evaluated without re-running the forward pass.
+// evaluated without re-running the forward pass — and stage retention: one
+// executor serving several models of one preprocess scope computes their
+// stage-1 products once, and releases them when the scope changes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/disk_stage_cache.h"
@@ -214,12 +222,13 @@ TEST(StageCacheT, ComputesOncePerKeyAndCountsHits) {
     ++computes;
     return std::make_shared<const int>(7);
   };
-  const auto a = cache.get_or_compute("k", make);
-  const auto b = cache.get_or_compute("k", make);
+  bool first_missed = false, second_missed = true;
+  const auto a = cache.get_or_compute("k", make, &first_missed);
+  const auto b = cache.get_or_compute("k", make, &second_missed);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(computes, 1);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_TRUE(first_missed);
+  EXPECT_FALSE(second_missed);
   EXPECT_EQ(*static_cast<const int*>(a.get()), 7);
 }
 
@@ -344,6 +353,7 @@ TEST(StagedRealModels, SegmenterStagedMatchesMonolithic) {
 // materialized key was either loaded from disk or computed.
 void expect_counters_reconcile(const StageStats& s, const std::string& where) {
   EXPECT_EQ(s.preprocess_hits + s.preprocess_misses, s.evaluations) << where;
+  EXPECT_LE(s.preprocess_retained, s.preprocess_hits) << where;
   EXPECT_EQ(s.forward_hits + s.forward_misses, s.evaluations) << where;
   EXPECT_EQ(s.preprocess_computed + s.preprocess_disk_hits,
             s.preprocess_misses)
@@ -401,6 +411,269 @@ TEST(StagedRealModels, StageCountersReconcileWithDiskCacheOffColdAndWarm) {
   expect_counters_reconcile(s, "synthetic stacked");
   EXPECT_LT(s.batched_forward_calls, s.forward_computed);
   EXPECT_GT(s.batched_forward_configs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Stage retention: one StagedExecutor keeps the stage-1 products of the last
+// preprocess scope it served, across execute() calls and across models
+// ---------------------------------------------------------------------------
+
+// Forwards every StagedEvalTask hook to `inner`, counting the stage-1 work
+// it is asked for and recording (weakly) every product run_preprocess
+// returns, so a test can tell when the executor has released them.
+class RecordingTask final : public StagedEvalTask {
+ public:
+  explicit RecordingTask(const StagedEvalTask& inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  TaskTraits traits() const override { return inner_.traits(); }
+  std::string cache_identity() const override {
+    return inner_.cache_identity();
+  }
+  std::string preprocess_key(const SysNoiseConfig& cfg) const override {
+    return inner_.preprocess_key(cfg);
+  }
+  std::string forward_key(const SysNoiseConfig& cfg) const override {
+    return inner_.forward_key(cfg);
+  }
+  StageProduct run_preprocess(const SysNoiseConfig& cfg) const override {
+    StageProduct p = inner_.run_preprocess(cfg);
+    std::lock_guard<std::mutex> lock(mu_);
+    products_.push_back(p);
+    return p;
+  }
+  StageProduct run_forward(const SysNoiseConfig& cfg,
+                           const StageProduct& pre) const override {
+    return inner_.run_forward(cfg, pre);
+  }
+  double run_postprocess(const SysNoiseConfig& cfg,
+                         const StageProduct& fwd) const override {
+    return inner_.run_postprocess(cfg, fwd);
+  }
+  std::string preprocess_scope() const override {
+    return inner_.preprocess_scope();
+  }
+  bool encode_preprocess(const StageProduct& product,
+                         std::string* bytes) const override {
+    return inner_.encode_preprocess(product, bytes);
+  }
+  StageProduct decode_preprocess(const std::string& bytes) const override {
+    decodes_.fetch_add(1);
+    return inner_.decode_preprocess(bytes);
+  }
+  std::string forward_scope() const override { return inner_.forward_scope(); }
+  bool encode_forward(const StageProduct& product,
+                      std::string* bytes) const override {
+    return inner_.encode_forward(product, bytes);
+  }
+  StageProduct decode_forward(const std::string& bytes) const override {
+    return inner_.decode_forward(bytes);
+  }
+
+  std::size_t preprocess_runs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return products_.size();
+  }
+  int preprocess_decodes() const { return decodes_.load(); }
+  // How many recorded stage-1 products are still owned by someone.
+  std::size_t live_products() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t live = 0;
+    for (const std::weak_ptr<const void>& p : products_)
+      live += p.expired() ? 0 : 1;
+    return live;
+  }
+
+ private:
+  const StagedEvalTask& inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::weak_ptr<const void>> products_;
+  mutable std::atomic<int> decodes_{0};
+};
+
+// The perfbench sweep_image shape at test size (StageRetentionRealModels;
+// the StageRetention suite proper is synthetic and cheap enough for the
+// sanitizer jobs): the three fast zoo
+// classifiers (one dataset, one preprocess scope) followed by a detector
+// (another scope), each over tiny_registry's pre-processing, inference and
+// post-processing options.
+struct RetentionModels {
+  std::vector<models::TrainedClassifier> cls;
+  models::TrainedDetector det;
+  std::vector<std::unique_ptr<StagedEvalTask>> tasks;  // cls..., det
+  std::vector<SweepPlan> plans;
+
+  RetentionModels() : det(models::get_detector("RetinaNet-MobileNet")) {
+    const AxisRegistry reg = tiny_registry(true);
+    const std::vector<models::ClassifierSpec> zoo = models::classifier_zoo();
+    cls.reserve(3);
+    for (std::size_t i = 0; i < 3; ++i)
+      cls.push_back(models::get_classifier(zoo[i].name));
+    for (models::TrainedClassifier& tc : cls)
+      tasks.push_back(std::make_unique<models::ClassifierTask>(tc));
+    tasks.push_back(std::make_unique<models::DetectorTask>(det));
+    for (const auto& t : tasks) plans.push_back(plan_sweep(*t, reg));
+  }
+};
+
+TEST(StageRetentionRealModels, OneExecutorMatchesFreshExecutorsAndMonolithic) {
+  const RetentionModels m;
+  ASSERT_EQ(m.tasks[0]->preprocess_scope(), m.tasks[2]->preprocess_scope());
+  ASSERT_NE(m.tasks[0]->preprocess_scope(), m.tasks[3]->preprocess_scope());
+  SweepOptions opts;
+  opts.threads = 3;
+  const StagedExecutor shared;
+  for (std::size_t i = 0; i < m.tasks.size(); ++i) {
+    const MetricMap kept = shared.execute(*m.tasks[i], m.plans[i], opts);
+    const std::string where = m.tasks[i]->cache_identity();
+    EXPECT_EQ(kept, StagedExecutor().execute(*m.tasks[i], m.plans[i], opts))
+        << where;
+    EXPECT_EQ(kept,
+              ThreadPoolExecutor().execute(*m.tasks[i], m.plans[i], opts))
+        << where;
+  }
+}
+
+TEST(StageRetentionRealModels, LaterModelsReuseEveryProductUntilTheScopeChanges) {
+  const RetentionModels m;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "sysnoise_test_stage_retention";
+  std::filesystem::remove_all(dir);
+  DiskStageCache disk(dir.string());
+  StageStats s;
+  const StagedExecutor ex(&s, &disk);
+  std::vector<StageStats> per_call;
+  std::vector<std::unique_ptr<RecordingTask>> recorded;
+  std::vector<std::size_t> first_live;  // first model's products, per call
+  for (std::size_t i = 0; i < m.tasks.size(); ++i) {
+    recorded.push_back(std::make_unique<RecordingTask>(*m.tasks[i]));
+    s = StageStats();
+    ex.execute(*recorded.back(), m.plans[i]);
+    per_call.push_back(s);
+    first_live.push_back(recorded[0]->live_products());
+    expect_counters_reconcile(s, m.tasks[i]->cache_identity());
+  }
+  std::filesystem::remove_all(dir);
+
+  // The first model's batches stay alive (held only by the executor) while
+  // the classifiers share the scope, and are released by the detector call.
+  const std::size_t made = recorded[0]->preprocess_runs();
+  EXPECT_EQ(first_live, (std::vector<std::size_t>{made, made, made, 0}));
+
+  // The first classifier materializes its products (a cold disk, so by
+  // computing them); the next two find every one kept: no pre-processing,
+  // no disk load, and every evaluation is a retained hit.
+  EXPECT_EQ(per_call[0].preprocess_retained, 0u);
+  EXPECT_EQ(per_call[0].preprocess_computed, per_call[0].preprocess_misses);
+  EXPECT_GT(recorded[0]->preprocess_runs(), 0u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    const StageStats& c = per_call[i];
+    EXPECT_EQ(c.preprocess_computed, 0u) << i;
+    EXPECT_EQ(c.preprocess_disk_hits, 0u) << i;
+    EXPECT_EQ(c.preprocess_misses, 0u) << i;
+    EXPECT_EQ(c.preprocess_hits, c.evaluations) << i;
+    EXPECT_EQ(c.preprocess_retained, c.evaluations) << i;
+    EXPECT_EQ(recorded[i]->preprocess_runs(), 0u) << i;
+    EXPECT_EQ(recorded[i]->preprocess_decodes(), 0) << i;
+    // Forward products are per model: every group still runs its network.
+    EXPECT_EQ(c.forward_computed, c.forward_misses) << i;
+  }
+  // The detector is another scope: nothing to reuse.
+  EXPECT_EQ(per_call[3].preprocess_retained, 0u);
+  EXPECT_GT(per_call[3].preprocess_computed, 0u);
+}
+
+TEST(StageRetention, ProductsLiveUntilACallWithAnotherScope) {
+  // Same name, other pre_rounds: another preprocess scope.
+  const SyntheticStagedTask inner(TaskKind::kClassification, false, 1, 1, 1);
+  const SyntheticStagedTask sibling(TaskKind::kClassification, false, 1, 2, 1);
+  const SyntheticStagedTask other(TaskKind::kClassification, false, 2, 1, 1);
+  ASSERT_EQ(inner.preprocess_scope(), sibling.preprocess_scope());
+  ASSERT_NE(inner.preprocess_scope(), other.preprocess_scope());
+  const RecordingTask first(inner);
+  const StagedExecutor ex;
+  ex.execute(first, plan_sweep(first, AxisRegistry::global()));
+  const std::size_t made = first.preprocess_runs();
+  ASSERT_GT(made, 0u);
+  // Kept by the executor after the call returned...
+  EXPECT_EQ(first.live_products(), made);
+  // ...and through a call of the same scope (another "model"), which
+  // pre-processes nothing...
+  const RecordingTask second(sibling);
+  ex.execute(second, plan_sweep(second, AxisRegistry::global()));
+  EXPECT_EQ(second.preprocess_runs(), 0u);
+  EXPECT_EQ(first.live_products(), made);
+  // ...until a call with another scope drops them.
+  ex.execute(other, plan_sweep(other, AxisRegistry::global()));
+  EXPECT_EQ(first.live_products(), 0u);
+}
+
+TEST(StageRetention, FailedPreprocessingIsNotKept) {
+  // A task whose pre-processing throws on its first attempt only.
+  class FlakyTask final : public SyntheticStagedTask {
+   public:
+    FlakyTask() : SyntheticStagedTask(TaskKind::kClassification, false) {}
+    StageProduct run_preprocess(const SysNoiseConfig& cfg) const override {
+      if (!failed_.exchange(true)) throw std::runtime_error("flaky");
+      return SyntheticStagedTask::run_preprocess(cfg);
+    }
+
+   private:
+    mutable std::atomic<bool> failed_{false};
+  };
+  const FlakyTask flaky;
+  const SyntheticStagedTask clean(TaskKind::kClassification, false);
+  const SweepPlan plan = plan_sweep(flaky, AxisRegistry::global());
+  const StagedExecutor ex;
+  EXPECT_THROW(ex.execute(flaky, plan), std::runtime_error);
+  // Same scope: the products that were computed are reused, the failed one
+  // is computed afresh rather than rethrown.
+  EXPECT_EQ(ex.execute(flaky, plan), StagedExecutor().execute(clean, plan));
+}
+
+TEST(StageRetention, ConcurrentCallsAlternatingScopesStayBitIdentical) {
+  // Different pre_rounds: different preprocess scopes AND different stage-1
+  // products under the same preprocess keys, so a product served across
+  // scopes would change the metrics.
+  const SyntheticStagedTask a(TaskKind::kDetection, true, /*pre_rounds=*/1);
+  const SyntheticStagedTask b(TaskKind::kDetection, true, /*pre_rounds=*/2);
+  ASSERT_NE(a.preprocess_scope(), b.preprocess_scope());
+  const SweepPlan plan_a = plan_sweep(a, AxisRegistry::global());
+  const SweepPlan plan_b = plan_sweep(b, AxisRegistry::global());
+  const MetricMap want_a = ThreadPoolExecutor().execute(a, plan_a);
+  const MetricMap want_b = ThreadPoolExecutor().execute(b, plan_b);
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < plan_a.configs.size(); ++i)
+    differ += want_a.at(plan_a.configs[i].metric_key) !=
+              want_b.at(plan_b.configs[i].metric_key);
+  ASSERT_GT(differ, 0u);
+
+  SweepOptions opts;
+  opts.threads = 2;  // each call fans its groups out too
+  StageStats s;
+  const StagedExecutor ex(&s);
+  constexpr int kRounds = 24;
+  std::atomic<int> mismatches{0};
+  const auto hammer = [&](const EvalTask& first, const SweepPlan& first_plan,
+                          const MetricMap& first_want, const EvalTask& second,
+                          const SweepPlan& second_plan,
+                          const MetricMap& second_want) {
+    for (int r = 0; r < kRounds; ++r) {
+      const bool odd = (r % 2) != 0;
+      const MetricMap got = ex.execute(odd ? second : first,
+                                       odd ? second_plan : first_plan, opts);
+      if (got != (odd ? second_want : first_want)) mismatches.fetch_add(1);
+    }
+  };
+  std::thread t1(hammer, std::cref(a), std::cref(plan_a), std::cref(want_a),
+                 std::cref(b), std::cref(plan_b), std::cref(want_b));
+  std::thread t2(hammer, std::cref(b), std::cref(plan_b), std::cref(want_b),
+                 std::cref(a), std::cref(plan_a), std::cref(want_a));
+  t1.join();
+  t2.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  expect_counters_reconcile(s, "concurrent");
+  EXPECT_EQ(s.evaluations, 2u * kRounds * plan_a.configs.size());
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,12 +94,19 @@ void write_output(const std::string& out, const std::string& content) {
   std::fprintf(stderr, "wrote %s\n", out.c_str());
 }
 
-// Strict numeric flag values (net::parse_int/parse_double): a typo is a
-// usage error, never an atoi/atof prefix. Every real-valued flag (times,
-// rates, the time scale) is a non-negative finite number.
+// Strict numeric flag values (net::parse_int/parse_u64/parse_double): a
+// typo is a usage error, never an atoi/atoll/atof prefix. Every real-valued
+// flag (times, rates, the time scale) is a non-negative finite number.
 int int_arg(const std::string& text, int min, const char* argv0) {
   int v = 0;
   if (!net::parse_int(text, min, INT_MAX, &v)) usage(argv0);
+  return v;
+}
+
+std::uint64_t u64_arg(const std::string& text, std::uint64_t max,
+                      const char* argv0) {
+  std::uint64_t v = 0;
+  if (!net::parse_u64(text, 0, max, &v)) usage(argv0);
   return v;
 }
 
@@ -181,7 +189,8 @@ int run_gen(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed" && i + 1 < argc) {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      // Trace files carry the seed as a JSON number: exact up to 2^53.
+      spec.seed = u64_arg(argv[++i], std::uint64_t{1} << 53, argv[0]);
     } else if (arg == "--num-samples" && i + 1 < argc) {
       spec.num_samples = int_arg(argv[++i], 1, argv[0]);
     } else if (arg == "--random-samples") {
@@ -229,8 +238,7 @@ int run_replay(int argc, char** argv) {
     } else if (arg == "--max-delay-ms" && i + 1 < argc) {
       opts.server.max_delay_ms = number_arg(argv[++i], argv[0]);
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
-      opts.server.queue_capacity =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
+      opts.server.queue_capacity = u64_arg(argv[++i], SIZE_MAX, argv[0]);
     } else if (arg == "--gemm-workers" && i + 1 < argc) {
       opts.server.gemm_workers = int_arg(argv[++i], 0, argv[0]);
     } else if (arg == "--virtual") {
