@@ -9,12 +9,11 @@
 // --merge, bit-identical to the unsharded run — and the distributed
 // --coordinate / --connect modes on the same plan seam.
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/report.h"
-#include "models/eval_tasks.h"
 
 using namespace sysnoise;
 
@@ -50,49 +49,15 @@ int main(int argc, char** argv) {
   bench::banner("Fig. 3 — stepwise combined SysNoise", "Sec. 4.2, Fig. 3");
   bench::BenchTrace trace(cli);
 
-  struct ClsUnit {
-    models::TrainedClassifier trained;
-    models::ClassifierTask task;
-    explicit ClsUnit(models::TrainedClassifier t)
-        : trained(std::move(t)), task(trained) {}
-  };
-  struct DetUnit {
-    models::TrainedDetector trained;
-    models::DetectorTask task;
-    explicit DetUnit(models::TrainedDetector t)
-        : trained(std::move(t)), task(trained) {}
-  };
-
   bench::PlanBenchDef def;
   def.units = 2;
   def.make = [&](std::size_t i) {
-    bench::PlanUnit unit;
-    if (i == 0) {
-      std::printf("[fig3] classifier (ResNet-M)...\n");
-      std::fflush(stdout);
-      auto holder =
-          std::make_shared<ClsUnit>(models::get_classifier("ResNet-M"));
-      unit.task_spec = dist::classifier_spec("ResNet-M").to_json();
-      unit.plan =
-          core::plan_stepwise(holder->task, core::AxisRegistry::global());
-      unit.task = &holder->task;
-      unit.seed_metric = holder->trained.trained_acc;
-      unit.has_seed = true;
-      unit.owner = std::move(holder);
-    } else {
-      std::printf("[fig3] detector (FasterRCNN-ResNet)...\n");
-      std::fflush(stdout);
-      auto holder =
-          std::make_shared<DetUnit>(models::get_detector("FasterRCNN-ResNet"));
-      unit.task_spec = dist::detector_spec("FasterRCNN-ResNet").to_json();
-      unit.plan =
-          core::plan_stepwise(holder->task, core::AxisRegistry::global());
-      unit.task = &holder->task;
-      unit.seed_metric = holder->trained.trained_map;
-      unit.has_seed = true;
-      unit.owner = std::move(holder);
-    }
-    return unit;
+    std::printf(i == 0 ? "[fig3] classifier (ResNet-M)...\n"
+                       : "[fig3] detector (FasterRCNN-ResNet)...\n");
+    std::fflush(stdout);
+    return bench::zoo_unit(i == 0 ? dist::classifier_spec("ResNet-M")
+                                  : dist::detector_spec("FasterRCNN-ResNet"),
+                           core::AxisRegistry::global(), core::plan_stepwise);
   };
   def.render = render_and_write;
   return bench::run_standard_modes(cli, trace, def);

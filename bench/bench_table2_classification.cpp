@@ -10,12 +10,12 @@
 // on the same seam: --coordinate serves the plans to TCP workers
 // (--connect / sysnoise_worker) and renders the merged report.
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/report.h"
-#include "models/eval_tasks.h"
+#include "models/classifiers.h"
 
 using namespace sysnoise;
 
@@ -43,30 +43,17 @@ int main(int argc, char** argv) {
   auto specs = models::classifier_zoo();
   if (bench::fast_mode()) specs.resize(3);
 
-  struct Unit {
-    models::TrainedClassifier trained;
-    models::ClassifierTask task;
-    explicit Unit(models::TrainedClassifier t)
-        : trained(std::move(t)), task(trained) {}
-  };
-
   bench::PlanBenchDef def;
   def.units = specs.size();
   def.make = [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::printf("[table2] %s: training/loading...\n", spec.name.c_str());
+    const std::string& name = specs[i].name;
+    std::printf("[table2] %s: training/loading...\n", name.c_str());
     std::fflush(stdout);
-    auto holder = std::make_shared<Unit>(models::get_classifier(spec.name));
+    bench::PlanUnit unit = bench::zoo_unit(dist::classifier_spec(name),
+                                           core::AxisRegistry::global());
     std::printf("[table2] %s: trained ACC %.2f%%, sweeping noise axes...\n",
-                spec.name.c_str(), holder->trained.trained_acc);
+                name.c_str(), unit.seed_metric);
     std::fflush(stdout);
-    bench::PlanUnit unit;
-    unit.task_spec = dist::classifier_spec(spec.name).to_json();
-    unit.plan = core::plan_sweep(holder->task, core::AxisRegistry::global());
-    unit.task = &holder->task;
-    unit.seed_metric = holder->trained.trained_acc;
-    unit.has_seed = true;
-    unit.owner = std::move(holder);
     return unit;
   };
   def.render = render_and_write;

@@ -9,13 +9,11 @@
 // the unsharded run — and the distributed --coordinate / --connect modes
 // on the same plan seam.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/report.h"
-#include "models/eval_tasks.h"
 
 using namespace sysnoise;
 
@@ -42,30 +40,17 @@ int main(int argc, char** argv) {
                                     "RetinaNet-ResNet", "RetinaNet-MobileNet"};
   if (bench::fast_mode()) names.resize(1);
 
-  struct Unit {
-    models::TrainedDetector trained;
-    models::DetectorTask task;
-    explicit Unit(models::TrainedDetector t)
-        : trained(std::move(t)), task(trained) {}
-  };
-
   bench::PlanBenchDef def;
   def.units = names.size();
   def.make = [&](std::size_t i) {
     const std::string& name = names[i];
     std::printf("[table3] %s: training/loading...\n", name.c_str());
     std::fflush(stdout);
-    auto holder = std::make_shared<Unit>(models::get_detector(name));
+    bench::PlanUnit unit = bench::zoo_unit(dist::detector_spec(name),
+                                           core::AxisRegistry::global());
     std::printf("[table3] %s: trained mAP %.2f, sweeping noise axes...\n",
-                name.c_str(), holder->trained.trained_map);
+                name.c_str(), unit.seed_metric);
     std::fflush(stdout);
-    bench::PlanUnit unit;
-    unit.task_spec = dist::detector_spec(name).to_json();
-    unit.plan = core::plan_sweep(holder->task, core::AxisRegistry::global());
-    unit.task = &holder->task;
-    unit.seed_metric = holder->trained.trained_map;
-    unit.has_seed = true;
-    unit.owner = std::move(holder);
     return unit;
   };
   def.render = render_and_write;

@@ -7,13 +7,11 @@
 // the unsharded run — and the distributed --coordinate / --connect modes
 // on the same plan seam.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/report.h"
-#include "models/eval_tasks.h"
 
 using namespace sysnoise;
 
@@ -41,30 +39,17 @@ int main(int argc, char** argv) {
   std::vector<std::string> names = {"DeepLab-S", "DeepLab-M", "UNet"};
   if (bench::fast_mode()) names.resize(1);
 
-  struct Unit {
-    models::TrainedSegmenter trained;
-    models::SegmenterTask task;
-    explicit Unit(models::TrainedSegmenter t)
-        : trained(std::move(t)), task(trained) {}
-  };
-
   bench::PlanBenchDef def;
   def.units = names.size();
   def.make = [&](std::size_t i) {
     const std::string& name = names[i];
     std::printf("[table4] %s: training/loading...\n", name.c_str());
     std::fflush(stdout);
-    auto holder = std::make_shared<Unit>(models::get_segmenter(name));
+    bench::PlanUnit unit = bench::zoo_unit(dist::segmenter_spec(name),
+                                           core::AxisRegistry::global());
     std::printf("[table4] %s: trained mIoU %.2f, sweeping noise axes...\n",
-                name.c_str(), holder->trained.trained_miou);
+                name.c_str(), unit.seed_metric);
     std::fflush(stdout);
-    bench::PlanUnit unit;
-    unit.task_spec = dist::segmenter_spec(name).to_json();
-    unit.plan = core::plan_sweep(holder->task, core::AxisRegistry::global());
-    unit.task = &holder->task;
-    unit.seed_metric = holder->trained.trained_miou;
-    unit.has_seed = true;
-    unit.owner = std::move(holder);
     return unit;
   };
   def.render = render_and_write;

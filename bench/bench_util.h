@@ -42,17 +42,18 @@
 //                          default and provably inert — report bytes are
 //                          identical either way
 //
-// Plan-level benches (tables 2-5, 10, fig 3) run through the PlanBenchDef
-// overload of run_standard_modes and support every mode above. Benches
-// whose unit of work is a row/model list rather than a SweepPlan (tables 1,
-// 6-9, figs 4-5) use the row overload: the shard flags get row-level
-// semantics (--shard runs every Nth row, --merge concatenates the per-shard
-// CSVs) and --connect works (the worker side is bench-agnostic) but
-// --coordinate/--submit need a plan and are rejected.
+// Every table/fig bench is a PlanBenchDef (a list of (task, SweepPlan)
+// units plus a render step) dispatched by run_standard_modes, so every mode
+// above works for every bench and each renders byte-identical reports.
+// Retrained mitigation variants are units over a bench-local registry;
+// benches with nothing to evaluate (table 1, fig 5) have zero units and do
+// all their work in render.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -72,6 +73,7 @@
 #include "core/disk_stage_cache.h"
 #include "core/executor.h"
 #include "core/plan.h"
+#include "core/report.h"
 #include "core/staged_eval.h"
 #include "obs/trace.h"
 #include "dist/task_factory.h"
@@ -90,9 +92,20 @@ inline std::string results_dir() {
   return dir;
 }
 
-inline void write_file(const std::string& name, const std::string& content) {
-  std::ofstream f(results_dir() + "/" + name);
+// Write <results_dir>/<name> and return its path; exits 2 when the file
+// cannot be written, so an unwritable results dir never passes for a
+// finished run.
+inline std::string write_file(const std::string& name,
+                              const std::string& content) {
+  const std::string path = results_dir() + "/" + name;
+  std::ofstream f(path);
   f << content;
+  f.flush();
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(2);
+  }
+  return path;
 }
 
 // Atomic publication for files other processes poll for (port files): write
@@ -183,21 +196,13 @@ struct BenchCli {
   bool dist_jobs() const {
     return coordinating() || submitting() || emit_jobs;
   }
-  // Suffix row-sharded benches append to their output names.
-  std::string shard_suffix() const {
-    return sharded() ? ".shard_" + std::to_string(shard_index) + "_of_" +
-                           std::to_string(shard_count)
-                     : "";
-  }
+  // Output names under results_dir().
   std::string shard_file() const {
-    return results_dir() + "/" + bench + "_shard_" +
-           std::to_string(shard_index) + "_of_" + std::to_string(shard_count) +
-           ".json";
+    return bench + "_shard_" + std::to_string(shard_index) + "_of_" +
+           std::to_string(shard_count) + ".json";
   }
-  std::string plan_file() const { return results_dir() + "/" + bench + "_plan.json"; }
-  std::string jobs_file() const {
-    return results_dir() + "/" + bench + "_jobs.json";
-  }
+  std::string plan_file() const { return bench + "_plan.json"; }
+  std::string jobs_file() const { return bench + "_jobs.json"; }
 };
 
 [[noreturn]] inline void usage(const char* argv0) {
@@ -221,9 +226,13 @@ inline BenchCli parse_cli(int argc, char** argv, const char* bench_name) {
       cli.emit_plan = true;
     } else if (arg == "--shard") {
       if (++i >= argc) usage(argv[0]);
+      const std::string text = argv[i];
+      const std::size_t slash = text.find('/');
       int idx = -1, count = 0;
-      if (std::sscanf(argv[i], "%d/%d", &idx, &count) != 2 || count <= 0 ||
-          idx < 0 || idx >= count) {
+      if (slash == std::string::npos ||
+          !net::parse_int(text.substr(0, slash), 0, INT_MAX, &idx) ||
+          !net::parse_int(text.substr(slash + 1), 1, INT_MAX, &count) ||
+          idx >= count) {
         std::fprintf(stderr, "bad --shard \"%s\" (want i/N with 0 <= i < N)\n",
                      argv[i]);
         std::exit(2);
@@ -390,17 +399,6 @@ inline int run_bench_worker(const BenchCli& cli) {
   return stats.done ? 0 : 1;
 }
 
-// Row-sharded benches have no SweepPlan for a sweep service to lease.
-inline void reject_coordinate(const BenchCli& cli) {
-  if (!cli.dist_jobs()) return;
-  std::fprintf(stderr,
-               "[%s] --coordinate/--submit/--emit-jobs need a plan-level "
-               "bench (tables 2-5, 10, fig3); this bench only supports "
-               "--connect\n",
-               cli.bench.c_str());
-  std::exit(2);
-}
-
 // One schedulable sweep: the opaque task spec workers resolve
 // (dist/task_factory.h) plus the plan to evaluate.
 struct DistJob {
@@ -422,9 +420,8 @@ inline void write_jobs_file(const BenchCli& cli,
     jjobs.push_back(std::move(jj));
   }
   j.set("jobs", std::move(jjobs));
-  std::ofstream f(cli.jobs_file());
-  f << j.dump(2) << "\n";
-  std::printf("wrote %s (%zu jobs)\n", cli.jobs_file().c_str(), jobs.size());
+  const std::string path = write_file(cli.jobs_file(), j.dump(2) + "\n");
+  std::printf("wrote %s (%zu jobs)\n", path.c_str(), jobs.size());
 }
 
 // Hand the jobs to the sweep service at host:port and collect each merged
@@ -532,36 +529,8 @@ inline bool dist_results(const BenchCli& cli, const std::vector<DistJob>& jobs,
   return true;
 }
 
-// Row-level shard slice for benches whose unit of work is a model/row list.
-template <typename T>
-inline std::vector<T> shard_slice(const std::vector<T>& rows,
-                                  const BenchCli& cli) {
-  if (!cli.sharded()) return rows;
-  std::vector<T> out;
-  for (std::size_t i = static_cast<std::size_t>(cli.shard_index);
-       i < rows.size(); i += static_cast<std::size_t>(cli.shard_count))
-    out.push_back(rows[i]);
-  return out;
-}
-
-// Merge per-shard CSVs (from row-sharded benches) by concatenation,
-// keeping the first file's header only.
-inline std::string merge_csv_files(const std::vector<std::string>& paths) {
-  std::string out;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const std::string content = read_file(paths[i]);
-    if (i == 0) {
-      out += content;
-    } else {
-      const std::size_t nl = content.find('\n');
-      out += nl == std::string::npos ? content : content.substr(nl + 1);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Shard-result files for plan-level sharded benches (tables 2-4, fig 3)
+// Shard-result files
 // ---------------------------------------------------------------------------
 
 // One executed (plan, partial metrics) pair; a shard file holds one per
@@ -575,9 +544,8 @@ inline void write_plan_file(const BenchCli& cli,
                             const std::vector<core::SweepPlan>& plans) {
   util::Json j = util::Json::array();
   for (const core::SweepPlan& plan : plans) j.push_back(plan.to_json());
-  std::ofstream f(cli.plan_file());
-  f << j.dump(2) << "\n";
-  std::printf("wrote %s (%zu plans)\n", cli.plan_file().c_str(), plans.size());
+  const std::string path = write_file(cli.plan_file(), j.dump(2) + "\n");
+  std::printf("wrote %s (%zu plans)\n", path.c_str(), plans.size());
 }
 
 inline void write_shard_file(const BenchCli& cli,
@@ -597,10 +565,9 @@ inline void write_shard_file(const BenchCli& cli,
     jruns.push_back(std::move(jr));
   }
   j.set("runs", std::move(jruns));
-  std::ofstream f(cli.shard_file());
-  f << j.dump(2) << "\n";
-  std::printf("wrote %s (%zu runs, shard %d/%d)\n", cli.shard_file().c_str(),
-              runs.size(), cli.shard_index, cli.shard_count);
+  const std::string path = write_file(cli.shard_file(), j.dump(2) + "\n");
+  std::printf("wrote %s (%zu runs, shard %d/%d)\n", path.c_str(), runs.size(),
+              cli.shard_index, cli.shard_count);
 }
 
 // Read shard files from --shard runs of the same bench and merge them:
@@ -684,11 +651,58 @@ inline double planned_metric(const PlanRun& run,
                           "\" option \"" + label + "\"");
 }
 
+// planned_metric of each option `labels` names on `axis`, in that order.
+inline std::vector<double> option_metrics(const PlanRun& run,
+                                          const std::string& axis,
+                                          const std::vector<std::string>& labels) {
+  std::vector<double> out;
+  for (const std::string& label : labels)
+    out.push_back(
+        planned_metric(run, core::PlannedConfig::Role::kOption, axis, label));
+  return out;
+}
+
+// Train x test accuracy matrix (tables 7-9): row r is training recipe
+// trains[r], with its accuracy under each test option, then their mean and
+// population std. Prints the table and writes <bench>.txt and <bench>.csv
+// (one "train,test,acc" line per cell).
+inline void write_accuracy_matrix(const std::string& bench,
+                                  const std::vector<std::string>& tests,
+                                  const std::vector<std::string>& trains,
+                                  const std::vector<std::vector<double>>& accs) {
+  std::vector<std::string> headers = {"Train \\ Test"};
+  headers.insert(headers.end(), tests.begin(), tests.end());
+  headers.push_back("Mean");
+  headers.push_back("Std.");
+  core::TextTable table(headers);
+  std::string csv = "train,test,acc\n";
+  for (std::size_t r = 0; r < trains.size(); ++r) {
+    std::vector<std::string> cells = {trains[r]};
+    double sum = 0.0, sq = 0.0;
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      const double acc = accs[r][t];
+      cells.push_back(core::fmt(acc));
+      csv += trains[r] + "," + tests[t] + "," + core::fmt(acc) + "\n";
+      sum += acc;
+      sq += acc * acc;
+    }
+    const double n = static_cast<double>(tests.size());
+    const double mean = sum / n;
+    const double var = sq / n - mean * mean;
+    cells.push_back(core::fmt(mean));
+    cells.push_back(core::fmt(std::sqrt(std::max(var, 0.0)), 3));
+    table.add_row(std::move(cells));
+  }
+  std::fputs(table.str().c_str(), stdout);
+  write_file(bench + ".txt", table.str());
+  write_file(bench + ".csv", csv);
+}
+
 // ---------------------------------------------------------------------------
 // run_standard_modes: the one mode dispatcher every table/fig bench uses
 // ---------------------------------------------------------------------------
 
-// One unit of a plan-level bench: a live task plus its SweepPlan and the
+// One unit of a bench: a live task plus its SweepPlan and the
 // dist-factory spec that lets a remote worker rebuild the task.
 struct PlanUnit {
   util::Json task_spec;                  // dist::*_spec(...).to_json()
@@ -699,11 +713,33 @@ struct PlanUnit {
   std::shared_ptr<void> owner;           // keeps the trained model alive
 };
 
-// A plan-level bench (tables 2-5, 10, fig 3): `make(i)` trains/loads unit i
-// and returns it; `render(runs)` assembles and writes the final report from
-// one complete (plan, metrics) pair per unit. The driver owns every mode:
-// --connect, --merge, --emit-plan, --coordinate/--submit/--emit-jobs,
-// --shard, and the plain local run — all byte-identical on the same plans.
+// The unit for the zoo task `spec` names, planned over `registry` by `plan`
+// (a sweep unless given plan_stepwise) and resolved through
+// dist::resolve_zoo_task exactly as a worker resolves it, so the local run
+// and a distributed one train, load and seed the same task.
+inline PlanUnit zoo_unit(const dist::TaskSpec& spec,
+                         const core::AxisRegistry& registry,
+                         core::SweepPlan (*plan)(const core::EvalTask&,
+                                                 const core::AxisRegistry&) =
+                             core::plan_sweep) {
+  dist::ResolvedWorkerTask resolved = dist::resolve_zoo_task(spec.to_json());
+  PlanUnit unit;
+  unit.task_spec = spec.to_json();
+  unit.plan = plan(*resolved.task, registry);
+  unit.task = resolved.task;
+  unit.has_seed = !resolved.seeds.empty();  // the training-default metric
+  if (unit.has_seed) unit.seed_metric = resolved.seeds.begin()->second;
+  unit.owner = std::move(resolved.owner);
+  return unit;
+}
+
+// A bench: `make(i)` trains/loads unit i and returns it; `render(runs)`
+// assembles and writes the final report from one complete (plan, metrics)
+// pair per unit, in unit order. The driver owns every mode: --connect,
+// --merge, --emit-plan, --coordinate/--submit/--emit-jobs, --shard, and the
+// plain local run — all byte-identical on the same plans. A bench with
+// `units = 0` does all its work in render, which then runs exactly where a
+// report is due (local run, --merge, --coordinate, --submit).
 struct PlanBenchDef {
   std::size_t units = 0;
   std::function<PlanUnit(std::size_t)> make;
@@ -776,46 +812,6 @@ inline int run_standard_modes(const BenchCli& cli, BenchTrace& trace,
     return 0;
   }
   def.render(runs);
-  return 0;
-}
-
-// A row-level bench (tables 1, 6-9, figs 4-5): the unit of work is one row
-// of the final table, not a SweepPlan. The driver dispatches --connect
-// (bench-agnostic worker), --merge (CSV concatenation), --emit-plan (row
-// work list), then slices the rows for --shard, calls `row(label)` for each
-// survivor (the bench accumulates its table/CSV in the closure), and writes
-// <bench>.txt/.csv (+ shard suffix) from `render()`'s {txt, csv} pair.
-template <typename RowFn, typename RenderFn>
-inline int run_standard_modes(const BenchCli& cli,
-                              const std::vector<std::string>& labels,
-                              RowFn&& row, RenderFn&& render) {
-  reject_coordinate(cli);
-  if (cli.connecting()) return run_bench_worker(cli);
-  if (cli.merging()) {
-    const std::string csv_name = cli.bench + ".csv";
-    write_file(csv_name, merge_csv_files(cli.merge_files));
-    std::printf("merged %zu shard CSVs into %s/%s\n", cli.merge_files.size(),
-                results_dir().c_str(), csv_name.c_str());
-    return 0;
-  }
-  if (cli.emit_plan) {
-    util::Json j = util::Json::object();
-    j.set("bench", cli.bench);
-    j.set("kind", "rows");
-    util::Json rows = util::Json::array();
-    for (const std::string& label : labels) rows.push_back(label);
-    j.set("rows", std::move(rows));
-    std::ofstream f(cli.plan_file());
-    f << j.dump(2) << "\n";
-    std::printf("wrote %s (%zu rows)\n", cli.plan_file().c_str(),
-                labels.size());
-    return 0;
-  }
-  for (const std::string& label : shard_slice(labels, cli)) row(label);
-  const std::pair<std::string, std::string> out = render();
-  std::fputs(out.first.c_str(), stdout);
-  write_file(cli.bench + ".txt" + cli.shard_suffix(), out.first);
-  write_file(cli.bench + ".csv" + cli.shard_suffix(), out.second);
   return 0;
 }
 

@@ -1,5 +1,7 @@
 #include "core/learned_codec.h"
 
+#include <algorithm>
+
 #include "models/zoo.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
@@ -111,6 +113,32 @@ models::ClsPreprocessor learned_decoder_preprocessor(const PipelineSpec& spec) {
   return [spec, codec](const data::ClsSample& s, Rng&) {
     return preprocess_learned(s.jpeg, *codec, spec);
   };
+}
+
+LearnedDecodeTask::LearnedDecodeTask(models::TrainedClassifier& tc)
+    : tc_(tc), codec_(get_learned_codec()), name_(tc.name + " (Learned decode)") {}
+
+TaskTraits LearnedDecodeTask::traits() const {
+  return {TaskKind::kClassification, tc_.model->has_maxpool()};
+}
+
+double LearnedDecodeTask::evaluate(const SysNoiseConfig& cfg) const {
+  const auto& eval = models::benchmark_cls_dataset().eval;
+  const PipelineSpec spec = models::cls_pipeline_spec();
+  constexpr int kBatch = 16;
+  const int n = static_cast<int>(eval.size());
+  PreprocessedBatches batches;
+  batches.batch_size = kBatch;
+  batches.num_samples = n;
+  for (int b = 0; b < n; b += kBatch) {
+    std::vector<Tensor> inputs;
+    for (int i = b; i < std::min(b + kBatch, n); ++i)
+      inputs.push_back(
+          preprocess_learned(eval[static_cast<std::size_t>(i)].jpeg, *codec_, spec));
+    batches.inputs.push_back(models::stack_batch(inputs));
+  }
+  return models::eval_classifier_batches(*tc_.model, batches, eval, cfg,
+                                         &tc_.ranges);
 }
 
 }  // namespace sysnoise::core

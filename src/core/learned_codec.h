@@ -6,8 +6,11 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
+#include "core/sweep.h"
 #include "models/train.h"
+#include "models/zoo.h"
 
 namespace sysnoise::core {
 
@@ -33,5 +36,26 @@ models::ClsPreprocessor learned_decoder_preprocessor(const PipelineSpec& spec);
 // Eval-side preprocessing with a learned decode stage.
 Tensor preprocess_learned(const std::vector<std::uint8_t>& jpeg_bytes,
                           LearnedCodec& codec, const PipelineSpec& spec);
+
+// Table 9's "Learned" test column as a sweep task: `tc` on the shared
+// benchmark eval set, with the learned codec (get_learned_codec) as the
+// whole pre-processing chain. A config's pre-processing knobs therefore do
+// not apply; its inference knobs do.
+class LearnedDecodeTask : public EvalTask {
+ public:
+  explicit LearnedDecodeTask(models::TrainedClassifier& tc);
+  const std::string& name() const override { return name_; }
+  TaskTraits traits() const override;
+  // Folds the training tag in, like models::ClassifierTask.
+  std::string cache_identity() const override {
+    return tc_.tag.empty() ? name_ : name_ + "#" + tc_.tag;
+  }
+  double evaluate(const SysNoiseConfig& cfg) const override;
+
+ private:
+  models::TrainedClassifier& tc_;
+  std::shared_ptr<LearnedCodec> codec_;
+  std::string name_;
+};
 
 }  // namespace sysnoise::core

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <string>
 
 #include "audio/fft.h"
+#include "core/learned_codec.h"
 #include "image/synthetic.h"
 #include "models/zoo.h"
 #include "nn/optim.h"
@@ -241,8 +244,12 @@ models::ClsPreprocessor augmented_preprocessor(const PipelineSpec& spec,
   };
 }
 
-models::TrainedClassifier adversarial_train_classifier(const std::string& name,
-                                                       float epsilon) {
+namespace {
+
+// FGSM adversarial training of a zoo classifier, cached as
+// cls_<name>_adv_v1 (the stem models::get_classifier gives tag "adv").
+models::TrainedClassifier adversarial_train_classifier(const std::string& name) {
+  constexpr float epsilon = 0.05f;
   const auto& ds = models::benchmark_cls_dataset();
   const PipelineSpec spec = models::cls_pipeline_spec();
 
@@ -316,6 +323,54 @@ models::TrainedClassifier adversarial_train_classifier(const std::string& name,
   out.trained_acc = models::eval_classifier(
       *out.model, ds.eval, SysNoiseConfig::training_default(), spec, &out.ranges);
   return out;
+}
+
+}  // namespace
+
+models::TrainedClassifier get_tagged_classifier(const std::string& model,
+                                                const std::string& tag) {
+  if (tag.empty()) return models::get_classifier(model);
+  if (tag == "adv") return adversarial_train_classifier(model);
+  // Resolve the recipe completely (the *_from_name parsers throw
+  // std::invalid_argument) before get_classifier may train and cache.
+  const PipelineSpec spec = models::cls_pipeline_spec();
+  const std::string prefix = tag.substr(0, 3);
+  const std::string name = tag.size() > 3 ? tag.substr(3) : "";
+  SysNoiseConfig cfg = SysNoiseConfig::training_default();
+  ClsPreprocessor prep;
+  if (tag == "t7_mix") {
+    prep = mix_training_preprocessor(spec, /*mix_decoder=*/false,
+                                     /*mix_resize=*/true);
+  } else if (tag == "t8_mix") {
+    prep = mix_training_preprocessor(spec, /*mix_decoder=*/true,
+                                     /*mix_resize=*/false);
+  } else if (tag == "t9_Learned") {
+    prep = learned_decoder_preprocessor(spec);
+  } else if (prefix == "t7_") {
+    cfg.resize = resize_method_from_name(name);
+    prep = fixed_config_preprocessor(spec, cfg);
+  } else if (prefix == "t8_" || prefix == "t9_") {
+    cfg.decoder = decoder_vendor_from_name(name);
+    prep = fixed_config_preprocessor(spec, cfg);
+  } else if (prefix == "f4_") {
+    for (int s = 0; s < kNumAugStrategies && !prep; ++s)
+      if (name == aug_strategy_name(static_cast<AugStrategy>(s)))
+        prep = augmented_preprocessor(spec, static_cast<AugStrategy>(s));
+  }
+  if (!prep)
+    throw std::invalid_argument("get_tagged_classifier: unknown recipe tag \"" +
+                                tag + "\"");
+  return models::get_classifier(model, tag, &prep);
+}
+
+TaskTraits TentTask::traits() const {
+  return {TaskKind::kClassification, tc_.model->has_maxpool()};
+}
+
+double TentTask::evaluate(const SysNoiseConfig& cfg) const {
+  models::TrainedClassifier fresh = models::get_classifier(tc_.name);
+  return eval_classifier_tent(*fresh.model, models::benchmark_cls_dataset().eval,
+                              cfg, models::cls_pipeline_spec(), &fresh.ranges);
 }
 
 double eval_classifier_tent(models::Classifier& model,

@@ -8,6 +8,9 @@
 //    normalization affine parameters during evaluation.
 #pragma once
 
+#include <string>
+
+#include "core/sweep.h"
 #include "models/train.h"
 #include "models/zoo.h"
 
@@ -41,11 +44,24 @@ const char* aug_strategy_name(AugStrategy s);
 models::ClsPreprocessor augmented_preprocessor(const PipelineSpec& spec,
                                                AugStrategy strategy);
 
-// ---- adversarial training ---------------------------------------------------
+// ---- tagged training recipes ------------------------------------------------
 
-// FGSM adversarial training of a zoo classifier (cached under tag "adv").
-models::TrainedClassifier adversarial_train_classifier(const std::string& name,
-                                                       float epsilon = 0.05f);
+// Train (or load) zoo classifier `model` with the recipe its cache tag
+// names. The one tag -> recipe map, shared by the benches and the
+// distributed task factory so both hold the same weights for a tag:
+//   ""              the default recipe (models::get_classifier)
+//   "t7_<resize>"   train with one fixed resize method (Table 7 rows)
+//   "t7_mix"        mix training over resize methods (Table 7)
+//   "t8_<decoder>"  train with one fixed decoder (Table 8 rows)
+//   "t8_mix"        mix training over decoders (Table 8)
+//   "t9_<decoder>"  train with one fixed decoder (Table 9 rows)
+//   "t9_Learned"    train through the learned decoder (Table 9)
+//   "f4_<strategy>" an augmentation strategy (Fig. 4a; aug_strategy_name)
+//   "adv"           FGSM adversarial training (Fig. 4b), named "<model>-Adv"
+// Any other tag throws std::invalid_argument before anything is trained or
+// written to the model cache.
+models::TrainedClassifier get_tagged_classifier(const std::string& model,
+                                                const std::string& tag);
 
 // ---- TENT --------------------------------------------------------------------
 
@@ -57,5 +73,23 @@ double eval_classifier_tent(models::Classifier& model,
                             const SysNoiseConfig& cfg, const PipelineSpec& spec,
                             nn::ActRanges* ranges, float lr = 5e-3f,
                             int batch_size = 16);
+
+// Table 6's "w/ TENT" rows as a sweep task over the default-recipe
+// classifier `tc`: adaptation is stateful, so every config reloads a fresh
+// copy of the model and adapts it on the shared benchmark eval set. Named
+// "<model> (w/ TENT)" so a shared SweepCache keeps it apart from the plain
+// ClassifierTask.
+class TentTask : public EvalTask {
+ public:
+  explicit TentTask(const models::TrainedClassifier& tc)
+      : tc_(tc), name_(tc.name + " (w/ TENT)") {}
+  const std::string& name() const override { return name_; }
+  TaskTraits traits() const override;
+  double evaluate(const SysNoiseConfig& cfg) const override;
+
+ private:
+  const models::TrainedClassifier& tc_;
+  std::string name_;
+};
 
 }  // namespace sysnoise::core

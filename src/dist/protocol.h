@@ -101,12 +101,14 @@ std::string check_hello(const util::Json& m, const std::string& auth_token);
 // family plus the zoo model name (training is deterministic and disk-
 // cached, so "same name" means "same weights" on every machine sharing a
 // SYSNOISE_CACHE_DIR convention — and bit-identical weights even without
-// sharing one). `kind` matches task_kind_name(); `tag` is the classifier
-// retrained-variant tag. seed_baseline carries the zoo's clean-pipeline
-// metric so the worker's SweepCache starts out exactly like a seeded
-// single-process sweep and never re-evaluates the baseline.
+// sharing one). `kind` matches task_kind_name(), or names one of the
+// mitigation tasks of dist/task_factory.h; `tag` is the classifier's
+// recipe tag (core::get_tagged_classifier). seed_baseline carries the
+// zoo's clean-pipeline metric so the worker's SweepCache starts out
+// exactly like a seeded single-process sweep and never re-evaluates the
+// baseline.
 struct TaskSpec {
-  std::string kind;  // "classification" | "detection" | "segmentation"
+  std::string kind;
   std::string model;
   std::string tag;
   bool seed_baseline = true;

@@ -6,6 +6,8 @@
 
 #include "audio/eval_task.h"
 #include "core/axis.h"
+#include "core/learned_codec.h"
+#include "core/mitigation.h"
 #include "models/eval_tasks.h"
 #include "models/zoo.h"
 #include "nlp/eval_task.h"
@@ -47,6 +49,10 @@ struct NlpHolder {
       : trained(std::move(t)), task(trained, k) {}
 };
 
+// Kinds of the two mitigation tasks; both wrap a classifier.
+constexpr const char* kTentKind = "tent";
+constexpr const char* kLearnedDecodeKind = "learned_decode";
+
 }  // namespace
 
 TaskSpec classifier_spec(const std::string& model, const std::string& tag) {
@@ -54,6 +60,22 @@ TaskSpec classifier_spec(const std::string& model, const std::string& tag) {
   spec.kind = core::task_kind_name(core::TaskKind::kClassification);
   spec.model = model;
   spec.tag = tag;
+  return spec;
+}
+
+TaskSpec tent_spec(const std::string& model) {
+  TaskSpec spec;
+  spec.kind = kTentKind;
+  spec.model = model;
+  return spec;
+}
+
+TaskSpec learned_decode_spec(const std::string& model, const std::string& tag) {
+  TaskSpec spec;
+  spec.kind = kLearnedDecodeKind;
+  spec.model = model;
+  spec.tag = tag;
+  spec.seed_baseline = false;
   return spec;
 }
 
@@ -91,9 +113,21 @@ TaskSpec tts_spec(const std::string& model) {
 ResolvedWorkerTask resolve_zoo_task(const util::Json& spec_json) {
   const TaskSpec spec = TaskSpec::from_json(spec_json);
   if (spec.kind == core::task_kind_name(core::TaskKind::kClassification)) {
-    auto tc = models::get_classifier(spec.model, spec.tag);
+    auto tc = core::get_tagged_classifier(spec.model, spec.tag);
     const double metric = tc.trained_acc;
     return resolved<models::TrainedClassifier, models::ClassifierTask>(
+        std::move(tc), metric, spec.seed_baseline);
+  }
+  if (spec.kind == kTentKind) {
+    auto tc = models::get_classifier(spec.model);
+    const double metric = tc.trained_acc;
+    return resolved<models::TrainedClassifier, core::TentTask>(
+        std::move(tc), metric, spec.seed_baseline);
+  }
+  if (spec.kind == kLearnedDecodeKind) {
+    auto tc = core::get_tagged_classifier(spec.model, spec.tag);
+    const double metric = tc.trained_acc;
+    return resolved<models::TrainedClassifier, core::LearnedDecodeTask>(
         std::move(tc), metric, spec.seed_baseline);
   }
   if (spec.kind == core::task_kind_name(core::TaskKind::kDetection)) {

@@ -5,22 +5,32 @@
 // N ∈ {1,2,3} workers, the min-workers quorum, fault tolerance (a worker
 // killed mid-lease — by disconnect and by silent death — still yields a
 // byte-identical report; incomplete or contradicting results fail the job
-// loudly), the DistExecutor seam, and a real-model loopback run matching
-// the seeded single-process sweep.
+// loudly), the DistExecutor seam, a real-model loopback run matching the
+// seeded single-process sweep, and the zoo task factory's recipe tags and
+// mitigation tasks.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <chrono>
 #include <climits>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/executor.h"
+#include "core/learned_codec.h"
+#include "core/mitigation.h"
 #include "core/plan.h"
 #include "core/report.h"
 #include "core/synthetic_task.h"
@@ -695,6 +705,129 @@ TEST(Distributed, RealClassifierLoopbackMatchesSeededSingleProcessSweep) {
   }
 
   expect_reports_identical(expected, core::assemble_report(plan, metrics));
+}
+
+// ---------------------------------------------------------------------------
+// zoo task factory: recipe tags and mitigation tasks
+// ---------------------------------------------------------------------------
+
+// Points SYSNOISE_CACHE_DIR at a fresh, empty model cache for one test.
+class TempModelCache {
+ public:
+  TempModelCache()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("sysnoise_factory_cache_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    if (const char* old = std::getenv("SYSNOISE_CACHE_DIR")) old_ = old;
+    ::setenv("SYSNOISE_CACHE_DIR", dir_.c_str(), 1);
+  }
+  ~TempModelCache() {
+    if (old_.empty())
+      ::unsetenv("SYSNOISE_CACHE_DIR");
+    else
+      ::setenv("SYSNOISE_CACHE_DIR", old_.c_str(), 1);
+    std::filesystem::remove_all(dir_);
+  }
+  const std::filesystem::path& dir() const { return dir_; }
+  std::string bytes(const std::string& name) const {
+    std::ifstream f(dir_ / name, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+  }
+
+ private:
+  std::filesystem::path dir_;
+  std::string old_;
+};
+
+TEST(TaskFactory, TaggedClassifierSpecTrainsTheTagsRecipe) {
+  const TempModelCache cache;
+  const ResolvedWorkerTask resolved =
+      resolve_zoo_task(classifier_spec("MCUNet", "t8_OpenCV").to_json());
+
+  // The bench's recipe for that tag, spelled out and cached under another
+  // tag: the worker must have trained exactly these weights.
+  SysNoiseConfig opencv = SysNoiseConfig::training_default();
+  opencv.decoder = jpeg::DecoderVendor::kOpenCV;
+  const models::ClsPreprocessor prep =
+      core::fixed_config_preprocessor(models::cls_pipeline_spec(), opencv);
+  const models::TrainedClassifier reference =
+      models::get_classifier("MCUNet", "reference", &prep);
+
+  const std::string weights = cache.bytes("cls_MCUNet_t8_OpenCV_v1.weights");
+  ASSERT_FALSE(weights.empty());
+  EXPECT_TRUE(weights == cache.bytes("cls_MCUNet_reference_v1.weights"))
+      << "tagged spec trained another recipe than its tag names";
+  EXPECT_EQ(resolved.task->cache_identity(), "MCUNet#t8_OpenCV");
+  ASSERT_EQ(resolved.seeds.size(), 1u);
+  EXPECT_EQ(resolved.seeds.begin()->second, reference.trained_acc);
+}
+
+TEST(TaskFactory, UnknownRecipeTagThrowsBeforeTrainingOrCaching) {
+  const TempModelCache cache;
+  for (const char* tag : {"mix", "t7_bogus", "t8_Bogus", "t9_", "f4_NoSuch",
+                          "adversarial", "t7_mix_extra"}) {
+    EXPECT_THROW(resolve_zoo_task(classifier_spec("MCUNet", tag).to_json()),
+                 std::invalid_argument)
+        << tag;
+    EXPECT_THROW(
+        resolve_zoo_task(learned_decode_spec("MCUNet", tag).to_json()),
+        std::invalid_argument)
+        << tag;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(cache.dir()));
+}
+
+TEST(TaskFactory, TentSpecAdaptsAFreshModelSeededWithThePlainAccuracy) {
+  const ResolvedWorkerTask resolved =
+      resolve_zoo_task(tent_spec("MCUNet").to_json());
+  EXPECT_EQ(resolved.task->name(), "MCUNet (w/ TENT)");
+  auto tc = models::get_classifier("MCUNet");
+  const SysNoiseConfig base = SysNoiseConfig::training_default();
+  ASSERT_EQ(resolved.seeds.size(), 1u);
+  EXPECT_EQ(resolved.seeds.at(core::SweepCache::key_for(*resolved.task, base)),
+            tc.trained_acc);
+
+  SysNoiseConfig cfg = base;
+  cfg.resize = ResizeMethod::kOpenCVNearest;
+  const double first = resolved.task->evaluate(cfg);
+  // TENT mutates the model it adapts: a task that reused one copy would
+  // drift on the second call.
+  EXPECT_EQ(resolved.task->evaluate(cfg), first);
+  EXPECT_EQ(first, core::eval_classifier_tent(
+                       *tc.model, models::benchmark_cls_dataset().eval, cfg,
+                       models::cls_pipeline_spec(), &tc.ranges));
+}
+
+TEST(TaskFactory, LearnedDecodeSpecRunsTheLearnedCodecChainUnseeded) {
+  const ResolvedWorkerTask resolved =
+      resolve_zoo_task(learned_decode_spec("MCUNet", "").to_json());
+  EXPECT_EQ(resolved.task->name(), "MCUNet (Learned decode)");
+  EXPECT_TRUE(resolved.seeds.empty());
+
+  // Oracle: the learned decode stage per sample, batches of 16, the shared
+  // classifier forward loop.
+  auto tc = models::get_classifier("MCUNet");
+  const auto& eval = models::benchmark_cls_dataset().eval;
+  auto codec = core::get_learned_codec();
+  const int n = static_cast<int>(eval.size());
+  PreprocessedBatches batches;
+  batches.batch_size = 16;
+  batches.num_samples = n;
+  for (int b = 0; b < n; b += 16) {
+    std::vector<Tensor> inputs;
+    for (int i = b; i < std::min(b + 16, n); ++i)
+      inputs.push_back(core::preprocess_learned(
+          eval[static_cast<std::size_t>(i)].jpeg, *codec,
+          models::cls_pipeline_spec()));
+    batches.inputs.push_back(models::stack_batch(inputs));
+  }
+  SysNoiseConfig int8 = SysNoiseConfig::training_default();
+  int8.precision = nn::Precision::kINT8;
+  for (const SysNoiseConfig& cfg : {SysNoiseConfig::training_default(), int8})
+    EXPECT_EQ(resolved.task->evaluate(cfg),
+              models::eval_classifier_batches(*tc.model, batches, eval, cfg,
+                                              &tc.ranges));
 }
 
 }  // namespace
