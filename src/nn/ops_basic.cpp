@@ -26,23 +26,22 @@ Node* linear(Tape& t, Node* x, Param& w, Param* bias, const std::string& layer_i
   if (w.value.dim(1) != in) throw std::invalid_argument("linear: shape mismatch");
   const int rows = leading_rows(x->value);
 
-  // FP32 reads the operands in place (see conv2d).
+  // FP32 reads the operands in place; weights come from the cache (see conv2d).
   const bool in_place = t.ctx.precision == Precision::kFP32 && !t.ctx.calibrating;
-  Tensor xcopy, wcopy;
+  Tensor xcopy;
   if (!in_place) {
     xcopy = x->value;
     apply_activation_precision(t.ctx, layer_id + ".in", xcopy);
-    wcopy = apply_weight_precision(t.ctx, w.value);
   }
   const Tensor& xin = in_place ? x->value : xcopy;
-  const Tensor& wq = in_place ? w.value : wcopy;
+  const std::shared_ptr<const Tensor> wq = w.deployed(t.ctx);
 
   std::vector<int> out_shape(x->value.shape());
   out_shape.back() = out_f;
   Tensor out(out_shape);
   const BackendScope backend_scope(t.ctx.backend);
   // out[rows x out_f] = xin[rows x in] * Wq^T (W stored [out_f x in])
-  gemm_bt_acc(rows, out_f, in, xin.data(), wq.data(), out.data());
+  gemm_bt_acc(rows, out_f, in, xin.data(), wq->data(), out.data());
   if (bias != nullptr)
     for (int r = 0; r < rows; ++r)
       for (int c = 0; c < out_f; ++c)

@@ -152,16 +152,16 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const int col_rows = icg * k * k;
 
   // Deployment-precision view of inputs and weights: FP32 reads both in
-  // place, a precision transform or calibration works on copies.
+  // place, a precision transform or calibration works on a copy of the
+  // input, and the weights come converted once from the Param's cache.
   const bool in_place = t.ctx.precision == Precision::kFP32 && !t.ctx.calibrating;
-  Tensor xcopy, wcopy;
+  Tensor xcopy;
   if (!in_place) {
     xcopy = x->value;
     apply_activation_precision(t.ctx, layer_id + ".in", xcopy);
-    wcopy = apply_weight_precision(t.ctx, w.value);
   }
   const Tensor& xin = in_place ? x->value : xcopy;
-  const Tensor& wq = in_place ? w.value : wcopy;
+  const std::shared_ptr<const Tensor> wq = w.deployed(t.ctx);
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
@@ -174,7 +174,7 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
                                     oh, ow, /*slot=*/2);
     // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
     float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
-    const float* w_ptr = wq.data() + static_cast<std::size_t>(g) * ocg * col_rows;
+    const float* w_ptr = wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
     gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
   };
   // With a parallelism grant (batched executor stacking configs), split the

@@ -1,5 +1,9 @@
 #include "nn/tape.h"
 
+#include <cstring>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/half.h"
 
 namespace sysnoise::nn {
@@ -89,6 +93,38 @@ Tensor apply_weight_precision(const InferenceCtx& ctx, const Tensor& w) {
     }
   }
   return w;
+}
+
+// A converted weight plus the exact value it was converted from.
+struct WeightCache::Entry {
+  Tensor source;
+  Tensor converted;
+};
+
+std::shared_ptr<const Tensor> Param::deployed(const InferenceCtx& ctx) const {
+  // Aliasing constructor with no owner: a plain pointer, no refcount traffic.
+  if (ctx.calibrating || ctx.precision == Precision::kFP32)
+    return std::shared_ptr<const Tensor>(std::shared_ptr<const Tensor>(), &value);
+  auto& slot = cache_.slots_[static_cast<int>(ctx.precision)];
+  std::shared_ptr<const WeightCache::Entry> entry;
+  {
+    const std::lock_guard lock(cache_.mu_);
+    entry = slot;
+  }
+  const std::size_t bytes = value.size() * sizeof(float);
+  const bool hit = entry != nullptr && entry->source.shape() == value.shape() &&
+                   entry->source.size() == value.size() &&
+                   (bytes == 0 || std::memcmp(entry->source.data(), value.data(), bytes) == 0);
+  if (obs::trace_enabled())
+    obs::metrics().counter_add(hit ? "nn.weight_cache.hits" : "nn.weight_cache.conversions");
+  if (!hit) {
+    entry = std::make_shared<const WeightCache::Entry>(
+        WeightCache::Entry{value, apply_weight_precision(ctx, value)});
+    const std::lock_guard lock(cache_.mu_);
+    slot = entry;
+  }
+  const Tensor* converted = &entry->converted;
+  return std::shared_ptr<const Tensor>(std::move(entry), converted);
 }
 
 }  // namespace sysnoise::nn

@@ -13,11 +13,22 @@
 // conv/linear boundaries), max-pool ceil mode, and upsample interpolation.
 // Models read these knobs at op level, so "train with floor, deploy with
 // ceil" is a one-field change, exactly like flipping a vendor runtime.
+//
+// Deployment-precision weights are converted once per Param, not once per
+// forward: Param::deployed() hands conv2d/linear their weight operand. FP32
+// and calibration read Param::value itself (no lock, compare or copy);
+// FP16/INT8 read a per-precision cached conversion that is reused only while
+// its stored copy of the source bytes and shape still equals `value`
+// (memcmp), so every writer of the public `value` (optimizers, load_params,
+// initializers, TENT, a direct write) is seen by the next forward without
+// an invalidation hook.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,6 +45,33 @@ const char* precision_name(Precision p);
 enum class UpsampleMode { kNearest = 0, kBilinear = 1 };
 const char* upsample_mode_name(UpsampleMode m);
 
+struct InferenceCtx;
+
+// One slot per precision of a Param's deployment-weight cache (FP32's slot
+// stays empty). Concurrent forwards of one shared model may fill and read
+// the slots; the mutex is held only to copy or replace a slot's pointer,
+// never across the byte check or a conversion. A reader's handle owns its
+// entry, so another thread replacing the slot never invalidates it.
+// Copying, moving or assigning a Param leaves the target's cache empty, to
+// be refilled on first use, so Params and the models holding them stay
+// copyable and movable.
+class WeightCache {
+ public:
+  struct Entry;
+  WeightCache() = default;
+  WeightCache(const WeightCache&) noexcept {}
+  WeightCache& operator=(const WeightCache&) noexcept {
+    const std::lock_guard lock(mu_);
+    for (auto& slot : slots_) slot.reset();
+    return *this;
+  }
+
+ private:
+  friend struct Param;
+  std::mutex mu_;
+  std::array<std::shared_ptr<const Entry>, kNumPrecisions> slots_;
+};
+
 // A trainable parameter: value plus gradient accumulator.
 struct Param {
   Tensor value;
@@ -41,6 +79,15 @@ struct Param {
   explicit Param(Tensor v) : value(std::move(v)), grad(value.shape()) {}
   Param() = default;
   void zero_grad() { grad.fill(0.0f); }
+
+  // The weight operand of a conv/linear forward under `ctx`: `value` itself
+  // for FP32 and calibration (an unowned handle), else
+  // apply_weight_precision(ctx, value) from this Param's cache, converting
+  // and storing it when the cached entry's source bytes no longer match.
+  std::shared_ptr<const Tensor> deployed(const InferenceCtx& ctx) const;
+
+ private:
+  mutable WeightCache cache_;
 };
 
 // Calibrated activation ranges, keyed by layer id (filled by a calibration
@@ -101,7 +148,8 @@ class Tape {
 void apply_activation_precision(const InferenceCtx& ctx, const std::string& layer_id,
                                 Tensor& t);
 
-// Precision for a weight tensor (INT8 weights use symmetric quant).
+// Precision for a weight tensor (INT8 weights use symmetric quant). The
+// uncached conversion behind Param::deployed().
 Tensor apply_weight_precision(const InferenceCtx& ctx, const Tensor& w);
 
 }  // namespace sysnoise::nn

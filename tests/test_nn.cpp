@@ -1,15 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <thread>
 
+#include "core/mitigation.h"
 #include "models/classifiers.h"
+#include "models/zoo.h"
+#include "nlp/lm.h"
+#include "nlp/tasks.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
 #include "nn/tape.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "tensor/backend.h"
 #include "tensor/rng.h"
 
 namespace sysnoise::nn {
@@ -636,6 +646,318 @@ TEST(LazyGrads, EvalForwardLeavesEveryGradEmptyAndBackwardAllocatesThem) {
         EXPECT_EQ(t.node(i).grad.shape(), t.node(i).value.shape())
             << name << " node " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Weight cache: FP16/INT8 weights converted once per Param
+// ---------------------------------------------------------------------------
+
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Random weights plus every conversion edge: +-0, float and FP16
+// subnormals, FP16 round-half-even ties (1 + 2^-11 rounds down to 1,
+// 1 + 3 * 2^-11 up to 1 + 2^-9), and one max-magnitude element that sets
+// the INT8 scale.
+Tensor edge_weights(std::vector<int> shape, Rng& rng) {
+  Tensor w = random_tensor(std::move(shape), rng, -0.5f, 0.5f);
+  const float edges[] = {0.0f,   -0.0f,  1e-40f, -1e-40f, 3e-6f,
+                         -4e-7f, 1.0f + 0x1p-11f, -(1.0f + 0x1p-11f),
+                         1.0f + 3 * 0x1p-11f, 0.25f + 0x1p-13f, -2.5f};
+  const std::size_t stride = w.size() / std::size(edges);
+  for (std::size_t i = 0; i < std::size(edges); ++i) w[i * stride] = edges[i];
+  return w;
+}
+
+using WeightOp = std::function<Node*(Tape&, Node*, Param&)>;
+
+Tensor forward_op(const WeightOp& op, const InferenceCtx& ctx, const Tensor& x,
+                  Param& w) {
+  Tape t;
+  t.ctx = ctx;
+  return op(t, t.input(x), w)->value;
+}
+
+// The uncached oracle: `op` under FP32 on the ctx's precision view of the
+// input and apply_weight_precision's view of the weights, converted here.
+Tensor uncached_forward(const WeightOp& op, const InferenceCtx& ctx,
+                        const Tensor& x, const Tensor& w,
+                        const std::string& layer_id) {
+  Tensor xq = x;
+  apply_activation_precision(ctx, layer_id + ".in", xq);
+  Param wq(apply_weight_precision(ctx, w));
+  InferenceCtx fp32;
+  fp32.backend = ctx.backend;
+  return forward_op(op, fp32, xq, wq);
+}
+
+InferenceCtx precision_ctx(Precision p, ActRanges* ranges) {
+  InferenceCtx ctx;
+  ctx.precision = p;
+  ctx.ranges = ranges;
+  return ctx;
+}
+
+constexpr Precision kDeployed[] = {Precision::kFP16, Precision::kINT8};
+
+TEST(WeightCache, ConvAndLinearMatchUncachedConversionByteForByte) {
+  Rng rng(101);
+  Param conv_w(edge_weights({4, 3, 3, 3}, rng)), conv_b(random_tensor({4}, rng));
+  Param lin_w(edge_weights({6, 12}, rng)), lin_b(random_tensor({6}, rng));
+  const Tensor img = random_tensor({2, 3, 6, 6}, rng);
+  const Tensor feats = random_tensor({3, 12}, rng);
+  const WeightOp conv = [&](Tape& t, Node* x, Param& w) {
+    return conv2d(t, x, w, &conv_b, {.stride = 1, .pad = 1, .groups = 1}, "c");
+  };
+  const WeightOp lin = [&](Tape& t, Node* x, Param& w) {
+    return linear(t, x, w, &lin_b, "l");
+  };
+  ActRanges ranges;
+  InferenceCtx calib;
+  calib.calibrating = true;
+  calib.ranges = &ranges;
+  forward_op(conv, calib, img, conv_w);
+  forward_op(lin, calib, feats, lin_w);
+  ASSERT_TRUE(ranges.count("c.in") && ranges.count("l.in"));
+
+  // FP32 and calibration read the value itself.
+  EXPECT_EQ(conv_w.deployed(InferenceCtx{}).get(), &conv_w.value);
+  EXPECT_EQ(conv_w.deployed(calib).get(), &conv_w.value);
+
+  for (const Precision p : kDeployed) {
+    const InferenceCtx ctx = precision_ctx(p, &ranges);
+    const Tensor conv_ref = uncached_forward(conv, ctx, img, conv_w.value, "c");
+    const Tensor lin_ref = uncached_forward(lin, ctx, feats, lin_w.value, "l");
+    EXPECT_FALSE(bytes_equal(conv_ref, forward_op(conv, InferenceCtx{}, img, conv_w)));
+    for (int call = 0; call < 3; ++call) {  // call 0 converts, later calls hit
+      EXPECT_TRUE(bytes_equal(forward_op(conv, ctx, img, conv_w), conv_ref))
+          << precision_name(p) << " call " << call;
+      EXPECT_TRUE(bytes_equal(forward_op(lin, ctx, feats, lin_w), lin_ref))
+          << precision_name(p) << " call " << call;
+      EXPECT_TRUE(bytes_equal(*lin_w.deployed(ctx), apply_weight_precision(ctx, lin_w.value)));
+    }
+    // Copied, moved and assigned Params forward their own value.
+    Param copied = lin_w;
+    Param moved = std::move(copied);
+    EXPECT_TRUE(bytes_equal(forward_op(lin, ctx, feats, moved), lin_ref));
+    Param assigned(Tensor({6, 12}));
+    forward_op(lin, ctx, feats, assigned);
+    assigned = lin_w;
+    EXPECT_TRUE(bytes_equal(forward_op(lin, ctx, feats, assigned), lin_ref));
+  }
+}
+
+TEST(WeightCache, EveryWriterOfValueIsSeenByTheNextForward) {
+  Rng rng(102);
+  Param w(edge_weights({6, 12}, rng));
+  const Tensor x = random_tensor({3, 12}, rng);
+  const WeightOp lin = [](Tape& t, Node* xn, Param& p) {
+    return linear(t, xn, p, nullptr, "l");
+  };
+  ActRanges ranges;
+  InferenceCtx calib;
+  calib.calibrating = true;
+  calib.ranges = &ranges;
+  forward_op(lin, calib, x, w);
+
+  // Each check runs right after a mutation, with the cache warm from the
+  // previous check, and repeats so the second forward reads the new entry.
+  auto check = [&](const char* what) {
+    for (const Precision p : kDeployed) {
+      const InferenceCtx ctx = precision_ctx(p, &ranges);
+      const Tensor ref = uncached_forward(lin, ctx, x, w.value, "l");
+      for (int call = 0; call < 2; ++call)
+        EXPECT_TRUE(bytes_equal(forward_op(lin, ctx, x, w), ref))
+            << what << " " << precision_name(p) << " call " << call;
+    }
+  };
+  check("initial");
+  const float* const buffer = w.value.data();
+  Tensor before = w.value;
+
+  {
+    Sgd opt({&w}, 0.1f);
+    w.grad = random_tensor(w.value.shape(), rng);
+    opt.step();
+  }
+  EXPECT_FALSE(bytes_equal(w.value, before));
+  check("Sgd::step");
+
+  before = w.value;
+  {
+    Adam opt({&w}, 0.01f);
+    w.grad = random_tensor(w.value.shape(), rng);
+    opt.step();
+  }
+  EXPECT_FALSE(bytes_equal(w.value, before));
+  check("Adam::step");
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sysnoise_weight_cache.bin").string();
+  Param other(random_tensor(w.value.shape(), rng));
+  save_params(path, {&other});
+  ASSERT_TRUE(load_params(path, {&w}));
+  std::filesystem::remove(path);
+  EXPECT_TRUE(bytes_equal(w.value, other.value));
+  check("load_params");
+
+  // In-place rewrite: same buffer address, new bytes. Optimizers also write
+  // in place, so a cache keyed by address would serve every check above
+  // stale.
+  for (float& v : w.value.vec()) v = -v;
+  ASSERT_EQ(w.value.data(), buffer);
+  check("value.vec() write");
+}
+
+TEST(WeightCache, TentAdaptationIsSeenOnFp16AndInt8) {
+  data::ClsDatasetSpec spec;
+  spec.train_per_class = 0;
+  spec.eval_per_class = 1;
+  const data::ClsDataset ds = data::make_classification_dataset(spec);
+  Rng xrng(103);
+  const Tensor x = random_tensor({2, 3, 32, 32}, xrng);
+  for (const Precision p : kDeployed) {
+    Rng rng(104);
+    auto model = models::make_classifier("ResNet-XS", ds.num_classes, rng);
+    ActRanges ranges;
+    {
+      Tape t;
+      t.ctx.calibrating = true;
+      t.ctx.ranges = &ranges;
+      model->forward(t, t.input(x), BnMode::kEval);
+    }
+    SysNoiseConfig cfg;
+    cfg.precision = p;
+    const InferenceCtx ctx = cfg.inference_ctx(&ranges);
+    auto run = [&](models::Classifier& m) {
+      Tape t;
+      t.ctx = ctx;
+      return m.forward(t, t.input(x), BnMode::kEval)->value;
+    };
+    const Tensor before = run(*model);  // warms every weight's cache
+    core::eval_classifier_tent(*model, ds.eval, cfg, models::cls_pipeline_spec(),
+                               &ranges, 5e-2f, 4);
+
+    // A twin holding the adapted parameters in fresh Params converts anew.
+    Rng twin_rng(105);
+    auto twin = models::make_classifier("ResNet-XS", ds.num_classes, twin_rng);
+    ParamRefs adapted, copies;
+    model->collect(adapted);
+    twin->collect(copies);
+    StateRefs state, twin_state;
+    model->collect_state(state);
+    twin->collect_state(twin_state);
+    ASSERT_EQ(adapted.size(), copies.size());
+    for (std::size_t i = 0; i < adapted.size(); ++i) copies[i]->value = adapted[i]->value;
+    for (std::size_t i = 0; i < state.size(); ++i) *twin_state[i] = *state[i];
+
+    const Tensor after = run(*model);
+    EXPECT_FALSE(bytes_equal(after, before)) << precision_name(p);
+    EXPECT_TRUE(bytes_equal(after, run(*twin))) << precision_name(p);
+  }
+}
+
+TEST(WeightCache, ConcurrentForwardsOfSharedModelsMatchSerial) {
+  ensure_gemm_pool_helpers(3);
+  // The shared models start with cold caches, so the threads race to fill
+  // them; identically seeded twins give the serial reference.
+  Rng cls_rng(106), cls_twin_rng(106);
+  auto cls = models::make_classifier("ResNet-XS", 10, cls_rng);
+  auto cls_twin = models::make_classifier("ResNet-XS", 10, cls_twin_rng);
+  Rng lm_rng(107), lm_twin_rng(107);
+  const nlp::LmSpec lm_spec = nlp::opt_mini_zoo()[0];
+  nlp::CausalLm lm(lm_spec, nlp::kVocab, lm_rng);
+  nlp::CausalLm lm_twin(lm_spec, nlp::kVocab, lm_twin_rng);
+  Rng rng(108);
+  const Tensor img = random_tensor({2, 3, 32, 32}, rng);
+  const std::vector<int> ids = {1, 2, nlp::kTokArrow, 3, 4, 5, 6, 7};
+  const int seq = static_cast<int>(ids.size());
+
+  ActRanges cls_ranges, lm_ranges;
+  {
+    Tape t;
+    t.ctx.calibrating = true;
+    t.ctx.ranges = &cls_ranges;
+    cls_twin->forward(t, t.input(img), BnMode::kEval);
+    Tape tl;
+    tl.ctx.calibrating = true;
+    tl.ctx.ranges = &lm_ranges;
+    lm_twin.forward(tl, ids, 1, seq);
+  }
+  auto run_cls = [&](models::Classifier& m, Precision p) {
+    Tape t;
+    t.ctx = precision_ctx(p, &cls_ranges);
+    return m.forward(t, t.input(img), BnMode::kEval)->value;
+  };
+  auto run_lm = [&](nlp::CausalLm& m, Precision p) {
+    Tape t;
+    t.ctx = precision_ctx(p, &lm_ranges);
+    return m.forward(t, ids, 1, seq)->value;
+  };
+  Tensor cls_ref[kNumPrecisions], lm_ref[kNumPrecisions];
+  for (const Precision p : kDeployed) {
+    cls_ref[static_cast<int>(p)] = run_cls(*cls_twin, p);
+    lm_ref[static_cast<int>(p)] = run_lm(lm_twin, p);
+  }
+
+  constexpr int kThreads = 4, kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int ti = 0; ti < kThreads; ++ti)
+    threads.emplace_back([&, ti] {
+      for (int r = 0; r < kRounds; ++r)
+        for (int j = 0; j < 2; ++j) {
+          const Precision p = kDeployed[(ti + r + j) % 2];
+          const int pi = static_cast<int>(p);
+          if (!bytes_equal(run_cls(*cls, p), cls_ref[pi])) ++mismatches;
+          if (!bytes_equal(run_lm(lm, p), lm_ref[pi])) ++mismatches;
+        }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(WeightCache, TracedCountersRecordOneConversionPerParamAndPrecision) {
+  Rng rng(109);
+  Param conv_w(random_tensor({4, 3, 3, 3}, rng)), lin_w(random_tensor({5, 8}, rng));
+  const Tensor img = random_tensor({1, 3, 6, 6}, rng);
+  const Tensor feats = random_tensor({2, 8}, rng);
+  const WeightOp conv = [](Tape& t, Node* x, Param& w) {
+    return conv2d(t, x, w, nullptr, {.stride = 1, .pad = 1, .groups = 1}, "c");
+  };
+  const WeightOp lin = [](Tape& t, Node* x, Param& w) {
+    return linear(t, x, w, nullptr, "l");
+  };
+  constexpr int kCalls = 5;
+  auto forwards = [&] {
+    for (const Precision p : {Precision::kFP32, Precision::kFP16, Precision::kINT8})
+      for (int i = 0; i < kCalls; ++i) {
+        forward_op(conv, precision_ctx(p, nullptr), img, conv_w);
+        forward_op(lin, precision_ctx(p, nullptr), feats, lin_w);
+      }
+  };
+
+  // Untraced forwards, converting or hitting, record nothing. They run on
+  // copies so the traced pass below starts with cold caches.
+  obs::metrics().reset();
+  Param conv_copy = conv_w, lin_copy = lin_w;
+  for (int i = 0; i < 2; ++i) {
+    forward_op(conv, precision_ctx(Precision::kFP16, nullptr), img, conv_copy);
+    forward_op(lin, precision_ctx(Precision::kINT8, nullptr), feats, lin_copy);
+  }
+  EXPECT_EQ(obs::metrics().counter_value("nn.weight_cache.conversions"), 0u);
+  EXPECT_EQ(obs::metrics().counter_value("nn.weight_cache.hits"), 0u);
+
+  // Two params x two converting precisions; FP32 never touches the cache.
+  obs::trace_enable();
+  forwards();
+  obs::trace_disable();
+  obs::trace_reset();
+  EXPECT_EQ(obs::metrics().counter_value("nn.weight_cache.conversions"), 4u);
+  EXPECT_EQ(obs::metrics().counter_value("nn.weight_cache.hits"), 4u * (kCalls - 1));
+  obs::metrics().reset();
 }
 
 }  // namespace
