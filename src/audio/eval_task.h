@@ -42,10 +42,6 @@ class TtsTask : public core::StagedEvalTask {
   core::TaskTraits traits() const override {
     return {core::TaskKind::kTts, false};
   }
-  // Training-default discrepancy is identically zero (deployment == training
-  // pipeline); callers may seed a SweepCache with it.
-  double trained_metric() const { return 0.0; }
-
   std::string preprocess_key(const SysNoiseConfig& cfg) const override;
   std::string forward_key(const SysNoiseConfig& cfg) const override;
   core::StageProduct run_preprocess(const SysNoiseConfig& cfg) const override;

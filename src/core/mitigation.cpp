@@ -11,7 +11,6 @@
 #include "image/synthetic.h"
 #include "models/zoo.h"
 #include "nn/optim.h"
-#include "nn/serialize.h"
 
 namespace sysnoise::core {
 
@@ -244,93 +243,56 @@ models::ClsPreprocessor augmented_preprocessor(const PipelineSpec& spec,
   };
 }
 
-namespace {
-
-// FGSM adversarial training of a zoo classifier, cached as
-// cls_<name>_adv_v1 (the stem models::get_classifier gives tag "adv").
-models::TrainedClassifier adversarial_train_classifier(const std::string& name) {
+float train_classifier_fgsm(models::Classifier& model,
+                            const std::vector<data::ClsSample>& train,
+                            const models::ClsPreprocessor& prep,
+                            const models::TrainConfig& cfg) {
   constexpr float epsilon = 0.05f;
-  const auto& ds = models::benchmark_cls_dataset();
-  const PipelineSpec spec = models::cls_pipeline_spec();
-
-  models::TrainedClassifier out;
-  out.name = name + "-Adv";
-  Rng rng(2024);
-  out.model = models::make_classifier(name, ds.num_classes, rng);
-
   nn::ParamRefs params;
-  out.model->collect(params);
-  nn::StateRefs state;
-  out.model->collect_state(state);
-  std::vector<const Tensor*> cstate(state.begin(), state.end());
-
-  const std::string stem = models::cache_dir() + "/cls_" + name + "_adv_v1";
-  if (!nn::load_params(stem + ".weights", params, state)) {
-    // FGSM adversarial training (Madry-style single-step inner maximizer).
-    models::TrainConfig cfg;
-    nn::Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
-    Rng train_rng(7);
-    const auto prep = models::default_cls_preprocessor(spec);
-    const int n = static_cast<int>(ds.train.size());
-    const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
-    const int total = cfg.epochs * steps_per_epoch;
-    int step = 0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const auto order = train_rng.permutation(n);
-      for (int b = 0; b < n; b += cfg.batch_size) {
-        const int bs = std::min(cfg.batch_size, n - b);
+  model.collect(params);
+  return models::train_loop(
+      params, static_cast<int>(train.size()), cfg,
+      [&](nn::Tape& t, const std::vector<int>& idx, Rng& rng) {
         std::vector<Tensor> inputs;
         std::vector<int> labels;
-        for (int i = 0; i < bs; ++i) {
-          const auto& s = ds.train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
-          inputs.push_back(prep(s, train_rng));
+        for (const int i : idx) {
+          const auto& s = train[static_cast<std::size_t>(i)];
+          inputs.push_back(prep(s, rng));
           labels.push_back(s.label);
         }
         Tensor batch = models::stack_batch(inputs);
-
-        // Pass 1: input gradient for FGSM.
+        // Pass 1: input gradient for FGSM (its parameter grads are zeroed
+        // by train_loop before pass 2's backward).
         {
-          nn::Tape t;
-          t.training = true;
-          opt.zero_grad();
-          nn::Node* x = t.input(batch, /*requires_grad=*/true);
-          nn::Node* loss = nn::softmax_cross_entropy(
-              t, out.model->forward(t, x, nn::BnMode::kTrain), labels);
-          t.backward(loss);
+          nn::Tape t1;
+          t1.training = true;
+          nn::Node* x = t1.input(batch, /*requires_grad=*/true);
+          t1.backward(nn::softmax_cross_entropy(
+              t1, model.forward(t1, x, nn::BnMode::kTrain), labels));
           for (std::size_t i = 0; i < batch.size(); ++i)
             batch[i] += epsilon * (x->grad[i] > 0.0f ? 1.0f : -1.0f);
         }
         // Pass 2: train on the perturbed batch.
-        nn::Tape t;
-        t.training = true;
-        opt.set_lr(nn::cosine_lr(cfg.lr, step, total));
-        opt.zero_grad();
-        nn::Node* loss = nn::softmax_cross_entropy(
-            t, out.model->forward(t, t.input(batch), nn::BnMode::kTrain), labels);
-        t.backward(loss);
-        nn::clip_grad_norm(params, cfg.clip_norm);
-        opt.step();
-        ++step;
-      }
-    }
-    models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_params(stem + ".weights", params, cstate);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  }
-  out.trained_acc = models::eval_classifier(
-      *out.model, ds.eval, SysNoiseConfig::training_default(), spec, &out.ranges);
-  return out;
+        return nn::softmax_cross_entropy(
+            t, model.forward(t, t.input(batch), nn::BnMode::kTrain), labels);
+      });
 }
-
-}  // namespace
 
 models::TrainedClassifier get_tagged_classifier(const std::string& model,
                                                 const std::string& tag) {
   if (tag.empty()) return models::get_classifier(model);
-  if (tag == "adv") return adversarial_train_classifier(model);
+  if (tag == "adv") {
+    // Cached under the tag's stem, named "<model>-Adv" with an empty tag.
+    models::TrainedClassifier out = models::load_or_train<models::ClsFamily>(
+        model, tag, [](models::Classifier& m) {
+          train_classifier_fgsm(m, models::ClsFamily::dataset().train,
+                                models::default_cls_preprocessor(
+                                    models::ClsFamily::spec()),
+                                models::TrainConfig{});
+        });
+    out.name = model + "-Adv";
+    return out;
+  }
   // Resolve the recipe completely (the *_from_name parsers throw
   // std::invalid_argument) before get_classifier may train and cache.
   const PipelineSpec spec = models::cls_pipeline_spec();

@@ -44,6 +44,17 @@ const char* aug_strategy_name(AugStrategy s);
 models::ClsPreprocessor augmented_preprocessor(const PipelineSpec& spec,
                                                AugStrategy strategy);
 
+// ---- adversarial training ----------------------------------------------------
+
+// FGSM adversarial training (Fig. 4b, a single-step inner maximizer): each
+// train_loop step perturbs its batch by 0.05 * sign of the input gradient,
+// then trains on the perturbed batch. Trains `model` in place; returns the
+// final training loss.
+float train_classifier_fgsm(models::Classifier& model,
+                            const std::vector<data::ClsSample>& train,
+                            const models::ClsPreprocessor& prep,
+                            const models::TrainConfig& cfg);
+
 // ---- tagged training recipes ------------------------------------------------
 
 // Train (or load) zoo classifier `model` with the recipe its cache tag

@@ -1,5 +1,6 @@
 #include "models/eval_tasks.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -8,7 +9,7 @@
 namespace sysnoise::models {
 
 // ---------------------------------------------------------------------------
-// Stage-1 product (de)serialization for the disk StageCache
+// Stage product (de)serialization for the disk StageCache
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -35,8 +36,9 @@ void put_tensor(std::string* out, const Tensor& t) {
               t.size() * sizeof(float));
 }
 
-// Bounded like decode_batches: dims are capped by what the remaining
-// payload could hold, so a malformed payload reads as `false`, never UB.
+// A malformed payload must read as `false`, never throw or overflow: dims
+// are bounded by what the whole payload could possibly hold, so `elems`
+// cannot overflow and Tensor::from_vector cannot see a shape/data mismatch.
 bool get_tensor(const std::string& in, std::size_t* pos, Tensor* t) {
   std::uint32_t rank = 0;
   if (!get_u32(in, pos, &rank) || rank > 8) return false;
@@ -78,12 +80,7 @@ std::string encode_batches(const PreprocessedBatches& batches) {
   put_u32(&out, static_cast<std::uint32_t>(batches.batch_size));
   put_u32(&out, static_cast<std::uint32_t>(batches.num_samples));
   put_u32(&out, static_cast<std::uint32_t>(batches.inputs.size()));
-  for (const Tensor& t : batches.inputs) {
-    put_u32(&out, static_cast<std::uint32_t>(t.rank()));
-    for (const int d : t.shape()) put_u32(&out, static_cast<std::uint32_t>(d));
-    out.append(reinterpret_cast<const char*>(t.data()),
-               t.size() * sizeof(float));
-  }
+  for (const Tensor& t : batches.inputs) put_tensor(&out, t);
   return out;
 }
 
@@ -97,28 +94,10 @@ bool decode_batches(const std::string& bytes, PreprocessedBatches* out) {
   out->batch_size = static_cast<int>(batch_size);
   out->num_samples = static_cast<int>(num_samples);
   out->inputs.clear();
-  // A malformed payload must read as `false`, never throw: dims are bounded
-  // by what the remaining payload could possibly hold, so `elems` cannot
-  // overflow and Tensor::from_vector cannot see a shape/data mismatch.
-  const std::size_t max_elems = bytes.size() / sizeof(float);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t rank = 0;
-    if (!get_u32(bytes, &pos, &rank) || rank > 8) return false;
-    std::vector<int> shape;
-    std::size_t elems = 1;
-    for (std::uint32_t r = 0; r < rank; ++r) {
-      std::uint32_t d = 0;
-      if (!get_u32(bytes, &pos, &d)) return false;
-      if (d == 0 || d > 0x7fffffffu || d > max_elems || elems > max_elems / d)
-        return false;
-      shape.push_back(static_cast<int>(d));
-      elems *= d;
-    }
-    if (pos + elems * sizeof(float) > bytes.size()) return false;
-    std::vector<float> data(elems);
-    std::memcpy(data.data(), bytes.data() + pos, elems * sizeof(float));
-    pos += elems * sizeof(float);
-    out->inputs.push_back(Tensor::from_vector(std::move(shape), std::move(data)));
+    Tensor t;
+    if (!get_tensor(bytes, &pos, &t)) return false;
+    out->inputs.push_back(std::move(t));
   }
   return pos == bytes.size();
 }
@@ -169,39 +148,108 @@ bool decode_raw_detections(const std::string& bytes, RawDetections* out) {
 
 namespace {
 
-bool encode_batches_product(const core::StageProduct& product,
-                            std::string* bytes) {
-  *bytes = encode_batches(
-      *static_cast<const PreprocessedBatches*>(product.get()));
-  return true;
+// The codec of each stage product type, picked by overload from the
+// family's Forward type. Classification/segmentation forward products are
+// the bare metric double, persisted with exact bits. An empty encoding
+// means "do not persist".
+std::string encode_product(const PreprocessedBatches& batches) {
+  return encode_batches(batches);
+}
+std::string encode_product(const RawDetections& raw) {
+  return encode_raw_detections(raw);
+}
+std::string encode_product(double metric) {
+  std::string bytes;
+  put_u32(&bytes, kMetricMagic);
+  bytes.append(reinterpret_cast<const char*>(&metric), sizeof(metric));
+  return bytes;
 }
 
-core::StageProduct decode_batches_product(const std::string& bytes) {
-  auto batches = std::make_shared<PreprocessedBatches>();
-  if (!decode_batches(bytes, batches.get())) return nullptr;
-  return std::shared_ptr<const PreprocessedBatches>(std::move(batches));
+bool decode_product(const std::string& bytes, PreprocessedBatches* out) {
+  return decode_batches(bytes, out);
 }
-
-// Classification/segmentation forward products are the bare metric double;
-// persist it with exact bits.
-bool encode_metric_product(const core::StageProduct& product,
-                           std::string* bytes) {
-  bytes->clear();
-  put_u32(bytes, kMetricMagic);
-  const double v = *static_cast<const double*>(product.get());
-  bytes->append(reinterpret_cast<const char*>(&v), sizeof(v));
-  return true;
+bool decode_product(const std::string& bytes, RawDetections* out) {
+  return decode_raw_detections(bytes, out);
 }
-
-core::StageProduct decode_metric_product(const std::string& bytes) {
+bool decode_product(const std::string& bytes, double* metric) {
   std::size_t pos = 0;
   std::uint32_t magic = 0;
   if (!get_u32(bytes, &pos, &magic) || magic != kMetricMagic ||
       bytes.size() != pos + sizeof(double))
-    return nullptr;
-  double v = 0.0;
-  std::memcpy(&v, bytes.data() + pos, sizeof(v));
-  return std::make_shared<const double>(v);
+    return false;
+  std::memcpy(metric, bytes.data() + pos, sizeof(*metric));
+  return true;
+}
+
+// Rows of each stage-1 batch run_preprocess yields for the family's eval
+// set: the geometry every decoded product must match, because the forward
+// loops and post-processing index the eval set once per row.
+template <typename Family>
+std::vector<int> eval_batch_rows() {
+  const int n = static_cast<int>(Family::dataset().eval.size());
+  std::vector<int> rows;
+  for (int b = 0; b < n; b += Family::kEvalBatch)
+    rows.push_back(std::min(Family::kEvalBatch, n - b));
+  return rows;
+}
+
+template <typename Family>
+bool has_eval_geometry(const PreprocessedBatches& p) {
+  const std::vector<int> rows = eval_batch_rows<Family>();
+  const PipelineSpec spec = Family::spec();
+  if (p.num_samples != static_cast<int>(Family::dataset().eval.size()) ||
+      p.batch_size != Family::kEvalBatch || p.inputs.size() != rows.size())
+    return false;
+  for (std::size_t b = 0; b < rows.size(); ++b)
+    if (p.inputs[b].shape() != std::vector<int>{rows[b], 3, spec.out_h, spec.out_w})
+      return false;
+  return true;
+}
+
+// A metric has no geometry.
+template <typename Family>
+bool has_eval_geometry(double, const typename Family::Model&) {
+  return true;
+}
+
+// One RawDetectorOutput per stage-1 batch, each level [rows, cls_ch, h, w]
+// and [rows, 4, h, w] for the model's head and strides.
+template <typename Family>
+bool has_eval_geometry(const RawDetections& raw, const Detector& det) {
+  const std::vector<int> rows = eval_batch_rows<Family>();
+  if (raw.batches.size() != rows.size()) return false;
+  const int cls_ch = det.softmax_head() ? det.num_classes() + 1 : det.num_classes();
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    const RawDetectorOutput& out = raw.batches[b];
+    if (out.shapes.size() != det.strides().size()) return false;
+    for (std::size_t l = 0; l < out.shapes.size(); ++l) {
+      const auto [h, w] = out.shapes[l];
+      if (out.cls[l].shape() != std::vector<int>{rows[b], cls_ch, h, w} ||
+          out.reg[l].shape() != std::vector<int>{rows[b], 4, h, w})
+        return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+const T& as(const core::StageProduct& product) {
+  return *static_cast<const T*>(product.get());
+}
+
+template <typename T>
+bool encode_as(const core::StageProduct& product, std::string* bytes) {
+  *bytes = encode_product(as<T>(product));
+  return !bytes->empty();
+}
+
+// Decode, then keep the product only if `valid` accepts it: a rejected
+// entry decodes to nullptr and counts as a disk miss.
+template <typename T, typename Valid>
+core::StageProduct decode_as(const std::string& bytes, const Valid& valid) {
+  auto product = std::make_shared<T>();
+  if (!decode_product(bytes, product.get()) || !valid(*product)) return nullptr;
+  return std::shared_ptr<const T>(std::move(product));
 }
 
 // Stable fingerprint of a model's loaded parameters, BN state and INT8
@@ -237,223 +285,95 @@ std::string weights_fingerprint(Model& model, const nn::ActRanges& ranges) {
   return os.str();
 }
 
-// The forward scope of all three adapters, so the format (and the
-// call_once fingerprint discipline) cannot drift between task kinds. The
-// lazily-computed weights fingerprint pins the exact weights the outputs
-// came from (zoo names survive retrains).
-template <typename Trained>
-std::string cached_forward_scope(const core::StagedEvalTask& task,
-                                 Trained& trained, std::once_flag& once,
-                                 std::string* fp) {
-  std::call_once(once, [&] {
-    *fp = weights_fingerprint(*trained.model, trained.ranges);
-  });
-  return task.preprocess_scope() + "|fwd=" + task.cache_identity() + "#w" +
-         *fp;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Classification
+// ZooTask
 // ---------------------------------------------------------------------------
 
-core::TaskTraits ClassifierTask::traits() const {
-  return {core::TaskKind::kClassification, tc_.model->has_maxpool()};
+template <typename Family>
+std::string ZooTask<Family>::cache_identity() const {
+  if constexpr (requires(const Trained& t) { t.tag; })
+    if (!trained_.tag.empty()) return trained_.name + "#" + trained_.tag;
+  return trained_.name;
 }
 
-std::string ClassifierTask::preprocess_key(const SysNoiseConfig& cfg) const {
-  return sysnoise::preprocess_key(cfg, cls_pipeline_spec());
+template <typename Family>
+std::string ZooTask<Family>::preprocess_key(const SysNoiseConfig& cfg) const {
+  return sysnoise::preprocess_key(cfg, Family::spec());
 }
 
-std::string ClassifierTask::forward_key(const SysNoiseConfig& cfg) const {
+template <typename Family>
+std::string ZooTask<Family>::forward_key(const SysNoiseConfig& cfg) const {
   return preprocess_key(cfg) + core::forward_key_suffix(cfg);
 }
 
-core::StageProduct ClassifierTask::run_preprocess(const SysNoiseConfig& cfg) const {
-  return std::make_shared<const PreprocessedBatches>(preprocess_cls_batches(
-      benchmark_cls_dataset().eval, cfg, cls_pipeline_spec()));
+template <typename Family>
+core::StageProduct ZooTask<Family>::run_preprocess(const SysNoiseConfig& cfg) const {
+  return std::make_shared<const PreprocessedBatches>(preprocess_samples(
+      Family::dataset().eval, cfg, Family::spec(), Family::kEvalBatch));
 }
 
-core::StageProduct ClassifierTask::run_forward(
+template <typename Family>
+core::StageProduct ZooTask<Family>::run_forward(
     const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return std::make_shared<const double>(eval_classifier_batches(
-      *tc_.model, *static_cast<const PreprocessedBatches*>(pre.get()),
-      benchmark_cls_dataset().eval, cfg, &tc_.ranges));
+  return std::make_shared<const typename Family::Forward>(Family::forward(
+      *trained_.model, as<PreprocessedBatches>(pre), cfg, &trained_.ranges));
 }
 
-double ClassifierTask::run_postprocess(const SysNoiseConfig&,
-                                       const core::StageProduct& fwd) const {
-  return *static_cast<const double*>(fwd.get());
+template <typename Family>
+double ZooTask<Family>::run_postprocess(const SysNoiseConfig& cfg,
+                                        const core::StageProduct& fwd) const {
+  return Family::postprocess(*trained_.model,
+                             as<typename Family::Forward>(fwd), cfg);
 }
 
-std::string ClassifierTask::preprocess_scope() const {
-  return batches_scope("cls", benchmark_cls_dataset().eval.size(),
-                       cls_pipeline_spec());
+template <typename Family>
+std::string ZooTask<Family>::preprocess_scope() const {
+  return batches_scope(Family::kPrefix, Family::dataset().eval.size(),
+                       Family::spec());
 }
 
-bool ClassifierTask::encode_preprocess(const core::StageProduct& product,
-                                       std::string* bytes) const {
-  return encode_batches_product(product, bytes);
+template <typename Family>
+bool ZooTask<Family>::encode_preprocess(const core::StageProduct& product,
+                                        std::string* bytes) const {
+  return encode_as<PreprocessedBatches>(product, bytes);
 }
 
-core::StageProduct ClassifierTask::decode_preprocess(
+template <typename Family>
+core::StageProduct ZooTask<Family>::decode_preprocess(
     const std::string& bytes) const {
-  return decode_batches_product(bytes);
+  return decode_as<PreprocessedBatches>(bytes, [](const PreprocessedBatches& p) {
+    return has_eval_geometry<Family>(p);
+  });
 }
 
-std::string ClassifierTask::forward_scope() const {
-  return cached_forward_scope(*this, tc_, weights_fp_once_, &weights_fp_);
+// The lazily-computed weights fingerprint pins the exact weights the
+// outputs came from (zoo names survive retrains).
+template <typename Family>
+std::string ZooTask<Family>::forward_scope() const {
+  std::call_once(weights_fp_once_, [&] {
+    weights_fp_ = weights_fingerprint(*trained_.model, trained_.ranges);
+  });
+  return preprocess_scope() + "|fwd=" + cache_identity() + "#w" + weights_fp_;
 }
 
-bool ClassifierTask::encode_forward(const core::StageProduct& product,
-                                    std::string* bytes) const {
-  return encode_metric_product(product, bytes);
-}
-
-core::StageProduct ClassifierTask::decode_forward(
-    const std::string& bytes) const {
-  return decode_metric_product(bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Detection
-// ---------------------------------------------------------------------------
-
-core::TaskTraits DetectorTask::traits() const {
-  return {core::TaskKind::kDetection, td_.model->has_maxpool()};
-}
-
-std::string DetectorTask::preprocess_key(const SysNoiseConfig& cfg) const {
-  return sysnoise::preprocess_key(cfg, det_pipeline_spec());
-}
-
-std::string DetectorTask::forward_key(const SysNoiseConfig& cfg) const {
-  return preprocess_key(cfg) + core::forward_key_suffix(cfg);
-}
-
-core::StageProduct DetectorTask::run_preprocess(const SysNoiseConfig& cfg) const {
-  return std::make_shared<const PreprocessedBatches>(
-      preprocess_det_batches(benchmark_det_dataset(), cfg, det_pipeline_spec()));
-}
-
-core::StageProduct DetectorTask::run_forward(
-    const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return std::make_shared<const RawDetections>(detector_forward_batches(
-      *td_.model, *static_cast<const PreprocessedBatches*>(pre.get()), cfg,
-      &td_.ranges));
-}
-
-double DetectorTask::run_postprocess(const SysNoiseConfig& cfg,
-                                     const core::StageProduct& fwd) const {
-  const auto& raw = *static_cast<const RawDetections*>(fwd.get());
-  return detector_map_from_raw(*td_.model, raw, benchmark_det_dataset(), cfg);
-}
-
-std::string DetectorTask::preprocess_scope() const {
-  return batches_scope("det", benchmark_det_dataset().eval.size(),
-                       det_pipeline_spec());
-}
-
-bool DetectorTask::encode_preprocess(const core::StageProduct& product,
+template <typename Family>
+bool ZooTask<Family>::encode_forward(const core::StageProduct& product,
                                      std::string* bytes) const {
-  return encode_batches_product(product, bytes);
+  return encode_as<typename Family::Forward>(product, bytes);
 }
 
-core::StageProduct DetectorTask::decode_preprocess(
-    const std::string& bytes) const {
-  return decode_batches_product(bytes);
+template <typename Family>
+core::StageProduct ZooTask<Family>::decode_forward(const std::string& bytes) const {
+  using Forward = typename Family::Forward;
+  return decode_as<Forward>(bytes, [this](const Forward& fwd) {
+    return has_eval_geometry<Family>(fwd, *trained_.model);
+  });
 }
 
-std::string DetectorTask::forward_scope() const {
-  return cached_forward_scope(*this, td_, weights_fp_once_, &weights_fp_);
-}
-
-bool DetectorTask::encode_forward(const core::StageProduct& product,
-                                  std::string* bytes) const {
-  *bytes =
-      encode_raw_detections(*static_cast<const RawDetections*>(product.get()));
-  return !bytes->empty();
-}
-
-core::StageProduct DetectorTask::decode_forward(const std::string& bytes) const {
-  auto raw = std::make_shared<RawDetections>();
-  if (!decode_raw_detections(bytes, raw.get())) return nullptr;
-  return std::shared_ptr<const RawDetections>(std::move(raw));
-}
-
-// ---------------------------------------------------------------------------
-// Segmentation
-// ---------------------------------------------------------------------------
-
-core::TaskTraits SegmenterTask::traits() const {
-  return {core::TaskKind::kSegmentation, ts_.model->has_maxpool()};
-}
-
-std::string SegmenterTask::preprocess_key(const SysNoiseConfig& cfg) const {
-  return sysnoise::preprocess_key(cfg, seg_pipeline_spec());
-}
-
-std::string SegmenterTask::forward_key(const SysNoiseConfig& cfg) const {
-  return preprocess_key(cfg) + core::forward_key_suffix(cfg);
-}
-
-core::StageProduct SegmenterTask::run_preprocess(const SysNoiseConfig& cfg) const {
-  return std::make_shared<const PreprocessedBatches>(
-      preprocess_seg_batches(benchmark_seg_dataset(), cfg, seg_pipeline_spec()));
-}
-
-core::StageProduct SegmenterTask::run_forward(
-    const SysNoiseConfig& cfg, const core::StageProduct& pre) const {
-  return std::make_shared<const double>(eval_segmenter_batches(
-      *ts_.model, *static_cast<const PreprocessedBatches*>(pre.get()),
-      benchmark_seg_dataset(), cfg, &ts_.ranges));
-}
-
-double SegmenterTask::run_postprocess(const SysNoiseConfig&,
-                                      const core::StageProduct& fwd) const {
-  return *static_cast<const double*>(fwd.get());
-}
-
-std::string SegmenterTask::preprocess_scope() const {
-  return batches_scope("seg", benchmark_seg_dataset().eval.size(),
-                       seg_pipeline_spec());
-}
-
-bool SegmenterTask::encode_preprocess(const core::StageProduct& product,
-                                      std::string* bytes) const {
-  return encode_batches_product(product, bytes);
-}
-
-core::StageProduct SegmenterTask::decode_preprocess(
-    const std::string& bytes) const {
-  return decode_batches_product(bytes);
-}
-
-std::string SegmenterTask::forward_scope() const {
-  return cached_forward_scope(*this, ts_, weights_fp_once_, &weights_fp_);
-}
-
-bool SegmenterTask::encode_forward(const core::StageProduct& product,
-                                   std::string* bytes) const {
-  return encode_metric_product(product, bytes);
-}
-
-core::StageProduct SegmenterTask::decode_forward(
-    const std::string& bytes) const {
-  return decode_metric_product(bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Seeded sweeps
-// ---------------------------------------------------------------------------
-
-core::AxisReport sweep_seeded(const core::EvalTask& task, double trained_metric,
-                              core::SweepCache& cache, core::SweepOptions opts,
-                              core::StageStats* stats) {
-  cache.seed(task, SysNoiseConfig::training_default(), trained_metric);
-  opts.cache = &cache;
-  return core::sweep(task, opts, stats);
-}
+template class ZooTask<ClsFamily>;
+template class ZooTask<DetFamily>;
+template class ZooTask<SegFamily>;
 
 }  // namespace sysnoise::models

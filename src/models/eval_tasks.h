@@ -1,13 +1,13 @@
-// EvalTask adapters binding the trained model families to the generic
-// sweep engine: each wraps a zoo model plus the shared benchmark dataset
-// and pipeline spec behind core::StagedEvalTask, exposing the three-stage
-// split (preprocess -> forward -> postprocess) with per-stage cache keys so
-// core::sweep() can share pre-processed batches across inference-side
-// configs and (for detection) forward outputs across post-processing
-// configs. Every adapter's evaluate() is still the monolithic chain the
-// core::ThreadPoolExecutor runs. The adapters do not opt into cross-config
-// batched forwards (see core/staged_eval.h): each forward-key group runs
-// its own eval_*_batches / detector_forward_batches call.
+// The one EvalTask adapter binding the trained image model families to the
+// generic sweep engine: ZooTask<Family> wraps a zoo model plus the
+// family's benchmark dataset and pipeline spec (models/zoo.h hooks) behind
+// core::StagedEvalTask, exposing the three-stage split (preprocess ->
+// forward -> postprocess) with per-stage cache keys so core::sweep() can
+// share pre-processed batches across inference-side configs and (for
+// detection) forward outputs across post-processing configs. evaluate() is
+// still the monolithic chain the core::ThreadPoolExecutor runs. The adapter
+// does not opt into cross-config batched forwards (see core/staged_eval.h):
+// each forward-key group runs its own family forward loop.
 #pragma once
 
 #include <mutex>
@@ -19,9 +19,8 @@
 namespace sysnoise::models {
 
 // Binary round trip for the stage-1 product (stacked input batches), shared
-// by every adapter so pre-processed work persists in the disk StageCache
-// across bench binaries. Returns false / nullopt-like nullptr on a
-// malformed payload.
+// by every family so pre-processed work persists in the disk StageCache
+// across bench binaries. Returns false on a malformed payload.
 std::string encode_batches(const PreprocessedBatches& batches);
 bool decode_batches(const std::string& bytes, PreprocessedBatches* out);
 
@@ -31,22 +30,21 @@ bool decode_batches(const std::string& bytes, PreprocessedBatches* out);
 std::string encode_raw_detections(const RawDetections& raw);
 bool decode_raw_detections(const std::string& bytes, RawDetections* out);
 
-class ClassifierTask : public core::StagedEvalTask {
+template <typename Family>
+class ZooTask : public core::StagedEvalTask {
  public:
-  explicit ClassifierTask(TrainedClassifier& tc) : tc_(tc) {}
-  const std::string& name() const override { return tc_.name; }
-  core::TaskTraits traits() const override;
-  // Retrained variants (mitigation tags) share a display name but not
-  // weights — fold the tag in so a shared SweepCache keeps them apart.
-  std::string cache_identity() const override {
-    return tc_.tag.empty() ? tc_.name : tc_.name + "#" + tc_.tag;
-  }
-  // Clean-pipeline metric already computed by the zoo at load time; seed a
-  // SweepCache with it to skip re-evaluating the trained baseline.
-  double trained_metric() const { return tc_.trained_acc; }
+  using Trained = typename Family::Trained;
 
-  // Staged split: classification has no post-processing knobs, so the
-  // forward stage carries the metric and stage 3 just unwraps it.
+  explicit ZooTask(Trained& trained) : trained_(trained) {}
+  const std::string& name() const override { return trained_.name; }
+  core::TaskTraits traits() const override {
+    return {Family::kKind, trained_.model->has_maxpool()};
+  }
+  // Retrained classifier variants (mitigation tags) share a display name
+  // but not weights — fold the tag in so a shared SweepCache keeps them
+  // apart.
+  std::string cache_identity() const override;
+
   std::string preprocess_key(const SysNoiseConfig& cfg) const override;
   std::string forward_key(const SysNoiseConfig& cfg) const override;
   core::StageProduct run_preprocess(const SysNoiseConfig& cfg) const override;
@@ -56,7 +54,10 @@ class ClassifierTask : public core::StagedEvalTask {
                          const core::StageProduct& fwd) const override;
 
   // Disk persistence: batches depend on the dataset + spec, not the model,
-  // so every classifier shares one scope (and one set of disk entries).
+  // so every model of a family shares one scope (and one set of disk
+  // entries). Decoding is a trust boundary: a product whose geometry
+  // differs from what run_preprocess / run_forward yield for the family's
+  // eval set decodes to nullptr, so the executor recomputes it.
   std::string preprocess_scope() const override;
   bool encode_preprocess(const core::StageProduct& product,
                          std::string* bytes) const override;
@@ -71,84 +72,17 @@ class ClassifierTask : public core::StagedEvalTask {
   core::StageProduct decode_forward(const std::string& bytes) const override;
 
  private:
-  TrainedClassifier& tc_;
+  Trained& trained_;
   mutable std::once_flag weights_fp_once_;
   mutable std::string weights_fp_;  // lazily computed fingerprint
 };
 
-class DetectorTask : public core::StagedEvalTask {
- public:
-  explicit DetectorTask(TrainedDetector& td) : td_(td) {}
-  const std::string& name() const override { return td_.name; }
-  core::TaskTraits traits() const override;
-  double trained_metric() const { return td_.trained_map; }
+extern template class ZooTask<ClsFamily>;
+extern template class ZooTask<DetFamily>;
+extern template class ZooTask<SegFamily>;
 
-  // Staged split: stage 2 materializes RawDetections, stage 3 applies the
-  // box-decode offset + NMS + mAP — the post-processing axis re-runs only
-  // stage 3.
-  std::string preprocess_key(const SysNoiseConfig& cfg) const override;
-  std::string forward_key(const SysNoiseConfig& cfg) const override;
-  core::StageProduct run_preprocess(const SysNoiseConfig& cfg) const override;
-  core::StageProduct run_forward(const SysNoiseConfig& cfg,
-                                 const core::StageProduct& pre) const override;
-  double run_postprocess(const SysNoiseConfig& cfg,
-                         const core::StageProduct& fwd) const override;
-
-  std::string preprocess_scope() const override;
-  bool encode_preprocess(const core::StageProduct& product,
-                         std::string* bytes) const override;
-  core::StageProduct decode_preprocess(const std::string& bytes) const override;
-
-  std::string forward_scope() const override;
-  bool encode_forward(const core::StageProduct& product,
-                      std::string* bytes) const override;
-  core::StageProduct decode_forward(const std::string& bytes) const override;
-
- private:
-  TrainedDetector& td_;
-  mutable std::once_flag weights_fp_once_;
-  mutable std::string weights_fp_;
-};
-
-class SegmenterTask : public core::StagedEvalTask {
- public:
-  explicit SegmenterTask(TrainedSegmenter& ts) : ts_(ts) {}
-  const std::string& name() const override { return ts_.name; }
-  core::TaskTraits traits() const override;
-  double trained_metric() const { return ts_.trained_miou; }
-
-  std::string preprocess_key(const SysNoiseConfig& cfg) const override;
-  std::string forward_key(const SysNoiseConfig& cfg) const override;
-  core::StageProduct run_preprocess(const SysNoiseConfig& cfg) const override;
-  core::StageProduct run_forward(const SysNoiseConfig& cfg,
-                                 const core::StageProduct& pre) const override;
-  double run_postprocess(const SysNoiseConfig& cfg,
-                         const core::StageProduct& fwd) const override;
-
-  std::string preprocess_scope() const override;
-  bool encode_preprocess(const core::StageProduct& product,
-                         std::string* bytes) const override;
-  core::StageProduct decode_preprocess(const std::string& bytes) const override;
-
-  std::string forward_scope() const override;
-  bool encode_forward(const core::StageProduct& product,
-                      std::string* bytes) const override;
-  core::StageProduct decode_forward(const std::string& bytes) const override;
-
- private:
-  TrainedSegmenter& ts_;
-  mutable std::once_flag weights_fp_once_;
-  mutable std::string weights_fp_;
-};
-
-// Seed `cache` with `trained_metric` (the clean-pipeline number the zoo
-// already computed at load time) for the training-default config, then run
-// core::sweep() through the cache — the baseline eval is never recomputed.
-// `stats` (optional) surfaces stage-cache accounting next to the SweepCache
-// stats.
-core::AxisReport sweep_seeded(const core::EvalTask& task, double trained_metric,
-                              core::SweepCache& cache,
-                              core::SweepOptions opts = {},
-                              core::StageStats* stats = nullptr);
+using ClassifierTask = ZooTask<ClsFamily>;
+using DetectorTask = ZooTask<DetFamily>;
+using SegmenterTask = ZooTask<SegFamily>;
 
 }  // namespace sysnoise::models

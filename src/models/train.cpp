@@ -18,43 +18,27 @@ ClsPreprocessor default_cls_preprocessor(const PipelineSpec& spec) {
   };
 }
 
-float train_classifier(Classifier& model, const std::vector<data::ClsSample>& train,
-                       int num_classes, const ClsPreprocessor& prep,
-                       const TrainConfig& cfg) {
-  (void)num_classes;
-  ParamRefs params;
-  model.collect(params);
+float train_loop(const ParamRefs& params, int n, const TrainConfig& cfg,
+                 const BatchLoss& batch_loss) {
   Sgd sgd(params, cfg.lr, cfg.momentum, cfg.weight_decay);
   Adam adam(params, cfg.lr, 0.9f, 0.999f, 1e-8f, cfg.weight_decay);
   Rng rng(cfg.seed);
-
-  const int n = static_cast<int>(train.size());
   const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
   const int total_steps = cfg.epochs * steps_per_epoch;
   int step = 0;
   float last_loss = 0.0f;
-
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto order = rng.permutation(n);
     for (int b = 0; b < n; b += cfg.batch_size) {
       const int bs = std::min(cfg.batch_size, n - b);
-      std::vector<Tensor> inputs;
-      std::vector<int> labels;
-      inputs.reserve(static_cast<std::size_t>(bs));
-      for (int i = 0; i < bs; ++i) {
-        const auto& s = train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
-        inputs.push_back(prep(s, rng));
-        labels.push_back(s.label);
-      }
+      const std::vector<int> idx(order.begin() + b, order.begin() + b + bs);
       Tape t;
       t.training = true;
       const float lr = cosine_lr(cfg.lr, step, total_steps);
       sgd.set_lr(lr);
       adam.set_lr(lr);
+      Node* loss = batch_loss(t, idx, rng);
       sgd.zero_grad();
-      Node* x = t.input(stack_batch(inputs));
-      Node* logits = model.forward(t, x, BnMode::kTrain);
-      Node* loss = softmax_cross_entropy(t, logits, labels);
       t.backward(loss);
       clip_grad_norm(params, cfg.clip_norm);
       if (cfg.use_adam)
@@ -68,14 +52,24 @@ float train_classifier(Classifier& model, const std::vector<data::ClsSample>& tr
   return last_loss;
 }
 
-PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& eval,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec,
-                                           int batch_size) {
-  std::vector<const std::vector<std::uint8_t>*> jpegs;
-  jpegs.reserve(eval.size());
-  for (const auto& s : eval) jpegs.push_back(&s.jpeg);
-  return preprocess_batches(jpegs, cfg, spec, batch_size);
+float train_classifier(Classifier& model, const std::vector<data::ClsSample>& train,
+                       const ClsPreprocessor& prep, const TrainConfig& cfg) {
+  ParamRefs params;
+  model.collect(params);
+  return train_loop(
+      params, static_cast<int>(train.size()), cfg,
+      [&](Tape& t, const std::vector<int>& idx, Rng& rng) {
+        std::vector<Tensor> inputs;
+        std::vector<int> labels;
+        for (const int i : idx) {
+          const auto& s = train[static_cast<std::size_t>(i)];
+          inputs.push_back(prep(s, rng));
+          labels.push_back(s.label);
+        }
+        Node* logits =
+            model.forward(t, t.input(stack_batch(inputs)), BnMode::kTrain);
+        return softmax_cross_entropy(t, logits, labels);
+      });
 }
 
 double eval_classifier_batches(Classifier& model,
@@ -100,26 +94,8 @@ double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& ev
                        const SysNoiseConfig& cfg, const PipelineSpec& spec,
                        ActRanges* ranges, int batch_size) {
   return eval_classifier_batches(
-      model, preprocess_cls_batches(eval, cfg, spec, batch_size), eval, cfg,
+      model, preprocess_samples(eval, cfg, spec, batch_size), eval, cfg,
       ranges);
-}
-
-void calibrate_classifier(Classifier& model,
-                          const std::vector<data::ClsSample>& calib,
-                          const PipelineSpec& spec, ActRanges& ranges,
-                          int max_samples) {
-  const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
-  const int n = std::min<int>(max_samples, static_cast<int>(calib.size()));
-  for (int b = 0; b < n; b += 8) {
-    const int bs = std::min(8, n - b);
-    std::vector<Tensor> inputs;
-    for (int i = 0; i < bs; ++i)
-      inputs.push_back(preprocess(calib[static_cast<std::size_t>(b + i)].jpeg, train_cfg, spec));
-    Tape t;
-    t.ctx.calibrating = true;
-    t.ctx.ranges = &ranges;
-    model.forward(t, t.input(stack_batch(inputs)), BnMode::kEval);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -130,50 +106,21 @@ float train_detector(Detector& model, const data::DetDataset& ds,
                      const PipelineSpec& spec, const TrainConfig& cfg) {
   ParamRefs params;
   model.collect(params);
-  Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
-  Rng rng(cfg.seed);
   const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
-
-  const int n = static_cast<int>(ds.train.size());
-  const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
-  const int total_steps = cfg.epochs * steps_per_epoch;
-  int step = 0;
-  float last_loss = 0.0f;
-
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    const auto order = rng.permutation(n);
-    for (int b = 0; b < n; b += cfg.batch_size) {
-      const int bs = std::min(cfg.batch_size, n - b);
-      std::vector<Tensor> inputs;
-      std::vector<std::vector<detect::GtBox>> gts;
-      for (int i = 0; i < bs; ++i) {
-        const auto& s = ds.train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
-        inputs.push_back(preprocess(s.jpeg, train_cfg, spec));
-        gts.push_back(s.boxes);
-      }
-      Tape t;
-      t.training = true;
-      opt.set_lr(cosine_lr(cfg.lr, step, total_steps));
-      opt.zero_grad();
-      DetectorOutput out = model.forward(t, t.input(stack_batch(inputs)), BnMode::kTrain);
-      Node* loss = detection_loss(t, model, out, gts, rng);
-      t.backward(loss);
-      clip_grad_norm(params, cfg.clip_norm);
-      opt.step();
-      last_loss = loss->value[0];
-      ++step;
-    }
-  }
-  return last_loss;
-}
-
-PreprocessedBatches preprocess_det_batches(const data::DetDataset& ds,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec) {
-  std::vector<const std::vector<std::uint8_t>*> jpegs;
-  jpegs.reserve(ds.eval.size());
-  for (const auto& s : ds.eval) jpegs.push_back(&s.jpeg);
-  return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/8);
+  return train_loop(
+      params, static_cast<int>(ds.train.size()), cfg,
+      [&](Tape& t, const std::vector<int>& idx, Rng& rng) {
+        std::vector<Tensor> inputs;
+        std::vector<std::vector<detect::GtBox>> gts;
+        for (const int i : idx) {
+          const auto& s = ds.train[static_cast<std::size_t>(i)];
+          inputs.push_back(preprocess(s.jpeg, train_cfg, spec));
+          gts.push_back(s.boxes);
+        }
+        DetectorOutput out =
+            model.forward(t, t.input(stack_batch(inputs)), BnMode::kTrain);
+        return detection_loss(t, model, out, gts, rng);
+      });
 }
 
 RawDetections detector_forward_batches(Detector& model,
@@ -211,25 +158,9 @@ double eval_detector(Detector& model, const data::DetDataset& ds,
                      const SysNoiseConfig& cfg, const PipelineSpec& spec,
                      ActRanges* ranges) {
   const RawDetections raw = detector_forward_batches(
-      model, preprocess_det_batches(ds, cfg, spec), cfg, ranges);
+      model, preprocess_samples(ds.eval, cfg, spec, /*batch_size=*/8), cfg,
+      ranges);
   return detector_map_from_raw(model, raw, ds, cfg);
-}
-
-void calibrate_detector(Detector& model, const data::DetDataset& ds,
-                        const PipelineSpec& spec, ActRanges& ranges,
-                        int max_samples) {
-  const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
-  const int n = std::min<int>(max_samples, static_cast<int>(ds.train.size()));
-  for (int b = 0; b < n; b += 4) {
-    const int bs = std::min(4, n - b);
-    std::vector<Tensor> inputs;
-    for (int i = 0; i < bs; ++i)
-      inputs.push_back(preprocess(ds.train[static_cast<std::size_t>(b + i)].jpeg, train_cfg, spec));
-    Tape t;
-    t.ctx.calibrating = true;
-    t.ctx.ranges = &ranges;
-    model.forward(t, t.input(stack_batch(inputs)), BnMode::kEval);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,54 +171,26 @@ float train_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const PipelineSpec& spec, const TrainConfig& cfg) {
   ParamRefs params;
   model.collect(params);
-  Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
-  Rng rng(cfg.seed);
   const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
-
-  const int n = static_cast<int>(ds.train.size());
-  const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
-  const int total_steps = cfg.epochs * steps_per_epoch;
-  int step = 0;
-  float last_loss = 0.0f;
   const int hw = ds.input_size * ds.input_size;
-
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    const auto order = rng.permutation(n);
-    for (int b = 0; b < n; b += cfg.batch_size) {
-      const int bs = std::min(cfg.batch_size, n - b);
-      std::vector<Tensor> inputs;
-      std::vector<int> labels;
-      labels.reserve(static_cast<std::size_t>(bs) * hw);
-      for (int i = 0; i < bs; ++i) {
-        const auto& s = ds.train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
-        inputs.push_back(preprocess(s.jpeg, train_cfg, spec));
-        labels.insert(labels.end(), s.mask.begin(), s.mask.end());
-      }
-      Tape t;
-      t.training = true;
-      opt.set_lr(cosine_lr(cfg.lr, step, total_steps));
-      opt.zero_grad();
-      Node* logits = model.forward(t, t.input(stack_batch(inputs)), BnMode::kTrain);
-      Node* rows = reshape(t, nchw_to_nhwc(t, logits),
-                           {bs * hw, logits->value.dim(1)});
-      Node* loss = softmax_cross_entropy(t, rows, labels);
-      t.backward(loss);
-      clip_grad_norm(params, cfg.clip_norm);
-      opt.step();
-      last_loss = loss->value[0];
-      ++step;
-    }
-  }
-  return last_loss;
-}
-
-PreprocessedBatches preprocess_seg_batches(const data::SegDataset& ds,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec) {
-  std::vector<const std::vector<std::uint8_t>*> jpegs;
-  jpegs.reserve(ds.eval.size());
-  for (const auto& s : ds.eval) jpegs.push_back(&s.jpeg);
-  return preprocess_batches(jpegs, cfg, spec, /*batch_size=*/4);
+  return train_loop(
+      params, static_cast<int>(ds.train.size()), cfg,
+      [&](Tape& t, const std::vector<int>& idx, Rng&) {
+        const int bs = static_cast<int>(idx.size());
+        std::vector<Tensor> inputs;
+        std::vector<int> labels;
+        labels.reserve(static_cast<std::size_t>(bs) * hw);
+        for (const int i : idx) {
+          const auto& s = ds.train[static_cast<std::size_t>(i)];
+          inputs.push_back(preprocess(s.jpeg, train_cfg, spec));
+          labels.insert(labels.end(), s.mask.begin(), s.mask.end());
+        }
+        Node* logits =
+            model.forward(t, t.input(stack_batch(inputs)), BnMode::kTrain);
+        Node* rows = reshape(t, nchw_to_nhwc(t, logits),
+                             {bs * hw, logits->value.dim(1)});
+        return softmax_cross_entropy(t, rows, labels);
+      });
 }
 
 double eval_segmenter_batches(Segmenter& model,
@@ -317,25 +220,9 @@ double eval_segmenter_batches(Segmenter& model,
 double eval_segmenter(Segmenter& model, const data::SegDataset& ds,
                       const SysNoiseConfig& cfg, const PipelineSpec& spec,
                       ActRanges* ranges) {
-  return eval_segmenter_batches(model, preprocess_seg_batches(ds, cfg, spec),
-                                ds, cfg, ranges);
-}
-
-void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,
-                         const PipelineSpec& spec, ActRanges& ranges,
-                         int max_samples) {
-  const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
-  const int n = std::min<int>(max_samples, static_cast<int>(ds.train.size()));
-  for (int b = 0; b < n; b += 4) {
-    const int bs = std::min(4, n - b);
-    std::vector<Tensor> inputs;
-    for (int i = 0; i < bs; ++i)
-      inputs.push_back(preprocess(ds.train[static_cast<std::size_t>(b + i)].jpeg, train_cfg, spec));
-    Tape t;
-    t.ctx.calibrating = true;
-    t.ctx.ranges = &ranges;
-    model.forward(t, t.input(stack_batch(inputs)), BnMode::kEval);
-  }
+  return eval_segmenter_batches(
+      model, preprocess_samples(ds.eval, cfg, spec, /*batch_size=*/4), ds, cfg,
+      ranges);
 }
 
 }  // namespace sysnoise::models

@@ -5,7 +5,9 @@
 // perturb the pipeline per sample without touching the loops.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "data/datasets.h"
@@ -33,10 +35,26 @@ using ClsPreprocessor = std::function<Tensor(const data::ClsSample&, Rng&)>;
 // The plain training-default preprocessor.
 ClsPreprocessor default_cls_preprocessor(const PipelineSpec& spec);
 
-// Trains in place; returns final training loss.
+// One optimizer step's loss over the training samples `idx`, built on the
+// training tape `t`. `rng` is the loop's stream: it shuffled `idx` and
+// serves stochastic preprocessing and loss sampling. A step may run its
+// own backward passes first (FGSM's input gradient); the loop zeroes the
+// parameter grads just before the returned loss's backward.
+using BatchLoss = std::function<nn::Node*(nn::Tape& t, const std::vector<int>& idx,
+                                          Rng& rng)>;
+
+// The one training loop of every image recipe: cfg.epochs shuffled passes
+// over `n` samples in batches of cfg.batch_size, a cosine LR, gradient
+// clipping, then an SGD (or, with cfg.use_adam, Adam) step. Trains
+// `params` in place; returns the final training loss.
+float train_loop(const nn::ParamRefs& params, int n, const TrainConfig& cfg,
+                 const BatchLoss& batch_loss);
+
+// The classifier recipe. Each recipe (train_detector, train_segmenter,
+// core::train_classifier_fgsm) only supplies its batch-loss step to
+// train_loop.
 float train_classifier(Classifier& model, const std::vector<data::ClsSample>& train,
-                       int num_classes, const ClsPreprocessor& prep,
-                       const TrainConfig& cfg);
+                       const ClsPreprocessor& prep, const TrainConfig& cfg);
 
 // Top-1 accuracy (%) under a deployment config.
 double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& eval,
@@ -56,7 +74,7 @@ inline int first_argmax(const float* v, int n, std::ptrdiff_t stride = 1) {
 
 // The forward+metric loop over already-materialized stage-1 batches, one
 // forward pass per batch (`cfg` supplies only the inference-side knobs
-// here). eval_classifier() is preprocess_cls_batches + this loop; the
+// here). eval_classifier() is preprocess_samples + this loop; the
 // sweep adapter (ClassifierTask) and serving's offline baseline call it
 // directly.
 double eval_classifier_batches(Classifier& model,
@@ -65,25 +83,32 @@ double eval_classifier_batches(Classifier& model,
                                const SysNoiseConfig& cfg,
                                nn::ActRanges* ranges);
 
-// Stage-1 materialization for each task family, with the batch sizes the
-// eval_* entry points use (cls 16, det 8, seg 4).
-PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& eval,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec,
-                                           int batch_size = 16);
-PreprocessedBatches preprocess_det_batches(const data::DetDataset& ds,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec);
-PreprocessedBatches preprocess_seg_batches(const data::SegDataset& ds,
-                                           const SysNoiseConfig& cfg,
-                                           const PipelineSpec& spec);
+// The one stage-1 batcher: the first `count` samples' JPEGs (all of them
+// by default) under `cfg`, `batch_size` per batch. The eval entry points
+// and the zoo adapters use batch sizes cls 16, det 8, seg 4.
+template <typename Sample>
+PreprocessedBatches preprocess_samples(const std::vector<Sample>& samples,
+                                       const SysNoiseConfig& cfg,
+                                       const PipelineSpec& spec, int batch_size,
+                                       std::size_t count = SIZE_MAX) {
+  std::vector<const std::vector<std::uint8_t>*> jpegs;
+  for (std::size_t i = 0; i < std::min(count, samples.size()); ++i)
+    jpegs.push_back(&samples[i].jpeg);
+  return preprocess_batches(jpegs, cfg, spec, batch_size);
+}
 
-// Record activation ranges for INT8 (run on a calibration subset with the
-// training-default pipeline).
-void calibrate_classifier(Classifier& model,
-                          const std::vector<data::ClsSample>& calib,
-                          const PipelineSpec& spec, nn::ActRanges& ranges,
-                          int max_samples = 32);
+// Record INT8 activation ranges: one calibrating forward per batch (the zoo
+// passes its first training samples under the training-default pipeline).
+template <typename Model>
+void calibrate(Model& model, const PreprocessedBatches& batches,
+               nn::ActRanges& ranges) {
+  for (const Tensor& input : batches.inputs) {
+    nn::Tape t;
+    t.ctx.calibrating = true;
+    t.ctx.ranges = &ranges;
+    model.forward(t, t.input(input), nn::BnMode::kEval);
+  }
+}
 
 // ---- detection ----
 
@@ -114,10 +139,6 @@ double detector_map_from_raw(const Detector& model, const RawDetections& raw,
                              const data::DetDataset& ds,
                              const SysNoiseConfig& cfg);
 
-void calibrate_detector(Detector& model, const data::DetDataset& ds,
-                        const PipelineSpec& spec, nn::ActRanges& ranges,
-                        int max_samples = 16);
-
 // ---- segmentation ----
 
 float train_segmenter(Segmenter& model, const data::SegDataset& ds,
@@ -133,10 +154,6 @@ double eval_segmenter_batches(Segmenter& model,
                               const PreprocessedBatches& batches,
                               const data::SegDataset& ds,
                               const SysNoiseConfig& cfg, nn::ActRanges* ranges);
-
-void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,
-                         const PipelineSpec& spec, nn::ActRanges& ranges,
-                         int max_samples = 16);
 
 // Assemble a batch tensor from per-sample [1,C,H,W] tensors.
 Tensor stack_batch(const std::vector<Tensor>& items);

@@ -3,13 +3,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <tuple>
 
 #include "nn/serialize.h"
 
 namespace sysnoise::models {
 
 namespace {
-constexpr std::uint64_t kInitSeed = 2024;
 constexpr const char* kCacheVersion = "v1";
 }  // namespace
 
@@ -41,139 +41,112 @@ PipelineSpec det_pipeline_spec() { return PipelineSpec{.out_h = 64, .out_w = 64}
 
 PipelineSpec seg_pipeline_spec() { return PipelineSpec{.out_h = 64, .out_w = 64}; }
 
-TrainedClassifier get_classifier(const std::string& name, const std::string& tag,
-                                 const ClsPreprocessor* prep,
-                                 const TrainConfig* train_override) {
-  const auto& ds = benchmark_cls_dataset();
-  const PipelineSpec spec = cls_pipeline_spec();
+std::unique_ptr<Detector> DetFamily::make(const std::string& name, Rng& rng) {
+  // name -> (backbone, softmax head): FasterRCNN heads are softmax,
+  // RetinaNet heads sigmoid.
+  for (const auto& [known, backbone, softmax] :
+       {std::tuple{"FasterRCNN-ResNet", "resnet", true},
+        std::tuple{"FasterRCNN-MobileNet", "mobilenet", true},
+        std::tuple{"RetinaNet-ResNet", "resnet", false},
+        std::tuple{"RetinaNet-MobileNet", "mobilenet", false}})
+    if (name == known)
+      return std::make_unique<Detector>(backbone, softmax,
+                                        dataset().num_classes, rng);
+  throw std::invalid_argument("get_detector: unknown model " + name);
+}
 
-  TrainedClassifier out;
+template <typename Family>
+typename Family::Trained load_or_train(
+    const std::string& name, const std::string& tag,
+    const std::function<void(typename Family::Model&)>& train) {
+  const SysNoiseConfig cfg = SysNoiseConfig::training_default();
+  typename Family::Trained out;
   out.name = name;
-  out.tag = tag;
-  Rng rng(kInitSeed);
-  out.model = make_classifier(name, ds.num_classes, rng);
+  Rng rng(Family::kInitSeed);
+  out.model = Family::make(name, rng);
 
   nn::ParamRefs params;
   out.model->collect(params);
   nn::StateRefs state;
   out.model->collect_state(state);
-  std::vector<const Tensor*> cstate(state.begin(), state.end());
-
-  const std::string stem = cache_dir() + "/cls_" + name +
+  const std::string stem = cache_dir() + "/" + Family::kPrefix + "_" + name +
                            (tag.empty() ? "" : "_" + tag) + "_" + kCacheVersion;
-  const std::string wpath = stem + ".weights";
-  const std::string rpath = stem + ".ranges";
 
-  if (!nn::load_params(wpath, params, state)) {
-    TrainConfig cfg;
-    // Transformers need the Adam recipe to converge from scratch at this
-    // scale; convnets use SGD+momentum (both mirror common practice).
-    if (name.rfind("ViT", 0) == 0 || name.rfind("Swin", 0) == 0) {
-      cfg.use_adam = true;
-      cfg.lr = 1.5e-3f;
-      cfg.epochs = 30;
-    }
-    if (train_override != nullptr) cfg = *train_override;
-    const ClsPreprocessor default_prep = default_cls_preprocessor(spec);
-    train_classifier(*out.model, ds.train, ds.num_classes,
-                     prep != nullptr ? *prep : default_prep, cfg);
-    calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_params(wpath, params, cstate);
-    nn::save_ranges(rpath, out.ranges);
-  } else if (!nn::load_ranges(rpath, out.ranges)) {
-    calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_ranges(rpath, out.ranges);
+  const bool trained = !nn::load_params(stem + ".weights", params, state);
+  if (trained) {
+    train(*out.model);
+    nn::save_params(stem + ".weights", params,
+                    std::vector<const Tensor*>(state.begin(), state.end()));
   }
-  out.trained_acc = eval_classifier(*out.model, ds.eval,
-                                    SysNoiseConfig::training_default(), spec,
-                                    &out.ranges);
+  if (trained || !nn::load_ranges(stem + ".ranges", out.ranges)) {
+    calibrate(*out.model,
+              preprocess_samples(Family::dataset().train, cfg, Family::spec(),
+                                 Family::kCalibBatch, Family::kCalibSamples),
+              out.ranges);
+    nn::save_ranges(stem + ".ranges", out.ranges);
+  }
+  // The stage-1 batches die before post-processing, as in the eval_*
+  // entry points: holding them through it (ZooTask::evaluate) raised the
+  // set-up peak RSS of a four-model zoo load by about 6 MiB.
+  const typename Family::Forward fwd = Family::forward(
+      *out.model,
+      preprocess_samples(Family::dataset().eval, cfg, Family::spec(),
+                         Family::kEvalBatch),
+      cfg, &out.ranges);
+  out.*Family::kMetric = Family::postprocess(*out.model, fwd, cfg);
+  return out;
+}
+
+template TrainedClassifier load_or_train<ClsFamily>(
+    const std::string&, const std::string&,
+    const std::function<void(Classifier&)>&);
+template TrainedDetector load_or_train<DetFamily>(
+    const std::string&, const std::string&,
+    const std::function<void(Detector&)>&);
+template TrainedSegmenter load_or_train<SegFamily>(
+    const std::string&, const std::string&,
+    const std::function<void(Segmenter&)>&);
+
+TrainedClassifier get_classifier(const std::string& name, const std::string& tag,
+                                 const ClsPreprocessor* prep) {
+  TrainedClassifier out =
+      load_or_train<ClsFamily>(name, tag, [&](Classifier& model) {
+        TrainConfig cfg;
+        // Transformers need the Adam recipe to converge from scratch at this
+        // scale; convnets use SGD+momentum (both mirror common practice).
+        if (name.rfind("ViT", 0) == 0 || name.rfind("Swin", 0) == 0) {
+          cfg.use_adam = true;
+          cfg.lr = 1.5e-3f;
+          cfg.epochs = 30;
+        }
+        train_classifier(model, ClsFamily::dataset().train,
+                         prep != nullptr
+                             ? *prep
+                             : default_cls_preprocessor(ClsFamily::spec()),
+                         cfg);
+      });
+  out.tag = tag;
   return out;
 }
 
 TrainedDetector get_detector(const std::string& name) {
-  const auto& ds = benchmark_det_dataset();
-  const PipelineSpec spec = det_pipeline_spec();
-
-  std::string backbone, head;
-  if (name == "FasterRCNN-ResNet") {
-    backbone = "resnet";
-    head = "softmax";
-  } else if (name == "FasterRCNN-MobileNet") {
-    backbone = "mobilenet";
-    head = "softmax";
-  } else if (name == "RetinaNet-ResNet") {
-    backbone = "resnet";
-    head = "sigmoid";
-  } else if (name == "RetinaNet-MobileNet") {
-    backbone = "mobilenet";
-    head = "sigmoid";
-  } else {
-    throw std::invalid_argument("get_detector: unknown model " + name);
-  }
-
-  TrainedDetector out;
-  out.name = name;
-  Rng rng(kInitSeed + 1);
-  out.model = std::make_unique<Detector>(backbone, head == "softmax",
-                                         ds.num_classes, rng);
-
-  nn::ParamRefs params;
-  out.model->collect(params);
-  nn::StateRefs state;
-  out.model->collect_state(state);
-  std::vector<const Tensor*> cstate(state.begin(), state.end());
-
-  const std::string stem = cache_dir() + "/det_" + name + "_" + kCacheVersion;
-  if (!nn::load_params(stem + ".weights", params, state)) {
+  return load_or_train<DetFamily>(name, "", [](Detector& model) {
     TrainConfig cfg;
     cfg.epochs = 16;
     cfg.batch_size = 8;
     cfg.lr = 0.02f;
-    train_detector(*out.model, ds, spec, cfg);
-    calibrate_detector(*out.model, ds, spec, out.ranges);
-    nn::save_params(stem + ".weights", params, cstate);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    calibrate_detector(*out.model, ds, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  }
-  out.trained_map = eval_detector(*out.model, ds, SysNoiseConfig::training_default(),
-                                  spec, &out.ranges);
-  return out;
+    train_detector(model, DetFamily::dataset(), DetFamily::spec(), cfg);
+  });
 }
 
 TrainedSegmenter get_segmenter(const std::string& name) {
-  const auto& ds = benchmark_seg_dataset();
-  const PipelineSpec spec = seg_pipeline_spec();
-
-  TrainedSegmenter out;
-  out.name = name;
-  Rng rng(kInitSeed + 2);
-  out.model = make_segmenter(name, ds.num_classes, rng);
-
-  nn::ParamRefs params;
-  out.model->collect(params);
-  nn::StateRefs state;
-  out.model->collect_state(state);
-  std::vector<const Tensor*> cstate(state.begin(), state.end());
-
-  const std::string stem = cache_dir() + "/seg_" + name + "_" + kCacheVersion;
-  if (!nn::load_params(stem + ".weights", params, state)) {
+  return load_or_train<SegFamily>(name, "", [](Segmenter& model) {
     TrainConfig cfg;
     cfg.epochs = 10;
     cfg.batch_size = 8;
     cfg.lr = 0.05f;
-    train_segmenter(*out.model, ds, spec, cfg);
-    calibrate_segmenter(*out.model, ds, spec, out.ranges);
-    nn::save_params(stem + ".weights", params, cstate);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    calibrate_segmenter(*out.model, ds, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  }
-  out.trained_miou = eval_segmenter(*out.model, ds, SysNoiseConfig::training_default(),
-                                    spec, &out.ranges);
-  return out;
+    train_segmenter(model, SegFamily::dataset(), SegFamily::spec(), cfg);
+  });
 }
 
 }  // namespace sysnoise::models

@@ -49,7 +49,7 @@ bool ClassifierServingModel::correct(int sample, int prediction) const {
 double ClassifierServingModel::offline_accuracy() const {
   return models::eval_classifier_batches(
       *tc_.model,
-      models::preprocess_cls_batches(eval_, cfg_, spec_, /*batch_size=*/16),
+      models::preprocess_samples(eval_, cfg_, spec_, /*batch_size=*/16),
       eval_, cfg_, &tc_.ranges);
 }
 

@@ -178,7 +178,10 @@ TEST(SweepEngine, SeededCacheSkipsTrainedBaselineEval) {
   const int base_evals = task.evals();
 
   SweepCache cache;
-  const AxisReport report = models::sweep_seeded(task, trained, cache);
+  cache.seed(task, SysNoiseConfig::training_default(), trained);
+  SweepOptions opts;
+  opts.cache = &cache;
+  const AxisReport report = sweep(task, opts);
   // Options: 3 decode + 10 resize + 1 crop + 1 color + 2 norm + 1 layout +
   // 2 precision + 2 backend + combined = 23; the baseline itself came from
   // the seed.

@@ -690,8 +690,10 @@ TEST(Distributed, RealClassifierLoopbackMatchesSeededSingleProcessSweep) {
 
   // Reference: the seeded staged sweep the table benches run.
   core::SweepCache cache;
-  const AxisReport expected = models::sweep_seeded(
-      task, tc.trained_acc, cache);
+  cache.seed(task, SysNoiseConfig::training_default(), tc.trained_acc);
+  core::SweepOptions opts;
+  opts.cache = &cache;
+  const AxisReport expected = core::sweep(task, opts);
 
   // Distributed: two workers resolving the spec through the zoo, exactly
   // like sysnoise_worker would (same process here, so the zoo cache is

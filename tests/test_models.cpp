@@ -92,8 +92,7 @@ TEST(Training, SmallClassifierLearnsAboveChance) {
   cfg.epochs = 6;
   cfg.batch_size = 8;
   cfg.lr = 0.08f;
-  train_classifier(*model, ds.train, ds.num_classes,
-                   default_cls_preprocessor(kSpec), cfg);
+  train_classifier(*model, ds.train, default_cls_preprocessor(kSpec), cfg);
   const double acc = eval_classifier(*model, ds.eval,
                                      SysNoiseConfig::training_default(), kSpec,
                                      nullptr);
@@ -108,11 +107,13 @@ TEST(Training, NoiseConfigsShiftAccuracyOnTrainedModel) {
   cfg.epochs = 6;
   cfg.batch_size = 8;
   cfg.lr = 0.08f;
-  train_classifier(*model, ds.train, ds.num_classes,
-                   default_cls_preprocessor(kSpec), cfg);
+  train_classifier(*model, ds.train, default_cls_preprocessor(kSpec), cfg);
 
   nn::ActRanges ranges;
-  calibrate_classifier(*model, ds.train, kSpec, ranges, 16);
+  calibrate(*model,
+            preprocess_samples(ds.train, SysNoiseConfig::training_default(),
+                               kSpec, 8, 16),
+            ranges);
 
   const double base = eval_classifier(*model, ds.eval,
                                       SysNoiseConfig::training_default(), kSpec,
@@ -188,8 +189,7 @@ TEST(Zoo, StateRoundTripPreservesEval) {
   TrainConfig cfg;
   cfg.epochs = 3;
   cfg.batch_size = 8;
-  train_classifier(*model, ds.train, ds.num_classes,
-                   default_cls_preprocessor(kSpec), cfg);
+  train_classifier(*model, ds.train, default_cls_preprocessor(kSpec), cfg);
   const double acc = eval_classifier(*model, ds.eval,
                                      SysNoiseConfig::training_default(), kSpec,
                                      nullptr);

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -361,13 +363,9 @@ class CountingClassifierTask : public models::ClassifierTask {
   mutable int preprocess_runs = 0;
 };
 
-TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
-  const auto dir = fresh_temp_dir("disk_cache_real");
-  auto tc = models::get_classifier("MCUNet");
-  CountingClassifierTask task(tc);
-
-  // Tiny registry keeps the real-model matrix affordable while spanning a
-  // pre-processing and an inference knob.
+// Tiny registry keeps the real-model matrix affordable while spanning a
+// pre-processing and an inference knob.
+AxisRegistry resize_and_precision_registry() {
   AxisRegistry reg;
   {
     NoiseAxis a;
@@ -395,7 +393,15 @@ TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
     a.effect_level = "High";
     reg.add(std::move(a));
   }
-  const SweepPlan plan = plan_sweep(task, reg);
+  return reg;
+}
+
+TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
+  const auto dir = fresh_temp_dir("disk_cache_real");
+  auto tc = models::get_classifier("MCUNet");
+  CountingClassifierTask task(tc);
+
+  const SweepPlan plan = plan_sweep(task, resize_and_precision_registry());
 
   DiskStageCache cold_disk(dir.string());
   const StagedExecutor cold_ex(nullptr, &cold_disk);
@@ -412,6 +418,94 @@ TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
   EXPECT_EQ(stats.preprocess_computed, 0u);
   EXPECT_EQ(stats.preprocess_disk_hits, stats.preprocess_misses);
   std::filesystem::remove_all(dir);
+}
+
+// Bitwise MetricMap equality (== would equate +0.0 and -0.0).
+bool same_bits(const MetricMap& a, const MetricMap& b) {
+  if (a.size() != b.size()) return false;
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib)
+    if (ia->first != ib->first ||
+        std::memcmp(&ia->second, &ib->second, sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+// Decoded stage products are untrusted input: a well-formed entry whose
+// geometry differs from what the task computes for its eval set (planted
+// under the real scope/key, e.g. by another build or by hand) must count as
+// a miss and be recomputed, never indexed past the eval set.
+TEST(DiskStageCacheT, MisshapenStageOneProductsAreRecomputed) {
+  auto tc = models::get_classifier("MCUNet");
+  const models::ClassifierTask task(tc);
+  const SweepPlan plan = plan_sweep(task, resize_and_precision_registry());
+  const MetricMap cold = StagedExecutor().execute(task, plan);
+
+  const std::vector<std::function<void(PreprocessedBatches&)>> manglers = {
+      [](PreprocessedBatches& b) {  // every batch twice
+        std::vector<Tensor> doubled;
+        for (const Tensor& t : b.inputs) {
+          doubled.push_back(t);
+          doubled.push_back(t);
+        }
+        b.inputs = std::move(doubled);
+      },
+      [](PreprocessedBatches& b) { b.inputs.pop_back(); },  // truncated
+      [](PreprocessedBatches& b) { b.batch_size = 8; },      // wrong header
+  };
+  for (std::size_t m = 0; m < manglers.size(); ++m) {
+    const auto dir = fresh_temp_dir("disk_cache_misshapen");
+    DiskStageCache disk(dir.string());
+    std::set<std::string> planted;
+    for (const PlannedConfig& pc : plan.configs) {
+      if (!planted.insert(pc.preprocess_key).second) continue;
+      PreprocessedBatches batches = *static_cast<const PreprocessedBatches*>(
+          task.run_preprocess(pc.cfg).get());
+      manglers[m](batches);
+      disk.store(task.preprocess_scope(), pc.preprocess_key,
+                 models::encode_batches(batches));
+    }
+    StageStats stats;
+    const MetricMap warm = StagedExecutor(&stats, &disk).execute(task, plan);
+    EXPECT_TRUE(same_bits(warm, cold)) << "mangler " << m;
+    EXPECT_EQ(stats.preprocess_disk_hits, 0u) << "mangler " << m;
+    EXPECT_EQ(stats.preprocess_computed, planted.size()) << "mangler " << m;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(DiskStageCacheT, MisshapenDetectionForwardProductsAreRecomputed) {
+  auto td = models::get_detector("RetinaNet-MobileNet");
+  const models::DetectorTask task(td);
+  const SweepPlan plan = plan_sweep(task, resize_and_precision_registry());
+  const MetricMap cold = StagedExecutor().execute(task, plan);
+
+  const std::vector<std::function<void(models::RawDetections&)>> manglers = {
+      [](models::RawDetections& r) { r.batches.push_back(r.batches.front()); },
+      [](models::RawDetections& r) { r.batches.pop_back(); },
+      [](models::RawDetections& r) {  // a level one row short
+        Tensor& cls = r.batches.front().cls.front();
+        cls = Tensor({cls.dim(0) - 1, cls.dim(1), cls.dim(2), cls.dim(3)});
+      },
+  };
+  for (std::size_t m = 0; m < manglers.size(); ++m) {
+    const auto dir = fresh_temp_dir("disk_cache_misshapen_fwd");
+    DiskStageCache disk(dir.string());
+    std::set<std::string> planted;
+    for (const PlannedConfig& pc : plan.configs) {
+      if (!planted.insert(pc.forward_key).second) continue;
+      models::RawDetections raw = *static_cast<const models::RawDetections*>(
+          task.run_forward(pc.cfg, task.run_preprocess(pc.cfg)).get());
+      manglers[m](raw);
+      disk.store(task.forward_scope(), pc.forward_key,
+                 models::encode_raw_detections(raw));
+    }
+    StageStats stats;
+    const MetricMap warm = StagedExecutor(&stats, &disk).execute(task, plan);
+    EXPECT_TRUE(same_bits(warm, cold)) << "mangler " << m;
+    EXPECT_EQ(stats.forward_disk_hits, 0u) << "mangler " << m;
+    EXPECT_EQ(stats.forward_computed, planted.size()) << "mangler " << m;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ---------------------------------------------------------------------------

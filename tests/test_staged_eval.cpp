@@ -332,7 +332,7 @@ TEST(StagedRealModels, DetectorStagedMatchesMonolithicWithoutPostprocForward) {
   offset_cfg.proposal_offset = 1.0f;
   const auto& ds = models::benchmark_det_dataset();
   const auto spec = models::det_pipeline_spec();
-  const auto batches = models::preprocess_det_batches(ds, offset_cfg, spec);
+  const auto batches = models::preprocess_samples(ds.eval, offset_cfg, spec, 8);
   const auto raw = models::detector_forward_batches(*td.model, batches,
                                                     offset_cfg, &td.ranges);
   EXPECT_EQ(models::detector_map_from_raw(*td.model, raw, ds, offset_cfg),
