@@ -82,12 +82,8 @@ class FastSpeechMini : public TtsModel {
     Node* pooled = mean_tokens(t, x);  // [B, 32]
     return head_(t, pooled);
   }
-  void collect(ParamRefs& out) override {
-    embed_.collect(out);
-    out.push_back(&pos_);
-    block_.collect(out);
-    ln_.collect(out);
-    head_.collect(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(embed_, pos_, block_, ln_, head_);
   }
 
  private:
@@ -126,13 +122,7 @@ class FastSpeechMini : public TtsModel {
       x = add(t, x, attn(t, ln1(t, x)));
       return add(t, x, mlp2(t, gelu(t, mlp1(t, ln2(t, x)))));
     }
-    void collect(ParamRefs& out) {
-      ln1.collect(out);
-      ln2.collect(out);
-      attn.collect(out);
-      mlp1.collect(out);
-      mlp2.collect(out);
-    }
+    void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
   };
 
   Embedding embed_;
@@ -160,13 +150,8 @@ class TacotronMini : public TtsModel {
     Node* pooled = global_avgpool(t, y);                    // [B, 24]
     return head_(t, pooled);
   }
-  void collect(ParamRefs& out) override {
-    embed_.collect(out);
-    conv1_.collect(out);
-    bn1_.collect(out);
-    conv2_.collect(out);
-    bn2_.collect(out);
-    head_.collect(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(embed_, conv1_, bn1_, conv2_, bn2_, head_);
   }
 
  private:

@@ -40,13 +40,11 @@ struct TtsDataset {
 
 TtsDataset make_tts_dataset(const TtsDatasetSpec& spec = {});
 
-class TtsModel {
+class TtsModel : public nn::Module {
  public:
-  virtual ~TtsModel() = default;
   // tokens (batch of sequences) -> spectrogram [B, frames*bins].
   virtual nn::Node* forward(nn::Tape& t, const std::vector<int>& tokens, int batch,
                             int seq, nn::BnMode bn) = 0;
-  virtual void collect(nn::ParamRefs& out) = 0;
 };
 
 // name: "FastSpeech-mini" (transformer) | "Tacotron-mini" (conv).

@@ -17,17 +17,6 @@ const char* task_kind_name(TaskKind k) {
   return "?";
 }
 
-const char* task_modality_name(TaskKind k) {
-  switch (k) {
-    case TaskKind::kClassification:
-    case TaskKind::kDetection:
-    case TaskKind::kSegmentation: return "image";
-    case TaskKind::kNlp: return "text";
-    case TaskKind::kTts: return "audio";
-  }
-  return "?";
-}
-
 namespace {
 
 // Gate for the image pre-processing axes (decode/resize/color/norm/layout):

@@ -23,8 +23,6 @@ constexpr bool is_image_kind(TaskKind k) {
   return k == TaskKind::kClassification || k == TaskKind::kDetection ||
          k == TaskKind::kSegmentation;
 }
-// "image" | "text" | "audio" — documentation/reporting label.
-const char* task_modality_name(TaskKind k);
 
 // What the sweep engine knows about a model/task pair when deciding which
 // axes apply (e.g. ceil-mode needs a stride-2 max-pool).

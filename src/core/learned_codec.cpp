@@ -25,17 +25,12 @@ struct LearnedCodec::Impl {
     h = relu(t, dec1(t, h));
     return dec2(t, h);               // residual-free direct reconstruction
   }
-  void collect(ParamRefs& out) {
-    enc1.collect(out);
-    enc2.collect(out);
-    dec1.collect(out);
-    dec2.collect(out);
-  }
+  void walk(ModuleRefs& refs) { refs.add(enc1, enc2, dec1, dec2); }
 };
 
 LearnedCodec::LearnedCodec(Rng& rng) : impl_(std::make_shared<Impl>(rng)) {}
 
-void LearnedCodec::collect(ParamRefs& out) { impl_->collect(out); }
+void LearnedCodec::walk(ModuleRefs& refs) { impl_->walk(refs); }
 
 ImageU8 LearnedCodec::reconstruct(const ImageU8& img) {
   // Normalize to [0,1]; reconstruct; back to uint8.

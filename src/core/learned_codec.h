@@ -14,12 +14,12 @@
 
 namespace sysnoise::core {
 
-class LearnedCodec {
+class LearnedCodec : public nn::Module {
  public:
   explicit LearnedCodec(Rng& rng);
   // Round-trip an RGB image through the autoencoder.
   ImageU8 reconstruct(const ImageU8& img);
-  void collect(nn::ParamRefs& out);
+  void walk(nn::ModuleRefs& refs) override;
   float train(const std::vector<data::ClsSample>& samples, int epochs, float lr);
 
  private:

@@ -168,80 +168,6 @@ std::string axis_report_csv(const std::vector<AxisReport>& reports) {
   return os.str();
 }
 
-util::Json axis_report_to_json(const AxisReport& report) {
-  util::Json j = util::Json::object();
-  j.set("model", report.model);
-  j.set("trained", report.trained);
-  util::Json axes = util::Json::array();
-  for (const AxisResult& res : report.axes) {
-    util::Json ja = util::Json::object();
-    ja.set("axis", res.axis);
-    ja.set("key", res.key);
-    ja.set("mean", res.mean);
-    ja.set("max", res.max);
-    ja.set("per_option", res.per_option);
-    util::Json options = util::Json::array();
-    for (const OptionDelta& o : res.options) {
-      util::Json jo = util::Json::object();
-      jo.set("label", o.label);
-      jo.set("delta", o.delta);
-      options.push_back(std::move(jo));
-    }
-    ja.set("options", std::move(options));
-    axes.push_back(std::move(ja));
-  }
-  j.set("axes", std::move(axes));
-  j.set("combined", report.combined);
-  return j;
-}
-
-AxisReport axis_report_from_json(const util::Json& j) {
-  AxisReport report;
-  report.model = j.at("model").as_string();
-  report.trained = j.at("trained").as_number();
-  const util::Json& axes = j.at("axes");
-  for (std::size_t i = 0; i < axes.size(); ++i) {
-    const util::Json& ja = axes.at(i);
-    AxisResult res;
-    res.axis = ja.at("axis").as_string();
-    res.key = ja.at("key").as_string();
-    res.mean = ja.at("mean").as_number();
-    res.max = ja.at("max").as_number();
-    res.per_option = ja.at("per_option").as_bool();
-    const util::Json& options = ja.at("options");
-    for (std::size_t o = 0; o < options.size(); ++o)
-      res.options.push_back({options.at(o).at("label").as_string(),
-                             options.at(o).at("delta").as_number()});
-    report.axes.push_back(std::move(res));
-  }
-  report.combined = j.at("combined").as_number();
-  return report;
-}
-
-util::Json step_report_to_json(const StepReport& report) {
-  util::Json j = util::Json::object();
-  j.set("model", report.model);
-  util::Json points = util::Json::array();
-  for (const StepPoint& p : report.points) {
-    util::Json jp = util::Json::object();
-    jp.set("step", p.step);
-    jp.set("delta", p.delta);
-    points.push_back(std::move(jp));
-  }
-  j.set("points", std::move(points));
-  return j;
-}
-
-StepReport step_report_from_json(const util::Json& j) {
-  StepReport report;
-  report.model = j.at("model").as_string();
-  const util::Json& points = j.at("points");
-  for (std::size_t i = 0; i < points.size(); ++i)
-    report.points.push_back({points.at(i).at("step").as_string(),
-                             points.at(i).at("delta").as_number()});
-  return report;
-}
-
 std::string render_step_table(const std::vector<StepPoint>& points,
                               const std::string& metric_name) {
   TextTable table({"Noise added (cumulative)", "Δ" + metric_name});

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/sweep.h"
-#include "util/json.h"
 
 namespace sysnoise::core {
 
@@ -46,18 +45,10 @@ std::string render_step_table(const std::vector<StepPoint>& points,
 std::string step_points_csv(const std::vector<StepPoint>& points,
                             const std::string& task_label);
 
-// A named Fig. 3 stepwise curve — the stepwise counterpart of AxisReport,
-// so shard merges and downstream tooling can round-trip both report shapes.
+// A named Fig. 3 stepwise curve — the stepwise counterpart of AxisReport.
 struct StepReport {
   std::string model;
   std::vector<StepPoint> points;
 };
-
-// Lossless JSON round trips (deltas at full double precision — the CSVs
-// above round for display, these do not).
-util::Json axis_report_to_json(const AxisReport& report);
-AxisReport axis_report_from_json(const util::Json& j);
-util::Json step_report_to_json(const StepReport& report);
-StepReport step_report_from_json(const util::Json& j);
 
 }  // namespace sysnoise::core

@@ -443,6 +443,7 @@ void decode_block(BitReader& br, const HuffDecoder& dc, const HuffDecoder& ac,
     coef_out[nat] = static_cast<float>(v * q[static_cast<std::size_t>(nat)]);
     ++k;
   }
+  if (br.overran()) throw std::runtime_error("jpeg::decode: truncated scan");
 }
 
 void store_block(Plane& p, int by, int bx, const float samples[64]) {

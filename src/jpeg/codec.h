@@ -52,7 +52,7 @@ constexpr std::int64_t kMaxFramePixels = std::int64_t{1} << 24;  // 4096^2
 // Decode a stream produced by encode() with the given vendor behaviour.
 // Throws std::runtime_error on a malformed stream, including a frame with a
 // zero dimension or more than kMaxFramePixels pixels (checked before any
-// plane is allocated).
+// plane is allocated) and a scan that ends before its last block.
 ImageU8 decode(const std::vector<std::uint8_t>& bytes, DecoderVendor vendor);
 
 // Decode with explicit traits (used by tests and ablations).

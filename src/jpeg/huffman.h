@@ -76,14 +76,14 @@ class BitWriter {
   int nbits_ = 0;
 };
 
-// MSB-first bit reader undoing byte stuffing.
+// MSB-first bit reader undoing byte stuffing. Reading past the end yields
+// 0-bits and sets overran(): a complete scan never reads past its end.
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
   int read_bit();
   std::uint32_t read_bits(int n);
-  bool exhausted() const { return pos_ >= size_ && nbits_ == 0; }
-  std::size_t byte_pos() const { return pos_; }
+  bool overran() const { return overran_; }
 
  private:
   const std::uint8_t* data_;
@@ -91,6 +91,7 @@ class BitReader {
   std::size_t pos_ = 0;
   std::uint32_t acc_ = 0;
   int nbits_ = 0;
+  bool overran_ = false;
 };
 
 // Magnitude category (number of bits) of a coefficient value, T.81 F.1.2.1.

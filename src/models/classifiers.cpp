@@ -2,69 +2,13 @@
 
 #include <stdexcept>
 
+#include "models/blocks.h"
+
 namespace sysnoise::models {
 
 using namespace sysnoise::nn;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared building blocks
-// ---------------------------------------------------------------------------
-
-struct ConvBn {
-  Conv2d conv;
-  BatchNorm2d bn;
-  ConvBn(int in, int out, int k, int s, int p, Rng& rng, const std::string& id,
-         int groups = 1)
-      : conv(in, out, k, s, p, rng, id, groups, /*bias=*/false), bn(out) {}
-  Node* operator()(Tape& t, Node* x, BnMode mode, bool act = true) {
-    Node* y = bn(t, conv(t, x), mode);
-    return act ? relu(t, y) : y;
-  }
-  void collect(ParamRefs& out) {
-    conv.collect(out);
-    bn.collect(out);
-  }
-  void collect_bn(ParamRefs& out) { bn.collect_affine(out); }
-  void collect_state(StateRefs& out) { bn.collect_state(out); }
-};
-
-struct BasicBlock {
-  ConvBn c1;
-  Conv2d c2;
-  BatchNorm2d bn2;
-  std::unique_ptr<ConvBn> down;  // 1x1 projection when shape changes
-  BasicBlock(int in, int out, int stride, Rng& rng, const std::string& id)
-      : c1(in, out, 3, stride, 1, rng, id + ".c1"),
-        c2(out, out, 3, 1, 1, rng, id + ".c2", 1, false),
-        bn2(out) {
-    if (stride != 1 || in != out)
-      down = std::make_unique<ConvBn>(in, out, 1, stride, 0, rng, id + ".down");
-  }
-  Node* operator()(Tape& t, Node* x, BnMode mode) {
-    Node* y = c1(t, x, mode);
-    y = bn2(t, c2(t, y), mode);
-    Node* skip = down ? (*down)(t, x, mode, /*act=*/false) : x;
-    return relu(t, add(t, y, skip));
-  }
-  void collect(ParamRefs& out) {
-    c1.collect(out);
-    c2.collect(out);
-    bn2.collect(out);
-    if (down) down->collect(out);
-  }
-  void collect_bn(ParamRefs& out) {
-    c1.collect_bn(out);
-    bn2.collect_affine(out);
-    if (down) down->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) {
-    c1.collect_state(out);
-    bn2.collect_state(out);
-    if (down) down->collect_state(out);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // ResNet-mini (stride-2 max-pool stem => ceil-mode noise applies)
@@ -79,9 +23,9 @@ class ResNetMini : public Classifier {
     for (std::size_t s = 0; s < widths.size(); ++s) {
       for (int b = 0; b < depths[s]; ++b) {
         const int stride = (s > 0 && b == 0) ? 2 : 1;
-        blocks_.push_back(std::make_unique<BasicBlock>(
+        blocks_.push_back(std::make_unique<ResidualBlock>(
             in, widths[s], stride, rng,
-            "s" + std::to_string(s) + "b" + std::to_string(b)));
+            "s" + std::to_string(s) + "b" + std::to_string(b), ".down"));
         in = widths[s];
       }
     }
@@ -94,24 +38,12 @@ class ResNetMini : public Classifier {
     for (auto& b : blocks_) y = (*b)(t, y, bn);
     return head_(t, global_avgpool(t, y));
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    for (auto& b : blocks_) b->collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    stem_.collect_bn(out);
-    for (auto& b : blocks_) b->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    for (auto& b : blocks_) b->collect_state(out);
-  }
+  void walk(ModuleRefs& refs) override { refs.add(stem_, blocks_, head_); }
   bool has_maxpool() const override { return true; }
 
  private:
   ConvBn stem_;
-  std::vector<std::unique_ptr<BasicBlock>> blocks_;
+  std::vector<std::unique_ptr<ResidualBlock>> blocks_;
   Linear head_;
 };
 
@@ -142,22 +74,7 @@ struct InvertedResidual {
     y = bn_p(t, project(t, y), mode);  // linear bottleneck: no activation
     return use_skip ? add(t, y, x) : y;
   }
-  void collect(ParamRefs& out) {
-    if (expand) expand->collect(out);
-    dw.collect(out);
-    project.collect(out);
-    bn_p.collect(out);
-  }
-  void collect_bn(ParamRefs& out) {
-    if (expand) expand->collect_bn(out);
-    dw.collect_bn(out);
-    bn_p.collect_affine(out);
-  }
-  void collect_state(StateRefs& out) {
-    if (expand) expand->collect_state(out);
-    dw.collect_state(out);
-    bn_p.collect_state(out);
-  }
+  void walk(ModuleRefs& refs) { refs.add(expand, dw, project, bn_p); }
 };
 
 class MobileNetMini : public Classifier {
@@ -178,19 +95,7 @@ class MobileNetMini : public Classifier {
     for (auto& b : blocks_) y = (*b)(t, y, bn);
     return head_(t, global_avgpool(t, y));
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    for (auto& b : blocks_) b->collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    stem_.collect_bn(out);
-    for (auto& b : blocks_) b->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    for (auto& b : blocks_) b->collect_state(out);
-  }
+  void walk(ModuleRefs& refs) override { refs.add(stem_, blocks_, head_); }
 
  private:
   static int ch(int base, float width) {
@@ -227,25 +132,7 @@ struct XBlock {
     Node* skip = down ? (*down)(t, x, mode, false) : x;
     return relu(t, add(t, y, skip));
   }
-  void collect(ParamRefs& out) {
-    a.collect(out);
-    b.collect(out);
-    c.collect(out);
-    bn_c.collect(out);
-    if (down) down->collect(out);
-  }
-  void collect_bn(ParamRefs& out) {
-    a.collect_bn(out);
-    b.collect_bn(out);
-    bn_c.collect_affine(out);
-    if (down) down->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) {
-    a.collect_state(out);
-    b.collect_state(out);
-    bn_c.collect_state(out);
-    if (down) down->collect_state(out);
-  }
+  void walk(ModuleRefs& refs) { refs.add(a, b, c, bn_c, down); }
 };
 
 class RegNetMini : public Classifier {
@@ -267,19 +154,7 @@ class RegNetMini : public Classifier {
     for (auto& b : blocks_) y = (*b)(t, y, bn);
     return head_(t, global_avgpool(t, y));
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    for (auto& b : blocks_) b->collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    stem_.collect_bn(out);
-    for (auto& b : blocks_) b->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    for (auto& b : blocks_) b->collect_state(out);
-  }
+  void walk(ModuleRefs& refs) override { refs.add(stem_, blocks_, head_); }
 
  private:
   ConvBn stem_;
@@ -318,23 +193,8 @@ struct MbConvSe {
     y = bn_p(t, project(t, y), mode);
     return use_skip ? add(t, y, x) : y;
   }
-  void collect(ParamRefs& out) {
-    expand.collect(out);
-    dw.collect(out);
-    se_fc1.collect(out);
-    se_fc2.collect(out);
-    project.collect(out);
-    bn_p.collect(out);
-  }
-  void collect_bn(ParamRefs& out) {
-    expand.collect_bn(out);
-    dw.collect_bn(out);
-    bn_p.collect_affine(out);
-  }
-  void collect_state(StateRefs& out) {
-    expand.collect_state(out);
-    dw.collect_state(out);
-    bn_p.collect_state(out);
+  void walk(ModuleRefs& refs) {
+    refs.add(expand, dw, se_fc1, se_fc2, project, bn_p);
   }
 };
 
@@ -354,19 +214,7 @@ class EffNetMini : public Classifier {
     for (auto& b : blocks_) y = (*b)(t, y, bn);
     return head_(t, global_avgpool(t, y));
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    for (auto& b : blocks_) b->collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    stem_.collect_bn(out);
-    for (auto& b : blocks_) b->collect_bn(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    for (auto& b : blocks_) b->collect_state(out);
-  }
+  void walk(ModuleRefs& refs) override { refs.add(stem_, blocks_, head_); }
 
  private:
   static int ch(int base, float width) {
@@ -394,22 +242,7 @@ class McuNetMini : public Classifier {
     y = b1_(t, y, bn);
     return head_(t, global_avgpool(t, y));
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    b0_.collect(out);
-    b1_.collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    stem_.collect_bn(out);
-    b0_.collect_bn(out);
-    b1_.collect_bn(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    b0_.collect_state(out);
-    b1_.collect_state(out);
-  }
+  void walk(ModuleRefs& refs) override { refs.add(stem_, b0_, b1_, head_); }
 
  private:
   ConvBn stem_;
@@ -435,13 +268,7 @@ struct VitBlock {
     Node* m = mlp2(t, gelu(t, mlp1(t, ln2(t, x))));
     return add(t, x, m);
   }
-  void collect(ParamRefs& out) {
-    ln1.collect(out);
-    ln2.collect(out);
-    attn.collect(out);
-    mlp1.collect(out);
-    mlp2.collect(out);
-  }
+  void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
 };
 
 class VitMini : public Classifier {
@@ -467,20 +294,8 @@ class VitMini : public Classifier {
     y = norm_(t, y);
     return head_(t, mean_tokens(t, y));
   }
-  void collect(ParamRefs& out) override {
-    patch_.collect(out);
-    out.push_back(&pos_);
-    for (auto& b : blocks_) b->collect(out);
-    norm_.collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    // TENT on transformers adapts the LayerNorm affine parameters.
-    for (auto& b : blocks_) {
-      b->ln1.collect(out);
-      b->ln2.collect(out);
-    }
-    norm_.collect(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(patch_, pos_, blocks_, norm_, head_);
   }
 
  private:
@@ -529,24 +344,8 @@ class SwinMini : public Classifier {
     y = norm_(t, y);
     return head_(t, mean_tokens(t, y));
   }
-  void collect(ParamRefs& out) override {
-    patch_.collect(out);
-    for (auto& b : stage1_) b->collect(out);
-    merge_fc_.collect(out);
-    for (auto& b : stage2_) b->collect(out);
-    norm_.collect(out);
-    head_.collect(out);
-  }
-  void collect_bn_affine(ParamRefs& out) override {
-    for (auto& b : stage1_) {
-      b->ln1.collect(out);
-      b->ln2.collect(out);
-    }
-    for (auto& b : stage2_) {
-      b->ln1.collect(out);
-      b->ln2.collect(out);
-    }
-    norm_.collect(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(patch_, stage1_, merge_fc_, stage2_, norm_, head_);
   }
 
  private:

@@ -22,16 +22,12 @@
 
 namespace sysnoise::models {
 
-class Classifier {
+// collect_bn_affine (nn::Module) lists what TENT updates: the BN affine
+// params of a convnet, the LayerNorm affine params of a transformer.
+class Classifier : public nn::Module {
  public:
-  virtual ~Classifier() = default;
   // bn: kTrain during optimization, kEval at test, kAdapt for TENT.
   virtual nn::Node* forward(nn::Tape& t, nn::Node* x, nn::BnMode bn) = 0;
-  virtual void collect(nn::ParamRefs& out) = 0;
-  // Affine BN params only (what TENT updates); empty for norm-free models.
-  virtual void collect_bn_affine(nn::ParamRefs& out) { (void)out; }
-  // Persistent non-trainable state (BN running stats); empty by default.
-  virtual void collect_state(nn::StateRefs& out) { (void)out; }
   // Whether the architecture contains a stride-2 max-pool (Table 2 "-"
   // entries in the Ceil Mode column are models without one).
   virtual bool has_maxpool() const { return false; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "models/blocks.h"
 #include "nn/ops_extra.h"
 
 namespace sysnoise::models {
@@ -14,64 +15,13 @@ using detect::BoxCoder;
 using detect::Detection;
 using detect::GtBox;
 
-namespace {
-
-struct ConvBn {
-  Conv2d conv;
-  BatchNorm2d bn;
-  ConvBn(int in, int out, int k, int s, int p, Rng& rng, const std::string& id,
-         int groups = 1)
-      : conv(in, out, k, s, p, rng, id, groups, false), bn(out) {}
-  Node* operator()(Tape& t, Node* x, BnMode mode, bool act = true) {
-    Node* y = bn(t, conv(t, x), mode);
-    return act ? relu(t, y) : y;
-  }
-  void collect(ParamRefs& out) {
-    conv.collect(out);
-    bn.collect(out);
-  }
-  void collect_state(StateRefs& out) { bn.collect_state(out); }
-};
-
-struct ResBlock {
-  ConvBn c1;
-  Conv2d c2;
-  BatchNorm2d bn2;
-  std::unique_ptr<ConvBn> down;
-  ResBlock(int in, int out, int stride, Rng& rng, const std::string& id)
-      : c1(in, out, 3, stride, 1, rng, id + ".c1"),
-        c2(out, out, 3, 1, 1, rng, id + ".c2", 1, false),
-        bn2(out) {
-    if (stride != 1 || in != out)
-      down = std::make_unique<ConvBn>(in, out, 1, stride, 0, rng, id + ".dn");
-  }
-  Node* operator()(Tape& t, Node* x, BnMode mode) {
-    Node* y = bn2(t, c2(t, c1(t, x, mode)), mode);
-    Node* skip = down ? (*down)(t, x, mode, false) : x;
-    return relu(t, add(t, y, skip));
-  }
-  void collect(ParamRefs& out) {
-    c1.collect(out);
-    c2.collect(out);
-    bn2.collect(out);
-    if (down) down->collect(out);
-  }
-  void collect_state(StateRefs& out) {
-    c1.collect_state(out);
-    bn2.collect_state(out);
-    if (down) down->collect_state(out);
-  }
-};
-
 constexpr int kFpnCh = 24;
-
-}  // namespace
 
 struct Detector::Impl {
   // Backbone producing C3 (s4), C4 (s8), C5 (s16) features.
   std::unique_ptr<ConvBn> stem;
   bool stem_maxpool = false;
-  std::vector<std::unique_ptr<ResBlock>> stages;  // one block per stage
+  std::vector<std::unique_ptr<ResidualBlock>> stages;  // one block per stage
   // FPN laterals + smoothing.
   std::vector<std::unique_ptr<Conv2d>> lateral;
   std::vector<std::unique_ptr<Conv2d>> smooth;
@@ -79,6 +29,9 @@ struct Detector::Impl {
   std::unique_ptr<ConvBn> tower;
   std::unique_ptr<Conv2d> cls_pred;
   std::unique_ptr<Conv2d> reg_pred;
+  void walk(ModuleRefs& refs) {
+    refs.add(stem, stages, lateral, smooth, tower, cls_pred, reg_pred);
+  }
 };
 
 Detector::Detector(const std::string& backbone, bool softmax_head, int num_classes,
@@ -96,9 +49,9 @@ Detector::Detector(const std::string& backbone, bool softmax_head, int num_class
     impl_->stem = std::make_unique<ConvBn>(3, chans[0], 3, 2, 1, rng, "det.stem");
   }
   for (int s = 0; s < 3; ++s)
-    impl_->stages.push_back(std::make_unique<ResBlock>(
+    impl_->stages.push_back(std::make_unique<ResidualBlock>(
         chans[static_cast<std::size_t>(s)], chans[static_cast<std::size_t>(s + 1)], 2, rng,
-        "det.s" + std::to_string(s)));
+        "det.s" + std::to_string(s), ".dn"));
   for (int lvl = 0; lvl < 3; ++lvl) {
     impl_->lateral.push_back(std::make_unique<Conv2d>(
         chans[static_cast<std::size_t>(lvl + 1)], kFpnCh, 1, 1, 0, rng,
@@ -130,44 +83,10 @@ DetectorOutput Detector::forward(Tape& t, Node* x, BnMode bn) {
     Node* lat = (*impl_->lateral[static_cast<std::size_t>(lvl)])(t, feats[static_cast<std::size_t>(lvl)]);
     Node* up = upsample2x(t, pyr[static_cast<std::size_t>(lvl + 1)]);
     // Ceil-mode pooling can shift feature sizes off by one; crop to match.
-    if (up->value.dim(2) != lat->value.dim(2) ||
-        up->value.dim(3) != lat->value.dim(3)) {
-      const int n = up->value.dim(0), c = up->value.dim(1);
-      const int h = std::min(up->value.dim(2), lat->value.dim(2));
-      const int w = std::min(up->value.dim(3), lat->value.dim(3));
-      Tensor cropped({n, c, h, w});
-      for (int ni = 0; ni < n; ++ni)
-        for (int ci = 0; ci < c; ++ci)
-          for (int yy = 0; yy < h; ++yy)
-            for (int xx = 0; xx < w; ++xx)
-              cropped.at4(ni, ci, yy, xx) = up->value.at4(ni, ci, yy, xx);
-      Node* up_src = up;
-      up = t.make(std::move(cropped));
-      up->backprop = [up, up_src, n, c, h, w]() {
-        for (int ni = 0; ni < n; ++ni)
-          for (int ci = 0; ci < c; ++ci)
-            for (int yy = 0; yy < h; ++yy)
-              for (int xx = 0; xx < w; ++xx)
-                up_src->grad.at4(ni, ci, yy, xx) += up->grad.at4(ni, ci, yy, xx);
-      };
-      if (lat->value.dim(2) != h || lat->value.dim(3) != w) {
-        Tensor lcrop({n, c, h, w});
-        for (int ni = 0; ni < n; ++ni)
-          for (int ci = 0; ci < c; ++ci)
-            for (int yy = 0; yy < h; ++yy)
-              for (int xx = 0; xx < w; ++xx)
-                lcrop.at4(ni, ci, yy, xx) = lat->value.at4(ni, ci, yy, xx);
-        Node* lat_src = lat;
-        lat = t.make(std::move(lcrop));
-        lat->backprop = [lat, lat_src, n, c, h, w]() {
-          for (int ni = 0; ni < n; ++ni)
-            for (int ci = 0; ci < c; ++ci)
-              for (int yy = 0; yy < h; ++yy)
-                for (int xx = 0; xx < w; ++xx)
-                  lat_src->grad.at4(ni, ci, yy, xx) += lat->grad.at4(ni, ci, yy, xx);
-        };
-      }
-    }
+    const int h = std::min(up->value.dim(2), lat->value.dim(2));
+    const int w = std::min(up->value.dim(3), lat->value.dim(3));
+    up = crop(t, up, h, w);
+    lat = crop(t, lat, h, w);
     pyr[static_cast<std::size_t>(lvl)] = add(t, lat, up);
   }
   DetectorOutput out;
@@ -181,21 +100,7 @@ DetectorOutput Detector::forward(Tape& t, Node* x, BnMode bn) {
   return out;
 }
 
-void Detector::collect(ParamRefs& out) {
-  impl_->stem->collect(out);
-  for (auto& s : impl_->stages) s->collect(out);
-  for (auto& l : impl_->lateral) l->collect(out);
-  for (auto& s : impl_->smooth) s->collect(out);
-  impl_->tower->collect(out);
-  impl_->cls_pred->collect(out);
-  impl_->reg_pred->collect(out);
-}
-
-void Detector::collect_state(StateRefs& out) {
-  impl_->stem->collect_state(out);
-  for (auto& s : impl_->stages) s->collect_state(out);
-  impl_->tower->collect_state(out);
-}
+void Detector::walk(ModuleRefs& refs) { impl_->walk(refs); }
 
 namespace {
 

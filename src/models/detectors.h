@@ -28,15 +28,14 @@ struct DetectorOutput {
   std::vector<std::pair<int, int>> shapes;  // feature map sizes per level
 };
 
-class Detector {
+class Detector : public nn::Module {
  public:
   // backbone: "resnet" (max-pool stem => ceil noise applies) or "mobilenet".
   Detector(const std::string& backbone, bool softmax_head, int num_classes,
            Rng& rng);
 
   DetectorOutput forward(nn::Tape& t, nn::Node* x, nn::BnMode bn);
-  void collect(nn::ParamRefs& out);
-  void collect_state(nn::StateRefs& out);
+  void walk(nn::ModuleRefs& refs) override;
   bool has_maxpool() const { return has_maxpool_; }
   bool softmax_head() const { return softmax_head_; }
   int num_classes() const { return num_classes_; }

@@ -3,26 +3,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "models/blocks.h"
+#include "nn/ops_extra.h"
+
 namespace sysnoise::models {
 
 using namespace sysnoise::nn;
 
 namespace {
-
-struct ConvBn {
-  Conv2d conv;
-  BatchNorm2d bn;
-  ConvBn(int in, int out, int k, int s, int p, Rng& rng, const std::string& id)
-      : conv(in, out, k, s, p, rng, id, 1, false), bn(out) {}
-  Node* operator()(Tape& t, Node* x, BnMode mode) {
-    return relu(t, bn(t, conv(t, x), mode));
-  }
-  void collect(ParamRefs& out) {
-    conv.collect(out);
-    bn.collect(out);
-  }
-  void collect_state(StateRefs& out) { bn.collect_state(out); }
-};
 
 class DeepLabMini : public Segmenter {
  public:
@@ -45,45 +33,14 @@ class DeepLabMini : public Segmenter {
     // Decode to full resolution; each step reads the upsample knob. A
     // ceil-mode stem changes intermediate sizes, so crop back if needed.
     for (int i = 0; i < 3; ++i) y = upsample2x(t, y);
-    return crop_to(t, y, 64, 64);
+    return crop(t, y, 64, 64);
   }
-  void collect(ParamRefs& out) override {
-    stem_.collect(out);
-    d1_.collect(out);
-    d2_.collect(out);
-    for (auto& c : context_) c->collect(out);
-    classifier_.collect(out);
-  }
-  void collect_state(StateRefs& out) override {
-    stem_.collect_state(out);
-    d1_.collect_state(out);
-    d2_.collect_state(out);
-    for (auto& c : context_) c->collect_state(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(stem_, d1_, d2_, context_, classifier_);
   }
   bool has_maxpool() const override { return true; }
 
  private:
-  static Node* crop_to(Tape& t, Node* x, int h, int w) {
-    if (x->value.dim(2) == h && x->value.dim(3) == w) return x;
-    const int n = x->value.dim(0), c = x->value.dim(1);
-    Tensor out({n, c, h, w});
-    for (int ni = 0; ni < n; ++ni)
-      for (int ci = 0; ci < c; ++ci)
-        for (int y = 0; y < h; ++y)
-          for (int xx = 0; xx < w; ++xx)
-            out.at4(ni, ci, y, xx) = x->value.at4(ni, ci, y, xx);
-    Node* yq = t.make(std::move(out));
-    Node* xn = x;
-    yq->backprop = [yq, xn, n, c, h, w]() {
-      if (!xn->requires_grad) return;
-      for (int ni = 0; ni < n; ++ni)
-        for (int ci = 0; ci < c; ++ci)
-          for (int y = 0; y < h; ++y)
-            for (int xx = 0; xx < w; ++xx)
-              xn->grad.at4(ni, ci, y, xx) += yq->grad.at4(ni, ci, y, xx);
-    };
-    return yq;
-  }
   ConvBn stem_, d1_, d2_;
   std::vector<std::unique_ptr<ConvBn>> context_;
   Conv2d classifier_;
@@ -108,22 +65,8 @@ class UNetMini : public Segmenter {
     Node* d1 = dec1_(t, concat_channels(t, upsample2x(t, d2), e1), bn);  // 64
     return head_(t, d1);
   }
-  void collect(ParamRefs& out) override {
-    enc1_.collect(out);
-    enc2_.collect(out);
-    enc3_.collect(out);
-    mid_.collect(out);
-    dec2_.collect(out);
-    dec1_.collect(out);
-    head_.collect(out);
-  }
-  void collect_state(StateRefs& out) override {
-    enc1_.collect_state(out);
-    enc2_.collect_state(out);
-    enc3_.collect_state(out);
-    mid_.collect_state(out);
-    dec2_.collect_state(out);
-    dec1_.collect_state(out);
+  void walk(ModuleRefs& refs) override {
+    refs.add(enc1_, enc2_, enc3_, mid_, dec2_, dec1_, head_);
   }
   bool has_maxpool() const override { return false; }
 

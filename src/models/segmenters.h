@@ -14,13 +14,10 @@
 
 namespace sysnoise::models {
 
-class Segmenter {
+class Segmenter : public nn::Module {
  public:
-  virtual ~Segmenter() = default;
   // Returns per-pixel logits [N, num_classes, H, W] at input resolution.
   virtual nn::Node* forward(nn::Tape& t, nn::Node* x, nn::BnMode bn) = 0;
-  virtual void collect(nn::ParamRefs& out) = 0;
-  virtual void collect_state(nn::StateRefs& out) = 0;
   virtual bool has_maxpool() const = 0;
 };
 

@@ -3,9 +3,7 @@
 // three-stage split the sweep engine shares intermediates across —
 // preprocess = deployment tokenization of the eval items (Tokenizer axis),
 // forward = per-item continuation scoring under the config's InferenceCtx
-// (precision/backend axes), postprocess = accuracy. evaluate() on a
-// training-default config reproduces bench_table5's original
-// task_accuracy() loop bit-identically.
+// (precision/backend axes), postprocess = accuracy.
 #pragma once
 
 #include <memory>

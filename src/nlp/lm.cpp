@@ -31,13 +31,7 @@ struct CausalLm::Block {
     x = add(t, x, attn(t, ln1(t, x)));
     return add(t, x, mlp2(t, gelu(t, mlp1(t, ln2(t, x)))));
   }
-  void collect(ParamRefs& out) {
-    ln1.collect(out);
-    ln2.collect(out);
-    attn.collect(out);
-    mlp1.collect(out);
-    mlp2.collect(out);
-  }
+  void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
 };
 
 CausalLm::~CausalLm() = default;
@@ -85,12 +79,8 @@ Node* CausalLm::forward(Tape& t, const std::vector<int>& ids, int batch, int seq
   return head_(t, x);  // [batch, seq, vocab]
 }
 
-void CausalLm::collect(ParamRefs& out) {
-  embed_.collect(out);
-  out.push_back(&pos_);
-  for (auto& b : blocks_) b->collect(out);
-  final_ln_.collect(out);
-  head_.collect(out);
+void CausalLm::walk(ModuleRefs& refs) {
+  refs.add(embed_, pos_, blocks_, final_ln_, head_);
 }
 
 double CausalLm::score_continuation(const std::vector<int>& context,

@@ -22,14 +22,14 @@ struct LmSpec {
 // The Table 5 rows of this reproduction (scaled OPT family).
 std::vector<LmSpec> opt_mini_zoo();
 
-class CausalLm {
+class CausalLm : public nn::Module {
  public:
   CausalLm(const LmSpec& spec, int vocab, Rng& rng);
   ~CausalLm();  // out-of-line: Block is incomplete here
 
   // ids: flat batch*seq tokens; returns logits [batch, seq, vocab].
   nn::Node* forward(nn::Tape& t, const std::vector<int>& ids, int batch, int seq);
-  void collect(nn::ParamRefs& out);
+  void walk(nn::ModuleRefs& refs) override;
 
   // Sum log p(continuation | context) under the given precision knobs.
   double score_continuation(const std::vector<int>& context,

@@ -4,6 +4,33 @@
 
 namespace sysnoise::nn {
 
+namespace {
+
+template <typename T>
+void append(std::vector<T>& out, const std::vector<T>& view) {
+  out.insert(out.end(), view.begin(), view.end());
+}
+
+}  // namespace
+
+void Module::collect(ParamRefs& out) {
+  ModuleRefs refs;
+  walk(refs);
+  append(out, refs.params);
+}
+
+void Module::collect_state(StateRefs& out) {
+  ModuleRefs refs;
+  walk(refs);
+  append(out, refs.state);
+}
+
+void Module::collect_bn_affine(ParamRefs& out) {
+  ModuleRefs refs;
+  walk(refs);
+  append(out, refs.norm_affine);
+}
+
 Tensor kaiming_normal(std::vector<int> shape, int fan_in, Rng& rng) {
   Tensor t(std::move(shape));
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
@@ -29,9 +56,9 @@ Conv2d::Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad, Rng& rng,
   spec.groups = groups;
 }
 
-void Conv2d::collect(ParamRefs& out) {
-  out.push_back(&w);
-  if (has_bias) out.push_back(&b);
+void Conv2d::walk(ModuleRefs& refs) {
+  refs.add(w);
+  if (has_bias) refs.add(b);
 }
 
 Linear::Linear(int in_f, int out_f, Rng& rng, std::string layer_id, bool bias)
@@ -40,9 +67,9 @@ Linear::Linear(int in_f, int out_f, Rng& rng, std::string layer_id, bool bias)
   if (has_bias) b = Param(Tensor({out_f}));
 }
 
-void Linear::collect(ParamRefs& out) {
-  out.push_back(&w);
-  if (has_bias) out.push_back(&b);
+void Linear::walk(ModuleRefs& refs) {
+  refs.add(w);
+  if (has_bias) refs.add(b);
 }
 
 BatchNorm2d::BatchNorm2d(int channels)
@@ -51,22 +78,18 @@ BatchNorm2d::BatchNorm2d(int channels)
       running_mean(Tensor({channels})),
       running_var(Tensor::full({channels}, 1.0f)) {}
 
-void BatchNorm2d::collect(ParamRefs& out) {
-  out.push_back(&gamma);
-  out.push_back(&beta);
-}
-
-void BatchNorm2d::collect_affine(ParamRefs& out) {
-  out.push_back(&gamma);
-  out.push_back(&beta);
+void BatchNorm2d::walk(ModuleRefs& refs) {
+  refs.add(gamma, beta);
+  refs.norm_affine.insert(refs.norm_affine.end(), {&gamma, &beta});
+  refs.state.insert(refs.state.end(), {&running_mean, &running_var});
 }
 
 LayerNorm::LayerNorm(int dim)
     : gamma(Tensor::full({dim}, 1.0f)), beta(Tensor({dim})) {}
 
-void LayerNorm::collect(ParamRefs& out) {
-  out.push_back(&gamma);
-  out.push_back(&beta);
+void LayerNorm::walk(ModuleRefs& refs) {
+  refs.add(gamma, beta);
+  refs.norm_affine.insert(refs.norm_affine.end(), {&gamma, &beta});
 }
 
 Embedding::Embedding(int vocab, int dim, Rng& rng) {
@@ -74,8 +97,6 @@ Embedding::Embedding(int vocab, int dim, Rng& rng) {
   for (float& v : t.vec()) v = rng.normal_f(0.0f, 0.02f);
   table = Param(std::move(t));
 }
-
-void Embedding::collect(ParamRefs& out) { out.push_back(&table); }
 
 MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, bool causal_mask,
                                        Rng& rng, const std::string& layer_id)
@@ -92,13 +113,6 @@ Node* MultiHeadAttention::operator()(Tape& t, Node* x) {
   Node* v = wv(t, x);
   Node* attn = attention_core(t, q, k, v, heads, causal);
   return wo(t, attn);
-}
-
-void MultiHeadAttention::collect(ParamRefs& out) {
-  wq.collect(out);
-  wk.collect(out);
-  wv.collect(out);
-  wo.collect(out);
 }
 
 }  // namespace sysnoise::nn

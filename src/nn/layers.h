@@ -1,8 +1,14 @@
 // Parameter-owning layer structs. Each is a thin wrapper that owns Params
 // (and running stats) and forwards through the ops in ops.h; models compose
 // them freely in their own forward functions.
+//
+// Every layer and model lists its parts once, in walk(ModuleRefs&). Only the
+// leaf layers here decide which tensors they own and in which role
+// (trainable, normalization affine, persistent state); the three lists a
+// caller needs are derived from that one walk by nn::Module.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,11 +17,58 @@
 
 namespace sysnoise::nn {
 
-// Collects every trainable Param of a module tree (for optimizers and
-// serialization). Layers register themselves via collect().
+// Every trainable Param of a module tree (for optimizers and
+// serialization), in walk order.
 using ParamRefs = std::vector<Param*>;
 // Non-trainable persistent state (batch-norm running statistics).
 using StateRefs = std::vector<Tensor*>;
+
+// A module tree's tensors sorted by role, each list in walk order.
+struct ModuleRefs {
+  ParamRefs params;       // every trainable Param
+  ParamRefs norm_affine;  // normalization gamma/beta: what TENT adapts
+  StateRefs state;        // persisted with the weights, never trained
+
+  // Walks each part in order: a layer or block (its walk()), a bare Param,
+  // an optional part (a null unique_ptr adds nothing) or a vector of parts.
+  template <typename... Parts>
+  void add(Parts&... parts) {
+    (add_one(parts), ...);
+  }
+
+ private:
+  void add_one(Param& p) { params.push_back(&p); }
+  template <typename T>
+  void add_one(T& part) {
+    part.walk(*this);
+  }
+  template <typename T>
+  void add_one(std::unique_ptr<T>& part) {
+    if (part) add_one(*part);
+  }
+  template <typename T>
+  void add_one(std::vector<T>& parts) {
+    for (T& part : parts) add_one(part);
+  }
+};
+
+// Base of every model: one walk, three derived views. Each view appends
+// to `out` in walk order.
+class Module {
+ public:
+  virtual ~Module() = default;
+  virtual void walk(ModuleRefs& refs) = 0;
+  void collect(ParamRefs& out);            // every trainable Param
+  void collect_state(StateRefs& out);      // BN running statistics
+  void collect_bn_affine(ParamRefs& out);  // norm affine params (TENT)
+
+ protected:
+  Module() = default;
+  Module(const Module&) = default;
+  Module(Module&&) = default;
+  Module& operator=(const Module&) = default;
+  Module& operator=(Module&&) = default;
+};
 
 struct Conv2d {
   Param w;  // [OC, IC/groups, K, K]
@@ -30,7 +83,7 @@ struct Conv2d {
   Node* operator()(Tape& t, Node* x) {
     return conv2d(t, x, w, has_bias ? &b : nullptr, spec, id);
   }
-  void collect(ParamRefs& out);
+  void walk(ModuleRefs& refs);
 };
 
 struct Linear {
@@ -44,7 +97,7 @@ struct Linear {
   Node* operator()(Tape& t, Node* x) {
     return linear(t, x, w, has_bias ? &b : nullptr, id);
   }
-  void collect(ParamRefs& out);
+  void walk(ModuleRefs& refs);
 };
 
 struct BatchNorm2d {
@@ -57,14 +110,8 @@ struct BatchNorm2d {
   Node* operator()(Tape& t, Node* x, BnMode mode) {
     return batchnorm2d(t, x, gamma, beta, running_mean, running_var, mode);
   }
-  void collect(ParamRefs& out);
-  // Affine-only refs (what TENT is allowed to update).
-  void collect_affine(ParamRefs& out);
-  // Running statistics (persisted with the weights).
-  void collect_state(StateRefs& out) {
-    out.push_back(&running_mean);
-    out.push_back(&running_var);
-  }
+  // gamma, beta: trainable and norm affine; running stats: state.
+  void walk(ModuleRefs& refs);
 };
 
 struct LayerNorm {
@@ -72,7 +119,7 @@ struct LayerNorm {
   LayerNorm() = default;
   explicit LayerNorm(int dim);
   Node* operator()(Tape& t, Node* x) { return layernorm(t, x, gamma, beta); }
-  void collect(ParamRefs& out);
+  void walk(ModuleRefs& refs);  // gamma, beta: trainable and norm affine
 };
 
 struct Embedding {
@@ -82,7 +129,7 @@ struct Embedding {
   Node* operator()(Tape& t, const std::vector<int>& ids, int batch, int seq) {
     return embedding(t, ids, batch, seq, table);
   }
-  void collect(ParamRefs& out);
+  void walk(ModuleRefs& refs) { refs.add(table); }
 };
 
 // Multi-head self-attention block: q/k/v/out projections + attention core.
@@ -95,7 +142,7 @@ struct MultiHeadAttention {
   MultiHeadAttention(int dim, int num_heads, bool causal_mask, Rng& rng,
                      const std::string& layer_id);
   Node* operator()(Tape& t, Node* x);
-  void collect(ParamRefs& out);
+  void walk(ModuleRefs& refs) { refs.add(wq, wk, wv, wo); }
 };
 
 // Initializers (deterministic given the rng).

@@ -246,4 +246,26 @@ Node* patch_merge(Tape& t, Node* x, int h, int w) {
   return y;
 }
 
+Node* crop(Tape& t, Node* x, int h, int w) {
+  if (x->value.dim(2) == h && x->value.dim(3) == w) return x;
+  const int n = x->value.dim(0), c = x->value.dim(1);
+  Tensor out({n, c, h, w});
+  for (int ni = 0; ni < n; ++ni)
+    for (int ci = 0; ci < c; ++ci)
+      for (int y = 0; y < h; ++y)
+        for (int xx = 0; xx < w; ++xx)
+          out.at4(ni, ci, y, xx) = x->value.at4(ni, ci, y, xx);
+  Node* yn = t.make(std::move(out));
+  Node* xn = x;
+  yn->backprop = [yn, xn, n, c, h, w]() {
+    if (!xn->requires_grad) return;
+    for (int ni = 0; ni < n; ++ni)
+      for (int ci = 0; ci < c; ++ci)
+        for (int y = 0; y < h; ++y)
+          for (int xx = 0; xx < w; ++xx)
+            xn->grad.at4(ni, ci, y, xx) += yn->grad.at4(ni, ci, y, xx);
+  };
+  return yn;
+}
+
 }  // namespace sysnoise::nn

@@ -18,6 +18,11 @@ Node* add_pos_embedding(Tape& t, Node* x, Param& pos);
 // Mean over the token axis: [B,T,D] -> [B,D].
 Node* mean_tokens(Tape& t, Node* x);
 
+// Top-left crop of [N,C,H,W] to [N,C,h,w] (h <= H, w <= W); returns x
+// itself when it already has that size. Matches feature maps whose sizes a
+// ceil-mode pool shifted off by one.
+Node* crop(Tape& t, Node* x, int h, int w);
+
 // [N,C,H,W] -> [N,H,W,C] (for per-pixel losses over the channel axis).
 Node* nchw_to_nhwc(Tape& t, Node* x);
 

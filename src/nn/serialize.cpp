@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -50,21 +51,31 @@ void write_tensor(std::ofstream& f, const Tensor& t) {
           static_cast<std::streamsize>(t.size() * sizeof(float)));
 }
 
-bool read_tensor(std::ifstream& f, Tensor& t) {
+// Reads one tensor shaped like `like` into `out`. False on a short read;
+// throws when the stored shape differs, checking the rank before the dims
+// are read so a corrupt rank never sizes an allocation.
+bool read_tensor(std::ifstream& f, const Tensor& like, Tensor& out) {
   std::uint32_t rank = 0;
-  f.read(reinterpret_cast<char*>(&rank), sizeof(rank));
-  if (!f) return false;
+  if (!f.read(reinterpret_cast<char*>(&rank), sizeof(rank))) return false;
+  if (rank != static_cast<std::uint32_t>(like.rank()))
+    throw std::runtime_error("load_params: shape mismatch (stale cache?)");
   std::vector<int> shape(rank);
   for (auto& d : shape) {
     std::int32_t dd = 0;
-    f.read(reinterpret_cast<char*>(&dd), sizeof(dd));
+    if (!f.read(reinterpret_cast<char*>(&dd), sizeof(dd))) return false;
     d = dd;
   }
-  if (shape != t.shape())
+  if (shape != like.shape())
     throw std::runtime_error("load_params: shape mismatch (stale cache?)");
-  f.read(reinterpret_cast<char*>(t.data()),
-         static_cast<std::streamsize>(t.size() * sizeof(float)));
-  return static_cast<bool>(f);
+  out = Tensor(like.shape());
+  return static_cast<bool>(
+      f.read(reinterpret_cast<char*>(out.data()),
+             static_cast<std::streamsize>(out.size() * sizeof(float))));
+}
+
+// True when `f` has no byte left: a complete file ends with its last entry.
+bool at_end(std::ifstream& f) {
+  return f.peek() == std::ifstream::traits_type::eof();
 }
 
 }  // namespace
@@ -88,15 +99,25 @@ bool load_params(const std::string& path, const std::vector<Param*>& params,
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
   std::uint32_t magic = 0, count = 0;
-  f.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  f.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!f.read(reinterpret_cast<char*>(&magic), sizeof(magic)) ||
+      !f.read(reinterpret_cast<char*>(&count), sizeof(count)))
+    return false;
   if (magic != kMagic) throw std::runtime_error("load_params: bad magic " + path);
   if (count != params.size() + extra_state.size())
     throw std::runtime_error("load_params: param count mismatch " + path);
-  for (Param* p : params)
-    if (!read_tensor(f, p->value)) return false;
-  for (Tensor* t : extra_state)
-    if (!read_tensor(f, *t)) return false;
+  // Parse everything into scratch tensors first: a truncated file must
+  // leave every destination untouched, so the caller retrains from its
+  // clean init rather than from a half-overwritten one.
+  std::vector<Tensor*> dest;
+  for (Param* p : params) dest.push_back(&p->value);
+  dest.insert(dest.end(), extra_state.begin(), extra_state.end());
+  std::vector<Tensor> loaded(dest.size());
+  for (std::size_t i = 0; i < dest.size(); ++i)
+    if (!read_tensor(f, *dest[i], loaded[i])) return false;
+  if (!at_end(f)) return false;
+  // In place: the destinations keep their buffers, as optimizers do.
+  for (std::size_t i = 0; i < dest.size(); ++i)
+    std::copy(loaded[i].vec().begin(), loaded[i].vec().end(), dest[i]->data());
   return true;
 }
 
@@ -117,13 +138,19 @@ void save_ranges(const std::string& path, const ActRanges& ranges) {
 }
 
 bool load_ranges(const std::string& path, ActRanges& ranges) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return false;
+  const auto size = static_cast<std::uint64_t>(f.tellg());
+  f.seekg(0);
   std::uint32_t count = 0;
-  f.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!f.read(reinterpret_cast<char*>(&count), sizeof(count))) return false;
+  // As in load_params: only a completely parsed file changes `ranges`.
+  ActRanges loaded;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t len = 0;
-    f.read(reinterpret_cast<char*>(&len), sizeof(len));
+    if (!f.read(reinterpret_cast<char*>(&len), sizeof(len))) return false;
+    // The key length comes from the file: bound it by the bytes left.
+    if (len > size - static_cast<std::uint64_t>(f.tellg())) return false;
     std::string key(len, '\0');
     f.read(key.data(), static_cast<std::streamsize>(len));
     RangeObserver obs;
@@ -131,8 +158,10 @@ bool load_ranges(const std::string& path, ActRanges& ranges) {
     f.read(reinterpret_cast<char*>(&obs.hi), sizeof(obs.hi));
     obs.seen = true;
     if (!f) return false;
-    ranges[key] = obs;
+    loaded[key] = obs;
   }
+  if (!at_end(f)) return false;
+  for (auto& [key, obs] : loaded) ranges[key] = obs;
   return true;
 }
 

@@ -14,11 +14,15 @@ namespace sysnoise::nn {
 void save_params(const std::string& path, const std::vector<Param*>& params,
                  const std::vector<const Tensor*>& extra_state = {});
 
-// Returns false if the file is missing; throws on shape mismatch.
+// Returns false, leaving every param and state tensor untouched, if the
+// file is missing, truncated or has trailing bytes; throws on a bad magic,
+// count or shape (a cache written for another architecture).
 bool load_params(const std::string& path, const std::vector<Param*>& params,
                  const std::vector<Tensor*>& extra_state = {});
 
-// Serialize calibrated activation ranges alongside weights.
+// Serialize calibrated activation ranges alongside weights. load_ranges
+// returns false, leaving `ranges` untouched, if the file is missing,
+// truncated, has trailing bytes or a key longer than the file.
 void save_ranges(const std::string& path, const ActRanges& ranges);
 bool load_ranges(const std::string& path, ActRanges& ranges);
 

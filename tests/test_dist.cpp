@@ -45,6 +45,7 @@
 #include "net/socket.h"
 #include "svc/dist_executor.h"
 #include "tests/dist_loopback.h"
+#include "tests/temp_model_cache.h"
 #include "util/json.h"
 
 namespace sysnoise::dist {
@@ -712,35 +713,6 @@ TEST(Distributed, RealClassifierLoopbackMatchesSeededSingleProcessSweep) {
 // ---------------------------------------------------------------------------
 // zoo task factory: recipe tags and mitigation tasks
 // ---------------------------------------------------------------------------
-
-// Points SYSNOISE_CACHE_DIR at a fresh, empty model cache for one test.
-class TempModelCache {
- public:
-  TempModelCache()
-      : dir_(std::filesystem::temp_directory_path() /
-             ("sysnoise_factory_cache_" + std::to_string(::getpid()))) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    if (const char* old = std::getenv("SYSNOISE_CACHE_DIR")) old_ = old;
-    ::setenv("SYSNOISE_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~TempModelCache() {
-    if (old_.empty())
-      ::unsetenv("SYSNOISE_CACHE_DIR");
-    else
-      ::setenv("SYSNOISE_CACHE_DIR", old_.c_str(), 1);
-    std::filesystem::remove_all(dir_);
-  }
-  const std::filesystem::path& dir() const { return dir_; }
-  std::string bytes(const std::string& name) const {
-    std::ifstream f(dir_ / name, std::ios::binary);
-    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
-  }
-
- private:
-  std::filesystem::path dir_;
-  std::string old_;
-};
 
 TEST(TaskFactory, TaggedClassifierSpecTrainsTheTagsRecipe) {
   const TempModelCache cache;

@@ -372,6 +372,25 @@ TEST(Codec, HeaderTablesLongerThanTheirSegmentThrow) {
   }
 }
 
+TEST(Codec, TruncatedScanThrowsForEveryVendor) {
+  // The entropy-coded scan loses its last bytes; EOI still follows. Read
+  // as 0-bits past its end, such a scan used to decode to a full image.
+  const auto valid = encode(test_image(48, 48), {.quality = 90});
+  ASSERT_GT(valid.size(), 400u);
+  for (int v = 0; v < kNumDecoderVendors; ++v)
+    ASSERT_EQ(decode(valid, static_cast<DecoderVendor>(v)).width(), 48);
+  for (const std::size_t cut : {1u, 8u, 64u, 200u}) {
+    std::vector<std::uint8_t> shrunk(valid.begin(), valid.end() - 2 - cut);
+    shrunk.insert(shrunk.end(), {0xFF, 0xD9});  // EOI
+    for (int v = 0; v < kNumDecoderVendors; ++v)
+      EXPECT_NE(decode_error(shrunk, static_cast<DecoderVendor>(v))
+                    .find("truncated scan"),
+                std::string::npos)
+          << "cut " << cut << " vendor "
+          << vendor_name(static_cast<DecoderVendor>(v));
+  }
+}
+
 TEST(Codec, ChromaSubsamplingReducesSize) {
   ImageU8 img = test_image(64, 64, 11);
   auto s420 = encode(img, {.quality = 90, .chroma = ChromaMode::k420});

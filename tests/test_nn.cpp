@@ -562,10 +562,9 @@ TEST(Serialize, MissingFileReturnsFalse) {
 TEST(EndToEnd, TinyMlpLearnsXor) {
   Rng rng(81);
   Linear fc1(2, 8, rng, "fc1"), fc2(8, 2, rng, "fc2");
-  ParamRefs params;
-  fc1.collect(params);
-  fc2.collect(params);
-  Sgd opt(params, 0.2f, 0.9f);
+  ModuleRefs refs;
+  refs.add(fc1, fc2);
+  Sgd opt(refs.params, 0.2f, 0.9f);
 
   const std::vector<std::vector<float>> inputs = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const std::vector<int> labels = {0, 1, 1, 0};

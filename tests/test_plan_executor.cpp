@@ -147,24 +147,6 @@ TEST(PlanJson, PlainTaskPlansCarryNoStageKeys) {
             plan.fingerprint());
 }
 
-TEST(ReportJson, AxisAndStepReportsRoundTripBitExactly) {
-  const SyntheticStagedTask task(TaskKind::kDetection, true);
-  const AxisReport report = sweep(task);
-  const AxisReport back = axis_report_from_json(
-      util::Json::parse(axis_report_to_json(report).dump()));
-  expect_reports_identical(report, back);
-
-  StepReport steps{"synthetic-staged", stepwise(task)};
-  const StepReport steps_back = step_report_from_json(
-      util::Json::parse(step_report_to_json(steps).dump()));
-  EXPECT_EQ(steps_back.model, steps.model);
-  ASSERT_EQ(steps_back.points.size(), steps.points.size());
-  for (std::size_t i = 0; i < steps.points.size(); ++i) {
-    EXPECT_EQ(steps_back.points[i].step, steps.points[i].step);
-    EXPECT_EQ(steps_back.points[i].delta, steps.points[i].delta);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Executors: bit-identity and shard-partition invariance
 // ---------------------------------------------------------------------------
