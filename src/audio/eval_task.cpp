@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "audio/frontend.h"
+#include "models/zoo.h"
 
 namespace sysnoise::audio {
 
@@ -27,8 +28,10 @@ TrainedTts get_tts(const std::string& name) {
   out.ds = make_tts_dataset();
   Rng rng(name == "FastSpeech-mini" ? 21u : 22u);
   out.model = make_tts_model(name, out.ds, rng);  // throws on unknown name
-  train_tts(*out.model, out.ds, /*epochs=*/30, 2e-3f);
-  calibrate_tts(*out.model, out.ds, out.ranges);
+  models::load_or_train_module(
+      *out.model, out.ranges, "tts", name, /*tag=*/"",
+      [&] { train_tts(*out.model, out.ds, /*epochs=*/30, 2e-3f); },
+      [&] { calibrate_tts(*out.model, out.ds, out.ranges); });
   return out;
 }
 

@@ -23,7 +23,9 @@ namespace sysnoise::audio {
 // A trained TTS model plus its dataset and INT8 calibration ranges,
 // reproduced exactly like bench_table10_tts trains one (dataset seed 555,
 // init Rng 21/22, 30 epochs at 2e-3, calibration over the train head).
-// Deterministic, so dist workers hold bit-identical weights.
+// Deterministic, so dist workers hold bit-identical weights. get_tts trains
+// once per model cache: it loads cache_dir()/tts_<name>_v1.{weights,ranges}
+// when they parse (models::load_or_train_module).
 struct TrainedTts {
   std::string name;
   TtsDataset ds;

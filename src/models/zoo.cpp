@@ -55,6 +55,30 @@ std::unique_ptr<Detector> DetFamily::make(const std::string& name, Rng& rng) {
   throw std::invalid_argument("get_detector: unknown model " + name);
 }
 
+void load_or_train_module(nn::Module& model, nn::ActRanges& ranges,
+                          const std::string& prefix, const std::string& name,
+                          const std::string& tag,
+                          const std::function<void()>& train,
+                          const std::function<void()>& calibrate) {
+  nn::ParamRefs params;
+  model.collect(params);
+  nn::StateRefs state;
+  model.collect_state(state);
+  const std::string stem = cache_dir() + "/" + prefix + "_" + name +
+                           (tag.empty() ? "" : "_" + tag) + "_" + kCacheVersion;
+
+  const bool trained = !nn::load_params(stem + ".weights", params, state);
+  if (trained) {
+    train();
+    nn::save_params(stem + ".weights", params,
+                    std::vector<const Tensor*>(state.begin(), state.end()));
+  }
+  if (trained || !nn::load_ranges(stem + ".ranges", ranges)) {
+    calibrate();
+    nn::save_ranges(stem + ".ranges", ranges);
+  }
+}
+
 template <typename Family>
 typename Family::Trained load_or_train(
     const std::string& name, const std::string& tag,
@@ -64,27 +88,16 @@ typename Family::Trained load_or_train(
   out.name = name;
   Rng rng(Family::kInitSeed);
   out.model = Family::make(name, rng);
-
-  nn::ParamRefs params;
-  out.model->collect(params);
-  nn::StateRefs state;
-  out.model->collect_state(state);
-  const std::string stem = cache_dir() + "/" + Family::kPrefix + "_" + name +
-                           (tag.empty() ? "" : "_" + tag) + "_" + kCacheVersion;
-
-  const bool trained = !nn::load_params(stem + ".weights", params, state);
-  if (trained) {
-    train(*out.model);
-    nn::save_params(stem + ".weights", params,
-                    std::vector<const Tensor*>(state.begin(), state.end()));
-  }
-  if (trained || !nn::load_ranges(stem + ".ranges", out.ranges)) {
-    calibrate(*out.model,
-              preprocess_samples(Family::dataset().train, cfg, Family::spec(),
-                                 Family::kCalibBatch, Family::kCalibSamples),
-              out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
-  }
+  load_or_train_module(
+      *out.model, out.ranges, Family::kPrefix, name, tag,
+      [&] { train(*out.model); },
+      [&] {
+        calibrate(*out.model,
+                  preprocess_samples(Family::dataset().train, cfg,
+                                     Family::spec(), Family::kCalibBatch,
+                                     Family::kCalibSamples),
+                  out.ranges);
+      });
   // The stage-1 batches die before post-processing, as in the eval_*
   // entry points: holding them through it (ZooTask::evaluate) raised the
   // set-up peak RSS of a four-model zoo load by about 6 MiB.

@@ -6,7 +6,8 @@
 // The three image families share one seam: a hook struct per family
 // (ClsFamily, DetFamily, SegFamily below) feeds the one load-or-train
 // routine here and the one sweep adapter, models::ZooTask
-// (models/eval_tasks.h).
+// (models/eval_tasks.h). nlp::get_lm and audio::get_tts cache through the
+// same protocol (load_or_train_module).
 #pragma once
 
 #include <cstdint>
@@ -153,15 +154,26 @@ struct SegFamily {
   }
 };
 
-// The zoo's one load-or-train routine, behind get_classifier,
+// The zoo's one cache protocol for a trained module: loads weights and
+// running state from <stem>.weights into `model`, or runs `train` and saves
+// them; then loads INT8 ranges from <stem>.ranges into `ranges`, or (always
+// after training) runs `calibrate` and saves them. <stem> is
+// cache_dir()/<prefix>_<name>[_<tag>]_v1. A missing, truncated or damaged
+// file leaves the model (or the ranges) as they were, so the module is
+// retrained (or recalibrated) from its clean init. Behind load_or_train
+// below, nlp::get_lm ("lm") and audio::get_tts ("tts").
+void load_or_train_module(nn::Module& model, nn::ActRanges& ranges,
+                          const std::string& prefix, const std::string& name,
+                          const std::string& tag,
+                          const std::function<void()>& train,
+                          const std::function<void()>& calibrate);
+
+// The image zoo's one load-or-train routine, behind get_classifier,
 // get_detector, get_segmenter and the retrained recipes of
 // core::get_tagged_classifier. It inits the model from the family's seed,
-// then loads weights and BN state from <stem>.weights, or runs `train`
-// and saves them; then loads INT8 ranges from <stem>.ranges, or (always
-// after training) calibrates on the first training samples and saves
-// them; then evaluates the training-default metric. <stem> is
-// cache_dir()/<prefix>_<name>[_<tag>]_v1. The result's tag stays empty:
-// callers name their variant.
+// runs load_or_train_module with the family's prefix (calibrating on the
+// first training samples), then evaluates the training-default metric.
+// The result's tag stays empty: callers name their variant.
 template <typename Family>
 typename Family::Trained load_or_train(
     const std::string& name, const std::string& tag,

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "models/zoo.h"
+
 namespace sysnoise::nlp {
 
 namespace {
@@ -19,8 +21,10 @@ TrainedLm get_lm(const std::string& name) {
     out.name = name;
     Rng rng(77);
     out.lm = std::make_unique<CausalLm>(spec, kVocab, rng);
-    train_lm(*out.lm, corpus, /*epochs=*/8, 2e-3f);
-    calibrate_lm(*out.lm, corpus, out.ranges);
+    models::load_or_train_module(
+        *out.lm, out.ranges, "lm", name, /*tag=*/"",
+        [&] { train_lm(*out.lm, corpus, /*epochs=*/8, 2e-3f); },
+        [&] { calibrate_lm(*out.lm, corpus, out.ranges); });
     return out;
   }
   throw std::invalid_argument("get_lm: unknown LM \"" + name + "\"");
@@ -61,13 +65,9 @@ core::StageProduct NlpChoiceTask::run_forward(
   const nn::InferenceCtx ctx = cfg.inference_ctx(&tlm_.ranges);
   auto scores = std::make_shared<Scores>();
   scores->reserve(items.size());
-  for (const ChoiceItem& item : items) {
-    const double sc =
-        tlm_.lm->score_continuation(item.context, item.correct, ctx);
-    const double sw =
-        tlm_.lm->score_continuation(item.context, item.wrong, ctx);
-    scores->emplace_back(sc, sw);
-  }
+  for (const ChoiceItem& item : items)
+    scores->push_back(
+        tlm_.lm->score_choices(item.context, item.correct, item.wrong, ctx));
   return scores;
 }
 

@@ -2,8 +2,9 @@
 // causal LM scored on one multiple-choice subtask, factored into the
 // three-stage split the sweep engine shares intermediates across —
 // preprocess = deployment tokenization of the eval items (Tokenizer axis),
-// forward = per-item continuation scoring under the config's InferenceCtx
-// (precision/backend axes), postprocess = accuracy.
+// forward = per-item choice scoring under the config's InferenceCtx
+// (precision/backend axes; CausalLm::score_choices, one forward per item),
+// postprocess = accuracy.
 #pragma once
 
 #include <memory>
@@ -20,7 +21,9 @@ namespace sysnoise::nlp {
 // exactly like bench_table5_nlp trains one (corpus 480 x seed 31337, init
 // Rng 77, 8 epochs at 2e-3, calibration over the corpus head). Training is
 // deterministic, so a dist worker rebuilding the model holds bit-identical
-// weights to the bench that planned the sweep.
+// weights to the bench that planned the sweep. get_lm trains once per
+// model cache: it loads cache_dir()/lm_<name>_v1.{weights,ranges} when
+// they parse (models::load_or_train_module).
 struct TrainedLm {
   std::string name;
   std::unique_ptr<CausalLm> lm;

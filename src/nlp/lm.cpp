@@ -95,20 +95,49 @@ double CausalLm::score_continuation(const std::vector<int>& context,
 double CausalLm::score_continuation(const std::vector<int>& context,
                                     const std::vector<int>& continuation,
                                     const InferenceCtx& ctx) {
-  std::vector<int> ids = context;
-  ids.insert(ids.end(), continuation.begin(), continuation.end());
-  const int seq = static_cast<int>(ids.size());
-  Tape t;
-  t.ctx = ctx;
-  Node* logits = forward(t, ids, 1, seq);
-  const Tensor lp = log_softmax_rows(logits->value.reshaped({seq, vocab_}));
-  double score = 0.0;
-  const int ctx_len = static_cast<int>(context.size());
-  for (std::size_t k = 0; k < continuation.size(); ++k) {
-    const int pos = ctx_len + static_cast<int>(k) - 1;  // token predicting cont[k]
-    score += lp.at2(pos, continuation[k]);
+  return score_choices(context, continuation, continuation, ctx).first;
+}
+
+std::pair<double, double> CausalLm::score_choices(
+    const std::vector<int>& context, const std::vector<int>& a,
+    const std::vector<int>& b, const InferenceCtx& ctx) {
+  if (context.empty())
+    throw std::invalid_argument("score_choices: empty context");
+  for (const std::vector<int>* cont : {&a, &b}) {
+    if (cont->empty())
+      throw std::invalid_argument("score_choices: empty continuation");
+    for (const int id : *cont)
+      if (id < 0 || id >= vocab_)
+        throw std::invalid_argument("score_choices: token id " +
+                                    std::to_string(id) + " outside [0, " +
+                                    std::to_string(vocab_) + ")");
   }
-  return score;
+  // Row p of the log-probs predicts token p + 1; the last fed row predicts
+  // the continuation's last token.
+  const auto fed = [&](const std::vector<int>& cont) {
+    std::vector<int> ids = context;
+    ids.insert(ids.end(), cont.begin(), cont.end() - 1);
+    return ids;
+  };
+  const auto log_probs = [&](const std::vector<int>& ids) {
+    const int seq = static_cast<int>(ids.size());
+    Tape t;
+    t.ctx = ctx;
+    Node* logits = forward(t, ids, 1, seq);
+    return log_softmax_rows(logits->value.reshaped({seq, vocab_}));
+  };
+  const auto score = [&](const Tensor& lp, const std::vector<int>& cont) {
+    double sum = 0.0;
+    const int ctx_len = static_cast<int>(context.size());
+    for (std::size_t k = 0; k < cont.size(); ++k)
+      sum += lp.at2(ctx_len + static_cast<int>(k) - 1, cont[k]);
+    return sum;
+  };
+  const std::vector<int> fed_a = fed(a);
+  const std::vector<int> fed_b = fed(b);
+  const Tensor lp_a = log_probs(fed_a);
+  if (fed_b == fed_a) return {score(lp_a, a), score(lp_a, b)};
+  return {score(lp_a, a), score(log_probs(fed_b), b)};
 }
 
 float train_lm(CausalLm& lm, const std::vector<std::vector<int>>& corpus,

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -40,6 +41,18 @@ class CausalLm : public nn::Module {
   double score_continuation(const std::vector<int>& context,
                             const std::vector<int>& continuation,
                             const nn::InferenceCtx& ctx);
+  // {score_a, score_b}: sum log p(a | context) and sum log p(b | context).
+  // A continuation's last token predicts nothing, so the forward is fed
+  // context + cont[0..K-2] only; when a and b feed the same ids (every
+  // single-token choice item), one forward serves both scores. Every op of
+  // the forward is row-wise or causal, so each score is bit-identical to
+  // a forward over context + the whole continuation. Throws
+  // std::invalid_argument for an empty context or continuation, or a token
+  // id outside [0, vocab).
+  std::pair<double, double> score_choices(const std::vector<int>& context,
+                                          const std::vector<int>& a,
+                                          const std::vector<int>& b,
+                                          const nn::InferenceCtx& ctx);
 
   int vocab() const { return vocab_; }
   const LmSpec& spec() const { return spec_; }

@@ -87,7 +87,8 @@ Node* concat_channels(Tape& t, Node* a, Node* b);
 // q,k,v: [B, T, D]; heads must divide D. Optional causal mask.
 Node* attention_core(Tape& t, Node* q, Node* k, Node* v, int heads, bool causal);
 
-// ids: flat [B*T] token ids; table: [V, D]; returns [B, T, D].
+// ids: flat [B*T] token ids; table: [V, D]; returns [B, T, D]. Throws
+// std::invalid_argument for an id outside [0, V).
 Node* embedding(Tape& t, const std::vector<int>& ids, int batch, int seq, Param& table);
 
 // ---- losses (each returns a scalar [1] node) --------------------------------

@@ -352,12 +352,16 @@ Node* layernorm(Tape& t, Node* x, Param& gamma, Param& beta, float eps) {
 }
 
 Node* embedding(Tape& t, const std::vector<int>& ids, int batch, int seq, Param& table) {
+  const int rows = table.value.dim(0);
   const int d = table.value.dim(1);
   if (static_cast<int>(ids.size()) != batch * seq)
     throw std::invalid_argument("embedding: ids size mismatch");
   Tensor out({batch, seq, d});
   for (int i = 0; i < batch * seq; ++i) {
     const int id = ids[static_cast<std::size_t>(i)];
+    if (id < 0 || id >= rows)
+      throw std::invalid_argument("embedding: id " + std::to_string(id) +
+                                  " outside [0, " + std::to_string(rows) + ")");
     std::copy_n(table.value.data() + static_cast<std::size_t>(id) * d, d,
                 out.data() + static_cast<std::size_t>(i) * d);
   }

@@ -123,7 +123,9 @@ void parallel_ranges(int total, int align,
 // floats for `slot`, reused (and only ever grown) across calls, so per-call
 // hot-path allocations (GEMM packing panels, conv im2col columns) happen
 // once per thread per high-water mark instead of once per invocation.
-// Slots 0-1 are reserved for GEMM packing; conv uses 2-3. The buffer stays
+// Slots 0-1 are reserved for GEMM packing (the packed engine's A panels in
+// 0 and B strips in 1; the reference gemm_bt_acc's transposed B strip in
+// 1); conv uses 2-3. The buffer stays
 // valid until the same thread asks for the same slot again.
 float* tls_scratch(std::size_t floats, int slot);
 

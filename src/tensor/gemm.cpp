@@ -1,10 +1,11 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
 // Three implementations of every variant:
-//  - reference: the seed's scalar loops (gemm_acc register-tiled with an
-//    identical per-element operation sequence), bit-identical to the
-//    historical output. Keeps the zero-skip (`if (av == 0.0f) continue;`) as a
-//    documented reference-only property — it drops 0 x inf = NaN
+//  - reference: the seed's scalar loops (gemm_acc register-tiled, gemm_bt_acc
+//    lane-tiled, each with an identical per-element operation sequence),
+//    bit-identical to the historical output. gemm_acc and gemm_at_acc keep
+//    the zero-skip (`if (av == 0.0f) continue;`) as a documented
+//    reference-only property — it drops 0 x inf = NaN
 //    propagation, so results depend on the sparsity of A when B holds
 //    non-finite values. The other backends do NOT skip.
 //  - blocked: one packed-panel engine for all variants. A and B tiles are
@@ -43,8 +44,9 @@ namespace sysnoise {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference backend: the seed's loops. ref_gemm_acc is register-tiled, but
-// every C element sees the seed's exact operation sequence.
+// Reference backend: the seed's loops. ref_gemm_acc is register-tiled and
+// ref_gemm_bt_acc lane-tiled, but every C element sees the seed's exact
+// operation sequence.
 // ---------------------------------------------------------------------------
 
 constexpr int kRefBlockK = 128;
@@ -108,17 +110,49 @@ void ref_gemm_at_acc(int m, int n, int k, const float* a, int a_stride,
   }
 }
 
+// Four floats side by side (GCC/Clang vector extension): plain IEEE
+// multiplies and adds per lane, no reassociation, and no FMA on the default
+// x86-64 target.
+typedef float Lanes4 __attribute__((vector_size(16)));
+// Reference bt strip: C columns computed side by side per A row, as four
+// Lanes4 accumulators.
+constexpr int kRefBtStrip = 16;
+constexpr int kRefBtGroups = kRefBtStrip / 4;
+
 void ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
                      float* c) {
-  // B is n x k; dot products of A rows with B rows.
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-    float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::ptrdiff_t>(j) * k;
-      float acc = 0.0f;
-      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] += acc;
+  // B is n x k; C[i][j] += dot(A row i, B row j). Each strip of up to
+  // kRefBtStrip B rows is transposed k-major into `bt` (a partial strip
+  // zero-padded), then every A row runs the strip's dot products side by
+  // side. Each lane is the seed's loop for one C element: acc = +0, then
+  // acc += a[i][kk] * b[j][kk] for kk ascending, then C += acc. Padded lanes
+  // are never stored.
+  float* bt =
+      tls_scratch(static_cast<std::size_t>(k) * kRefBtStrip, /*slot=*/1);
+  for (int j0 = 0; j0 < n; j0 += kRefBtStrip) {
+    const int jb = std::min(kRefBtStrip, n - j0);
+    for (int kk = 0; kk < k; ++kk) {
+      float* dst = bt + static_cast<std::ptrdiff_t>(kk) * kRefBtStrip;
+      for (int j = 0; j < jb; ++j)
+        dst[j] = b[static_cast<std::ptrdiff_t>(j0 + j) * k + kk];
+      for (int j = jb; j < kRefBtStrip; ++j) dst[j] = 0.0f;
+    }
+    for (int i = 0; i < m; ++i) {
+      const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+      Lanes4 acc[kRefBtGroups] = {};
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = arow[kk];
+        const float* bk = bt + static_cast<std::ptrdiff_t>(kk) * kRefBtStrip;
+        for (int g = 0; g < kRefBtGroups; ++g) {
+          Lanes4 bv;
+          std::memcpy(&bv, bk + 4 * g, sizeof(bv));
+          acc[g] += av * bv;
+        }
+      }
+      float out[kRefBtStrip];
+      std::memcpy(out, acc, sizeof(out));
+      float* crow = c + static_cast<std::ptrdiff_t>(i) * n + j0;
+      for (int j = 0; j < jb; ++j) crow[j] += out[j];
     }
   }
 }

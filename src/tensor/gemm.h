@@ -1,8 +1,11 @@
-// Small blocked GEMM powering conv (im2col) and linear layers.
+// Small GEMM family powering conv (im2col) and linear layers.
 //
-// Single-threaded (the reproduction environment has one core); blocked for
-// cache friendliness, accumulates in float. Not meant to compete with BLAS,
-// but fast enough to train the mini model zoo in-process.
+// Every entry point runs the kernel of the active ComputeBackend
+// (tensor/backend.h: reference, blocked or simd; see gemm.cpp) and splits
+// large-M row ranges across the backend worker pool only when the caller
+// grants fan-out (GemmParallelScope), bit-identically at any worker count.
+// Accumulates in float. Not meant to compete with BLAS, but fast enough to
+// train the mini model zoo in-process.
 #pragma once
 
 #include <cstddef>

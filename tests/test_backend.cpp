@@ -318,6 +318,69 @@ TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
   }
 }
 
+// The seed's reference gemm_bt_acc loop, verbatim: the oracle the lane-
+// tiled reference kernel must match bit for bit.
+void seed_ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
+                          float* c) {
+  // B is n x k; dot products of A rows with B rows.
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+    float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::ptrdiff_t>(j) * k;
+      float acc = 0.0f;
+      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      crow[j] += acc;
+    }
+  }
+}
+
+TEST(BackendParity, ReferenceBtGemmIsBitIdenticalToTheSeedLoop) {
+  // Widths straddle one Lanes4 group and the 16-column strip, so partial
+  // strips run with zero-padded lanes. Rows reach the pool split.
+  // NaN outputs must sit where the seed's do; their payload and sign are
+  // not compared (two compilations of the seed loop already differ there).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  Rng rng(2025);
+  for (const int m : {1, 3, 8, 17})
+    for (const int n : {1, 7, 15, 16, 17, 24, 96, 131})
+      for (const int k : {1, 5, 24, 96, 130})
+        for (const bool special : {false, true}) {
+          auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+          auto b = random_vec(static_cast<std::size_t>(n) * k, rng);
+          auto c0 = random_vec(static_cast<std::size_t>(m) * n, rng);
+          for (std::size_t i = 0; i < a.size(); i += 3)
+            a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+          for (std::size_t i = 1; i < b.size(); i += 5) b[i] = -0.0f;
+          for (std::size_t i = 0; i < c0.size(); i += 4) c0[i] = -0.0f;
+          if (special) {
+            for (std::size_t i = 0; i < b.size(); i += 11)
+              b[i] = i % 3 == 0 ? inf : (i % 3 == 1 ? -inf : nan);
+            for (std::size_t i = 2; i < a.size(); i += 13)
+              a[i] = i % 2 == 0 ? -inf : nan;
+          }
+          std::vector<float> expect = c0;
+          seed_ref_gemm_bt_acc(m, n, k, a.data(), b.data(), expect.data());
+          for (const int workers : {1, kForcedHelpers + 1}) {
+            const GemmParallelScope fan(workers);
+            const auto got = run_variant(Variant::kGemmBtAcc,
+                                         ComputeBackend::kReference, m, n, k,
+                                         a, b, c0);
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < expect.size(); ++i)
+              mismatches += std::isnan(expect[i])
+                                ? !std::isnan(got[i])
+                                : std::memcmp(&got[i], &expect[i],
+                                              sizeof(float)) != 0;
+            EXPECT_EQ(mismatches, 0u)
+                << "m=" << m << " n=" << n << " k=" << k
+                << " special=" << special << " workers=" << workers;
+          }
+        }
+}
+
 TEST(BackendParity, SimdDriftsFromReferenceWhenAVectorIsaDispatches) {
   // FMA's single rounding makes the simd kernel a genuinely different float
   // profile — the measured noise the axis exists for. Only asserted when a

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
+#include "core/axis.h"
+#include "core/plan.h"
+#include "data/noise_config.h"
+#include "nlp/eval_task.h"
 #include "nlp/lm.h"
 #include "nlp/tasks.h"
+#include "nn/ops.h"
 
 namespace sysnoise::nlp {
 namespace {
@@ -109,6 +119,135 @@ TEST(Lm, PrecisionPerturbsScoresSlightly) {
   EXPECT_NE(s32, s8);
   EXPECT_LT(std::abs(s32 - s16), std::abs(s32 - s8) + 1.0);  // INT8 noisier
   EXPECT_LT(std::abs(s32 - s8), 5.0);  // but not catastrophic
+}
+
+// The two-forward score_continuation the one-forward scoring replaced,
+// verbatim (as a free function): the oracle every score must equal bit for
+// bit.
+double seed_score_continuation(CausalLm& lm, const std::vector<int>& context,
+                               const std::vector<int>& continuation,
+                               const nn::InferenceCtx& ctx) {
+  std::vector<int> ids = context;
+  ids.insert(ids.end(), continuation.begin(), continuation.end());
+  const int seq = static_cast<int>(ids.size());
+  nn::Tape t;
+  t.ctx = ctx;
+  nn::Node* logits = lm.forward(t, ids, 1, seq);
+  const Tensor lp = nn::log_softmax_rows(logits->value.reshaped({seq, lm.vocab()}));
+  double score = 0.0;
+  const int ctx_len = static_cast<int>(context.size());
+  for (std::size_t k = 0; k < continuation.size(); ++k) {
+    const int pos = ctx_len + static_cast<int>(k) - 1;  // token predicting cont[k]
+    score += lp.at2(pos, continuation[k]);
+  }
+  return score;
+}
+
+// An OPT-mini trained briefly: the identities under test hold for any
+// weights, but trained ones give the INT8 ranges real content.
+TrainedLm& test_lm() {
+  static TrainedLm tlm = [] {
+    TrainedLm out;
+    out.name = "OPT-125M-mini";
+    const auto corpus = make_lm_corpus(80, 13);
+    Rng rng(6);
+    out.lm = std::make_unique<CausalLm>(opt_mini_zoo()[0], kVocab, rng);
+    train_lm(*out.lm, corpus, /*epochs=*/2, 2e-3f);
+    calibrate_lm(*out.lm, corpus, out.ranges);
+    return out;
+  }();
+  return tlm;
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+TEST(Nlp, ScoreChoicesIsBitIdenticalToTwoFullForwards) {
+  TrainedLm& tlm = test_lm();
+  CausalLm& lm = *tlm.lm;
+  // Multi-token continuations: {x, y} vs {x, z} feed the same ids (one
+  // shared forward); {x, y} vs {w, y} and {x} vs {x, y} feed different ids
+  // (one forward each).
+  const std::vector<std::vector<int>> multi = {
+      {3, 5}, {3, 9}, {7, 5}, {3}, {3, 5, kTokSep}, {kTokEq, 1, 2}};
+  for (int kind = 0; kind < kNumTasks; ++kind) {
+    const NlpChoiceTask task(tlm, static_cast<TaskKind>(kind));
+    const auto items = make_task_items(
+        static_cast<TaskKind>(kind), 120,
+        9000 + static_cast<std::uint64_t>(kind));  // NlpChoiceTask's items
+    const core::SweepPlan plan =
+        core::plan_sweep(task, core::AxisRegistry::global());
+    ASSERT_FALSE(plan.configs.empty());
+    for (const core::PlannedConfig& pc : plan.configs) {
+      const int limit = tokenizer_profile_symbol_limit(pc.cfg.tokenizer);
+      const nn::InferenceCtx ctx = pc.cfg.inference_ctx(&tlm.ranges);
+      int mismatches = 0;
+      for (const ChoiceItem& raw : items) {
+        const ChoiceItem item = retokenize(raw, limit);
+        const auto [sc, sw] =
+            lm.score_choices(item.context, item.correct, item.wrong, ctx);
+        mismatches += !same_bits(sc, seed_score_continuation(
+                                         lm, item.context, item.correct, ctx));
+        mismatches += !same_bits(sw, seed_score_continuation(
+                                         lm, item.context, item.wrong, ctx));
+        mismatches += !same_bits(
+            lm.score_continuation(item.context, item.correct, ctx), sc);
+      }
+      for (const auto& a : multi)
+        for (const auto& b : multi) {
+          const auto [sa, sb] = lm.score_choices(items[0].context, a, b, ctx);
+          mismatches += !same_bits(
+              sa, seed_score_continuation(lm, items[0].context, a, ctx));
+          mismatches += !same_bits(
+              sb, seed_score_continuation(lm, items[0].context, b, ctx));
+        }
+      EXPECT_EQ(mismatches, 0) << task.name() << " " << pc.cfg.describe();
+    }
+  }
+}
+
+TEST(Nlp, OutOfRangeTokenIdsAndEmptyInputsThrow) {
+  Rng rng(8);
+  CausalLm lm(opt_mini_zoo()[0], kVocab, rng);
+  const nn::InferenceCtx ctx;
+  const std::vector<int> context = {1, 2, kTokArrow};
+  const std::vector<int> ok = {3};
+  for (const int bad : {-1, kVocab, kVocab + 7}) {
+    // Fed to the embedding (context, or a continuation's leading token).
+    nn::Tape t;
+    EXPECT_THROW(lm.forward(t, {1, bad, 2}, 1, 3), std::invalid_argument);
+    EXPECT_THROW(lm.score_choices({1, bad}, ok, ok, ctx),
+                 std::invalid_argument);
+    EXPECT_THROW(lm.score_choices(context, {bad, 3}, ok, ctx),
+                 std::invalid_argument);
+    // A continuation's last token is never fed, only read from the
+    // log-probs row.
+    EXPECT_THROW(lm.score_choices(context, ok, {bad}, ctx),
+                 std::invalid_argument);
+    EXPECT_THROW(lm.score_continuation(context, {3, bad}, ctx),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(lm.score_choices({}, ok, ok, ctx), std::invalid_argument);
+  EXPECT_THROW(lm.score_continuation({}, ok, ctx), std::invalid_argument);
+  EXPECT_THROW(lm.score_choices(context, {}, ok, ctx), std::invalid_argument);
+  EXPECT_THROW(lm.score_choices(context, ok, {}, ctx), std::invalid_argument);
+  EXPECT_NO_THROW(lm.score_choices(context, ok, {kVocab - 1}, ctx));
+}
+
+TEST(NnEmbedding, IdOutsideTheTableThrows) {
+  Rng rng(2);
+  nn::Param table(Tensor({5, 3}));
+  for (float& v : table.value.vec()) v = rng.uniform_f(-1.0f, 1.0f);
+  for (const int bad : {-1, 5, 1 << 20}) {
+    nn::Tape t;
+    EXPECT_THROW(nn::embedding(t, {0, bad}, 1, 2, table),
+                 std::invalid_argument)
+        << bad;
+  }
+  nn::Tape t;
+  const nn::Node* y = nn::embedding(t, {4, 0}, 1, 2, table);
+  EXPECT_EQ(y->value.at3(0, 0, 2), table.value.at2(4, 2));
 }
 
 }  // namespace

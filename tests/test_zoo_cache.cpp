@@ -1,17 +1,24 @@
 // A zoo-cache file is used only when it parses completely. A truncated or
 // corrupt .weights or .ranges file must leave the model and its ranges as
 // they were, so the zoo retrains and recalibrates from the clean init and
-// writes the same bytes a fresh cache gets.
+// writes the same bytes a fresh cache gets. The OPT-mini LMs and TTS
+// models cache through the same protocol: trained once, then loaded.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "audio/eval_task.h"
+#include "core/axis.h"
+#include "core/executor.h"
+#include "core/plan.h"
 #include "models/zoo.h"
+#include "nlp/eval_task.h"
 #include "nn/serialize.h"
 #include "tests/temp_model_cache.h"
 
@@ -170,6 +177,108 @@ TEST(ZooCache, PlantedPartialRangesRecalibrateToTheFreshCacheBytes) {
   EXPECT_EQ(again.ranges.at("stem.in").hi, fresh.ranges.at("stem.in").hi);
   EXPECT_TRUE(cache.bytes(kRanges) == ranges);
   EXPECT_EQ(again.trained_acc, fresh.trained_acc);
+}
+
+bool same_module_bytes(nn::Module& x, nn::Module& y) {
+  nn::ParamRefs px, py;
+  x.collect(px);
+  y.collect(py);
+  nn::StateRefs sx, sy;
+  x.collect_state(sx);
+  y.collect_state(sy);
+  std::vector<const Tensor*> tx, ty;
+  for (const Param* p : px) tx.push_back(&p->value);
+  for (const Param* p : py) ty.push_back(&p->value);
+  tx.insert(tx.end(), sx.begin(), sx.end());
+  ty.insert(ty.end(), sy.begin(), sy.end());
+  if (tx.size() != ty.size()) return false;
+  for (std::size_t i = 0; i < tx.size(); ++i)
+    if (tx[i]->shape() != ty[i]->shape() ||
+        std::memcmp(tx[i]->data(), ty[i]->data(),
+                    tx[i]->size() * sizeof(float)) != 0)
+      return false;
+  return true;
+}
+
+bool same_ranges(const ActRanges& x, const ActRanges& y) {
+  if (x.size() != y.size()) return false;
+  for (const auto& [key, r] : x) {
+    const auto it = y.find(key);
+    if (it == y.end() || it->second.seen != r.seen ||
+        std::memcmp(&it->second.lo, &r.lo, sizeof(float)) != 0 ||
+        std::memcmp(&it->second.hi, &r.hi, sizeof(float)) != 0)
+      return false;
+  }
+  return true;
+}
+
+// The fast Table 5/10 metrics of one task: its whole global-registry plan.
+core::MetricMap plan_metrics(const core::StagedEvalTask& task) {
+  const core::SweepPlan plan =
+      core::plan_sweep(task, core::AxisRegistry::global());
+  return core::StagedExecutor().execute(task, plan);
+}
+
+TEST(ZooCache, LmTrainsOnceThenLoadsTheSameBytes) {
+  const TempModelCache cache;
+  const std::string name = nlp::opt_mini_zoo().front().name;
+  const std::string weights_file = "lm_" + name + "_v1.weights";
+  const std::string ranges_file = "lm_" + name + "_v1.ranges";
+  nlp::TrainedLm first = nlp::get_lm(name);
+  const std::string weights = cache.bytes(weights_file);
+  const std::string ranges = cache.bytes(ranges_file);
+  ASSERT_GT(weights.size(), 1000u);
+  ASSERT_FALSE(ranges.empty());
+  const auto stamp = std::filesystem::last_write_time(cache.dir() / weights_file);
+
+  nlp::TrainedLm second = nlp::get_lm(name);
+  EXPECT_EQ(std::filesystem::last_write_time(cache.dir() / weights_file), stamp)
+      << "a second get_lm must load the file, not train and save again";
+  EXPECT_TRUE(cache.bytes(weights_file) == weights);
+  EXPECT_TRUE(cache.bytes(ranges_file) == ranges);
+  EXPECT_TRUE(same_module_bytes(*first.lm, *second.lm));
+  EXPECT_TRUE(same_ranges(first.ranges, second.ranges));
+  for (int kind = 0; kind < nlp::kNumTasks; ++kind) {
+    const nlp::NlpChoiceTask a(first, static_cast<nlp::TaskKind>(kind));
+    const nlp::NlpChoiceTask b(second, static_cast<nlp::TaskKind>(kind));
+    EXPECT_EQ(plan_metrics(a), plan_metrics(b)) << a.name();
+  }
+
+  // A valid file holding other weights is what get_lm returns.
+  nn::ParamRefs params;
+  first.lm->collect(params);
+  params.front()->value[0] += 1.0f;
+  nn::save_params((cache.dir() / weights_file).string(), params);
+  nlp::TrainedLm planted = nlp::get_lm(name);
+  nn::ParamRefs loaded;
+  planted.lm->collect(loaded);
+  EXPECT_EQ(loaded.front()->value[0], params.front()->value[0]);
+}
+
+TEST(ZooCache, TtsTrainsOnceThenLoadsTheSameBytes) {
+  const TempModelCache cache;
+  for (const std::string& name : audio::tts_model_names()) {
+    const std::string weights_file = "tts_" + name + "_v1.weights";
+    const std::string ranges_file = "tts_" + name + "_v1.ranges";
+    audio::TrainedTts first = audio::get_tts(name);
+    const std::string weights = cache.bytes(weights_file);
+    const std::string ranges = cache.bytes(ranges_file);
+    ASSERT_GT(weights.size(), 1000u) << name;
+    ASSERT_FALSE(ranges.empty()) << name;
+    const auto stamp =
+        std::filesystem::last_write_time(cache.dir() / weights_file);
+
+    audio::TrainedTts second = audio::get_tts(name);
+    EXPECT_EQ(std::filesystem::last_write_time(cache.dir() / weights_file),
+              stamp)
+        << name;
+    EXPECT_TRUE(cache.bytes(weights_file) == weights) << name;
+    EXPECT_TRUE(cache.bytes(ranges_file) == ranges) << name;
+    EXPECT_TRUE(same_module_bytes(*first.model, *second.model)) << name;
+    EXPECT_TRUE(same_ranges(first.ranges, second.ranges)) << name;
+    const audio::TtsTask a(first), b(second);
+    EXPECT_EQ(plan_metrics(a), plan_metrics(b)) << name;
+  }
 }
 
 }  // namespace
