@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   def.make = [&](std::size_t i) {
     const std::string& name = model_names[i / 2];
     if (i % 2 == 0) {
-      std::printf("[table10] training %s...\n", name.c_str());
+      std::printf("[table10] %s: training/loading...\n", name.c_str());
       std::fflush(stdout);
       current = std::make_shared<Unit>();
       current->tts = std::make_shared<TrainedTts>(get_tts(name));

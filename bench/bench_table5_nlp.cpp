@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     const auto kind =
         static_cast<TaskKind>(i % static_cast<std::size_t>(kNumTasks));
     if (kind == static_cast<TaskKind>(0)) {
-      std::printf("[table5] training %s...\n", spec.name.c_str());
+      std::printf("[table5] %s: training/loading...\n", spec.name.c_str());
       std::fflush(stdout);
       lm = std::make_shared<TrainedLm>(get_lm(spec.name));
     }

@@ -68,7 +68,7 @@ class FastSpeechMini : public TtsModel {
   FastSpeechMini(int vocab, int out_dim, Rng& rng)
       : embed_(vocab, 32, rng),
         pos_(Tensor({1, 64, 32})),
-        block_(32, 4, rng, "fs.blk"),
+        block_(32, 4, 2, /*causal=*/false, rng, "fs.blk"),
         ln_(32),
         head_(32, out_dim, rng, "fs.head") {
     for (float& v : pos_.value.vec()) v = rng.normal_f(0.0f, 0.02f);
@@ -76,7 +76,7 @@ class FastSpeechMini : public TtsModel {
   Node* forward(Tape& t, const std::vector<int>& tokens, int batch, int seq,
                 BnMode) override {
     Node* x = embed_(t, tokens, batch, seq);
-    x = add_pos(t, x, seq);
+    x = add_pos_embedding(t, x, pos_);
     x = block_(t, x);
     x = ln_(t, x);
     Node* pooled = mean_tokens(t, x);  // [B, 32]
@@ -87,47 +87,9 @@ class FastSpeechMini : public TtsModel {
   }
 
  private:
-  // Adds the first `seq` rows of the positional table.
-  Node* add_pos(Tape& t, Node* x, int seq) {
-    const int b = x->value.dim(0), d = x->value.dim(2);
-    Tensor out = x->value;
-    for (int bi = 0; bi < b; ++bi)
-      for (int ti = 0; ti < seq; ++ti)
-        for (int di = 0; di < d; ++di)
-          out.at3(bi, ti, di) += pos_.value.at3(0, ti, di);
-    Node* y = t.make(std::move(out));
-    Node* xn = x;
-    Param* pp = &pos_;
-    y->backprop = [y, xn, pp, b, seq, d]() {
-      for (int bi = 0; bi < b; ++bi)
-        for (int ti = 0; ti < seq; ++ti)
-          for (int di = 0; di < d; ++di) {
-            const float g = y->grad.at3(bi, ti, di);
-            pp->grad.at3(0, ti, di) += g;
-            if (xn->requires_grad) xn->grad.at3(bi, ti, di) += g;
-          }
-    };
-    return y;
-  }
-
-  struct Block {
-    LayerNorm ln1, ln2;
-    MultiHeadAttention attn;
-    Linear mlp1, mlp2;
-    Block(int dim, int heads, Rng& rng, const std::string& id)
-        : ln1(dim), ln2(dim), attn(dim, heads, false, rng, id + ".attn"),
-          mlp1(dim, 2 * dim, rng, id + ".mlp1"),
-          mlp2(2 * dim, dim, rng, id + ".mlp2") {}
-    Node* operator()(Tape& t, Node* x) {
-      x = add(t, x, attn(t, ln1(t, x)));
-      return add(t, x, mlp2(t, gelu(t, mlp1(t, ln2(t, x)))));
-    }
-    void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
-  };
-
   Embedding embed_;
   Param pos_;
-  Block block_;
+  TransformerBlock block_;
   LayerNorm ln_;
   Linear head_;
 };
@@ -144,7 +106,9 @@ class TacotronMini : public TtsModel {
   Node* forward(Tape& t, const std::vector<int>& tokens, int batch, int seq,
                 BnMode bn) override {
     Node* x = embed_(t, tokens, batch, seq);                // [B, T, 16]
-    Node* img = reshape(t, nchw_from_btd(t, x), {batch, 16, 1, seq});
+    // [B, T, 16] -> [B, 16, 1, T].
+    Node* img = reshape(t, nchw_to_nhwc(t, reshape(t, x, {batch, seq, 1, 16})),
+                        {batch, 16, 1, seq});
     Node* y = relu(t, bn1_(t, conv1_(t, img), bn));
     y = relu(t, bn2_(t, conv2_(t, y), bn));
     Node* pooled = global_avgpool(t, y);                    // [B, 24]
@@ -155,26 +119,6 @@ class TacotronMini : public TtsModel {
   }
 
  private:
-  // [B, T, D] -> [B, D, T] (flat; caller reshapes to [B, D, 1, T]).
-  static Node* nchw_from_btd(Tape& t, Node* x) {
-    const int b = x->value.dim(0), tt = x->value.dim(1), d = x->value.dim(2);
-    Tensor out({b, d, tt});
-    for (int bi = 0; bi < b; ++bi)
-      for (int ti = 0; ti < tt; ++ti)
-        for (int di = 0; di < d; ++di)
-          out.at3(bi, di, ti) = x->value.at3(bi, ti, di);
-    Node* y = t.make(std::move(out));
-    Node* xn = x;
-    y->backprop = [y, xn, b, tt, d]() {
-      if (!xn->requires_grad) return;
-      for (int bi = 0; bi < b; ++bi)
-        for (int ti = 0; ti < tt; ++ti)
-          for (int di = 0; di < d; ++di)
-            xn->grad.at3(bi, ti, di) += y->grad.at3(bi, di, ti);
-    };
-    return y;
-  }
-
   Embedding embed_;
   Conv2d conv1_;
   BatchNorm2d bn1_;
@@ -243,39 +187,11 @@ float train_tts(TtsModel& model, const TtsDataset& ds, int epochs, float lr,
 }
 
 double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
-                              Precision precision, StftImpl deploy_stft,
-                              ActRanges* ranges) {
+                              const SysNoiseConfig& cfg, ActRanges* ranges) {
   double total = 0.0;
   for (const auto& s : ds.eval) {
     // Training-side pipeline output: FP32 prediction residual against the
     // reference-STFT features.
-    Tape t0;
-    t0.ctx.precision = Precision::kFP32;
-    t0.ctx.ranges = ranges;
-    Node* ref_pred = model.forward(t0, s.tokens, 1, ds.spec.seq_len, BnMode::kEval);
-    const Tensor ref_feat = ground_truth_spec(s, ds, StftImpl::kReference);
-
-    // Deployment-side pipeline output.
-    Tape t1;
-    t1.ctx.precision = precision;
-    t1.ctx.ranges = ranges;
-    Node* dep_pred = model.forward(t1, s.tokens, 1, ds.spec.seq_len, BnMode::kEval);
-    const Tensor dep_feat = ground_truth_spec(s, ds, deploy_stft);
-
-    // Residual the downstream vocoder consumes: prediction minus features.
-    Tensor r_train = ref_pred->value;
-    r_train.sub_(ref_feat.reshaped({1, static_cast<int>(ref_feat.size())}));
-    Tensor r_deploy = dep_pred->value;
-    r_deploy.sub_(dep_feat.reshaped({1, static_cast<int>(dep_feat.size())}));
-    total += mse(r_deploy, r_train);
-  }
-  return total / static_cast<double>(ds.eval.size());
-}
-
-double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
-                              const SysNoiseConfig& cfg, ActRanges* ranges) {
-  double total = 0.0;
-  for (const auto& s : ds.eval) {
     Tape t0;
     t0.ctx.precision = Precision::kFP32;
     t0.ctx.ranges = ranges;
@@ -287,6 +203,7 @@ double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
     Node* dep_pred = model.forward(t1, s.tokens, 1, ds.spec.seq_len, BnMode::kEval);
     const Tensor dep_feat = deployment_features(s.audio, ds.stft, cfg);
 
+    // Residual the downstream vocoder consumes: prediction minus features.
     Tensor r_train = ref_pred->value;
     r_train.sub_(ref_feat.reshaped({1, static_cast<int>(ref_feat.size())}));
     Tensor r_deploy = dep_pred->value;

@@ -56,18 +56,12 @@ float train_tts(TtsModel& model, const TtsDataset& ds, int epochs, float lr,
                 std::uint64_t seed = 3);
 
 // The Table 10 metric: MSE between the *deployment* pipeline output and
-// the *training* pipeline output (model at `precision`, features extracted
-// with `deploy_stft`, versus FP32 + reference STFT). Zero when the two
-// systems agree; grows with each injected mismatch.
-double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
-                              nn::Precision precision, StftImpl deploy_stft,
-                              nn::ActRanges* ranges);
-
-// Config-driven generalization: the deployment side runs the model under
+// the *training* pipeline output. The training side is the model in FP32
+// with reference-STFT features; the deployment side runs the model under
 // the config's full InferenceCtx (precision/backend) and extracts features
 // through the deployment front-end (audio/frontend.h: resample round trip,
-// STFT impl/window/hop). With only precision + stft_impl flipped this is
-// bit-identical to the overload above.
+// STFT impl/window/hop). Zero when the two systems agree; grows with each
+// injected mismatch.
 double tts_system_discrepancy(TtsModel& model, const TtsDataset& ds,
                               const SysNoiseConfig& cfg,
                               nn::ActRanges* ranges);

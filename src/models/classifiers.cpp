@@ -254,23 +254,6 @@ class McuNetMini : public Classifier {
 // ViT-mini
 // ---------------------------------------------------------------------------
 
-struct VitBlock {
-  LayerNorm ln1, ln2;
-  MultiHeadAttention attn;
-  Linear mlp1, mlp2;
-  VitBlock(int dim, int heads, Rng& rng, const std::string& id)
-      : ln1(dim), ln2(dim),
-        attn(dim, heads, /*causal=*/false, rng, id + ".attn"),
-        mlp1(dim, 2 * dim, rng, id + ".mlp1"),
-        mlp2(2 * dim, dim, rng, id + ".mlp2") {}
-  Node* operator()(Tape& t, Node* x) {
-    x = add(t, x, attn(t, ln1(t, x)));
-    Node* m = mlp2(t, gelu(t, mlp1(t, ln2(t, x))));
-    return add(t, x, m);
-  }
-  void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
-};
-
 class VitMini : public Classifier {
  public:
   VitMini(int dim, int depth, int heads, int num_classes, Rng& rng)
@@ -281,8 +264,8 @@ class VitMini : public Classifier {
         dim_(dim) {
     for (float& v : pos_.value.vec()) v = rng.normal_f(0.0f, 0.02f);
     for (int i = 0; i < depth; ++i)
-      blocks_.push_back(std::make_unique<VitBlock>(dim, heads, rng,
-                                                   "blk" + std::to_string(i)));
+      blocks_.emplace_back(dim, heads, 2, /*causal=*/false, rng,
+                           "blk" + std::to_string(i));
   }
   Node* forward(Tape& t, Node* x, BnMode) override {
     Node* y = patch_(t, x);  // [N, dim, 8, 8]
@@ -290,7 +273,7 @@ class VitMini : public Classifier {
     y = nchw_to_nhwc(t, y);
     y = reshape(t, y, {n, 64, dim_});
     y = add_pos_embedding(t, y, pos_);
-    for (auto& b : blocks_) y = (*b)(t, y);
+    for (auto& b : blocks_) y = b(t, y);
     y = norm_(t, y);
     return head_(t, mean_tokens(t, y));
   }
@@ -301,7 +284,7 @@ class VitMini : public Classifier {
  private:
   Conv2d patch_;
   Param pos_;
-  std::vector<std::unique_ptr<VitBlock>> blocks_;
+  std::vector<TransformerBlock> blocks_;
   LayerNorm norm_;
   Linear head_;
   int dim_;
@@ -320,11 +303,11 @@ class SwinMini : public Classifier {
         head_(2 * dim, num_classes, rng, "head"),
         dim_(dim) {
     for (int i = 0; i < depth1; ++i)
-      stage1_.push_back(std::make_unique<VitBlock>(dim, heads, rng,
-                                                   "s1b" + std::to_string(i)));
+      stage1_.emplace_back(dim, heads, 2, /*causal=*/false, rng,
+                           "s1b" + std::to_string(i));
     for (int i = 0; i < depth2; ++i)
-      stage2_.push_back(std::make_unique<VitBlock>(2 * dim, heads, rng,
-                                                   "s2b" + std::to_string(i)));
+      stage2_.emplace_back(2 * dim, heads, 2, /*causal=*/false, rng,
+                           "s2b" + std::to_string(i));
   }
   Node* forward(Tape& t, Node* x, BnMode) override {
     Node* y = patch_(t, x);  // [N, dim, 8, 8]
@@ -334,13 +317,13 @@ class SwinMini : public Classifier {
     // Stage 1: attention inside 4x4 windows of the 8x8 token map.
     for (auto& b : stage1_) {
       Node* wtok = window_partition(t, y, 8, 8, 4);
-      wtok = (*b)(t, wtok);
+      wtok = b(t, wtok);
       y = window_merge(t, wtok, 8, 8, 4, n);
     }
     // Patch merging: 8x8 -> 4x4 tokens at twice the dim.
     y = merge_fc_(t, patch_merge(t, y, 8, 8));
     // Stage 2: one 4x4 window covers the map.
-    for (auto& b : stage2_) y = (*b)(t, y);
+    for (auto& b : stage2_) y = b(t, y);
     y = norm_(t, y);
     return head_(t, mean_tokens(t, y));
   }
@@ -350,7 +333,7 @@ class SwinMini : public Classifier {
 
  private:
   Conv2d patch_;
-  std::vector<std::unique_ptr<VitBlock>> stage1_, stage2_;
+  std::vector<TransformerBlock> stage1_, stage2_;
   Linear merge_fc_;
   LayerNorm norm_;
   Linear head_;

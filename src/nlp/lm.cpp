@@ -18,24 +18,6 @@ std::vector<LmSpec> opt_mini_zoo() {
   };
 }
 
-struct CausalLm::Block {
-  LayerNorm ln1, ln2;
-  MultiHeadAttention attn;
-  Linear mlp1, mlp2;
-  Block(int dim, int heads, Rng& rng, const std::string& id)
-      : ln1(dim), ln2(dim),
-        attn(dim, heads, /*causal=*/true, rng, id + ".attn"),
-        mlp1(dim, 4 * dim, rng, id + ".mlp1"),
-        mlp2(4 * dim, dim, rng, id + ".mlp2") {}
-  Node* operator()(Tape& t, Node* x) {
-    x = add(t, x, attn(t, ln1(t, x)));
-    return add(t, x, mlp2(t, gelu(t, mlp1(t, ln2(t, x)))));
-  }
-  void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
-};
-
-CausalLm::~CausalLm() = default;
-
 CausalLm::CausalLm(const LmSpec& spec, int vocab, Rng& rng)
     : spec_(spec),
       vocab_(vocab),
@@ -45,51 +27,19 @@ CausalLm::CausalLm(const LmSpec& spec, int vocab, Rng& rng)
       head_(spec.dim, vocab, rng, spec.name + ".head") {
   for (float& v : pos_.value.vec()) v = rng.normal_f(0.0f, 0.02f);
   for (int i = 0; i < spec.layers; ++i)
-    blocks_.push_back(std::make_unique<Block>(spec.dim, spec.heads, rng,
-                                              spec.name + ".b" + std::to_string(i)));
+    blocks_.emplace_back(spec.dim, spec.heads, 4, /*causal=*/true, rng,
+                         spec.name + ".b" + std::to_string(i));
 }
 
 Node* CausalLm::forward(Tape& t, const std::vector<int>& ids, int batch, int seq) {
-  if (seq > spec_.max_seq) throw std::invalid_argument("CausalLm: seq too long");
-  Node* x = embed_(t, ids, batch, seq);
-  // Add the first `seq` positions.
-  {
-    const int d = spec_.dim;
-    Tensor out = x->value;
-    for (int bi = 0; bi < batch; ++bi)
-      for (int ti = 0; ti < seq; ++ti)
-        for (int di = 0; di < d; ++di)
-          out.at3(bi, ti, di) += pos_.value.at3(0, ti, di);
-    Node* y = t.make(std::move(out));
-    Node* xn = x;
-    Param* pp = &pos_;
-    y->backprop = [y, xn, pp, batch, seq, d]() {
-      for (int bi = 0; bi < batch; ++bi)
-        for (int ti = 0; ti < seq; ++ti)
-          for (int di = 0; di < d; ++di) {
-            const float g = y->grad.at3(bi, ti, di);
-            pp->grad.at3(0, ti, di) += g;
-            if (xn->requires_grad) xn->grad.at3(bi, ti, di) += g;
-          }
-    };
-    x = y;
-  }
-  for (auto& b : blocks_) x = (*b)(t, x);
+  Node* x = add_pos_embedding(t, embed_(t, ids, batch, seq), pos_);
+  for (auto& b : blocks_) x = b(t, x);
   x = final_ln_(t, x);
   return head_(t, x);  // [batch, seq, vocab]
 }
 
 void CausalLm::walk(ModuleRefs& refs) {
   refs.add(embed_, pos_, blocks_, final_ln_, head_);
-}
-
-double CausalLm::score_continuation(const std::vector<int>& context,
-                                    const std::vector<int>& continuation,
-                                    Precision precision, ActRanges* ranges) {
-  InferenceCtx ctx;
-  ctx.precision = precision;
-  ctx.ranges = ranges;
-  return score_continuation(context, continuation, ctx);
 }
 
 double CausalLm::score_continuation(const std::vector<int>& context,

@@ -3,7 +3,6 @@
 // linear projection through the shared InferenceCtx.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,18 +25,13 @@ std::vector<LmSpec> opt_mini_zoo();
 class CausalLm : public nn::Module {
  public:
   CausalLm(const LmSpec& spec, int vocab, Rng& rng);
-  ~CausalLm();  // out-of-line: Block is incomplete here
 
   // ids: flat batch*seq tokens; returns logits [batch, seq, vocab].
   nn::Node* forward(nn::Tape& t, const std::vector<int>& ids, int batch, int seq);
   void walk(nn::ModuleRefs& refs) override;
 
-  // Sum log p(continuation | context) under the given precision knobs.
-  double score_continuation(const std::vector<int>& context,
-                            const std::vector<int>& continuation,
-                            nn::Precision precision, nn::ActRanges* ranges);
-  // Full inference-knob form (precision, backend, ...). The two-knob
-  // overload above delegates here with a default ctx, bit-identically.
+  // Sum log p(continuation | context) under the inference knobs of `ctx`
+  // (precision, backend, ...).
   double score_continuation(const std::vector<int>& context,
                             const std::vector<int>& continuation,
                             const nn::InferenceCtx& ctx);
@@ -58,12 +52,11 @@ class CausalLm : public nn::Module {
   const LmSpec& spec() const { return spec_; }
 
  private:
-  struct Block;
   LmSpec spec_;
   int vocab_;
   nn::Embedding embed_;
   nn::Param pos_;
-  std::vector<std::unique_ptr<Block>> blocks_;
+  std::vector<nn::TransformerBlock> blocks_;
   nn::LayerNorm final_ln_;
   nn::Linear head_;
 };

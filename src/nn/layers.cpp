@@ -115,4 +115,16 @@ Node* MultiHeadAttention::operator()(Tape& t, Node* x) {
   return wo(t, attn);
 }
 
+TransformerBlock::TransformerBlock(int dim, int heads, int mlp_ratio, bool causal,
+                                   Rng& rng, const std::string& id)
+    : ln1(dim), ln2(dim),
+      attn(dim, heads, causal, rng, id + ".attn"),
+      mlp1(dim, mlp_ratio * dim, rng, id + ".mlp1"),
+      mlp2(mlp_ratio * dim, dim, rng, id + ".mlp2") {}
+
+Node* TransformerBlock::operator()(Tape& t, Node* x) {
+  x = add(t, x, attn(t, ln1(t, x)));
+  return add(t, x, mlp2(t, gelu(t, mlp1(t, ln2(t, x)))));
+}
+
 }  // namespace sysnoise::nn

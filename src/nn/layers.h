@@ -145,6 +145,21 @@ struct MultiHeadAttention {
   void walk(ModuleRefs& refs) { refs.add(wq, wk, wv, wo); }
 };
 
+// Pre-LN transformer block, the one block of ViT/Swin, OPT-mini and
+// FastSpeech-mini: x + attn(ln1 x), then + mlp2(gelu(mlp1(ln2 x))). The MLP
+// is dim -> mlp_ratio * dim -> dim. Layer ids: id.attn.{q,k,v,o}, id.mlp1,
+// id.mlp2.
+struct TransformerBlock {
+  LayerNorm ln1, ln2;
+  MultiHeadAttention attn;
+  Linear mlp1, mlp2;
+
+  TransformerBlock(int dim, int heads, int mlp_ratio, bool causal, Rng& rng,
+                   const std::string& id);
+  Node* operator()(Tape& t, Node* x);
+  void walk(ModuleRefs& refs) { refs.add(ln1, ln2, attn, mlp1, mlp2); }
+};
+
 // Initializers (deterministic given the rng).
 Tensor kaiming_normal(std::vector<int> shape, int fan_in, Rng& rng);
 Tensor xavier_uniform(std::vector<int> shape, int fan_in, int fan_out, Rng& rng);

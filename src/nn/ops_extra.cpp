@@ -58,18 +58,22 @@ Node* channel_scale(Tape& t, Node* x, Node* s) {
 }
 
 Node* add_pos_embedding(Tape& t, Node* x, Param& pos) {
+  const Tensor& table = pos.value;
+  if (x->value.rank() != 3 || table.rank() != 3 || table.dim(0) != 1 ||
+      x->value.dim(1) > table.dim(1) || x->value.dim(2) != table.dim(2))
+    throw std::invalid_argument(
+        "add_pos_embedding: x needs shape [B, T, D] and the table [1, >=T, D]");
   const int b = x->value.dim(0), tt = x->value.dim(1), d = x->value.dim(2);
-  if (pos.value.dim(1) != tt || pos.value.dim(2) != d)
-    throw std::invalid_argument("add_pos_embedding: shape mismatch");
+  // Each batch item's T x D block lines up with the table's first T rows.
+  const auto stride = static_cast<std::size_t>(tt) * static_cast<std::size_t>(d);
   Tensor out = x->value;
   for (int bi = 0; bi < b; ++bi)
-    for (std::size_t i = 0; i < pos.value.size(); ++i)
-      out[static_cast<std::size_t>(bi) * pos.value.size() + i] += pos.value[i];
+    for (std::size_t i = 0; i < stride; ++i)
+      out[static_cast<std::size_t>(bi) * stride + i] += table[i];
   Node* y = t.make(std::move(out));
   Node* xn = x;
   Param* pp = &pos;
-  y->backprop = [y, xn, pp, b]() {
-    const std::size_t stride = pp->value.size();
+  y->backprop = [y, xn, pp, b, stride]() {
     for (int bi = 0; bi < b; ++bi)
       for (std::size_t i = 0; i < stride; ++i) {
         const float g = y->grad[static_cast<std::size_t>(bi) * stride + i];

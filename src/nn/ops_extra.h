@@ -1,4 +1,4 @@
-// Secondary ops used by specific model families (SE blocks, ViT/Swin
+// Secondary ops used by specific model families (SE blocks, transformer
 // token plumbing, segmentation heads).
 #pragma once
 
@@ -12,7 +12,9 @@ Node* silu(Tape& t, Node* x);
 // Broadcast multiply: x [N,C,H,W] scaled per (n, c) by s [N,C] (SE gate).
 Node* channel_scale(Tape& t, Node* x, Node* s);
 
-// x [B,T,D] + pos [1,T,D] broadcast over batch (learned position embedding).
+// x [B,T,D] + the first T rows of pos [1,>=T,D], broadcast over batch
+// (learned position embedding); only those rows of pos.grad accumulate.
+// Throws std::invalid_argument when T exceeds the table or D differs.
 Node* add_pos_embedding(Tape& t, Node* x, Param& pos);
 
 // Mean over the token axis: [B,T,D] -> [B,D].

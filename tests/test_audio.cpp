@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "audio/fft.h"
 #include "audio/stft.h"
@@ -144,18 +145,35 @@ TEST(Tts, ModelsTrainAndDiscrepancyOrdering) {
 
   nn::ActRanges ranges;
   calibrate_tts(*model, ds, ranges);
-  const double clean = tts_system_discrepancy(*model, ds, nn::Precision::kFP32,
-                                              StftImpl::kReference, &ranges);
-  const double int8 = tts_system_discrepancy(*model, ds, nn::Precision::kINT8,
-                                             StftImpl::kReference, &ranges);
-  const double stft = tts_system_discrepancy(*model, ds, nn::Precision::kFP32,
-                                             StftImpl::kFastFixed, &ranges);
-  const double comb = tts_system_discrepancy(*model, ds, nn::Precision::kINT8,
-                                             StftImpl::kFastFixed, &ranges);
+  const auto discrepancy = [&](nn::Precision precision, StftImpl stft_impl) {
+    SysNoiseConfig cfg;
+    cfg.precision = precision;
+    cfg.stft_impl = stft_impl;
+    return tts_system_discrepancy(*model, ds, cfg, &ranges);
+  };
+  const double clean = discrepancy(nn::Precision::kFP32, StftImpl::kReference);
+  const double int8 = discrepancy(nn::Precision::kINT8, StftImpl::kReference);
+  const double stft = discrepancy(nn::Precision::kFP32, StftImpl::kFastFixed);
+  const double comb = discrepancy(nn::Precision::kINT8, StftImpl::kFastFixed);
   EXPECT_DOUBLE_EQ(clean, 0.0);       // identical systems agree exactly
   EXPECT_GT(int8, 0.0);
   EXPECT_GT(stft, 0.0);
   EXPECT_GT(comb, std::max(int8, stft));  // combined noise compounds
+}
+
+TEST(Tts, FastSpeechRejectsMoreTokensThanItsPositionTable) {
+  const TtsDataset ds = make_tts_dataset();
+  Rng rng(9);
+  auto model = make_tts_model("FastSpeech-mini", ds, rng);
+  // The positional table holds 64 rows: 64 tokens fit, 65 must throw
+  // rather than read past the table.
+  const auto forward = [&](int seq) {
+    nn::Tape t;
+    model->forward(t, std::vector<int>(static_cast<std::size_t>(seq), 1), 1, seq,
+                   nn::BnMode::kEval);
+  };
+  EXPECT_NO_THROW(forward(64));
+  EXPECT_THROW(forward(65), std::invalid_argument);
 }
 
 }  // namespace

@@ -138,17 +138,6 @@ TEST(TtsStaged, EvaluateMatchesSystemDiscrepancy) {
     EXPECT_EQ(task.evaluate(cfg),
               audio::tts_system_discrepancy(*tt.model, tt.ds, cfg, &tt.ranges))
         << cfg.describe();
-
-  // The pre-config legacy overload (Table 10's original metric) agrees with
-  // the config-driven path when only its two knobs are flipped.
-  SysNoiseConfig legacy;
-  legacy.precision = nn::Precision::kINT8;
-  legacy.stft_impl = audio::StftImpl::kFastFixed;
-  EXPECT_EQ(task.evaluate(legacy),
-            audio::tts_system_discrepancy(*tt.model, tt.ds,
-                                          nn::Precision::kINT8,
-                                          audio::StftImpl::kFastFixed,
-                                          &tt.ranges));
 }
 
 TEST(ModalityStaged, StagedExecutorMatchesThreadPoolOnNlpAndTtsPlans) {

@@ -91,12 +91,11 @@ TEST(Lm, TrainingReducesLossAndLearnsRecall) {
 
   // After training, the LAMBADA-like recall task should be above chance.
   const auto items = make_task_items(TaskKind::kLambada, 60, 21);
+  const nn::InferenceCtx fp32;
   int correct = 0;
   for (const auto& item : items) {
-    const double sc = lm.score_continuation(item.context, item.correct,
-                                            nn::Precision::kFP32, nullptr);
-    const double sw = lm.score_continuation(item.context, item.wrong,
-                                            nn::Precision::kFP32, nullptr);
+    const double sc = lm.score_continuation(item.context, item.correct, fp32);
+    const double sw = lm.score_continuation(item.context, item.wrong, fp32);
     correct += sc > sw;
   }
   EXPECT_GT(correct, 36) << "recall task should beat 50% chance on 60 items";
@@ -112,9 +111,15 @@ TEST(Lm, PrecisionPerturbsScoresSlightly) {
 
   const std::vector<int> ctx = {1, 2, kTokArrow};
   const std::vector<int> cont = {3};
-  const double s32 = lm.score_continuation(ctx, cont, nn::Precision::kFP32, &ranges);
-  const double s16 = lm.score_continuation(ctx, cont, nn::Precision::kFP16, &ranges);
-  const double s8 = lm.score_continuation(ctx, cont, nn::Precision::kINT8, &ranges);
+  const auto score = [&](nn::Precision precision) {
+    nn::InferenceCtx ictx;
+    ictx.precision = precision;
+    ictx.ranges = &ranges;
+    return lm.score_continuation(ctx, cont, ictx);
+  };
+  const double s32 = score(nn::Precision::kFP32);
+  const double s16 = score(nn::Precision::kFP16);
+  const double s8 = score(nn::Precision::kINT8);
   EXPECT_NE(s32, s16);
   EXPECT_NE(s32, s8);
   EXPECT_LT(std::abs(s32 - s16), std::abs(s32 - s8) + 1.0);  // INT8 noisier

@@ -14,6 +14,7 @@
 #include "nlp/tasks.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
+#include "nn/ops_extra.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
 #include "nn/tape.h"
@@ -428,6 +429,47 @@ TEST(GradCheckOps, Embedding) {
   }
   // Token 2 never appears: zero grad.
   for (int j = 0; j < 4; ++j) EXPECT_FLOAT_EQ(table.grad[static_cast<std::size_t>(2 * 4 + j)], 0.0f);
+}
+
+TEST(AddPosEmbedding, AddsTheFirstSeqRowsOfALongerTable) {
+  Rng rng(52);
+  const Tensor x = random_tensor({2, 3, 4}, rng);
+  Param pos(random_tensor({1, 5, 4}, rng));
+  const Tensor target = random_tensor({2, 3, 4}, rng);
+  Tape t;
+  Node* y = add_pos_embedding(t, t.input(x, true), pos);
+  ASSERT_EQ(y->value.shape(), x.shape());
+  for (int b = 0; b < 2; ++b)
+    for (int s = 0; s < 3; ++s)
+      for (int d = 0; d < 4; ++d)
+        EXPECT_EQ(y->value.at3(b, s, d), x.at3(b, s, d) + pos.value.at3(0, s, d));
+
+  t.backward(mse_loss(t, y, target));
+  auto eval = [&]() {
+    Tape t2;
+    return mse_loss(t2, add_pos_embedding(t2, t2.input(x), pos), target)->value[0];
+  };
+  for (int s = 0; s < 5; ++s)
+    for (int d = 0; d < 4; ++d) {
+      const auto idx = static_cast<std::size_t>(s * 4 + d);
+      if (s < 3) {  // the rows the op read: the loss's gradient
+        EXPECT_NE(pos.grad[idx], 0.0f);
+        EXPECT_NEAR(pos.grad[idx], numeric_grad(pos.value, idx, eval), 1e-2f);
+      } else {  // the rows past seq stay untouched
+        EXPECT_EQ(pos.grad[idx], 0.0f);
+      }
+    }
+}
+
+TEST(AddPosEmbedding, TooShortOrWrongWidthTableThrows) {
+  Rng rng(53);
+  const Tensor x = random_tensor({2, 3, 4}, rng);
+  Param short_pos(random_tensor({1, 2, 4}, rng));
+  Param wide_pos(random_tensor({1, 3, 5}, rng));
+  Tape t;
+  Node* xn = t.input(x);
+  EXPECT_THROW(add_pos_embedding(t, xn, short_pos), std::invalid_argument);
+  EXPECT_THROW(add_pos_embedding(t, xn, wide_pos), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
