@@ -401,16 +401,27 @@ std::string perf_json_disk_cache() {
   return os.str();
 }
 
-// Per-backend compute-kernel microbench. The GEMM shape mirrors the im2col
-// matmul of a 3x3 conv over 64 channels at 28x28 spatial resolution — the
-// hot shape of the zoo's forward passes — and the classifier timing runs a
-// real ResNet-XS forward (conv + linear through the same backend seam). The
-// CI perf-gate asserts the blocked and simd kernels are strictly faster than
-// reference and that every backend is bit-exactly repeatable, so the gated
-// GEMM timings take the best of extra repetitions.
+// Per-backend compute-kernel microbench. The gated GEMM shape is the im2col
+// matmul of a 3x3 conv over 64 channels at 28x28, a fixed yardstick: no zoo
+// conv has it (zoo convs have 8-48 output channels at <= 64x64). Two real
+// zoo shapes are timed alongside it: the ResNet-S last conv and the detector
+// stem. The classifier timing runs a real ResNet-XS forward (conv +
+// linear through the same backend seam). The CI perf-gate asserts the blocked
+// and simd kernels are strictly faster than reference at the gated shape and
+// that every backend is bit-exactly repeatable, so the gated GEMM timings
+// take the best of extra repetitions.
 std::string perf_json_backends() {
   constexpr int kM = 64, kN = 784, kK = 576;
   constexpr int kKernelReps = 7;
+  struct ZooShape {
+    const char* name;
+    int m, n, k;
+  };
+  constexpr ZooShape kZooShapes[] = {{"resnet_s_last_conv", 48, 16, 432},
+                                     {"detector_stem", 16, 4096, 27}};
+  // Repetitions of a zoo-shape GEMM per timed call, so each call is long
+  // enough to time.
+  constexpr int kZooCallsPerRep = 50;
 
   Rng rng(11);
   std::vector<float> a(static_cast<std::size_t>(kM) * kK);
@@ -431,6 +442,11 @@ std::string perf_json_backends() {
      << "    \"simd_isa\": \"" << simd_isa_name() << "\",\n"
      << "    \"gemm_shape\": {\"m\": " << kM << ", \"n\": " << kN
      << ", \"k\": " << kK << "},\n"
+     << "    \"zoo_gemm_shapes\": {";
+  for (const ZooShape& z : kZooShapes)
+    os << (&z == kZooShapes ? "" : ", ") << "\"" << z.name << "\": {\"m\": "
+       << z.m << ", \"n\": " << z.n << ", \"k\": " << z.k << "}";
+  os << "},\n"
      << "    \"backends\": [\n";
   for (int bi = 0; bi < kNumComputeBackends; ++bi) {
     const auto backend = static_cast<ComputeBackend>(bi);
@@ -445,6 +461,19 @@ std::string perf_json_backends() {
     float max_diff = 0.0f;
     for (std::size_t i = 0; i < c.size(); ++i)
       max_diff = std::max(max_diff, std::abs(c[i] - ref_c[i]));
+
+    std::ostringstream zoo_ms;
+    for (const ZooShape& z : kZooShapes) {
+      // The operands are prefixes of the gated shape's random A and B.
+      std::vector<float> zc(static_cast<std::size_t>(z.m) * z.n);
+      const auto calls = [&] {
+        for (int r = 0; r < kZooCallsPerRep; ++r)
+          gemm(z.m, z.n, z.k, a.data(), b.data(), zc.data());
+      };
+      const double ms = time_ms(calls, kKernelReps) / kZooCallsPerRep;
+      zoo_ms << (&z == kZooShapes ? "" : ", ") << "\"" << z.name
+             << "\": " << ms;
+    }
 
     const double fwd_ms = time_ms([&] {
       nn::Tape t;
@@ -468,6 +497,7 @@ std::string perf_json_backends() {
        << "       \"gemm_bit_identical_across_repeats\": "
        << (repeatable ? "true" : "false") << ",\n"
        << "       \"gemm_max_abs_diff_vs_reference\": " << max_diff << ",\n"
+       << "       \"zoo_gemm_ms\": {" << zoo_ms.str() << "},\n"
        << "       \"classifier_forward_ms\": " << fwd_ms << ",\n"
        << "       \"classifier_forward_speedup_vs_reference\": "
        << ref_fwd_ms / fwd_ms << "}"

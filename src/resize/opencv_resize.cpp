@@ -67,46 +67,73 @@ ImageU8 cv_linear(const ImageU8& src, int out_h, int out_w) {
 }
 
 // Generic float-kernel sampler with fixed taps (cubic: 4, lanczos4: 8).
+// Each output pixel is sum_i wy[i] * row_i with row_i = sum_j wx[j] * src at
+// the clamped (replicate-border) tap positions, both sums in tap order. The
+// column weights and clamped columns are computed once per call, the row
+// weights once per output row, with the same doubles, sums and divides as
+// evaluating them per pixel. A row_i depends only on its source row and
+// output column, so it is computed once per source row into a ring of `taps`
+// rows: one output row's taps are consecutive source rows (repeated at the
+// border) and never share a slot.
 ImageU8 cv_kernel(const ImageU8& src, int out_h, int out_w, int taps,
                   double (*kernel)(double)) {
   const double sy = static_cast<double>(src.height()) / out_h;
   const double sx = static_cast<double>(src.width()) / out_w;
   const int c = src.channels();
   const int half = taps / 2;
-  ImageU8 out(out_h, out_w, c);
-  std::vector<double> wy(static_cast<std::size_t>(taps)),
-      wx(static_cast<std::size_t>(taps));
-  for (int y = 0; y < out_h; ++y) {
-    const double fy = (y + 0.5) * sy - 0.5;
-    const int iy = static_cast<int>(std::floor(fy));
-    double sumy = 0.0;
+  const auto t = static_cast<std::size_t>(taps);
+  // Normalized weights of the `taps` samples around `f` on an axis of `len`
+  // samples, and their clamped indices.
+  auto axis_taps = [&](double f, int len, double* w, int* idx) {
+    const int i0 = static_cast<int>(std::floor(f));
+    double sum = 0.0;
     for (int i = 0; i < taps; ++i) {
-      wy[static_cast<std::size_t>(i)] = kernel(fy - (iy - half + 1 + i));
-      sumy += wy[static_cast<std::size_t>(i)];
+      w[i] = kernel(f - (i0 - half + 1 + i));
+      sum += w[i];
+      idx[i] = std::clamp(i0 - half + 1 + i, 0, len - 1);
     }
-    for (auto& v : wy) v /= sumy;
+    for (int i = 0; i < taps; ++i) w[i] /= sum;
+  };
+  std::vector<double> wx(static_cast<std::size_t>(out_w) * t);
+  std::vector<int> xs(wx.size());
+  for (int x = 0; x < out_w; ++x)
+    axis_taps((x + 0.5) * sx - 0.5, src.width(), &wx[x * t], &xs[x * t]);
+
+  const std::size_t row_len = static_cast<std::size_t>(out_w) * c;
+  std::vector<double> ring(t * row_len);
+  std::vector<int> ring_row(t, -1);
+  auto row_sums = [&](int yy) -> const double* {
+    const std::size_t slot = static_cast<std::size_t>(yy) % t;
+    double* dst = &ring[slot * row_len];
+    if (ring_row[slot] == yy) return dst;
+    const std::uint8_t* srow =
+        src.data() + static_cast<std::size_t>(yy) * src.width() * c;
     for (int x = 0; x < out_w; ++x) {
-      const double fx = (x + 0.5) * sx - 0.5;
-      const int ix = static_cast<int>(std::floor(fx));
-      double sumx = 0.0;
-      for (int i = 0; i < taps; ++i) {
-        wx[static_cast<std::size_t>(i)] = kernel(fx - (ix - half + 1 + i));
-        sumx += wx[static_cast<std::size_t>(i)];
-      }
-      for (auto& v : wx) v /= sumx;
+      const double* w = &wx[x * t];
+      const int* xx = &xs[x * t];
       for (int ch = 0; ch < c; ++ch) {
-        double acc = 0.0;
-        for (int i = 0; i < taps; ++i) {
-          const int yy = iy - half + 1 + i;
-          double row = 0.0;
-          for (int j = 0; j < taps; ++j) {
-            const int xx = ix - half + 1 + j;
-            row += wx[static_cast<std::size_t>(j)] * src.at_clamped(yy, xx, ch);
-          }
-          acc += wy[static_cast<std::size_t>(i)] * row;
-        }
-        out.at(y, x, ch) = clamp_u8f(static_cast<float>(acc));
+        double row = 0.0;
+        for (int j = 0; j < taps; ++j)
+          row += w[j] * srow[static_cast<std::size_t>(xx[j]) * c + ch];
+        dst[static_cast<std::size_t>(x) * c + ch] = row;
       }
+    }
+    ring_row[slot] = yy;
+    return dst;
+  };
+
+  ImageU8 out(out_h, out_w, c);
+  std::vector<double> wy(t);
+  std::vector<int> ys(t);
+  std::vector<const double*> rows(t);
+  std::uint8_t* o = out.data();
+  for (int y = 0; y < out_h; ++y) {
+    axis_taps((y + 0.5) * sy - 0.5, src.height(), wy.data(), ys.data());
+    for (std::size_t i = 0; i < t; ++i) rows[i] = row_sums(ys[i]);
+    for (std::size_t e = 0; e < row_len; ++e) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < t; ++i) acc += wy[i] * rows[i][e];
+      *o++ = clamp_u8f(static_cast<float>(acc));
     }
   }
   return out;

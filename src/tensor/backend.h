@@ -3,18 +3,22 @@
 // Every float GEMM in the engine (tensor/gemm.h) and the conv2d im2col path
 // (nn/ops_conv.cpp) dispatch through the active ComputeBackend:
 //
-//  - kReference  — the historical scalar loops, bit-identical to the seed's
-//                  output. Keeps the zero-skip (`if (av == 0.0f) continue;`)
-//                  as an explicit, documented property: it silently drops
-//                  0 x inf = NaN propagation, so results depend on the
-//                  sparsity of A when B holds non-finite values.
+//  - kReference  — defined by the seed loops' per-element operation
+//                  sequence, so its output is bit-identical to the seed's.
+//                  It may run that sequence 8 lanes wide (runtime-detected
+//                  AVX), but never fused. Keeps the zero-skip
+//                  (`if (av == 0.0f) continue;`) as an explicit, documented
+//                  property: it silently drops 0 x inf = NaN propagation, so
+//                  results depend on the sparsity of A when B holds
+//                  non-finite values.
 //  - kBlocked    — register-tiled micro-kernel over packed panels with a
 //                  fixed, k-ascending accumulation order (no zero-skip, so
-//                  IEEE non-finite propagation is exact).
+//                  IEEE non-finite propagation is exact). Like kReference,
+//                  it may run unfused 8-lane AVX, never fused.
 //  - kSimd       — AVX2+FMA on x86 / NEON on ARM, picked by runtime CPU
-//                  detection with a scalar (blocked) fallback; vector tails
-//                  run scalar. FMA and lane-wise partial sums legitimately
-//                  round differently from the scalar kernels.
+//                  detection with the blocked micro-kernel as fallback. FMA
+//                  legitimately rounds differently from the unfused
+//                  kernels.
 //
 // Different kernels produce different floats for the *same* operator — that
 // is exactly the paper's hardware/implementation noise, so the backend is

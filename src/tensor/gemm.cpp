@@ -1,21 +1,24 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
 // Three implementations of every variant:
-//  - reference: the seed's scalar loops (gemm_acc register-tiled, gemm_bt_acc
-//    lane-tiled, each with an identical per-element operation sequence),
-//    bit-identical to the historical output. gemm_acc and gemm_at_acc keep
-//    the zero-skip (`if (av == 0.0f) continue;`) as a documented
-//    reference-only property — it drops 0 x inf = NaN
-//    propagation, so results depend on the sparsity of A when B holds
-//    non-finite values. The other backends do NOT skip.
+//  - reference: defined by the seed loops' per-element operation sequence,
+//    so bit-identical to the historical output. gemm_acc keeps each C strip
+//    in registers, 8 lanes wide under runtime-detected AVX; gemm_bt_acc runs
+//    a strip's dot products side by side in 4-lane vectors. Lanes multiply
+//    and add unfused. gemm_acc and gemm_at_acc keep the zero-skip
+//    (`if (av == 0.0f) continue;`) as a documented reference-only property
+//    — it drops 0 x inf = NaN propagation, so results depend on the
+//    sparsity of A when B holds non-finite values. The other backends do
+//    NOT skip.
 //  - blocked: one packed-panel engine for all variants. A and B tiles are
 //    packed into k-major micro-panels and a register-tiled MR x NR
 //    micro-kernel accumulates in a fixed, strictly k-ascending order into
 //    fresh accumulators that are added to C once — deterministic at any
-//    tile boundary or worker count.
+//    tile boundary or worker count. Its micro-kernel also has a baseline and
+//    an unfused AVX build, chosen once per process.
 //  - simd: the same packed engine with an AVX2+FMA (x86) or NEON (ARM)
 //    micro-kernel, chosen by runtime CPU detection; tails and unsupported
-//    CPUs fall back to the blocked scalar micro-kernel. FMA's single
+//    CPUs fall back to the blocked micro-kernel. FMA's single
 //    rounding makes this a genuinely different float profile — which is
 //    the point: the backend is a measured noise axis.
 //
@@ -27,6 +30,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "tensor/backend.h"
@@ -46,21 +50,76 @@ namespace {
 // ---------------------------------------------------------------------------
 // Reference backend: the seed's loops. ref_gemm_acc is register-tiled and
 // ref_gemm_bt_acc lane-tiled, but every C element sees the seed's exact
-// operation sequence.
+// operation sequence. ref_gemm_acc is built twice, for the x86-64 baseline
+// and for "avx", from one body.
 // ---------------------------------------------------------------------------
 
 constexpr int kRefBlockK = 128;
 constexpr int kRefBlockN = 256;
-// Columns of one register-resident C strip.
-constexpr int kRefTileN = 32;
 
-void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
-                  float* c) {
-  // i-k-j loop order with k/n blocking: B rows stream through cache. Each
-  // full kRefTileN-column strip of a C row is loaded into a local
-  // accumulator once per (k0, n0) block, takes the same kk-ascending,
-  // zero-skipping updates the untiled loop applies to C, and is stored
-  // once; leftover columns run the untiled loop.
+// Floats side by side (GCC/Clang vector extension): plain IEEE multiplies
+// and adds per lane, never reassociated, and never fused in the builds below
+// (neither the x86-64 baseline nor "avx" has FMA). Lanes4 is one xmm
+// register; Lanes8 is one ymm register in an AVX build.
+typedef float Lanes4 __attribute__((vector_size(16)));
+typedef float Lanes8 __attribute__((vector_size(32)));
+// Unaligned views of the same lanes in memory, so loads and stores leave
+// the lane values themselves in registers.
+typedef float Lanes4Mem __attribute__((vector_size(16), aligned(4), may_alias));
+typedef float Lanes8Mem __attribute__((vector_size(32), aligned(4), may_alias));
+
+template <int kLanes>
+struct LanesOf;
+template <>
+struct LanesOf<4> {
+  using Reg = Lanes4;
+  using Mem = Lanes4Mem;
+};
+template <>
+struct LanesOf<8> {
+  using Reg = Lanes8;
+  using Mem = Lanes8Mem;
+};
+
+template <int kLanes>
+inline typename LanesOf<kLanes>::Mem& lanes_at(float* p) {
+  return *reinterpret_cast<typename LanesOf<kLanes>::Mem*>(p);
+}
+template <int kLanes>
+inline const typename LanesOf<kLanes>::Mem& lanes_at(const float* p) {
+  return *reinterpret_cast<const typename LanesOf<kLanes>::Mem*>(p);
+}
+
+// One register-resident strip of kW C columns (a multiple of kLanes) of one
+// C row for the k block [k0, k1): loaded once, given the seed's
+// kk-ascending, zero-skipping `c += av * b` updates in registers, and
+// stored once.
+template <int kLanes, int kW>
+inline __attribute__((always_inline)) void ref_acc_strip(
+    int k0, int k1, int n, const float* arow, const float* b, float* cstrip,
+    int j0) {
+  constexpr int kGroups = kW / kLanes;
+  typename LanesOf<kLanes>::Reg acc[kGroups];
+  for (int g = 0; g < kGroups; ++g)
+    acc[g] = lanes_at<kLanes>(cstrip + kLanes * g);
+  for (int kk = k0; kk < k1; ++kk) {
+    const float av = arow[kk];
+    if (av == 0.0f) continue;
+    const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n + j0;
+    for (int g = 0; g < kGroups; ++g)
+      acc[g] += av * lanes_at<kLanes>(brow + kLanes * g);
+  }
+  for (int g = 0; g < kGroups; ++g)
+    lanes_at<kLanes>(cstrip + kLanes * g) = acc[g];
+}
+
+// The reference gemm_acc body, built once per instruction set below.
+template <int kLanes>
+inline __attribute__((always_inline)) void ref_gemm_acc_body(
+    int m, int n, int k, const float* a, const float* b, float* c) {
+  // i-k-j loop order with k/n blocking: B rows stream through cache. A C row
+  // runs as 32-column strips, then one 16- and one 8-column strip where they
+  // fit; fewer than 8 leftover columns run the untiled loop.
   for (int k0 = 0; k0 < k; k0 += kRefBlockK) {
     const int k1 = std::min(k, k0 + kRefBlockK);
     for (int n0 = 0; n0 < n; n0 += kRefBlockN) {
@@ -69,16 +128,15 @@ void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
         float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
         const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
         int j0 = n0;
-        for (; j0 + kRefTileN <= n1; j0 += kRefTileN) {
-          float acc[kRefTileN];
-          for (int j = 0; j < kRefTileN; ++j) acc[j] = crow[j0 + j];
-          for (int kk = k0; kk < k1; ++kk) {
-            const float av = arow[kk];
-            if (av == 0.0f) continue;
-            const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n + j0;
-            for (int j = 0; j < kRefTileN; ++j) acc[j] += av * brow[j];
-          }
-          for (int j = 0; j < kRefTileN; ++j) crow[j0 + j] = acc[j];
+        for (; j0 + 32 <= n1; j0 += 32)
+          ref_acc_strip<kLanes, 32>(k0, k1, n, arow, b, crow + j0, j0);
+        if (j0 + 16 <= n1) {
+          ref_acc_strip<kLanes, 16>(k0, k1, n, arow, b, crow + j0, j0);
+          j0 += 16;
+        }
+        if (j0 + 8 <= n1) {
+          ref_acc_strip<kLanes, 8>(k0, k1, n, arow, b, crow + j0, j0);
+          j0 += 8;
         }
         if (j0 == n1) continue;
         for (int kk = k0; kk < k1; ++kk) {
@@ -91,6 +149,21 @@ void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
     }
   }
 }
+
+void ref_gemm_acc_baseline(int m, int n, int k, const float* a,
+                           const float* b, float* c) {
+  ref_gemm_acc_body<4>(m, n, k, a, b, c);
+}
+
+#if defined(SYSNOISE_GEMM_X86)
+// "avx" only: no FMA, so every lane still rounds its multiply and its add.
+__attribute__((target("avx"))) void ref_gemm_acc_avx(int m, int n, int k,
+                                                     const float* a,
+                                                     const float* b,
+                                                     float* c) {
+  ref_gemm_acc_body<8>(m, n, k, a, b, c);
+}
+#endif
 
 void ref_gemm_at_acc(int m, int n, int k, const float* a, int a_stride,
                      const float* b, float* c) {
@@ -110,10 +183,6 @@ void ref_gemm_at_acc(int m, int n, int k, const float* a, int a_stride,
   }
 }
 
-// Four floats side by side (GCC/Clang vector extension): plain IEEE
-// multiplies and adds per lane, no reassociation, and no FMA on the default
-// x86-64 target.
-typedef float Lanes4 __attribute__((vector_size(16)));
 // Reference bt strip: C columns computed side by side per A row, as four
 // Lanes4 accumulators.
 constexpr int kRefBtStrip = 16;
@@ -163,8 +232,8 @@ void ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
 
 // Micro-tile: MR rows of C by NR columns, accumulators live in registers
 // across the whole k loop (one panel pass), then spill into C exactly once.
-constexpr int MR = 4;
-constexpr int NR = 16;
+constexpr int MR = detail::kMicroRows;
+constexpr int NR = detail::kMicroCols;
 
 // How the engine reads its operands. The packing gathers normalize every
 // variant to the same k-major micro-panels, so one micro-kernel serves
@@ -183,30 +252,50 @@ inline float b_at(BMode mode, const float* b, int n, int k, int kk, int j) {
                                 : b[static_cast<std::ptrdiff_t>(j) * k + kk];
 }
 
-// Scalar micro-kernel: acc[MR x NR] = ap panel * bp panel over k steps in
+// Blocked micro-kernel: acc[MR x NR] = ap panel * bp panel over k steps in
 // strictly ascending order, starting from fresh zero accumulators (like the
-// vector kernels' registers). The tile is computed as two 8-column passes so
-// the local accumulator array is small enough for the compiler to promote to
-// SIMD registers across the k loop (8 accumulators + 2 operand vectors fits
-// the 16-register SSE file); per-element accumulation order is still strict
-// k-ascending, so the split is bit-invisible.
-void micro_scalar(int k, const float* ap, const float* bp, float* acc) {
-  constexpr int kHalf = NR / 2;
-  for (int jh = 0; jh < NR; jh += kHalf) {
-    float t[MR * kHalf];
-    for (int i = 0; i < MR * kHalf; ++i) t[i] = 0.0f;
+// vector kernels' registers). The tile runs as NR / kPass column passes whose
+// MR x kPass accumulators stay in registers across the k loop: two 8-column
+// passes in the baseline build (8 xmm accumulators), one 16-column pass in
+// the AVX build (8 ymm accumulators). Each element's accumulation order is
+// the same in every pass layout, so the split is bit-invisible.
+template <int kLanes, int kPass>
+inline __attribute__((always_inline)) void micro_blocked_body(
+    int k, const float* ap, const float* bp, float* acc) {
+  using Reg = typename LanesOf<kLanes>::Reg;
+  constexpr int kGroups = kPass / kLanes;
+  for (int jh = 0; jh < NR; jh += kPass) {
+    Reg t[MR][kGroups] = {};
     for (int kk = 0; kk < k; ++kk) {
       const float* arow = ap + static_cast<std::ptrdiff_t>(kk) * MR;
       const float* brow = bp + static_cast<std::ptrdiff_t>(kk) * NR + jh;
+      Reg bv[kGroups];
+      for (int g = 0; g < kGroups; ++g)
+        bv[g] = lanes_at<kLanes>(brow + kLanes * g);
       for (int i = 0; i < MR; ++i) {
         const float av = arow[i];
-        for (int j = 0; j < kHalf; ++j) t[i * kHalf + j] += av * brow[j];
+        for (int g = 0; g < kGroups; ++g) t[i][g] += av * bv[g];
       }
     }
     for (int i = 0; i < MR; ++i)
-      for (int j = 0; j < kHalf; ++j) acc[i * NR + jh + j] = t[i * kHalf + j];
+      for (int g = 0; g < kGroups; ++g)
+        lanes_at<kLanes>(acc + i * NR + jh + kLanes * g) = t[i][g];
   }
 }
+
+void micro_blocked_baseline(int k, const float* ap, const float* bp,
+                            float* acc) {
+  micro_blocked_body<4, 8>(k, ap, bp, acc);
+}
+
+#if defined(SYSNOISE_GEMM_X86)
+// "avx" only, as for the reference kernel: unfused 8-lane multiplies and adds.
+__attribute__((target("avx"))) void micro_blocked_avx(int k, const float* ap,
+                                                      const float* bp,
+                                                      float* acc) {
+  micro_blocked_body<8, NR>(k, ap, bp, acc);
+}
+#endif
 
 #if defined(SYSNOISE_GEMM_X86)
 __attribute__((target("avx2,fma"))) void micro_avx2(int k, const float* ap,
@@ -266,18 +355,46 @@ void micro_neon(int k, const float* ap, const float* bp, float* acc) {
 #endif
 
 using MicroKernel = void (*)(int, const float*, const float*, float*);
+using RefGemmKernel = void (*)(int, int, int, const float*, const float*,
+                               float*);
+
+// The widest kernel build this host runs, detected once.
+detail::KernelBuild host_build() {
+#if defined(SYSNOISE_GEMM_X86)
+  static const detail::KernelBuild build = __builtin_cpu_supports("avx")
+                                               ? detail::KernelBuild::kAvx
+                                               : detail::KernelBuild::kBaseline;
+  return build;
+#else
+  return detail::KernelBuild::kBaseline;
+#endif
+}
+
+RefGemmKernel ref_gemm_acc_kernel(detail::KernelBuild build) {
+#if defined(SYSNOISE_GEMM_X86)
+  if (build == detail::KernelBuild::kAvx) return &ref_gemm_acc_avx;
+#endif
+  return &ref_gemm_acc_baseline;
+}
+
+MicroKernel blocked_micro_kernel(detail::KernelBuild build) {
+#if defined(SYSNOISE_GEMM_X86)
+  if (build == detail::KernelBuild::kAvx) return &micro_blocked_avx;
+#endif
+  return &micro_blocked_baseline;
+}
 
 MicroKernel simd_micro_kernel() {
 #if defined(SYSNOISE_GEMM_X86)
   static const MicroKernel kernel =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
           ? &micro_avx2
-          : &micro_scalar;
+          : blocked_micro_kernel(host_build());
   return kernel;
 #elif defined(SYSNOISE_GEMM_NEON)
   return &micro_neon;
 #else
-  return &micro_scalar;
+  return blocked_micro_kernel(host_build());
 #endif
 }
 
@@ -365,18 +482,19 @@ constexpr int kParallelMinRows = 2 * MR;
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
                   BMode bmode, const float* b, float* c) {
   const ComputeBackend backend = active_backend();
+  static const RefGemmKernel ref_acc = ref_gemm_acc_kernel(host_build());
+  static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
   const MicroKernel micro = backend == ComputeBackend::kSimd
                                 ? simd_micro_kernel()
-                                : &micro_scalar;
+                                : blocked_micro;
   auto rows = [&](int begin, int end) {
     switch (backend) {
       case ComputeBackend::kReference:
         // The reference loops read A rows / write C rows relative to row 0;
         // offset the operand bases so each range is self-contained.
         if (amode == AMode::kNormal && bmode == BMode::kNormal)
-          ref_gemm_acc(end - begin, n, k,
-                       a + static_cast<std::ptrdiff_t>(begin) * k, b,
-                       c + static_cast<std::ptrdiff_t>(begin) * n);
+          ref_acc(end - begin, n, k, a + static_cast<std::ptrdiff_t>(begin) * k,
+                  b, c + static_cast<std::ptrdiff_t>(begin) * n);
         else if (amode == AMode::kTransposed)
           // A is k x m (full width): offset to the range's first column but
           // keep striding k steps by the full m, not the range width.
@@ -401,6 +519,33 @@ void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
 }
 
 }  // namespace
+
+namespace detail {
+
+bool kernel_build_supported(KernelBuild build) {
+  return build == KernelBuild::kBaseline || host_build() == KernelBuild::kAvx;
+}
+
+namespace {
+void require_build(KernelBuild build) {
+  if (!kernel_build_supported(build))
+    throw std::invalid_argument("gemm: kernel build not supported on this host");
+}
+}  // namespace
+
+void ref_gemm_acc(KernelBuild build, int m, int n, int k, const float* a,
+                  const float* b, float* c) {
+  require_build(build);
+  ref_gemm_acc_kernel(build)(m, n, k, a, b, c);
+}
+
+void blocked_micro(KernelBuild build, int k, const float* ap, const float* bp,
+                   float* acc) {
+  require_build(build);
+  blocked_micro_kernel(build)(k, ap, bp, acc);
+}
+
+}  // namespace detail
 
 void gemm_acc(int m, int n, int k, const float* a, const float* b, float* c) {
   dispatch_acc(m, n, k, AMode::kNormal, a, BMode::kNormal, b, c);

@@ -275,13 +275,22 @@ void seed_ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
   }
 }
 
+constexpr detail::KernelBuild kAllBuilds[] = {detail::KernelBuild::kBaseline,
+                                              detail::KernelBuild::kAvx};
+
+const char* build_name(detail::KernelBuild build) {
+  return build == detail::KernelBuild::kAvx ? "avx" : "baseline";
+}
+
 TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
-  // Shapes straddle the 32-column register tile, the 256-column and
-  // 128-deep blocks, and n below one tile; rows reach the pool split.
+  // Shapes straddle the 32-, 16- and 8-column register strips, the
+  // 256-column and 128-deep blocks, and n below one strip; rows reach the
+  // pool split. Both kernel builds run serially against the seed loop too.
   const std::vector<std::array<int, 3>> shapes = {
       {3, 31, 5},    {2, 32, 7},     {5, 33, 129},  {9, 63, 128},
       {4, 255, 127}, {3, 256, 130},  {17, 257, 64}, {8, 300, 260},
-      {1, 1, 1},     {12, 95, 300},  {16, 288, 33}, {2, 7, 256}};
+      {1, 1, 1},     {12, 95, 300},  {16, 288, 33}, {2, 7, 256},
+      {48, 16, 432}, {32, 24, 288},  {5, 8, 9},     {7, 40, 130}};
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   ensure_gemm_pool_helpers(kForcedHelpers);
@@ -313,8 +322,115 @@ TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
               << "m=" << m << " n=" << n << " k=" << k << " special=" << special
               << " acc=" << acc << " workers=" << workers;
         }
+        for (const detail::KernelBuild build : kAllBuilds) {
+          if (!detail::kernel_build_supported(build)) continue;
+          std::vector<float> got =
+              acc ? c0 : std::vector<float>(c0.size(), 0.0f);
+          detail::ref_gemm_acc(build, m, n, k, a.data(), b.data(), got.data());
+          EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                                expect.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " n=" << n << " k=" << k << " special=" << special
+              << " acc=" << acc << " build=" << build_name(build);
+        }
       }
     }
+  }
+}
+
+// The seed's blocked micro-kernel, verbatim: a 4 x 16 tile from fresh zero
+// accumulators, as two 8-column passes with k strictly ascending.
+void seed_micro_scalar(int k, const float* ap, const float* bp, float* acc) {
+  constexpr int MR = detail::kMicroRows, NR = detail::kMicroCols;
+  constexpr int kHalf = NR / 2;
+  for (int jh = 0; jh < NR; jh += kHalf) {
+    float t[MR * kHalf];
+    for (int i = 0; i < MR * kHalf; ++i) t[i] = 0.0f;
+    for (int kk = 0; kk < k; ++kk) {
+      const float* arow = ap + static_cast<std::ptrdiff_t>(kk) * MR;
+      const float* brow = bp + static_cast<std::ptrdiff_t>(kk) * NR + jh;
+      for (int i = 0; i < MR; ++i) {
+        const float av = arow[i];
+        for (int j = 0; j < kHalf; ++j) t[i * kHalf + j] += av * brow[j];
+      }
+    }
+    for (int i = 0; i < MR; ++i)
+      for (int j = 0; j < kHalf; ++j) acc[i * NR + jh + j] = t[i * kHalf + j];
+  }
+}
+
+TEST(BackendParity, BlockedMicroKernelIsBitIdenticalToTheSeedLoop) {
+  constexpr int kTile = detail::kMicroRows * detail::kMicroCols;
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(2026);
+  for (const int k : {0, 1, 7, 64, 300})
+    for (const bool special : {false, true}) {
+      auto ap = random_vec(static_cast<std::size_t>(k) * detail::kMicroRows,
+                           rng);
+      auto bp = random_vec(static_cast<std::size_t>(k) * detail::kMicroCols,
+                           rng);
+      for (std::size_t i = 0; i < ap.size(); i += 3)
+        ap[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      if (special)
+        for (std::size_t i = 0; i < bp.size(); i += 13)
+          bp[i] = i % 2 == 0 ? inf : -inf;
+      std::vector<float> expect(kTile);
+      seed_micro_scalar(k, ap.data(), bp.data(), expect.data());
+      for (const detail::KernelBuild build : kAllBuilds) {
+        if (!detail::kernel_build_supported(build)) continue;
+        std::vector<float> got(kTile, 7.0f);
+        detail::blocked_micro(build, k, ap.data(), bp.data(), got.data());
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                              expect.size() * sizeof(float)),
+                  0)
+            << "k=" << k << " special=" << special
+            << " build=" << build_name(build);
+      }
+    }
+}
+
+TEST(BackendParity, ReferenceAndBlockedNeverFuse) {
+  // p = a * a rounds away its last 2^-24, so c + p is exactly 0 while a
+  // fused multiply-add keeps 2^-24. A kernel built with FMA (a target
+  // string, -march=native, or a contracting compiler default) fails here;
+  // the seed-loop oracles cannot see that, being built with the same flags.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  volatile float product = a * a;
+  const float unfused = c + product;
+  ASSERT_EQ(unfused, 0.0f);
+  ASSERT_NE(std::fma(a, a, c), unfused);
+  for (const ComputeBackend backend :
+       {ComputeBackend::kReference, ComputeBackend::kBlocked}) {
+    const BackendScope scope(backend);
+    // 1 x 1 x 1 with C = c: the product meets C directly.
+    const float one_a[] = {a}, one_b[] = {a};
+    float one_c[] = {c};
+    gemm_acc(1, 1, 1, one_a, one_b, one_c);
+    EXPECT_EQ(one_c[0], unfused) << backend_name(backend) << " k=1";
+    // 1 x 1 x 2 from C = 0: the product meets the running sum c, which is
+    // where the blocked micro-kernel would fuse.
+    const float two_a[] = {1.0f, a}, two_b[] = {c, a};
+    float two_c[] = {0.0f};
+    gemm_acc(1, 1, 2, two_a, two_b, two_c);
+    EXPECT_EQ(two_c[0], unfused) << backend_name(backend) << " k=2";
+  }
+  for (const detail::KernelBuild build : kAllBuilds) {
+    if (!detail::kernel_build_supported(build)) continue;
+    float one_c[] = {c};
+    const float one_a[] = {a};
+    detail::ref_gemm_acc(build, 1, 1, 1, one_a, one_a, one_c);
+    EXPECT_EQ(one_c[0], unfused) << "reference " << build_name(build);
+    // A full micro tile whose every element runs c + a * a.
+    std::vector<float> ap(2 * detail::kMicroRows), bp(2 * detail::kMicroCols);
+    std::fill(ap.begin(), ap.begin() + detail::kMicroRows, 1.0f);
+    std::fill(ap.begin() + detail::kMicroRows, ap.end(), a);
+    std::fill(bp.begin(), bp.begin() + detail::kMicroCols, c);
+    std::fill(bp.begin() + detail::kMicroCols, bp.end(), a);
+    std::vector<float> tile(detail::kMicroRows * detail::kMicroCols, 1.0f);
+    detail::blocked_micro(build, 2, ap.data(), bp.data(), tile.data());
+    for (const float v : tile)
+      EXPECT_EQ(v, unfused) << "blocked " << build_name(build);
   }
 }
 

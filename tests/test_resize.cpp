@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "image/metrics.h"
 #include "image/synthetic.h"
 #include "resize/filters.h"
+#include "resize/opencv_resize.h"
 #include "resize/resize.h"
 #include "tensor/rng.h"
 
@@ -206,6 +208,86 @@ TEST(ResizeSemantics, BilinearExactMidpoint) {
   EXPECT_NEAR(out.at(0, 1, 0), 25, 1);
   EXPECT_NEAR(out.at(0, 2, 0), 75, 1);
   EXPECT_EQ(out.at(0, 3, 0), 100);
+}
+
+// The seed's OpenCV cubic/Lanczos4 sampler, verbatim: it evaluates both
+// kernels' weights per output pixel and reads through at_clamped. The oracle
+// the hoisted-weight sampler must match byte for byte.
+ImageU8 seed_cv_kernel(const ImageU8& src, int out_h, int out_w, int taps,
+                       double (*kernel)(double)) {
+  const double sy = static_cast<double>(src.height()) / out_h;
+  const double sx = static_cast<double>(src.width()) / out_w;
+  const int c = src.channels();
+  const int half = taps / 2;
+  ImageU8 out(out_h, out_w, c);
+  std::vector<double> wy(static_cast<std::size_t>(taps)),
+      wx(static_cast<std::size_t>(taps));
+  for (int y = 0; y < out_h; ++y) {
+    const double fy = (y + 0.5) * sy - 0.5;
+    const int iy = static_cast<int>(std::floor(fy));
+    double sumy = 0.0;
+    for (int i = 0; i < taps; ++i) {
+      wy[static_cast<std::size_t>(i)] = kernel(fy - (iy - half + 1 + i));
+      sumy += wy[static_cast<std::size_t>(i)];
+    }
+    for (auto& v : wy) v /= sumy;
+    for (int x = 0; x < out_w; ++x) {
+      const double fx = (x + 0.5) * sx - 0.5;
+      const int ix = static_cast<int>(std::floor(fx));
+      double sumx = 0.0;
+      for (int i = 0; i < taps; ++i) {
+        wx[static_cast<std::size_t>(i)] = kernel(fx - (ix - half + 1 + i));
+        sumx += wx[static_cast<std::size_t>(i)];
+      }
+      for (auto& v : wx) v /= sumx;
+      for (int ch = 0; ch < c; ++ch) {
+        double acc = 0.0;
+        for (int i = 0; i < taps; ++i) {
+          const int yy = iy - half + 1 + i;
+          double row = 0.0;
+          for (int j = 0; j < taps; ++j) {
+            const int xx = ix - half + 1 + j;
+            row += wx[static_cast<std::size_t>(j)] * src.at_clamped(yy, xx, ch);
+          }
+          acc += wy[static_cast<std::size_t>(i)] * row;
+        }
+        out.at(y, x, ch) = clamp_u8f(static_cast<float>(acc));
+      }
+    }
+  }
+  return out;
+}
+
+double seed_cubic_cv(double x) { return filter_cubic(x, -0.75); }
+double seed_lanczos4(double x) { return filter_lanczos(x, 4); }
+
+TEST(ResizeSemantics, OpenCvKernelResizeMatchesTheSeedLoop) {
+  struct Case {
+    int in_h, in_w, out_h, out_w;
+  };
+  // Downscales, an upscale with unequal factors, and a 1-pixel-wide source
+  // whose every column tap clamps.
+  const Case cases[] = {
+      {48, 48, 32, 32}, {96, 96, 64, 64}, {20, 13, 33, 29}, {15, 1, 9, 4}};
+  for (const Case& cs : cases) {
+    // Texture plus per-byte noise, so neighbouring taps differ.
+    ImageU8 img = make_image(cs.in_h, cs.in_w, 5);
+    Rng rng(static_cast<std::uint64_t>(cs.in_h * 131 + cs.in_w));
+    for (auto& v : img.vec())
+      v = clamp_u8(v + static_cast<int>(rng.uniform_f(-40.0f, 40.0f)));
+    const ImageU8 cubic =
+        opencv_resize(img, cs.out_h, cs.out_w, CvInterp::kCubic);
+    const ImageU8 lanczos =
+        opencv_resize(img, cs.out_h, cs.out_w, CvInterp::kLanczos4);
+    EXPECT_EQ(cubic.vec(),
+              seed_cv_kernel(img, cs.out_h, cs.out_w, 4, seed_cubic_cv).vec())
+        << "cubic " << cs.in_h << "x" << cs.in_w << " -> " << cs.out_h << "x"
+        << cs.out_w;
+    EXPECT_EQ(lanczos.vec(),
+              seed_cv_kernel(img, cs.out_h, cs.out_w, 8, seed_lanczos4).vec())
+        << "lanczos4 " << cs.in_h << "x" << cs.in_w << " -> " << cs.out_h
+        << "x" << cs.out_w;
+  }
 }
 
 TEST(ResizeSemantics, ShorterSideKeepsAspect) {
