@@ -10,6 +10,7 @@
 
 #include "core/disk_stage_cache.h"
 #include "core/sweep_detail.h"
+#include "data/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/backend.h"
@@ -116,44 +117,49 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
   // Phase 1, parallel per group: a disk-cached forward product makes stage 1
   // unnecessary (the pre-processed batches exist only to feed the network);
   // otherwise take the group's stage-1 product from pre_store, materializing
-  // it on a miss.
-  detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
-    const ForwardGroup& group = groups[g];
-    obs::TraceSpan span("staged.preprocess");
-    if (span.active()) span.attr("pre_key", group.pre_key);
-    const SysNoiseConfig& lead_cfg = pending[group.members.front()]->cfg;
-    if (disk != nullptr) {
-      std::string bytes;
-      if (disk->load(task.forward_scope(), group.fwd_key, &bytes)) {
-        if ((fwd_of[g] = task.decode_forward(bytes)) != nullptr)
-          fwd_disk_hits.fetch_add(1);
-      }
-    }
-    if (fwd_of[g] != nullptr) return;
-    bool miss = false;
-    pre_of[g] = pre_store.get_or_compute(group.pre_key, [&] {
+  // it on a miss. Image materializations share one decode per (sample list,
+  // decoder vendor) through the phase's memo, which dies with the phase.
+  {
+    DecodeMemo decode_memo;
+    detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
+      const DecodeMemoScope decode_scope(decode_memo);
+      const ForwardGroup& group = groups[g];
+      obs::TraceSpan span("staged.preprocess");
+      if (span.active()) span.attr("pre_key", group.pre_key);
+      const SysNoiseConfig& lead_cfg = pending[group.members.front()]->cfg;
       if (disk != nullptr) {
         std::string bytes;
-        if (disk->load(task.preprocess_scope(), group.pre_key, &bytes)) {
-          if (StageProduct p = task.decode_preprocess(bytes)) {
-            disk_hits.fetch_add(1);
-            return p;
+        if (disk->load(task.forward_scope(), group.fwd_key, &bytes)) {
+          if ((fwd_of[g] = task.decode_forward(bytes)) != nullptr)
+            fwd_disk_hits.fetch_add(1);
+        }
+      }
+      if (fwd_of[g] != nullptr) return;
+      bool miss = false;
+      pre_of[g] = pre_store.get_or_compute(group.pre_key, [&] {
+        if (disk != nullptr) {
+          std::string bytes;
+          if (disk->load(task.preprocess_scope(), group.pre_key, &bytes)) {
+            if (StageProduct p = task.decode_preprocess(bytes)) {
+              disk_hits.fetch_add(1);
+              return p;
+            }
           }
         }
-      }
-      computed.fetch_add(1);
-      StageProduct p = task.run_preprocess(lead_cfg);
-      if (disk != nullptr) {
-        std::string bytes;
-        if (task.encode_preprocess(p, &bytes)) {
-          disk->store(task.preprocess_scope(), group.pre_key, bytes);
-          persisted.fetch_add(1);
+        computed.fetch_add(1);
+        StageProduct p = task.run_preprocess(lead_cfg);
+        if (disk != nullptr) {
+          std::string bytes;
+          if (task.encode_preprocess(p, &bytes)) {
+            disk->store(task.preprocess_scope(), group.pre_key, bytes);
+            persisted.fetch_add(1);
+          }
         }
-      }
-      return p;
-    }, &miss);
-    materialized[g] = miss;
-  });
+        return p;
+      }, &miss);
+      materialized[g] = miss;
+    });
+  }
 
   // Phase 2, parallel per batch set: one forward invocation covers every
   // group of the set still lacking a product, then post-processing fans the

@@ -1,7 +1,8 @@
-// Pre-processing pipeline: JPEG bytes -> decode -> resize -> color-mode
-// round trip -> normalized CHW tensor (optionally round-tripped through an
-// NHWC(FP16) staging buffer). The pre-processing SysNoise knobs (decoder
-// vendor, resize kernel, color path, normalization stats, channel layout)
+// Pre-processing pipeline: JPEG bytes -> decode -> resize (optionally to
+// out/crop_fraction, then center crop) -> color-mode round trip ->
+// normalized CHW tensor (optionally round-tripped through an NHWC(FP16)
+// staging buffer). The pre-processing SysNoise knobs (decoder vendor, resize
+// kernel, crop geometry, color path, normalization stats, channel layout)
 // act here; samples are stored as real JPEG bitstreams so the decode path
 // is exercised end to end.
 //
@@ -9,10 +10,17 @@
 // (preprocess -> forward -> postprocess): `preprocess_key()` names exactly
 // the knobs this stage reads, and `preprocess_batches()` materializes the
 // stage's product — stacked input batches — once per distinct key so sweeps
-// over inference-side knobs never re-decode or re-resize a JPEG.
+// over inference-side knobs never re-decode or re-resize a JPEG. Keys that
+// differ only after the decode (resize, crop, color, stats, layout) can
+// share the decoded images too: a `DecodeMemo` installed on the calling
+// thread decodes each (sample list, vendor) once for all of them.
 #pragma once
 
 #include <cstdint>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,11 +71,57 @@ struct PreprocessedBatches {
   int num_samples = 0;
 };
 
+// The JPEG bitstreams of an evaluation sample list, in order.
+using JpegList = std::vector<const std::vector<std::uint8_t>*>;
+
+// Decoded sample lists shared by the preprocess keys of one evaluation call.
+// Each (exact sample list, decoder vendor) is decoded once: concurrent
+// requests for it wait on one decode, and a decode that throws reaches every
+// waiter and is never kept. Memory stays bounded: a decoded list is kept
+// only while a caller holds it, plus the most recently requested one.
+class DecodeMemo {
+ public:
+  using Images = std::vector<ImageU8>;
+
+  // `jpegs` decoded under `vendor`, one image per entry. The list is keyed
+  // by its pointers, so the bytes must outlive the memo.
+  std::shared_ptr<const Images> get(const JpegList& jpegs,
+                                    jpeg::DecoderVendor vendor);
+
+ private:
+  using Key = std::pair<jpeg::DecoderVendor, JpegList>;
+  struct Entry {
+    std::shared_future<std::shared_ptr<const Images>> pending;  // decoding
+    std::weak_ptr<const Images> done;                           // decoded
+  };
+
+  std::mutex mu_;
+  std::map<Key, Entry> entries_;
+  std::shared_ptr<const Images> recent_;
+};
+
+// RAII per-thread installation of a DecodeMemo (like BackendScope): while
+// alive, preprocess_batches on this thread takes its decoded images from
+// `memo`. Scopes nest; the previous memo (or none) is restored on exit.
+class DecodeMemoScope {
+ public:
+  explicit DecodeMemoScope(DecodeMemo& memo);
+  ~DecodeMemoScope();
+  DecodeMemoScope(const DecodeMemoScope&) = delete;
+  DecodeMemoScope& operator=(const DecodeMemoScope&) = delete;
+
+ private:
+  DecodeMemo* prev_;
+};
+
 // Materialize the stage-1 product for a sample list. Batch boundaries match
 // the monolithic evaluation loops (`bs = min(batch_size, n - b)`), so a
 // forward pass over these tensors is bit-identical to the unstaged path.
-PreprocessedBatches preprocess_batches(
-    const std::vector<const std::vector<std::uint8_t>*>& jpegs,
-    const SysNoiseConfig& cfg, const PipelineSpec& spec, int batch_size);
+// Under a DecodeMemoScope the JPEGs come decoded from the memo; the bytes
+// are the same as decoding them here.
+PreprocessedBatches preprocess_batches(const JpegList& jpegs,
+                                       const SysNoiseConfig& cfg,
+                                       const PipelineSpec& spec,
+                                       int batch_size);
 
 }  // namespace sysnoise

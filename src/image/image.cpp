@@ -12,10 +12,6 @@ std::uint8_t ImageU8::at_clamped(int y, int x, int ch) const {
   return at(y, x, ch);
 }
 
-std::uint8_t clamp_u8(int v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
-}
-
 std::uint8_t clamp_u8f(float v) {
   return clamp_u8(static_cast<int>(std::lround(v)));
 }

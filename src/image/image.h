@@ -2,6 +2,7 @@
 // pipeline (decoder output, resize input/output, color round-trip target).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,7 +45,10 @@ class ImageU8 {
   std::vector<std::uint8_t> data_;
 };
 
-std::uint8_t clamp_u8(int v);
+// Inline: the resamplers and the JPEG color conversion call it per byte.
+inline std::uint8_t clamp_u8(int v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+}
 std::uint8_t clamp_u8f(float v);
 
 // HWC uint8 -> CHW float tensor, normalized as (v/255 - mean) / std per channel.

@@ -9,6 +9,8 @@
 #include "jpeg/huffman.h"
 #include "jpeg/quant_tables.h"
 #include "jpeg/zigzag.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace sysnoise::jpeg {
 
@@ -58,22 +60,6 @@ void rgb_to_ycbcr(std::uint8_t r8, std::uint8_t g8, std::uint8_t b8, float& y,
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared plane helpers
-// ---------------------------------------------------------------------------
-
-struct Plane {
-  int h = 0, w = 0;
-  std::vector<float> v;
-  Plane() = default;
-  Plane(int hh, int ww) : h(hh), w(ww), v(static_cast<std::size_t>(hh) * ww, 0.0f) {}
-  float& at(int y, int x) { return v[static_cast<std::size_t>(y) * w + x]; }
-  float at(int y, int x) const { return v[static_cast<std::size_t>(y) * w + x]; }
-  float at_clamped(int y, int x) const {
-    return at(std::clamp(y, 0, h - 1), std::clamp(x, 0, w - 1));
-  }
-};
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
@@ -458,26 +444,95 @@ void store_block(Plane& p, int by, int bx, const float samples[64]) {
   }
 }
 
-// Triangle-filter (libjpeg "fancy") 2x chroma upsampling.
-float fancy_upsample_at(const Plane& c, int oy, int ox) {
-  const int cy = oy >> 1, cx = ox >> 1;
-  const int ny = (oy & 1) ? cy + 1 : cy - 1;
-  const int nx = (ox & 1) ? cx + 1 : cx - 1;
-  const float c00 = c.at_clamped(cy, cx);
-  const float c01 = c.at_clamped(cy, nx);
-  const float c10 = c.at_clamped(ny, cx);
-  const float c11 = c.at_clamped(ny, nx);
-  return (9.0f * c00 + 3.0f * c01 + 3.0f * c10 + c11) / 16.0f;
+// Source columns of the triangle-filter (libjpeg "fancy") 2x chroma
+// upsampling for output columns [0, w): the nearer chroma sample and its
+// neighbour on the output column's side, clamped to the plane.
+struct FancyColumns {
+  std::vector<int> near, far;
+  FancyColumns(int w, int plane_w)
+      : near(static_cast<std::size_t>(w)), far(static_cast<std::size_t>(w)) {
+    for (int ox = 0; ox < w; ++ox) {
+      const int cx = ox >> 1;
+      near[static_cast<std::size_t>(ox)] = std::min(cx, plane_w - 1);
+      far[static_cast<std::size_t>(ox)] =
+          std::clamp((ox & 1) ? cx + 1 : cx - 1, 0, plane_w - 1);
+    }
+  }
+};
+
+// One upsampled chroma row for output row `oy`:
+// (9*c00 + 3*c01 + 3*c10 + c11) / 16 over the nearer/farther rows and
+// columns, evaluated in that order.
+void fancy_upsample_row(const Plane& c, int oy, const FancyColumns& cols,
+                        float* out) {
+  const int cy = oy >> 1;
+  const int ny = std::clamp((oy & 1) ? cy + 1 : cy - 1, 0, c.h - 1);
+  const float* r0 = &c.v[static_cast<std::size_t>(std::min(cy, c.h - 1)) * c.w];
+  const float* r1 = &c.v[static_cast<std::size_t>(ny) * c.w];
+  const int* near = cols.near.data();
+  const int* far = cols.far.data();
+  const std::size_t w = cols.near.size();
+  for (std::size_t x = 0; x < w; ++x) {
+    const float c00 = r0[near[x]], c01 = r0[far[x]];
+    const float c10 = r1[near[x]], c11 = r1[far[x]];
+    out[x] = (9.0f * c00 + 3.0f * c01 + 3.0f * c10 + c11) / 16.0f;
+  }
 }
 
 std::uint8_t cc_float_lround(float v) {
   return clamp_u8(static_cast<int>(std::lround(v)));
 }
 
+// Convert one row of Y/Cb/Cr samples to interleaved RGB.
+void color_convert_row(VendorTraits::ColorConvert mode, const float* yr,
+                       const float* cbr, const float* crr, int w,
+                       std::uint8_t* o) {
+  switch (mode) {
+    case VendorTraits::ColorConvert::kFloatLround:
+      for (int x = 0; x < w; ++x, o += 3) {
+        const float Y = yr[x];
+        const float cb = cbr[x] - 128.0f, cr = crr[x] - 128.0f;
+        o[0] = cc_float_lround(Y + 1.402f * cr);
+        o[1] = cc_float_lround(Y - 0.344136f * cb - 0.714136f * cr);
+        o[2] = cc_float_lround(Y + 1.772f * cb);
+      }
+      return;
+    case VendorTraits::ColorConvert::kFixedPoint16:
+      // libjpeg-style 16-bit fixed point on rounded integer samples.
+      for (int x = 0; x < w; ++x, o += 3) {
+        const int yi = static_cast<int>(std::lround(yr[x]));
+        const int cb = static_cast<int>(std::lround(cbr[x])) - 128;
+        const int cr = static_cast<int>(std::lround(crr[x])) - 128;
+        constexpr int kHalf = 1 << 15;
+        const int r = yi + ((91881 * cr + kHalf) >> 16);   // 1.40200 * 65536
+        const int g = yi - ((22554 * cb + 46802 * cr + kHalf) >> 16);
+        const int b = yi + ((116130 * cb + kHalf) >> 16);  // 1.77200 * 65536
+        o[0] = clamp_u8(r);
+        o[1] = clamp_u8(g);
+        o[2] = clamp_u8(b);
+      }
+      return;
+    case VendorTraits::ColorConvert::kShift8:
+      // 8-bit constant approximation (HW accelerator style).
+      for (int x = 0; x < w; ++x, o += 3) {
+        const int yi = static_cast<int>(yr[x]);  // truncation, as cheap HW does
+        const int cb = static_cast<int>(cbr[x]) - 128;
+        const int cr = static_cast<int>(crr[x]) - 128;
+        const int r = yi + ((359 * cr + 128) >> 8);
+        const int g = yi - ((88 * cb + 183 * cr + 128) >> 8);
+        const int b = yi + ((454 * cb + 128) >> 8);
+        o[0] = clamp_u8(r);
+        o[1] = clamp_u8(g);
+        o[2] = clamp_u8(b);
+      }
+      return;
+  }
+}
+
 }  // namespace
 
-ImageU8 decode_with_traits(const std::vector<std::uint8_t>& bytes,
-                           const VendorTraits& traits) {
+DecodedPlanes decode_planes(const std::vector<std::uint8_t>& bytes,
+                            const VendorTraits& traits) {
   const ParsedJpeg j = parse_headers(bytes);
   const int h = j.height, w = j.width;
 
@@ -529,63 +584,55 @@ ImageU8 decode_with_traits(const std::vector<std::uint8_t>& bytes,
       }
   }
 
-  // Upsample chroma and convert to RGB.
-  ImageU8 out(h, w, 3);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float Y = py.at(y, x);
-      float Cb, Cr;
-      if (j.subsampled) {
-        if (traits.fancy_chroma_upsample) {
-          Cb = fancy_upsample_at(pcb, y, x);
-          Cr = fancy_upsample_at(pcr, y, x);
-        } else {
-          Cb = pcb.at(y >> 1, x >> 1);
-          Cr = pcr.at(y >> 1, x >> 1);
-        }
-      } else {
-        Cb = pcb.at(y, x);
-        Cr = pcr.at(y, x);
-      }
+  return {h, w, j.subsampled, std::move(py), std::move(pcb), std::move(pcr)};
+}
 
-      switch (traits.color_convert) {
-        case VendorTraits::ColorConvert::kFloatLround: {
-          const float cb = Cb - 128.0f, cr = Cr - 128.0f;
-          out.at(y, x, 0) = cc_float_lround(Y + 1.402f * cr);
-          out.at(y, x, 1) = cc_float_lround(Y - 0.344136f * cb - 0.714136f * cr);
-          out.at(y, x, 2) = cc_float_lround(Y + 1.772f * cb);
-          break;
-        }
-        case VendorTraits::ColorConvert::kFixedPoint16: {
-          // libjpeg-style 16-bit fixed point on rounded integer samples.
-          const int yi = static_cast<int>(std::lround(Y));
-          const int cb = static_cast<int>(std::lround(Cb)) - 128;
-          const int cr = static_cast<int>(std::lround(Cr)) - 128;
-          constexpr int kHalf = 1 << 15;
-          const int r = yi + ((91881 * cr + kHalf) >> 16);   // 1.40200 * 65536
-          const int g = yi - ((22554 * cb + 46802 * cr + kHalf) >> 16);
-          const int b = yi + ((116130 * cb + kHalf) >> 16);  // 1.77200 * 65536
-          out.at(y, x, 0) = clamp_u8(r);
-          out.at(y, x, 1) = clamp_u8(g);
-          out.at(y, x, 2) = clamp_u8(b);
-          break;
-        }
-        case VendorTraits::ColorConvert::kShift8: {
-          // 8-bit constant approximation (HW accelerator style).
-          const int yi = static_cast<int>(Y);  // truncation, as cheap HW does
-          const int cb = static_cast<int>(Cb) - 128;
-          const int cr = static_cast<int>(Cr) - 128;
-          const int r = yi + ((359 * cr + 128) >> 8);
-          const int g = yi - ((88 * cb + 183 * cr + 128) >> 8);
-          const int b = yi + ((454 * cb + 128) >> 8);
-          out.at(y, x, 0) = clamp_u8(r);
-          out.at(y, x, 1) = clamp_u8(g);
-          out.at(y, x, 2) = clamp_u8(b);
-          break;
-        }
+ImageU8 planes_to_rgb(const DecodedPlanes& planes, const VendorTraits& traits) {
+  // Upsample chroma and convert to RGB, one row at a time.
+  const int h = planes.height, w = planes.width;
+  const Plane &py = planes.y, &pcb = planes.cb, &pcr = planes.cr;
+  const auto covers = [](const Plane& p, int ph, int pw) {
+    return p.h >= ph && p.w >= pw &&
+           p.v.size() == static_cast<std::size_t>(p.h) * p.w;
+  };
+  const int ch = planes.subsampled ? ceil_div(h, 2) : h;
+  const int cw = planes.subsampled ? ceil_div(w, 2) : w;
+  if (h <= 0 || w <= 0 || !covers(py, h, w) || !covers(pcb, ch, cw) ||
+      pcr.h != pcb.h || pcr.w != pcb.w || !covers(pcr, ch, cw))
+    throw std::invalid_argument("jpeg::planes_to_rgb: planes do not cover the image");
+  ImageU8 out(h, w, 3);
+  const FancyColumns cols(planes.subsampled && traits.fancy_chroma_upsample ? w : 0,
+                          pcb.w);
+  std::vector<float> cb_row(static_cast<std::size_t>(w)),
+      cr_row(static_cast<std::size_t>(w));
+  for (int y = 0; y < h; ++y) {
+    const float* cbr = cb_row.data();
+    const float* crr = cr_row.data();
+    if (!planes.subsampled) {
+      cbr = &pcb.v[static_cast<std::size_t>(y) * pcb.w];
+      crr = &pcr.v[static_cast<std::size_t>(y) * pcr.w];
+    } else if (traits.fancy_chroma_upsample) {
+      fancy_upsample_row(pcb, y, cols, cb_row.data());
+      fancy_upsample_row(pcr, y, cols, cr_row.data());
+    } else {
+      for (int x = 0; x < w; ++x) {
+        cb_row[static_cast<std::size_t>(x)] = pcb.at(y >> 1, x >> 1);
+        cr_row[static_cast<std::size_t>(x)] = pcr.at(y >> 1, x >> 1);
       }
     }
+    color_convert_row(traits.color_convert,
+                      &py.v[static_cast<std::size_t>(y) * py.w], cbr, crr, w,
+                      out.data() + static_cast<std::size_t>(y) * w * 3);
   }
+  return out;
+}
+
+ImageU8 decode_with_traits(const std::vector<std::uint8_t>& bytes,
+                           const VendorTraits& traits) {
+  ImageU8 out = planes_to_rgb(decode_planes(bytes, traits), traits);
+  // Observational only: how many images the decoders produced, so a trace
+  // shows whether a sweep shared its decodes.
+  if (obs::trace_enabled()) obs::metrics().counter_add("jpeg.decode.images");
   return out;
 }
 

@@ -11,6 +11,7 @@
 // which yields the few-LSB pixel disagreements the paper measures.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -55,9 +56,38 @@ constexpr std::int64_t kMaxFramePixels = std::int64_t{1} << 24;  // 4096^2
 // plane is allocated) and a scan that ends before its last block.
 ImageU8 decode(const std::vector<std::uint8_t>& bytes, DecoderVendor vendor);
 
-// Decode with explicit traits (used by tests and ablations).
+// Decode with explicit traits (used by tests and ablations). While tracing,
+// every decoded image adds 1 to the `jpeg.decode.images` counter.
 ImageU8 decode_with_traits(const std::vector<std::uint8_t>& bytes,
                            const VendorTraits& traits);
+
+// A float sample plane, row-major.
+struct Plane {
+  int h = 0, w = 0;
+  std::vector<float> v;
+  Plane() = default;
+  Plane(int hh, int ww) : h(hh), w(ww), v(static_cast<std::size_t>(hh) * ww, 0.0f) {}
+  float& at(int y, int x) { return v[static_cast<std::size_t>(y) * w + x]; }
+  float at(int y, int x) const { return v[static_cast<std::size_t>(y) * w + x]; }
+  float at_clamped(int y, int x) const {
+    return at(std::clamp(y, 0, h - 1), std::clamp(x, 0, w - 1));
+  }
+};
+
+// The decoder's two stages (exposed for tests):
+// decode_with_traits(b, t) == planes_to_rgb(decode_planes(b, t), t).
+// Stage 1 entropy-decodes, dequantizes and inverse-transforms the scan into
+// Y/Cb/Cr sample planes (0..255 scale, padded to whole blocks; chroma at
+// half resolution when subsampled). Stage 2 upsamples the chroma and
+// converts each pixel to RGB.
+struct DecodedPlanes {
+  int height = 0, width = 0;  // the image; the planes may be larger
+  bool subsampled = false;    // 4:2:0 chroma
+  Plane y, cb, cr;
+};
+DecodedPlanes decode_planes(const std::vector<std::uint8_t>& bytes,
+                            const VendorTraits& traits);
+ImageU8 planes_to_rgb(const DecodedPlanes& planes, const VendorTraits& traits);
 
 // Full-range JFIF RGB->YCbCr used by the encoder (exposed for tests).
 void rgb_to_ycbcr(std::uint8_t r, std::uint8_t g, std::uint8_t b, float& y,

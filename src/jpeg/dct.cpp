@@ -1,8 +1,10 @@
 #include "jpeg/dct.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <stdexcept>
 
 namespace sysnoise::jpeg {
 
@@ -65,26 +67,48 @@ void idct8x8_reference(const float in[64], float out[64]) {
     }
 }
 
+namespace {
+
+// Integer basis with `bits` fractional bits: round(K[k][n] * 2^bits).
+using FixedBasis = std::array<std::array<std::int32_t, 8>, 8>;
+constexpr int kMaxFixedBits = 30;
+
+// Every supported precision's integer basis, built once.
+const std::array<FixedBasis, kMaxFixedBits + 1>& fixed_bases() {
+  static const auto bases = [] {
+    std::array<FixedBasis, kMaxFixedBits + 1> all{};
+    const auto& B = basis();
+    for (int bits = 1; bits <= kMaxFixedBits; ++bits) {
+      const double scale = static_cast<double>(1 << bits);
+      for (int k = 0; k < 8; ++k)
+        for (int n = 0; n < 8; ++n)
+          all[static_cast<std::size_t>(bits)][static_cast<std::size_t>(k)]
+             [static_cast<std::size_t>(n)] =
+              static_cast<std::int32_t>(std::lround(B.k[k][n] * scale));
+    }
+    return all;
+  }();
+  return bases;
+}
+
+}  // namespace
+
 void idct8x8_fixed(const float in[64], float out[64], int bits) {
   // Integer basis with `bits` fractional bits; row pass keeps `bits`
   // fractional bits, column pass descales with round-half-up. This mirrors
   // the structure (and rounding behaviour) of fixed-point vendor kernels.
-  const auto& B = basis();
-  std::int32_t ib[8][8];
-  const double scale = static_cast<double>(1 << bits);
-  for (int k = 0; k < 8; ++k)
-    for (int n = 0; n < 8; ++n)
-      ib[k][n] = static_cast<std::int32_t>(std::lround(B.k[k][n] * scale));
+  if (bits < 1 || bits > kMaxFixedBits)
+    throw std::invalid_argument("idct8x8_fixed: bits must be in [1, 30]");
+  const FixedBasis& ib = fixed_bases()[static_cast<std::size_t>(bits)];
+  std::int64_t coeff[64];
+  for (int i = 0; i < 64; ++i) coeff[i] = std::lround(in[i]);
 
   std::int64_t tmp[64];
   const std::int64_t half = 1ll << (bits - 1);
   for (int v = 0; v < 8; ++v)
     for (int x = 0; x < 8; ++x) {
       std::int64_t s = 0;
-      for (int u = 0; u < 8; ++u) {
-        const auto coeff = static_cast<std::int64_t>(std::lround(in[v * 8 + u]));
-        s += coeff * ib[u][x];
-      }
+      for (int u = 0; u < 8; ++u) s += coeff[v * 8 + u] * ib[u][x];
       tmp[v * 8 + x] = (s + half) >> bits;  // keep integer samples per row pass
     }
   for (int x = 0; x < 8; ++x)

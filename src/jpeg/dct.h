@@ -25,6 +25,8 @@ void idct8x8(IdctMethod method, const float in[64], float out[64]);
 
 // Individual kernels (exposed for unit tests).
 void idct8x8_reference(const float in[64], float out[64]);
+// `bits` is the integer basis precision, 1..30 (vendors use 9 and 13);
+// throws std::invalid_argument outside that range.
 void idct8x8_fixed(const float in[64], float out[64], int bits);
 void idct8x8_aan(const float in[64], float out[64]);
 

@@ -35,24 +35,32 @@ FilterDef filter_def(PillowFilter f) {
 }
 
 // Precomputed bounds + normalized fixed-point coefficients for one axis
-// (PIL precompute_coeffs).
+// (PIL precompute_coeffs), in one flat allocation: output i's taps are
+// coeffs[i * ksize, i * ksize + xsize[i]).
 struct AxisCoeffs {
-  std::vector<int> xmin;                 // first source index per output
-  std::vector<int> xsize;                // tap count per output
-  std::vector<std::vector<int>> coeffs;  // fixed-point weights per output
+  int ksize = 0;             // coefficient stride per output
+  std::vector<int> xmin;     // first source index per output
+  std::vector<int> xsize;    // tap count per output
+  std::vector<int> coeffs;   // fixed-point weights, ksize per output
+
+  const int* taps(int i) const {
+    return coeffs.data() + static_cast<std::size_t>(i) * ksize;
+  }
 };
 
 AxisCoeffs precompute(int in_size, int out_size, const FilterDef& fd) {
-  AxisCoeffs ac;
-  ac.xmin.resize(static_cast<std::size_t>(out_size));
-  ac.xsize.resize(static_cast<std::size_t>(out_size));
-  ac.coeffs.resize(static_cast<std::size_t>(out_size));
-
   const double scale = static_cast<double>(in_size) / out_size;
   const double filterscale = std::max(scale, 1.0);  // antialias on downscale
   const double support = fd.support * filterscale;
 
-  std::vector<double> w;
+  AxisCoeffs ac;
+  // PIL's bound on the taps per output: xmax - xmin < 2 * support + 1.
+  ac.ksize = static_cast<int>(std::ceil(support)) * 2 + 1;
+  ac.xmin.resize(static_cast<std::size_t>(out_size));
+  ac.xsize.resize(static_cast<std::size_t>(out_size));
+  ac.coeffs.assign(static_cast<std::size_t>(out_size) * ac.ksize, 0);
+
+  std::vector<double> w(static_cast<std::size_t>(ac.ksize));
   for (int xx = 0; xx < out_size; ++xx) {
     const double center = (xx + 0.5) * scale;
     int xmin = static_cast<int>(center - support + 0.5);
@@ -60,66 +68,75 @@ AxisCoeffs precompute(int in_size, int out_size, const FilterDef& fd) {
     int xmax = static_cast<int>(center + support + 0.5);
     if (xmax > in_size) xmax = in_size;
     const int n = xmax - xmin;
+    if (n > ac.ksize) throw std::logic_error("pillow_resize: tap bound exceeded");
 
-    w.assign(static_cast<std::size_t>(n), 0.0);
     double total = 0.0;
     for (int i = 0; i < n; ++i) {
       const double val = fd.fn((xmin + i + 0.5 - center) / filterscale);
       w[static_cast<std::size_t>(i)] = val;
       total += val;
     }
-    std::vector<int> fixed(static_cast<std::size_t>(n));
+    int* fixed = ac.coeffs.data() + static_cast<std::size_t>(xx) * ac.ksize;
     for (int i = 0; i < n; ++i) {
       const double norm = total != 0.0 ? w[static_cast<std::size_t>(i)] / total : 0.0;
       // Pillow rounds half away from zero when quantizing coefficients.
-      fixed[static_cast<std::size_t>(i)] =
-          static_cast<int>(std::round(norm * (1 << kPrecisionBits)));
+      fixed[i] = static_cast<int>(std::round(norm * (1 << kPrecisionBits)));
     }
     ac.xmin[static_cast<std::size_t>(xx)] = xmin;
     ac.xsize[static_cast<std::size_t>(xx)] = n;
-    ac.coeffs[static_cast<std::size_t>(xx)] = std::move(fixed);
   }
   return ac;
 }
 
-std::uint8_t clip8(std::int64_t acc) {
+inline std::uint8_t clip8(std::int64_t acc) {
   // Pillow: add half, shift, clamp.
   const std::int64_t v = (acc + (1ll << (kPrecisionBits - 1))) >> kPrecisionBits;
-  return clamp_u8(static_cast<int>(std::clamp<std::int64_t>(v, 0, 255)));
+  return static_cast<std::uint8_t>(std::clamp<std::int64_t>(v, 0, 255));
 }
 
+// Both passes accumulate exact int64 sums of int weights times bytes, so
+// the order the taps are added in cannot change a byte.
 ImageU8 resample_horizontal(const ImageU8& src, int out_w, const AxisCoeffs& ac) {
   const int h = src.height(), c = src.channels();
+  const std::size_t in_row = static_cast<std::size_t>(src.width()) * c;
+  const std::size_t out_row = static_cast<std::size_t>(out_w) * c;
   ImageU8 out(h, out_w, c);
-  for (int y = 0; y < h; ++y)
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* s = src.data() + static_cast<std::size_t>(y) * in_row;
+    std::uint8_t* o = out.data() + static_cast<std::size_t>(y) * out_row;
     for (int x = 0; x < out_w; ++x) {
-      const int xmin = ac.xmin[static_cast<std::size_t>(x)];
-      const auto& cf = ac.coeffs[static_cast<std::size_t>(x)];
+      const std::uint8_t* px =
+          s + static_cast<std::size_t>(ac.xmin[static_cast<std::size_t>(x)]) * c;
+      const int* cf = ac.taps(x);
+      const int n = ac.xsize[static_cast<std::size_t>(x)];
       for (int ch = 0; ch < c; ++ch) {
         std::int64_t acc = 0;
-        for (int i = 0; i < ac.xsize[static_cast<std::size_t>(x)]; ++i)
-          acc += static_cast<std::int64_t>(cf[static_cast<std::size_t>(i)]) *
-                 src.at(y, xmin + i, ch);
-        out.at(y, x, ch) = clip8(acc);
+        for (int i = 0; i < n; ++i)
+          acc += static_cast<std::int64_t>(cf[i]) * px[i * c + ch];
+        *o++ = clip8(acc);
       }
     }
+  }
   return out;
 }
 
 ImageU8 resample_vertical(const ImageU8& src, int out_h, const AxisCoeffs& ac) {
   const int w = src.width(), c = src.channels();
+  const std::size_t row = static_cast<std::size_t>(w) * c;
   ImageU8 out(out_h, w, c);
+  std::vector<std::int64_t> acc(row);
   for (int y = 0; y < out_h; ++y) {
+    std::fill(acc.begin(), acc.end(), 0);
+    const int* cf = ac.taps(y);
     const int ymin = ac.xmin[static_cast<std::size_t>(y)];
-    const auto& cf = ac.coeffs[static_cast<std::size_t>(y)];
-    for (int x = 0; x < w; ++x)
-      for (int ch = 0; ch < c; ++ch) {
-        std::int64_t acc = 0;
-        for (int i = 0; i < ac.xsize[static_cast<std::size_t>(y)]; ++i)
-          acc += static_cast<std::int64_t>(cf[static_cast<std::size_t>(i)]) *
-                 src.at(ymin + i, x, ch);
-        out.at(y, x, ch) = clip8(acc);
-      }
+    for (int i = 0; i < ac.xsize[static_cast<std::size_t>(y)]; ++i) {
+      const std::int64_t k = cf[i];
+      const std::uint8_t* s =
+          src.data() + static_cast<std::size_t>(ymin + i) * row;
+      for (std::size_t j = 0; j < row; ++j) acc[j] += k * s[j];
+    }
+    std::uint8_t* o = out.data() + static_cast<std::size_t>(y) * row;
+    for (std::size_t j = 0; j < row; ++j) o[j] = clip8(acc[j]);
   }
   return out;
 }

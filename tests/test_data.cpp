@@ -1,9 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <latch>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "data/datasets.h"
 #include "data/noise_config.h"
 #include "data/pipeline.h"
 #include "image/metrics.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace sysnoise {
 namespace {
@@ -214,6 +227,165 @@ TEST(SegDataset, MaskAlignsWithImageContent) {
   ASSERT_GT(fg_n, 0);
   ASSERT_GT(bg_n, 0);
   EXPECT_GT(std::abs(fg_sum / fg_n - bg_sum / bg_n), 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// DecodeMemo: one decode per (sample list, vendor), under real parallelism
+// ---------------------------------------------------------------------------
+
+// How many images the decoders produced while `fn` ran (the trace-gated
+// jpeg.decode.images counter).
+std::uint64_t decodes_during(const std::function<void()>& fn) {
+  obs::metrics().reset();
+  obs::trace_enable();
+  fn();
+  obs::trace_disable();
+  obs::trace_reset();
+  const std::uint64_t n = obs::metrics().counter_value("jpeg.decode.images");
+  obs::metrics().reset();
+  return n;
+}
+
+JpegList jpegs_of(const std::vector<data::ClsSample>& samples) {
+  JpegList out;
+  for (const auto& s : samples) out.push_back(&s.jpeg);
+  return out;
+}
+
+// Runs fn(t) on `threads` threads released together by a latch.
+void run_together(int threads, const std::function<void(int)>& fn) {
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      fn(t);
+    });
+  for (std::thread& th : pool) th.join();
+}
+
+constexpr int kRacers = 8;
+
+TEST(DecodeMemo, ConcurrentRequestsShareOneDecode) {
+  const auto ds = data::make_classification_dataset(small_cls_spec());
+  const JpegList jpegs = jpegs_of(ds.eval);
+  DecodeMemo memo;
+  std::vector<std::shared_ptr<const DecodeMemo::Images>> got(kRacers);
+  const std::uint64_t decodes = decodes_during([&] {
+    run_together(kRacers, [&](int t) {
+      got[static_cast<std::size_t>(t)] =
+          memo.get(jpegs, jpeg::DecoderVendor::kFFmpeg);
+    });
+  });
+  EXPECT_EQ(decodes, jpegs.size());
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
+  ASSERT_EQ(got[0]->size(), jpegs.size());
+  for (std::size_t i = 0; i < jpegs.size(); ++i)
+    EXPECT_EQ((*got[0])[i].vec(),
+              jpeg::decode(*jpegs[i], jpeg::DecoderVendor::kFFmpeg).vec());
+}
+
+TEST(DecodeMemo, DistinctVendorsAndListsGetDistinctSets) {
+  const auto ds = data::make_classification_dataset(small_cls_spec());
+  const JpegList all = jpegs_of(ds.eval);
+  // Same first element as `all` but shorter; same elements reordered.
+  const JpegList head(all.begin(), all.begin() + 2);
+  JpegList swapped = all;
+  std::swap(swapped[0], swapped[1]);
+  DecodeMemo memo;
+  const auto pillow = memo.get(all, jpeg::DecoderVendor::kPillow);
+  const auto opencv = memo.get(all, jpeg::DecoderVendor::kOpenCV);
+  const auto short_list = memo.get(head, jpeg::DecoderVendor::kPillow);
+  const auto reordered = memo.get(swapped, jpeg::DecoderVendor::kPillow);
+  const std::set<const void*> sets = {pillow.get(), opencv.get(),
+                                      short_list.get(), reordered.get()};
+  EXPECT_EQ(sets.size(), 4u);
+  EXPECT_EQ(memo.get(all, jpeg::DecoderVendor::kPillow).get(), pillow.get());
+
+  ASSERT_EQ(short_list->size(), 2u);
+  EXPECT_EQ((*short_list)[1].vec(), (*pillow)[1].vec());
+  EXPECT_EQ((*reordered)[0].vec(), (*pillow)[1].vec());
+  EXPECT_EQ((*reordered)[1].vec(), (*pillow)[0].vec());
+  for (std::size_t i = 0; i < all.size(); ++i)
+    EXPECT_EQ((*opencv)[i].vec(),
+              jpeg::decode(*all[i], jpeg::DecoderVendor::kOpenCV).vec());
+}
+
+TEST(DecodeMemo, KeepsOnlySetsInUseAndTheMostRecent) {
+  const auto ds = data::make_classification_dataset(small_cls_spec());
+  const JpegList all = jpegs_of(ds.eval);
+  DecodeMemo memo;
+  std::weak_ptr<const DecodeMemo::Images> pillow, dali;
+  pillow = memo.get(all, jpeg::DecoderVendor::kPillow);
+  // Unused but the most recent: kept, and a repeat request decodes nothing.
+  ASSERT_FALSE(pillow.expired());
+  EXPECT_EQ(decodes_during([&] {
+              EXPECT_EQ(memo.get(all, jpeg::DecoderVendor::kPillow).get(),
+                        pillow.lock().get());
+            }),
+            0u);
+  {
+    const auto held = memo.get(all, jpeg::DecoderVendor::kDALI);
+    dali = held;
+    // Pillow has no user and is no longer the most recent.
+    EXPECT_TRUE(pillow.expired());
+    // A set in use outlives newer requests...
+    memo.get(all, jpeg::DecoderVendor::kOpenCV);
+    EXPECT_FALSE(dali.expired());
+  }
+  // ...until its user leaves.
+  EXPECT_TRUE(dali.expired());
+  // A freed set is decoded afresh when asked for again.
+  EXPECT_EQ(decodes_during([&] { memo.get(all, jpeg::DecoderVendor::kPillow); }),
+            all.size());
+}
+
+TEST(DecodeMemo, ThrowingDecodeReachesEveryWaiterAndIsNotKept) {
+  const auto ds = data::make_classification_dataset(small_cls_spec());
+  std::vector<std::uint8_t> bytes = {0xFF, 0xD8, 0x00};  // SOI, then garbage
+  const JpegList list = {&ds.eval[0].jpeg, &bytes};
+  DecodeMemo memo;
+  std::atomic<int> failures{0};
+  run_together(kRacers, [&](int) {
+    try {
+      memo.get(list, jpeg::DecoderVendor::kDALI);
+    } catch (const std::runtime_error&) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), kRacers);
+  // Nothing was kept: once the bytes behind the same pointer are valid, the
+  // same request decodes them.
+  bytes = ds.eval[1].jpeg;
+  const auto images = memo.get(list, jpeg::DecoderVendor::kDALI);
+  ASSERT_EQ(images->size(), 2u);
+  EXPECT_EQ((*images)[1].vec(),
+            jpeg::decode(bytes, jpeg::DecoderVendor::kDALI).vec());
+}
+
+TEST(DecodeMemo, ScopedMemoFeedsPreprocessBatchesOnThisThreadOnly) {
+  const auto ds = data::make_classification_dataset(small_cls_spec());
+  const JpegList all = jpegs_of(ds.eval);
+  const PipelineSpec spec{.out_h = 32, .out_w = 32};
+  SysNoiseConfig cfg = SysNoiseConfig::training_default();
+  DecodeMemo memo;
+  std::uint64_t inside = 0, other_thread = 0, after = 0;
+  {
+    const DecodeMemoScope scope(memo);
+    // Two keys over one vendor: one decode pass between them.
+    inside = decodes_during([&] {
+      preprocess_batches(all, cfg, spec, 3);
+      cfg.resize = ResizeMethod::kOpenCVArea;
+      preprocess_batches(all, cfg, spec, 3);
+    });
+    other_thread = decodes_during([&] {
+      std::thread([&] { preprocess_batches(all, cfg, spec, 3); }).join();
+    });
+  }
+  after = decodes_during([&] { preprocess_batches(all, cfg, spec, 3); });
+  EXPECT_EQ(inside, all.size());
+  EXPECT_EQ(other_thread, all.size());
+  EXPECT_EQ(after, all.size());
 }
 
 }  // namespace

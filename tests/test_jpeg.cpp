@@ -3,6 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "image/metrics.h"
@@ -81,6 +85,73 @@ TEST(Dct, FixedPointTracksReferenceWithinRounding) {
       EXPECT_NEAR(fx9[i], ref[i], 4.0f);
     }
   }
+}
+
+// Verbatim copy of the seed idct8x8_fixed (with the seed's double basis),
+// which rebuilt the integer basis on every block and rounded each input
+// coefficient once per output column.
+void seed_idct8x8_fixed(const float in[64], float out[64], int bits) {
+  double basis[8][8];
+  for (int kk = 0; kk < 8; ++kk) {
+    const double alpha = kk == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+    for (int n = 0; n < 8; ++n)
+      basis[kk][n] = alpha * std::cos((2 * n + 1) * kk * std::numbers::pi / 16.0);
+  }
+  std::int32_t ib[8][8];
+  const double scale = static_cast<double>(1 << bits);
+  for (int k = 0; k < 8; ++k)
+    for (int n = 0; n < 8; ++n)
+      ib[k][n] = static_cast<std::int32_t>(std::lround(basis[k][n] * scale));
+
+  std::int64_t tmp[64];
+  const std::int64_t half = 1ll << (bits - 1);
+  for (int v = 0; v < 8; ++v)
+    for (int x = 0; x < 8; ++x) {
+      std::int64_t s = 0;
+      for (int u = 0; u < 8; ++u) {
+        const auto coeff = static_cast<std::int64_t>(std::lround(in[v * 8 + u]));
+        s += coeff * ib[u][x];
+      }
+      tmp[v * 8 + x] = (s + half) >> bits;
+    }
+  for (int x = 0; x < 8; ++x)
+    for (int y = 0; y < 8; ++y) {
+      std::int64_t s = 0;
+      for (int v = 0; v < 8; ++v) s += tmp[v * 8 + x] * ib[v][y];
+      out[y * 8 + x] = static_cast<float>((s + half) >> bits);
+    }
+}
+
+TEST(Dct, FixedPointMatchesTheSeedLoop) {
+  sysnoise::Rng r(6);
+  for (int trial = 0; trial < 400; ++trial) {
+    float coef[64];
+    for (auto& v : coef) {
+      switch (r.uniform_int(4)) {
+        case 0:  // dequantized integers, as the decoder produces
+          v = static_cast<float>(r.uniform_int(2001) - 1000);
+          break;
+        case 1:  // exact .5 ties, which lround rounds away from zero
+          v = static_cast<float>(r.uniform_int(401) - 200) + 0.5f;
+          break;
+        case 2:  // large magnitudes (11-bit coefficient times a coarse quant step)
+          v = static_cast<float>(r.uniform_int(1048577) - 524288);
+          break;
+        default:
+          v = r.uniform_f(-300.0f, 300.0f);
+      }
+    }
+    for (const int bits : {9, 13}) {
+      float got[64], want[64];
+      idct8x8_fixed(coef, got, bits);
+      seed_idct8x8_fixed(coef, want, bits);
+      EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+          << "trial " << trial << " bits " << bits;
+    }
+  }
+  float coef[64] = {}, out[64];
+  EXPECT_THROW(idct8x8_fixed(coef, out, 0), std::invalid_argument);
+  EXPECT_THROW(idct8x8_fixed(coef, out, 31), std::invalid_argument);
 }
 
 TEST(Dct, VariantsActuallyDiffer) {
@@ -236,6 +307,146 @@ TEST(Codec, VendorsProduceSlightlyDifferentPixels) {
     EXPECT_LE(maxd, 40) << vendor_name(v);           // ...but only slightly
     EXPECT_GT(image_psnr(ref, other), 25.0) << vendor_name(v);
   }
+}
+
+// The seed's chroma upsampling and color conversion, verbatim: one pixel at
+// a time, chroma read through Plane::at_clamped. The oracle the row-wise
+// planes_to_rgb must match byte for byte.
+float seed_fancy_upsample_at(const Plane& c, int oy, int ox) {
+  const int cy = oy >> 1, cx = ox >> 1;
+  const int ny = (oy & 1) ? cy + 1 : cy - 1;
+  const int nx = (ox & 1) ? cx + 1 : cx - 1;
+  const float c00 = c.at_clamped(cy, cx);
+  const float c01 = c.at_clamped(cy, nx);
+  const float c10 = c.at_clamped(ny, cx);
+  const float c11 = c.at_clamped(ny, nx);
+  return (9.0f * c00 + 3.0f * c01 + 3.0f * c10 + c11) / 16.0f;
+}
+
+std::uint8_t seed_cc_float_lround(float v) {
+  return clamp_u8(static_cast<int>(std::lround(v)));
+}
+
+ImageU8 seed_planes_to_rgb(const DecodedPlanes& planes,
+                           const VendorTraits& traits) {
+  const int h = planes.height, w = planes.width;
+  const Plane &py = planes.y, &pcb = planes.cb, &pcr = planes.cr;
+  ImageU8 out(h, w, 3);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      const float Y = py.at(y, x);
+      float Cb, Cr;
+      if (planes.subsampled) {
+        if (traits.fancy_chroma_upsample) {
+          Cb = seed_fancy_upsample_at(pcb, y, x);
+          Cr = seed_fancy_upsample_at(pcr, y, x);
+        } else {
+          Cb = pcb.at(y >> 1, x >> 1);
+          Cr = pcr.at(y >> 1, x >> 1);
+        }
+      } else {
+        Cb = pcb.at(y, x);
+        Cr = pcr.at(y, x);
+      }
+
+      switch (traits.color_convert) {
+        case VendorTraits::ColorConvert::kFloatLround: {
+          const float cb = Cb - 128.0f, cr = Cr - 128.0f;
+          out.at(y, x, 0) = seed_cc_float_lround(Y + 1.402f * cr);
+          out.at(y, x, 1) = seed_cc_float_lround(Y - 0.344136f * cb - 0.714136f * cr);
+          out.at(y, x, 2) = seed_cc_float_lround(Y + 1.772f * cb);
+          break;
+        }
+        case VendorTraits::ColorConvert::kFixedPoint16: {
+          const int yi = static_cast<int>(std::lround(Y));
+          const int cb = static_cast<int>(std::lround(Cb)) - 128;
+          const int cr = static_cast<int>(std::lround(Cr)) - 128;
+          constexpr int kHalf = 1 << 15;
+          const int r = yi + ((91881 * cr + kHalf) >> 16);
+          const int g = yi - ((22554 * cb + 46802 * cr + kHalf) >> 16);
+          const int b = yi + ((116130 * cb + kHalf) >> 16);
+          out.at(y, x, 0) = clamp_u8(r);
+          out.at(y, x, 1) = clamp_u8(g);
+          out.at(y, x, 2) = clamp_u8(b);
+          break;
+        }
+        case VendorTraits::ColorConvert::kShift8: {
+          const int yi = static_cast<int>(Y);
+          const int cb = static_cast<int>(Cb) - 128;
+          const int cr = static_cast<int>(Cr) - 128;
+          const int r = yi + ((359 * cr + 128) >> 8);
+          const int g = yi - ((88 * cb + 183 * cr + 128) >> 8);
+          const int b = yi + ((454 * cb + 128) >> 8);
+          out.at(y, x, 0) = clamp_u8(r);
+          out.at(y, x, 1) = clamp_u8(g);
+          out.at(y, x, 2) = clamp_u8(b);
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Codec, RowWiseColorStageMatchesTheSeedLoop) {
+  // Real streams, 4:2:0 and 4:4:4, with odd, even and 1-pixel sizes, under
+  // every vendor: the decode equals the seed loop over the same planes.
+  const std::pair<int, int> sizes[] = {{33, 47}, {48, 48}, {15, 16},
+                                       {1, 9},   {9, 1},   {17, 17}};
+  for (const auto& [h, w] : sizes)
+    for (const ChromaMode chroma : {ChromaMode::k420, ChromaMode::k444}) {
+      const auto bytes =
+          encode(test_image(h, w, 13), {.quality = 85, .chroma = chroma});
+      for (int v = 0; v < kNumDecoderVendors; ++v) {
+        const VendorTraits traits = vendor_traits(static_cast<DecoderVendor>(v));
+        const DecodedPlanes planes = decode_planes(bytes, traits);
+        EXPECT_EQ(planes.subsampled, chroma == ChromaMode::k420);
+        EXPECT_EQ(decode(bytes, static_cast<DecoderVendor>(v)).vec(),
+                  seed_planes_to_rgb(planes, traits).vec())
+            << h << "x" << w << " "
+            << (chroma == ChromaMode::k420 ? "4:2:0 " : "4:4:4 ")
+            << vendor_name(static_cast<DecoderVendor>(v));
+      }
+    }
+
+  // Every upsampling x conversion pairing over random planes whose samples
+  // overshoot 0..255 and land on exact .5 ties.
+  sysnoise::Rng r(17);
+  for (const bool subsampled : {true, false})
+    for (const bool fancy : {true, false})
+      for (const auto convert : {VendorTraits::ColorConvert::kFloatLround,
+                                 VendorTraits::ColorConvert::kFixedPoint16,
+                                 VendorTraits::ColorConvert::kShift8})
+        for (const auto& [h, w] : sizes) {
+          DecodedPlanes planes;
+          planes.height = h;
+          planes.width = w;
+          planes.subsampled = subsampled;
+          const int ch = subsampled ? (h + 1) / 2 : h;
+          const int cw = subsampled ? (w + 1) / 2 : w;
+          planes.y = Plane(h + 3, w + 5);
+          planes.cb = Plane(ch + 1, cw + 2);
+          planes.cr = Plane(ch + 1, cw + 2);
+          for (Plane* p : {&planes.y, &planes.cb, &planes.cr})
+            for (float& s : p->v)
+              s = r.uniform_int(4) == 0
+                      ? static_cast<float>(r.uniform_int(300) - 20) + 0.5f
+                      : r.uniform_f(-30.0f, 290.0f);
+          VendorTraits traits;
+          traits.fancy_chroma_upsample = fancy;
+          traits.color_convert = convert;
+          EXPECT_EQ(planes_to_rgb(planes, traits).vec(),
+                    seed_planes_to_rgb(planes, traits).vec())
+              << h << "x" << w << " subsampled " << subsampled << " fancy "
+              << fancy << " convert " << static_cast<int>(convert);
+        }
+
+  DecodedPlanes short_planes;
+  short_planes.height = 4;
+  short_planes.width = 4;
+  short_planes.y = Plane(4, 3);
+  short_planes.cb = short_planes.cr = Plane(4, 4);
+  EXPECT_THROW(planes_to_rgb(short_planes, VendorTraits{}), std::invalid_argument);
 }
 
 TEST(Codec, VendorDecodeIsDeterministic) {

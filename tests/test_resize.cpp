@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "image/metrics.h"
 #include "image/synthetic.h"
 #include "resize/filters.h"
 #include "resize/opencv_resize.h"
+#include "resize/pillow_resize.h"
 #include "resize/resize.h"
 #include "tensor/rng.h"
 
@@ -287,6 +291,178 @@ TEST(ResizeSemantics, OpenCvKernelResizeMatchesTheSeedLoop) {
               seed_cv_kernel(img, cs.out_h, cs.out_w, 8, seed_lanczos4).vec())
         << "lanczos4 " << cs.in_h << "x" << cs.in_w << " -> " << cs.out_h
         << "x" << cs.out_w;
+  }
+}
+
+// The seed's Pillow resampler, verbatim: one coefficient vector per output
+// and per-tap ImageU8::at reads. The oracle the flat-coefficient row loops
+// must match byte for byte.
+namespace seed_pillow {
+
+constexpr int kPrecisionBits = 32 - 8 - 2;
+
+struct FilterDef {
+  double (*fn)(double);
+  double support;
+};
+
+double cubic_pillow(double x) { return filter_cubic(x, -0.5); }
+double lanczos3(double x) { return filter_lanczos(x, 3); }
+
+FilterDef filter_def(PillowFilter f) {
+  switch (f) {
+    case PillowFilter::kBox: return {filter_box, 0.5};
+    case PillowFilter::kBilinear: return {filter_triangle, 1.0};
+    case PillowFilter::kHamming: return {filter_hamming, 1.0};
+    case PillowFilter::kBicubic: return {cubic_pillow, 2.0};
+    case PillowFilter::kLanczos: return {lanczos3, 3.0};
+    case PillowFilter::kNearest: break;
+  }
+  throw std::logic_error("filter_def: nearest has no kernel");
+}
+
+struct AxisCoeffs {
+  std::vector<int> xmin;
+  std::vector<int> xsize;
+  std::vector<std::vector<int>> coeffs;
+};
+
+AxisCoeffs precompute(int in_size, int out_size, const FilterDef& fd) {
+  AxisCoeffs ac;
+  ac.xmin.resize(static_cast<std::size_t>(out_size));
+  ac.xsize.resize(static_cast<std::size_t>(out_size));
+  ac.coeffs.resize(static_cast<std::size_t>(out_size));
+
+  const double scale = static_cast<double>(in_size) / out_size;
+  const double filterscale = std::max(scale, 1.0);
+  const double support = fd.support * filterscale;
+
+  std::vector<double> w;
+  for (int xx = 0; xx < out_size; ++xx) {
+    const double center = (xx + 0.5) * scale;
+    int xmin = static_cast<int>(center - support + 0.5);
+    if (xmin < 0) xmin = 0;
+    int xmax = static_cast<int>(center + support + 0.5);
+    if (xmax > in_size) xmax = in_size;
+    const int n = xmax - xmin;
+
+    w.assign(static_cast<std::size_t>(n), 0.0);
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double val = fd.fn((xmin + i + 0.5 - center) / filterscale);
+      w[static_cast<std::size_t>(i)] = val;
+      total += val;
+    }
+    std::vector<int> fixed(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double norm = total != 0.0 ? w[static_cast<std::size_t>(i)] / total : 0.0;
+      fixed[static_cast<std::size_t>(i)] =
+          static_cast<int>(std::round(norm * (1 << kPrecisionBits)));
+    }
+    ac.xmin[static_cast<std::size_t>(xx)] = xmin;
+    ac.xsize[static_cast<std::size_t>(xx)] = n;
+    ac.coeffs[static_cast<std::size_t>(xx)] = std::move(fixed);
+  }
+  return ac;
+}
+
+std::uint8_t clip8(std::int64_t acc) {
+  const std::int64_t v = (acc + (1ll << (kPrecisionBits - 1))) >> kPrecisionBits;
+  return clamp_u8(static_cast<int>(std::clamp<std::int64_t>(v, 0, 255)));
+}
+
+ImageU8 resample_horizontal(const ImageU8& src, int out_w, const AxisCoeffs& ac) {
+  const int h = src.height(), c = src.channels();
+  ImageU8 out(h, out_w, c);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < out_w; ++x) {
+      const int xmin = ac.xmin[static_cast<std::size_t>(x)];
+      const auto& cf = ac.coeffs[static_cast<std::size_t>(x)];
+      for (int ch = 0; ch < c; ++ch) {
+        std::int64_t acc = 0;
+        for (int i = 0; i < ac.xsize[static_cast<std::size_t>(x)]; ++i)
+          acc += static_cast<std::int64_t>(cf[static_cast<std::size_t>(i)]) *
+                 src.at(y, xmin + i, ch);
+        out.at(y, x, ch) = clip8(acc);
+      }
+    }
+  return out;
+}
+
+ImageU8 resample_vertical(const ImageU8& src, int out_h, const AxisCoeffs& ac) {
+  const int w = src.width(), c = src.channels();
+  ImageU8 out(out_h, w, c);
+  for (int y = 0; y < out_h; ++y) {
+    const int ymin = ac.xmin[static_cast<std::size_t>(y)];
+    const auto& cf = ac.coeffs[static_cast<std::size_t>(y)];
+    for (int x = 0; x < w; ++x)
+      for (int ch = 0; ch < c; ++ch) {
+        std::int64_t acc = 0;
+        for (int i = 0; i < ac.xsize[static_cast<std::size_t>(y)]; ++i)
+          acc += static_cast<std::int64_t>(cf[static_cast<std::size_t>(i)]) *
+                 src.at(ymin + i, x, ch);
+        out.at(y, x, ch) = clip8(acc);
+      }
+  }
+  return out;
+}
+
+ImageU8 nearest_resize(const ImageU8& src, int out_h, int out_w) {
+  const double sy = static_cast<double>(src.height()) / out_h;
+  const double sx = static_cast<double>(src.width()) / out_w;
+  ImageU8 out(out_h, out_w, src.channels());
+  for (int y = 0; y < out_h; ++y) {
+    const int iy = std::min(static_cast<int>((y + 0.5) * sy), src.height() - 1);
+    for (int x = 0; x < out_w; ++x) {
+      const int ix = std::min(static_cast<int>((x + 0.5) * sx), src.width() - 1);
+      for (int ch = 0; ch < src.channels(); ++ch)
+        out.at(y, x, ch) = src.at(iy, ix, ch);
+    }
+  }
+  return out;
+}
+
+ImageU8 pillow_resize(const ImageU8& src, int out_h, int out_w, PillowFilter f) {
+  if (f == PillowFilter::kNearest) return nearest_resize(src, out_h, out_w);
+  const FilterDef fd = filter_def(f);
+  const AxisCoeffs hx = precompute(src.width(), out_w, fd);
+  ImageU8 tmp = resample_horizontal(src, out_w, hx);
+  const AxisCoeffs vx = precompute(src.height(), out_h, fd);
+  return resample_vertical(tmp, out_h, vx);
+}
+
+}  // namespace seed_pillow
+
+TEST(ResizeSemantics, PillowResizeMatchesTheSeedLoop) {
+  struct Case {
+    int in_h, in_w, out_h, out_w;
+  };
+  // Downscales, an upscale with unequal factors, and 1-pixel dimensions on
+  // both sides of the resize.
+  const Case cases[] = {{48, 48, 32, 32}, {96, 96, 64, 64}, {20, 13, 33, 29},
+                        {15, 1, 9, 4},    {1, 17, 5, 6},    {9, 7, 1, 1},
+                        {1, 1, 3, 2}};
+  const PillowFilter filters[] = {PillowFilter::kNearest, PillowFilter::kBox,
+                                  PillowFilter::kBilinear, PillowFilter::kHamming,
+                                  PillowFilter::kBicubic, PillowFilter::kLanczos};
+  for (const Case& cs : cases) {
+    // Texture plus per-byte noise, so neighbouring taps differ and the
+    // negative Bicubic/Lanczos lobes overshoot past 0 and 255.
+    ImageU8 img = make_image(cs.in_h, cs.in_w, 7);
+    Rng rng(static_cast<std::uint64_t>(cs.in_h * 137 + cs.in_w));
+    for (auto& v : img.vec())
+      v = clamp_u8(v + static_cast<int>(rng.uniform_f(-90.0f, 90.0f)));
+    // A single-channel copy covers the resampler's channel stride.
+    ImageU8 gray(cs.in_h, cs.in_w, 1);
+    for (int y = 0; y < cs.in_h; ++y)
+      for (int x = 0; x < cs.in_w; ++x) gray.at(y, x, 0) = img.at(y, x, 1);
+    for (const ImageU8* src : {&img, &gray})
+      for (const PillowFilter f : filters)
+        EXPECT_EQ(pillow_resize(*src, cs.out_h, cs.out_w, f).vec(),
+                  seed_pillow::pillow_resize(*src, cs.out_h, cs.out_w, f).vec())
+            << "filter " << static_cast<int>(f) << " " << cs.in_h << "x"
+            << cs.in_w << "x" << src->channels() << " -> " << cs.out_h << "x"
+            << cs.out_w;
   }
 }
 

@@ -4,12 +4,15 @@
 // cache hit accounting (and the StageStats identities with the disk cache
 // off, cold and warm), the headline reuse guarantees — pre-processed
 // batches computed once per key, and the detection post-processing axis
-// evaluated without re-running the forward pass — and stage retention: one
-// executor serving several models of one preprocess scope computes their
-// stage-1 products once, and releases them when the scope changes.
+// evaluated without re-running the forward pass — shared decoding (stage 1
+// under a decode memo is byte-equal to fresh decodes, and one call decodes
+// each sample once per vendor), and stage retention: one executor serving
+// several models of one preprocess scope computes their stage-1 products
+// once, and releases them when the scope changes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -29,6 +32,8 @@
 #include "data/pipeline.h"
 #include "models/eval_tasks.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace sysnoise::core {
 namespace {
@@ -65,9 +70,9 @@ std::vector<StepPoint> monolithic_stepwise(const EvalTask& task,
 // Stage keys
 // ---------------------------------------------------------------------------
 
-TEST(PreprocessKey, InjectiveOverAllRegistryPreprocessingCombinations) {
-  // Every combination of the pre-processing option sets (training default
-  // included) must map to a distinct stage-1 key.
+// Every combination of the registry's pre-processing option sets (training
+// default included).
+std::vector<SysNoiseConfig> all_preprocessing_combinations() {
   std::vector<jpeg::DecoderVendor> decoders = {SysNoiseConfig{}.decoder};
   for (auto v : decoder_noise_options()) decoders.push_back(v);
   std::vector<ResizeMethod> resizes = {SysNoiseConfig{}.resize};
@@ -81,9 +86,7 @@ TEST(PreprocessKey, InjectiveOverAllRegistryPreprocessingCombinations) {
   std::vector<ChannelLayout> layouts = {SysNoiseConfig{}.layout};
   for (auto l : layout_noise_options()) layouts.push_back(l);
 
-  const PipelineSpec spec;
-  std::set<std::string> keys;
-  std::size_t combos = 0;
+  std::vector<SysNoiseConfig> combos;
   for (auto d : decoders)
     for (auto r : resizes)
       for (auto c : colors)
@@ -97,12 +100,42 @@ TEST(PreprocessKey, InjectiveOverAllRegistryPreprocessingCombinations) {
               cfg.norm = n;
               cfg.crop_fraction = f;
               cfg.layout = l;
-              keys.insert(preprocess_key(cfg, spec));
-              ++combos;
+              combos.push_back(cfg);
             }
-  EXPECT_EQ(combos, decoders.size() * resizes.size() * colors.size() *
-                        norms.size() * crops.size() * layouts.size());
-  EXPECT_EQ(keys.size(), combos);
+  EXPECT_EQ(combos.size(), decoders.size() * resizes.size() * colors.size() *
+                               norms.size() * crops.size() * layouts.size());
+  return combos;
+}
+
+TEST(PreprocessKey, InjectiveOverAllRegistryPreprocessingCombinations) {
+  // Every combination must map to a distinct stage-1 key.
+  const PipelineSpec spec;
+  const std::vector<SysNoiseConfig> combos = all_preprocessing_combinations();
+  std::set<std::string> keys;
+  for (const SysNoiseConfig& cfg : combos) keys.insert(preprocess_key(cfg, spec));
+  EXPECT_EQ(keys.size(), combos.size());
+}
+
+TEST(Preprocess, SharedDecodeMatchesFreshDecode) {
+  // For every pre-processing combination, stage 1 under one call-wide
+  // decode memo equals stage 1 decoding its own JPEGs, byte for byte.
+  const auto& eval = models::benchmark_cls_dataset().eval;
+  const JpegList jpegs = {&eval[0].jpeg, &eval[1].jpeg, &eval[2].jpeg};
+  const PipelineSpec spec = models::cls_pipeline_spec();
+  DecodeMemo memo;
+  for (const SysNoiseConfig& cfg : all_preprocessing_combinations()) {
+    const PreprocessedBatches fresh = preprocess_batches(jpegs, cfg, spec, 2);
+    const DecodeMemoScope scope(memo);
+    const PreprocessedBatches shared = preprocess_batches(jpegs, cfg, spec, 2);
+    ASSERT_EQ(shared.inputs.size(), fresh.inputs.size());
+    for (std::size_t b = 0; b < fresh.inputs.size(); ++b) {
+      const Tensor& x = shared.inputs[b];
+      const Tensor& y = fresh.inputs[b];
+      ASSERT_EQ(x.shape(), y.shape());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0)
+          << preprocess_key(cfg, spec) << " batch " << b;
+    }
+  }
 }
 
 TEST(PreprocessKey, IgnoresInferenceAndPostprocessingKnobs) {
@@ -346,6 +379,49 @@ TEST(StagedRealModels, SegmenterStagedMatchesMonolithic) {
   SweepOptions opts;
   opts.registry = &reg;
   expect_reports_identical(monolithic_sweep(task, opts), sweep(task, opts));
+}
+
+TEST(StagedRealModels, TracedCallDecodesEachSampleOncePerVendor) {
+  // Decoder and resize options: many stage-1 keys over four vendors. One
+  // call decodes each eval JPEG once per vendor, however many keys share it.
+  AxisRegistry reg;
+  for (const NoiseAxis& a : builtin_axes())
+    if (a.key == "decode" || a.key == "resize") reg.add(a);
+  auto tc = models::get_classifier("MCUNet");
+  models::ClassifierTask task(tc);
+  const SweepPlan plan = plan_sweep(task, reg);
+  std::set<jpeg::DecoderVendor> vendors;
+  std::set<std::string> pre_keys;
+  for (const PlannedConfig& p : plan.configs) {
+    vendors.insert(p.cfg.decoder);
+    pre_keys.insert(task.preprocess_key(p.cfg));
+  }
+  ASSERT_EQ(vendors.size(), 4u);
+  ASSERT_GT(pre_keys.size(), 2 * vendors.size());
+  const std::size_t samples = models::benchmark_cls_dataset().eval.size();
+
+  // Serial, so the count is exact: a parallel call may re-decode a set that
+  // was released while a group that wants it had not yet asked.
+  SweepOptions serial;
+  serial.threads = 1;
+  obs::metrics().reset();
+  obs::trace_enable();
+  StageStats stats;
+  const MetricMap traced = StagedExecutor(&stats).execute(task, plan, serial);
+  obs::trace_disable();
+  obs::trace_reset();
+  EXPECT_EQ(obs::metrics().counter_value("jpeg.decode.images"),
+            vendors.size() * samples);
+  EXPECT_EQ(stats.preprocess_computed, pre_keys.size());
+  obs::metrics().reset();
+
+  // Tracing changes no metric, nor does sharing the decodes: the parallel
+  // engine and the monolithic oracle (which decodes per config) agree.
+  SweepOptions parallel;
+  parallel.threads = 4;
+  EXPECT_EQ(StagedExecutor().execute(task, plan, parallel), traced);
+  EXPECT_EQ(ThreadPoolExecutor().execute(task, plan, parallel), traced);
+  EXPECT_EQ(obs::metrics().counter_value("jpeg.decode.images"), 0u);
 }
 
 // The StageStats identities every executor run must satisfy: each planned
