@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -36,6 +37,7 @@
 #include "image/synthetic.h"
 #include "jpeg/codec.h"
 #include "models/classifiers.h"
+#include "nn/ops.h"
 #include "nn/tape.h"
 #include "resize/resize.h"
 #include "tensor/backend.h"
@@ -408,7 +410,9 @@ std::string perf_json_disk_cache() {
 // conv has it (zoo convs have 8-48 output channels at <= 64x64). Two real
 // zoo shapes are timed alongside it: the ResNet-S last conv and the detector
 // stem. The classifier timing runs a real ResNet-XS forward (conv +
-// linear through the same backend seam). The CI perf-gate asserts the blocked
+// linear through the same backend seam), and conv_forward_ms times single
+// conv2d forwards at two sweep shapes; reference and blocked must give those
+// convs the same bytes. The CI perf-gate asserts the blocked
 // and simd kernels are strictly faster than reference at the gated shape and
 // that every backend is bit-exactly repeatable, so the gated GEMM timings
 // take the best of extra repetitions. Repetitions run round-robin over the
@@ -428,6 +432,16 @@ std::string perf_json_backends() {
   // Repetitions of a zoo-shape GEMM per timed call, so each call is long
   // enough to time.
   constexpr int kZooCallsPerRep = 50;
+  // 3x3, stride-1, pad-1 convs of a sweep: the detector stem on a batch of
+  // 64x64 images and a ResNet-S block conv on a batch of 16x16 maps.
+  struct ConvShape {
+    const char* name;
+    int n, c, oc, hw;
+  };
+  constexpr ConvShape kConvShapes[] = {{"detector_stem", 8, 3, 16, 64},
+                                       {"resnet_s_block", 16, 12, 12, 16}};
+  constexpr std::size_t kNumConvShapes = std::size(kConvShapes);
+  constexpr int kConvCallsPerRep = 5;
 
   Rng rng(11);
   std::vector<float> a(static_cast<std::size_t>(kM) * kK);
@@ -442,11 +456,40 @@ std::string perf_json_backends() {
   Tensor x({4, 3, 32, 32});
   for (float& v : x.vec()) v = model_rng.uniform_f(-1.0f, 1.0f);
 
+  struct ConvOperands {
+    Tensor x;
+    nn::Param w, bias;
+    ConvOperands(Tensor x_, Tensor w_, Tensor b_)
+        : x(std::move(x_)), w(std::move(w_)), bias(std::move(b_)) {}
+  };
+  std::deque<ConvOperands> convs;
+  for (const ConvShape& s : kConvShapes) {
+    Tensor cx({s.n, s.c, s.hw, s.hw}), cw({s.oc, s.c, 3, 3}), cb({s.oc});
+    for (Tensor* t : {&cx, &cw, &cb})
+      for (float& v : t->vec()) v = model_rng.normal_f(0.0f, 1.0f);
+    convs.emplace_back(std::move(cx), std::move(cw), std::move(cb));
+  }
+  // One conv2d forward; its output is copied to `out` when one is given.
+  const auto conv_forward = [&](std::size_t ci, ComputeBackend backend,
+                                Tensor* out) {
+    nn::Tape tape;
+    tape.ctx.backend = backend;
+    ConvOperands& op = convs[ci];
+    const nn::Node* y =
+        nn::conv2d(tape, tape.input(op.x), op.w, &op.bias, {1, 1, 1}, "bench");
+    benchmark::DoNotOptimize(y->value.data());
+    if (out != nullptr) *out = y->value;
+  };
+
   // Best-of timings per backend, one repetition of each per round.
   struct Timings {
     double gemm_ms = 1e300, fwd_ms = 1e300;
     std::array<double, kNumZooShapes> zoo_ms;
-    Timings() { zoo_ms.fill(1e300); }
+    std::array<double, kNumConvShapes> conv_ms;
+    Timings() {
+      zoo_ms.fill(1e300);
+      conv_ms.fill(1e300);
+    }
   };
   std::vector<Timings> best(static_cast<std::size_t>(kNumComputeBackends));
   for (int rep = 0; rep < kKernelReps; ++rep)
@@ -467,6 +510,13 @@ std::string perf_json_backends() {
         };
         t.zoo_ms[zi] = std::min(t.zoo_ms[zi], time_ms(calls, 1) / kZooCallsPerRep);
       }
+      for (std::size_t ci = 0; ci < kNumConvShapes; ++ci) {
+        const auto calls = [&] {
+          for (int r = 0; r < kConvCallsPerRep; ++r)
+            conv_forward(ci, backend, nullptr);
+        };
+        t.conv_ms[ci] = std::min(t.conv_ms[ci], time_ms(calls, 1) / kConvCallsPerRep);
+      }
       if (rep < kForwardReps)
         t.fwd_ms = std::min(t.fwd_ms, time_ms([&] {
                               nn::Tape tape;
@@ -474,6 +524,16 @@ std::string perf_json_backends() {
                               model->forward(tape, tape.input(x), nn::BnMode::kEval);
                             }, 1));
     }
+
+  bool conv_ref_equals_blocked = true;
+  for (std::size_t ci = 0; ci < kNumConvShapes; ++ci) {
+    Tensor ref, blocked;
+    conv_forward(ci, ComputeBackend::kReference, &ref);
+    conv_forward(ci, ComputeBackend::kBlocked, &blocked);
+    conv_ref_equals_blocked =
+        conv_ref_equals_blocked &&
+        std::memcmp(ref.data(), blocked.data(), ref.size() * sizeof(float)) == 0;
+  }
 
   const double ref_gemm_ms = best.front().gemm_ms;
   const double ref_fwd_ms = best.front().fwd_ms;
@@ -487,6 +547,14 @@ std::string perf_json_backends() {
     os << (&z == kZooShapes ? "" : ", ") << "\"" << z.name << "\": {\"m\": "
        << z.m << ", \"n\": " << z.n << ", \"k\": " << z.k << "}";
   os << "},\n"
+     << "    \"conv_shapes\": {";
+  for (const ConvShape& c : kConvShapes)
+    os << (&c == kConvShapes ? "" : ", ") << "\"" << c.name << "\": {\"n\": " << c.n
+       << ", \"c\": " << c.c << ", \"oc\": " << c.oc << ", \"h\": " << c.hw
+       << ", \"w\": " << c.hw << ", \"k\": 3, \"stride\": 1, \"pad\": 1}";
+  os << "},\n"
+     << "    \"conv_forward_reference_bytes_equal_blocked\": "
+     << (conv_ref_equals_blocked ? "true" : "false") << ",\n"
      << "    \"backends\": [\n";
   for (int bi = 0; bi < kNumComputeBackends; ++bi) {
     const auto backend = static_cast<ComputeBackend>(bi);
@@ -502,10 +570,13 @@ std::string perf_json_backends() {
     for (std::size_t i = 0; i < c.size(); ++i)
       max_diff = std::max(max_diff, std::abs(c[i] - ref_c[i]));
 
-    std::ostringstream zoo_ms;
+    std::ostringstream zoo_ms, conv_ms;
     for (std::size_t zi = 0; zi < kNumZooShapes; ++zi)
       zoo_ms << (zi == 0 ? "" : ", ") << "\"" << kZooShapes[zi].name
              << "\": " << t.zoo_ms[zi];
+    for (std::size_t ci = 0; ci < kNumConvShapes; ++ci)
+      conv_ms << (ci == 0 ? "" : ", ") << "\"" << kConvShapes[ci].name
+              << "\": " << t.conv_ms[ci];
 
     os << "      {\"backend\": \"" << backend_name(backend) << "\",\n"
        << "       \"gemm_ms\": " << t.gemm_ms << ",\n"
@@ -520,6 +591,7 @@ std::string perf_json_backends() {
        << (repeatable ? "true" : "false") << ",\n"
        << "       \"gemm_max_abs_diff_vs_reference\": " << max_diff << ",\n"
        << "       \"zoo_gemm_ms\": {" << zoo_ms.str() << "},\n"
+       << "       \"conv_forward_ms\": {" << conv_ms.str() << "},\n"
        << "       \"classifier_forward_ms\": " << t.fwd_ms << ",\n"
        << "       \"classifier_forward_speedup_vs_reference\": "
        << ref_fwd_ms / t.fwd_ms << "}"

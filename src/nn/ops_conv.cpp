@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/ops.h"
 #include "tensor/backend.h"
@@ -87,6 +90,49 @@ const float* conv_columns(const Tensor& x, int n, int c_begin, int c_count, int 
   return col;
 }
 
+// Whether no value of t is inf or NaN: an exponent-bit test, so the loop
+// vectorizes.
+bool all_finite(const Tensor& t) {
+  const float* p = t.data();
+  std::uint32_t nonfinite = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    std::uint32_t u;
+    std::memcpy(&u, p + i, sizeof(u));
+    nonfinite |= static_cast<std::uint32_t>((u & 0x7f800000u) == 0x7f800000u);
+  }
+  return nonfinite == 0;
+}
+
+// Image n's channels [c_begin, c_begin + c_count) as a [c_count, h+2*pad,
+// w+2*pad] plane with +0 borders, in scratch slot 2. An unpadded input is
+// read in place.
+const float* padded_input(const Tensor& x, int n, int c_begin, int c_count,
+                          int pad) {
+  const int h = x.dim(2), w = x.dim(3);
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const float* src =
+      x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) * plane;
+  if (pad == 0) return src;
+  const int wp = w + 2 * pad;
+  const std::size_t border = static_cast<std::size_t>(pad) * wp;
+  const std::size_t pplane = static_cast<std::size_t>(h + 2 * pad) * wp;
+  float* xp = tls_scratch(static_cast<std::size_t>(c_count) * pplane, /*slot=*/2);
+  float* dst = xp;
+  for (int c = 0; c < c_count; ++c) {
+    std::fill(dst, dst + border + pad, 0.0f);
+    dst += border + pad;
+    for (int y = 0; y < h; ++y, src += w) {
+      dst = std::copy(src, src + w, dst);
+      // This row's right border and the next row's left border.
+      std::fill(dst, dst + 2 * pad, 0.0f);
+      dst += 2 * pad;
+    }
+    std::fill(dst, dst + border - pad, 0.0f);
+    dst += border - pad;
+  }
+  return xp;
+}
+
 void col2im_acc(const float* col, int n, int c_begin, int c_count, int k, int stride,
                 int pad, int oh, int ow, Tensor& gx) {
   const int h = gx.dim(2), w = gx.dim(3);
@@ -165,23 +211,47 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
-  // im2col columns come from the thread-local scratch arena (slot 2): sized
-  // once per (shape, groups) high-water mark, reused across the whole batch
-  // loop and across forward calls. A 1x1 stride-1 conv reads the input.
+  // A non-depthwise conv reads its column matrix straight from the padded
+  // input (gemm_gather). Under reference that holds only for finite input:
+  // the packed engine then matches the seed gemm byte for byte, while a
+  // non-finite input keeps the seed kernel's zero-skip. Depthwise convs and
+  // that fallback build im2col columns in scratch slot 2.
+  const bool gather =
+      icg > 1 && (t.ctx.backend != ComputeBackend::kReference || all_finite(xin));
+  // Column matrix row kk = (ci, ky, kx) starts at koff[kk] of the padded
+  // [icg, hpad, wpad] input; column j = (oy, ox) adds coff[j].
+  const int hpad = h + 2 * spec.pad, wpad = wd + 2 * spec.pad;
+  std::vector<int> koff, coff;
+  if (gather) {
+    koff.resize(static_cast<std::size_t>(col_rows));
+    coff.resize(static_cast<std::size_t>(oh) * ow);
+    for (int ci = 0, kk = 0; ci < icg; ++ci)
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx) koff[kk++] = (ci * hpad + ky) * wpad + kx;
+    for (int oy = 0, j = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox)
+        coff[j++] = (oy * wpad + ox) * spec.stride;
+  }
   auto conv_one = [&](int idx) {
     const int ni = idx / groups, g = idx % groups;
-    const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride, spec.pad,
-                                    oh, ow, /*slot=*/2);
     // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
     float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
     const float* w_ptr = wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
+    if (gather) {
+      gemm_gather(ocg, oh * ow, col_rows, w_ptr,
+                  padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
+                  coff.data(), out_ptr);
+      return;
+    }
+    const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride, spec.pad,
+                                    oh, ow, /*slot=*/2);
     gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
   };
   // With a parallelism grant (batched executor stacking configs), split the
-  // (image, group) space across the pool — each worker im2cols into its own
-  // scratch and writes a disjoint output slab, so results are bit-identical
-  // at any worker count. A single (image, group) instead lets the GEMM split
-  // its output-channel rows.
+  // (image, group) space across the pool — each worker pads or im2cols into
+  // its own scratch and writes a disjoint output slab, so results are
+  // bit-identical at any worker count. A single (image, group) instead lets
+  // the GEMM split its output-channel rows.
   if (gemm_workers() > 1 && n * groups > 1)
     parallel_ranges(n * groups, /*align=*/1, [&](int begin, int end) {
       for (int idx = begin; idx < end; ++idx) conv_one(idx);

@@ -3,11 +3,12 @@
 //
 // INT8 uses per-tensor affine quantization: a scale s and zero point z fit
 // the observed range; values are clipped to [-128, 127], rounded to
-// nearest, and dequantized. "Fake quant" (quantize-then-dequantize in
-// float) is numerically identical to integer execution with float
-// requantization for the operations used here, so the inference engine
-// applies fake quant at conv/linear boundaries; integer-kernel equivalence
-// is verified in tests.
+// nearest, and dequantized. The inference engine applies "fake quant"
+// (quantize-then-dequantize in float) at conv/linear boundaries and runs
+// the float GEMM, so INT8 results are a float emulation of an integer
+// kernel, not its bytes. tests/test_quant.cpp only checks that a fake-quant
+// float GEMM lands within 1e-4 of int8_gemm_dequant (int32 accumulation,
+// float dequant) on one small shape; bitwise agreement is not claimed.
 #pragma once
 
 #include <cstdint>

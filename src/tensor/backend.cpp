@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -274,10 +275,21 @@ const char* simd_isa_name() {
 
 float* tls_scratch(std::size_t floats, int slot) {
   constexpr int kSlots = 4;
-  thread_local std::vector<float> buffers[kSlots];
-  std::vector<float>& buf = buffers[slot % kSlots];
-  if (buf.size() < floats) buf.resize(floats);
-  return buf.data();
+  struct Slot {
+    std::unique_ptr<float[]> data;
+    std::size_t size = 0;
+  };
+  thread_local Slot slots[kSlots];
+  Slot& s = slots[slot % kSlots];
+  // Grow at least geometrically: growing to exactly each new high-water
+  // mark reallocates on every one, and the freed blocks fragment the heap.
+  // The new block is left uninitialized, so pages no request reaches are
+  // never touched.
+  if (s.size < floats) {
+    s.size = std::max(floats, 2 * s.size);
+    s.data.reset(new float[s.size]);
+  }
+  return s.data.get();
 }
 
 }  // namespace sysnoise

@@ -1,16 +1,20 @@
-// Pluggable compute backends for the GEMM / im2col-conv hot path.
+// Pluggable compute backends for the GEMM / conv hot path.
 //
-// Every float GEMM in the engine (tensor/gemm.h) and the conv2d im2col path
+// Every float GEMM in the engine (tensor/gemm.h) and every conv2d
 // (nn/ops_conv.cpp) dispatch through the active ComputeBackend:
 //
 //  - kReference  — defined by the seed loops' per-element operation
-//                  sequence, so its output is bit-identical to the seed's.
-//                  It may run that sequence 8 lanes wide (runtime-detected
-//                  AVX), but never fused. Keeps the zero-skip
+//                  sequence, not by one kernel, so its output is
+//                  bit-identical to the seed's. The public GEMMs run the seed
+//                  loops, 8 lanes wide under runtime-detected AVX, never
+//                  fused. A conv forward on finite input computes the same
+//                  sequence on the packed engine (gemm_gather), which skips
+//                  nothing and is faster. Keeps the zero-skip
 //                  (`if (av == 0.0f) continue;`) as an explicit, documented
 //                  property: it silently drops 0 x inf = NaN propagation, so
 //                  results depend on the sparsity of A when B holds
-//                  non-finite values.
+//                  non-finite values. With finite B and a zeroed C the skip
+//                  is invisible, which is what lets the conv forward switch.
 //  - kBlocked    — register-tiled micro-kernel over packed panels with a
 //                  fixed, k-ascending accumulation order (no zero-skip, so
 //                  IEEE non-finite propagation is exact). Like kReference,
@@ -123,14 +127,19 @@ void parallel_ranges(int total, int align,
 
 // --- scratch arena ----------------------------------------------------------
 
-// Thread-local scratch buffer lender: returns a buffer of at least `floats`
-// floats for `slot`, reused (and only ever grown) across calls, so per-call
-// hot-path allocations (GEMM packing panels, conv im2col columns) happen
-// once per thread per high-water mark instead of once per invocation.
-// Slots 0-1 are reserved for GEMM packing (the packed engine's A panels in
-// 0 and B strips in 1; the reference gemm_bt_acc's transposed B strip in
-// 1); conv uses 2-3. The buffer stays
-// valid until the same thread asks for the same slot again.
+// Thread-local scratch buffer lender: returns an uninitialized buffer of at
+// least `floats` floats for `slot`, reused across calls and grown at least
+// geometrically (never shrunk), so per-call hot-path allocations happen once
+// per thread per doubling of the high-water mark instead of once per
+// invocation. Slot map:
+//  0  the packed engine's A panels;
+//  1  the packed engine's B strips, or the reference gemm_bt_acc's
+//     transposed B strip;
+//  2  conv: the zero-padded input plane a gathered forward reads, or the
+//     im2col columns of the backward, a depthwise forward and a reference
+//     forward on non-finite input;
+//  3  conv backward: the column-matrix gradient.
+// The buffer stays valid until the same thread asks for the same slot again.
 float* tls_scratch(std::size_t floats, int slot);
 
 }  // namespace sysnoise

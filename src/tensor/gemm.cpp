@@ -1,6 +1,7 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
-// Three implementations of every variant:
+// Three implementations of every variant (gemm_gather has only the packed
+// engine; gemm.h says when that is reference's bytes):
 //  - reference: defined by the seed loops' per-element operation sequence,
 //    so bit-identical to the historical output. gemm_acc keeps each C strip
 //    in registers, 8 lanes wide under runtime-detected AVX; gemm_bt_acc runs
@@ -237,19 +238,38 @@ constexpr int NR = detail::kMicroCols;
 
 // How the engine reads its operands. The packing gathers normalize every
 // variant to the same k-major micro-panels, so one micro-kernel serves
-// gemm_acc (A m x k, B k x n), gemm_at_acc (A k x m) and gemm_bt_acc
-// (B n x k).
+// gemm_acc (A m x k, B k x n), gemm_at_acc (A k x m), gemm_bt_acc (B n x k)
+// and gemm_gather (B[kk][j] = b[koff[kk] + coff[j]]).
 enum class AMode { kNormal, kTransposed };
-enum class BMode { kNormal, kTransposed };
+enum class BMode { kNormal, kTransposed, kGather };
+
+struct BOperand {
+  BMode mode;
+  const float* b;
+  const int* koff = nullptr;  // kGather only
+  const int* coff = nullptr;  // kGather only
+};
 
 inline float a_at(AMode mode, const float* a, int m, int k, int i, int kk) {
   return mode == AMode::kNormal ? a[static_cast<std::ptrdiff_t>(i) * k + kk]
                                 : a[static_cast<std::ptrdiff_t>(kk) * m + i];
 }
 
-inline float b_at(BMode mode, const float* b, int n, int k, int kk, int j) {
-  return mode == BMode::kNormal ? b[static_cast<std::ptrdiff_t>(kk) * n + j]
-                                : b[static_cast<std::ptrdiff_t>(j) * k + kk];
+inline float b_at(const BOperand& b, int n, int k, int kk, int j) {
+  switch (b.mode) {
+    case BMode::kNormal: return b.b[static_cast<std::ptrdiff_t>(kk) * n + j];
+    case BMode::kTransposed: return b.b[static_cast<std::ptrdiff_t>(j) * k + kk];
+    case BMode::kGather: break;
+  }
+  return b.b[static_cast<std::ptrdiff_t>(b.koff[kk]) + b.coff[j]];
+}
+
+// Whether a gathered strip's NR column offsets cj form one contiguous run
+// of the source.
+bool gather_strip_is_run(const int* cj) {
+  for (int j = 1; j < NR; ++j)
+    if (cj[j] != cj[0] + j) return false;
+  return true;
 }
 
 // Blocked micro-kernel: acc[MR x NR] = ap panel * bp panel over k steps in
@@ -400,12 +420,13 @@ MicroKernel simd_micro_kernel() {
 
 // C[i0:i0+mb) rows += op(A) * op(B) over the full k range through packed
 // panels. Packing cost: A once per call (k-major MR panels, zero-padded
-// tail rows), B once per NR column strip (reused across all row panels).
+// tail rows), B once per NR column strip (reused across all row panels); a
+// gathered B is read from its source here, so it is never materialized.
 // Zero padding is only ever multiplied into accumulator lanes that are
 // never stored, so it cannot leak NaNs into C.
 void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
-                      AMode amode, const float* a, int m_full, BMode bmode,
-                      const float* b, float* c) {
+                      AMode amode, const float* a, int m_full,
+                      const BOperand& b, float* c) {
   const int mpanels = (mb + MR - 1) / MR;
   float* apack =
       tls_scratch(static_cast<std::size_t>(mpanels) * MR * k, /*slot=*/0);
@@ -441,24 +462,38 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
   float acc[MR * NR];
   for (int j0 = 0; j0 < n; j0 += NR) {
     const int jb = std::min(NR, n - j0);
-    if (jb == NR && bmode == BMode::kNormal) {
+    if (jb == NR && b.mode == BMode::kNormal) {
       // Full strip from row-major B: NR contiguous floats per k step.
       for (int kk = 0; kk < k; ++kk)
         std::memcpy(bpack + static_cast<std::ptrdiff_t>(kk) * NR,
-                    b + static_cast<std::ptrdiff_t>(kk) * n + j0,
+                    b.b + static_cast<std::ptrdiff_t>(kk) * n + j0,
                     NR * sizeof(float));
-    } else if (jb == NR && bmode == BMode::kTransposed) {
+    } else if (jb == NR && b.mode == BMode::kTransposed) {
       // Full strip from n x k B: stream each B row, scatter into the strip.
       for (int j = 0; j < NR; ++j) {
-        const float* brow = b + static_cast<std::ptrdiff_t>(j0 + j) * k;
+        const float* brow = b.b + static_cast<std::ptrdiff_t>(j0 + j) * k;
         for (int kk = 0; kk < k; ++kk)
           bpack[static_cast<std::ptrdiff_t>(kk) * NR + j] = brow[kk];
+      }
+    } else if (jb == NR && b.mode == BMode::kGather) {
+      // Full gathered strip: one copy per k step when its columns are one
+      // contiguous run of the source (a stride-1 conv strip within one
+      // output row), else one read per column.
+      const int* cj = b.coff + j0;
+      const bool run = gather_strip_is_run(cj);
+      for (int kk = 0; kk < k; ++kk) {
+        const float* src = b.b + b.koff[kk];
+        float* dst = bpack + static_cast<std::ptrdiff_t>(kk) * NR;
+        if (run)
+          std::memcpy(dst, src + cj[0], NR * sizeof(float));
+        else
+          for (int j = 0; j < NR; ++j) dst[j] = src[cj[j]];
       }
     } else {
       for (int kk = 0; kk < k; ++kk)
         for (int j = 0; j < NR; ++j)
           bpack[static_cast<std::ptrdiff_t>(kk) * NR + j] =
-              j < jb ? b_at(bmode, b, n, k, kk, j0 + j) : 0.0f;
+              j < jb ? b_at(b, n, k, kk, j0 + j) : 0.0f;
     }
     for (int p = 0; p < mpanels; ++p) {
       micro(k, apack + static_cast<std::ptrdiff_t>(p) * MR * k, bpack, acc);
@@ -480,37 +515,36 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
 constexpr int kParallelMinRows = 2 * MR;
 
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
-                  BMode bmode, const float* b, float* c) {
+                  const BOperand& b, float* c) {
   const ComputeBackend backend = active_backend();
   static const RefGemmKernel ref_acc = ref_gemm_acc_kernel(host_build());
   static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
   const MicroKernel micro = backend == ComputeBackend::kSimd
                                 ? simd_micro_kernel()
                                 : blocked_micro;
+  // A gathered B has no reference loop: gemm_gather runs the packed engine
+  // under every backend (gemm.h says when that is reference's bytes).
+  const bool packed =
+      backend != ComputeBackend::kReference || b.mode == BMode::kGather;
   auto rows = [&](int begin, int end) {
-    switch (backend) {
-      case ComputeBackend::kReference:
-        // The reference loops read A rows / write C rows relative to row 0;
-        // offset the operand bases so each range is self-contained.
-        if (amode == AMode::kNormal && bmode == BMode::kNormal)
-          ref_acc(end - begin, n, k, a + static_cast<std::ptrdiff_t>(begin) * k,
-                  b, c + static_cast<std::ptrdiff_t>(begin) * n);
-        else if (amode == AMode::kTransposed)
-          // A is k x m (full width): offset to the range's first column but
-          // keep striding k steps by the full m, not the range width.
-          ref_gemm_at_acc(end - begin, n, k, a + begin, m, b,
-                          c + static_cast<std::ptrdiff_t>(begin) * n);
-        else
-          ref_gemm_bt_acc(end - begin, n, k,
-                          a + static_cast<std::ptrdiff_t>(begin) * k, b,
-                          c + static_cast<std::ptrdiff_t>(begin) * n);
-        break;
-      case ComputeBackend::kBlocked:
-      case ComputeBackend::kSimd:
-        packed_gemm_rows(micro, begin, end - begin, n, k, amode, a, m, bmode,
-                         b, c);
-        break;
+    if (packed) {
+      packed_gemm_rows(micro, begin, end - begin, n, k, amode, a, m, b, c);
+      return;
     }
+    // The reference loops read A rows / write C rows relative to row 0;
+    // offset the operand bases so each range is self-contained.
+    if (amode == AMode::kNormal && b.mode == BMode::kNormal)
+      ref_acc(end - begin, n, k, a + static_cast<std::ptrdiff_t>(begin) * k,
+              b.b, c + static_cast<std::ptrdiff_t>(begin) * n);
+    else if (amode == AMode::kTransposed)
+      // A is k x m (full width): offset to the range's first column but
+      // keep striding k steps by the full m, not the range width.
+      ref_gemm_at_acc(end - begin, n, k, a + begin, m, b.b,
+                      c + static_cast<std::ptrdiff_t>(begin) * n);
+    else
+      ref_gemm_bt_acc(end - begin, n, k,
+                      a + static_cast<std::ptrdiff_t>(begin) * k, b.b,
+                      c + static_cast<std::ptrdiff_t>(begin) * n);
   };
   if (gemm_workers() > 1 && m >= kParallelMinRows)
     parallel_ranges(m, MR, rows);
@@ -548,7 +582,7 @@ void blocked_micro(KernelBuild build, int k, const float* ap, const float* bp,
 }  // namespace detail
 
 void gemm_acc(int m, int n, int k, const float* a, const float* b, float* c) {
-  dispatch_acc(m, n, k, AMode::kNormal, a, BMode::kNormal, b, c);
+  dispatch_acc(m, n, k, AMode::kNormal, a, {BMode::kNormal, b}, c);
 }
 
 void gemm(int m, int n, int k, const float* a, const float* b, float* c) {
@@ -562,11 +596,18 @@ void gemm_at(int m, int n, int k, const float* a, const float* b, float* c) {
 }
 
 void gemm_at_acc(int m, int n, int k, const float* a, const float* b, float* c) {
-  dispatch_acc(m, n, k, AMode::kTransposed, a, BMode::kNormal, b, c);
+  dispatch_acc(m, n, k, AMode::kTransposed, a, {BMode::kNormal, b}, c);
 }
 
 void gemm_bt_acc(int m, int n, int k, const float* a, const float* b, float* c) {
-  dispatch_acc(m, n, k, AMode::kNormal, a, BMode::kTransposed, b, c);
+  dispatch_acc(m, n, k, AMode::kNormal, a, {BMode::kTransposed, b}, c);
+}
+
+void gemm_gather(int m, int n, int k, const float* a, const float* src,
+                 const int* koff, const int* coff, float* c) {
+  std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * n);
+  dispatch_acc(m, n, k, AMode::kNormal, a, {BMode::kGather, src, koff, coff},
+               c);
 }
 
 }  // namespace sysnoise

@@ -1,9 +1,13 @@
-// Small GEMM family powering conv (im2col) and linear layers.
+// Small GEMM family powering conv and linear layers.
 //
 // Every entry point runs the kernel of the active ComputeBackend
 // (tensor/backend.h: reference, blocked or simd; see gemm.cpp) and splits
 // large-M row ranges across the backend worker pool only when the caller
 // grants fan-out (GemmParallelScope), bit-identically at any worker count.
+// The one exception is gemm_gather, which runs the packed engine under every
+// backend. The reference backend is defined by its per-element operation
+// sequence, not by a kernel: gemm() and gemm_acc() run the seed loops, and a
+// conv forward on finite input computes the same sequence with gemm_gather.
 // Accumulates in float. Not meant to compete with BLAS, but fast enough to
 // train the mini model zoo in-process.
 #pragma once
@@ -26,6 +30,17 @@ void gemm_at_acc(int m, int n, int k, const float* a, const float* b, float* c);
 
 // C[m x n] += A[m x k] * B^T[n x k]  (B stored n x k)
 void gemm_bt_acc(int m, int n, int k, const float* a, const float* b, float* c);
+
+// C[m x n] = A[m x k] * B[k x n] (C overwritten) with B gathered from `src`:
+// B[kk][j] = src[koff[kk] + coff[j]]. A convolution passes its zero-padded
+// input, so B is its im2col column matrix without that matrix being written.
+// Runs the packed engine under every backend: simd's micro-kernel under simd,
+// the blocked one under reference and blocked. From a zeroed C the blocked
+// kernel gives each element the reference gemm's operation sequence, except
+// that it does not skip zero A values. So under reference the result is
+// gemm()'s bytes whenever every B value is finite; the caller checks that.
+void gemm_gather(int m, int n, int k, const float* a, const float* src,
+                 const int* koff, const int* coff, float* c);
 
 namespace detail {
 

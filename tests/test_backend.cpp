@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <limits>
 #include <mutex>
@@ -581,6 +582,25 @@ TEST(BackendNonFinite, NonReferenceBackendsPropagateNaNInputs) {
 // parallel_ranges
 // ---------------------------------------------------------------------------
 
+TEST(Backend, ScratchSlotsGrowGeometricallyAndKeepTheirBuffer) {
+  // A fresh thread, so no earlier test's high-water mark is in its slots.
+  std::thread([] {
+    float* p = tls_scratch(1000, 3);
+    EXPECT_EQ(tls_scratch(10, 3), p);  // a smaller request reuses the buffer
+    EXPECT_EQ(tls_scratch(1000, 3), p);
+    // A new high-water mark at least doubles the slot...
+    float* q = tls_scratch(1001, 3);
+    q[1999] = 1.0f;
+    EXPECT_EQ(tls_scratch(2000, 3), q);
+    EXPECT_EQ(tls_scratch(1500, 3), q);
+    // ...and always holds the floats asked for.
+    float* r = tls_scratch(10000, 3);
+    r[9999] = 1.0f;
+    EXPECT_EQ(tls_scratch(10000, 3), r);
+    EXPECT_NE(tls_scratch(10, 2), r);  // slots are separate buffers
+  }).join();
+}
+
 TEST(Backend, ParallelRangesCoversTotalExactlyOnceWithAlignment) {
   ensure_gemm_pool_helpers(kForcedHelpers);
   const GemmParallelScope fan(0);
@@ -905,6 +925,53 @@ bool same_bytes(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// conv2d of one case under every backend and each of `precisions`, with
+// fan-out off and forced on: the forward, and at FP32 the backward, must be
+// bytewise the seed im2col conv's under the same backend.
+void expect_seed_conv_bytes(const ConvCase& cc, const Tensor& x, const Tensor& w,
+                            const Tensor& bias,
+                            std::initializer_list<nn::Precision> precisions,
+                            Rng& rng) {
+  nn::ActRanges ranges;
+  ranges["t.in"].observe(x);
+  for (const ComputeBackend backend : kAllBackends)
+    for (const nn::Precision precision : precisions) {
+      nn::InferenceCtx ctx;
+      ctx.backend = backend;
+      ctx.precision = precision;
+      ctx.ranges = &ranges;
+      const Tensor expect = seed_conv(ctx, x, w, bias, cc);
+      for (const bool fan_out : {false, true}) {
+        std::unique_ptr<GemmParallelScope> fan;
+        if (fan_out) fan = std::make_unique<GemmParallelScope>(kForcedHelpers + 1);
+        nn::Tape tape;
+        tape.ctx = ctx;
+        nn::Param wp(w), bp(bias);
+        nn::Node* in = tape.input(x, /*requires_grad=*/true);
+        nn::Node* y =
+            nn::conv2d(tape, in, wp, &bp, {cc.stride, cc.pad, cc.groups}, "t");
+        const std::string where =
+            std::string(backend_name(backend)) + " " +
+            nn::precision_name(precision) + " k=" + std::to_string(cc.k) +
+            " s=" + std::to_string(cc.stride) + " p=" + std::to_string(cc.pad) +
+            " " + std::to_string(cc.h) + "x" + std::to_string(cc.w) +
+            " g=" + std::to_string(cc.groups) + " fan=" + std::to_string(fan_out);
+        EXPECT_TRUE(same_bytes(y->value, expect)) << where;
+        if (precision != nn::Precision::kFP32) continue;
+        // Backward (straight-through, so FP32 only): a random upstream grad
+        // through a linear head.
+        const int numel = static_cast<int>(y->value.size());
+        nn::Param head(random_tensor({1, numel}, rng));
+        tape.backward(
+            nn::linear(tape, nn::reshape(tape, y, {1, numel}), head, nullptr, "h"));
+        Tensor gw(w.shape()), gx(x.shape());
+        seed_conv_backward(x, w, y->grad, cc, backend, gw, gx);
+        EXPECT_TRUE(same_bytes(wp.grad, gw)) << where << " grad_w";
+        EXPECT_TRUE(same_bytes(in->grad, gx)) << where << " grad_x";
+      }
+    }
+}
+
 TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
   // Every kernel/stride/pad combination over an odd-sized image whose last
   // window overhangs, and a narrow one (w < k for k >= 5), for a plain, a
@@ -916,8 +983,6 @@ TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
   };
   const Grouping groupings[] = {{1, 4, 6, 1}, {2, 4, 4, 2}, {2, 3, 3, 3}};
   const std::array<int, 2> sizes[] = {{9, 7}, {6, 3}};
-  const nn::Precision precisions[] = {nn::Precision::kFP32, nn::Precision::kFP16,
-                                      nn::Precision::kINT8};
   Rng rng(77);
   int cases = 0;
   for (const int k : {1, 3, 5, 7})
@@ -930,49 +995,91 @@ TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
             const Tensor x = random_tensor({cc.n, cc.c, cc.h, cc.w}, rng);
             const Tensor w = random_tensor({cc.oc, cc.c / cc.groups, k, k}, rng);
             const Tensor bias = random_tensor({cc.oc}, rng);
-            nn::ActRanges ranges;
-            ranges["t.in"].observe(x);
             ++cases;
-            for (const ComputeBackend backend : kAllBackends)
-              for (const nn::Precision precision : precisions) {
-                nn::InferenceCtx ctx;
-                ctx.backend = backend;
-                ctx.precision = precision;
-                ctx.ranges = &ranges;
-                const Tensor expect = seed_conv(ctx, x, w, bias, cc);
-                for (const bool fan_out : {false, true}) {
-                  std::unique_ptr<GemmParallelScope> fan;
-                  if (fan_out)
-                    fan = std::make_unique<GemmParallelScope>(kForcedHelpers + 1);
-                  nn::Tape tape;
-                  tape.ctx = ctx;
-                  nn::Param wp(w), bp(bias);
-                  nn::Node* in = tape.input(x, /*requires_grad=*/true);
-                  nn::Node* y = nn::conv2d(tape, in, wp, &bp,
-                                           {stride, pad, cc.groups}, "t");
-                  const std::string where =
-                      std::string(backend_name(backend)) + " " +
-                      nn::precision_name(precision) + " k=" + std::to_string(k) +
-                      " s=" + std::to_string(stride) + " p=" + std::to_string(pad) +
-                      " " + std::to_string(h) + "x" + std::to_string(wd) +
-                      " g=" + std::to_string(cc.groups) +
-                      " fan=" + std::to_string(fan_out);
-                  EXPECT_TRUE(same_bytes(y->value, expect)) << where;
-                  if (precision != nn::Precision::kFP32) continue;
-                  // Backward (straight-through, so FP32 only): a random
-                  // upstream grad through a linear head.
-                  const int numel = static_cast<int>(y->value.size());
-                  nn::Param head(random_tensor({1, numel}, rng));
-                  tape.backward(nn::linear(
-                      tape, nn::reshape(tape, y, {1, numel}), head, nullptr, "h"));
-                  Tensor gw(w.shape()), gx(x.shape());
-                  seed_conv_backward(x, w, y->grad, cc, backend, gw, gx);
-                  EXPECT_TRUE(same_bytes(wp.grad, gw)) << where << " grad_w";
-                  EXPECT_TRUE(same_bytes(in->grad, gx)) << where << " grad_x";
-                }
-              }
+            expect_seed_conv_bytes(cc, x, w, bias,
+                                   {nn::Precision::kFP32, nn::Precision::kFP16,
+                                    nn::Precision::kINT8},
+                                   rng);
           }
   EXPECT_EQ(cases, 189);
+}
+
+TEST(BackendConv, GatheredColumnsAreBytewiseTheSeedConvOnWideGroupedImages) {
+  // A 21x19 image: at stride 1 some 16-column B strips lie inside one output
+  // row (one contiguous run of the padded input) and others cross a row
+  // boundary. The groupings cover a row-split GEMM under fan-out (one image,
+  // one group, 12 output rows), a grouped icg = 4 conv and a two-image
+  // grouped icg = 3 conv split over (image, group), and a depthwise conv.
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  const ConvCase shapes[] = {{1, 4, 21, 19, 12, 0, 0, 0, 1},
+                             {1, 8, 21, 19, 16, 0, 0, 0, 2},
+                             {2, 6, 21, 19, 8, 0, 0, 0, 2},
+                             {1, 3, 21, 19, 3, 0, 0, 0, 3}};
+  Rng rng(78);
+  int cases = 0;
+  for (const int k : {1, 3, 5})
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1, 2})
+        for (ConvCase cc : shapes) {
+          cc.k = k;
+          cc.stride = stride;
+          cc.pad = pad;
+          const Tensor x = random_tensor({cc.n, cc.c, cc.h, cc.w}, rng);
+          const Tensor w = random_tensor({cc.oc, cc.c / cc.groups, k, k}, rng);
+          const Tensor bias = random_tensor({cc.oc}, rng);
+          ++cases;
+          expect_seed_conv_bytes(cc, x, w, bias, {nn::Precision::kFP32}, rng);
+        }
+  EXPECT_EQ(cases, 72);
+}
+
+TEST(BackendConv, NonFiniteInputsKeepTheSeedZeroSkipOnlyUnderReference) {
+  // Input channel 0 holds one kind of non-finite value (NaN, +inf or -inf)
+  // at three places, and every weight that reads channel 0 is an exact
+  // zero. The reference conv must stay the seed conv, whose zero-skip never
+  // multiplies those values: all outputs finite. Blocked and simd multiply
+  // them (0 x inf = 0 x NaN = NaN), so every output whose window covers one
+  // is NaN.
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(79);
+  for (const float poison : {nan, inf, -inf})
+    for (const int groups : {1, 2}) {
+      const ConvCase cc{2, 4, 21, 19, 6, 3, 1, 1, groups};
+      Tensor x = random_tensor({cc.n, cc.c, cc.h, cc.w}, rng);
+      x.at4(0, 0, 4, 5) = poison;
+      x.at4(0, 0, 12, 17) = poison;
+      x.at4(1, 0, 20, 0) = poison;
+      Tensor w = random_tensor({cc.oc, cc.c / groups, cc.k, cc.k}, rng);
+      const int ocg = cc.oc / groups;
+      for (int o = 0; o < ocg; ++o)  // group 0's weights on input channel 0
+        for (int ky = 0; ky < cc.k; ++ky)
+          for (int kx = 0; kx < cc.k; ++kx) w.at4(o, 0, ky, kx) = 0.0f;
+      const Tensor bias = random_tensor({cc.oc}, rng);
+      expect_seed_conv_bytes(cc, x, w, bias, {nn::Precision::kFP32}, rng);
+      for (const ComputeBackend backend : kAllBackends) {
+        nn::Tape tape;
+        tape.ctx.backend = backend;
+        nn::Param wp(w), bp(bias);
+        const Tensor& y =
+            nn::conv2d(tape, tape.input(x), wp, &bp, {1, 1, groups}, "t")->value;
+        const std::string where = std::string(backend_name(backend)) +
+                                  " g=" + std::to_string(groups) +
+                                  " poison=" + std::to_string(poison);
+        if (backend == ComputeBackend::kReference) {
+          for (const float v : y.vec()) ASSERT_TRUE(std::isfinite(v)) << where;
+          continue;
+        }
+        // Stride 1, pad 1: output (oy, ox) is centred on input (oy, ox).
+        for (int o = 0; o < ocg; ++o) {
+          EXPECT_TRUE(std::isnan(y.at4(0, o, 4, 5))) << where << " o=" << o;
+          EXPECT_TRUE(std::isnan(y.at4(0, o, 12, 17))) << where << " o=" << o;
+          EXPECT_TRUE(std::isnan(y.at4(1, o, 20, 0))) << where << " o=" << o;
+          EXPECT_TRUE(std::isfinite(y.at4(1, o, 0, 18))) << where << " o=" << o;
+        }
+      }
+    }
 }
 
 // The seed's max-pool, verbatim: strict `v > best` scan that records each

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "models/train.h"
 #include "models/zoo.h"
@@ -24,6 +27,62 @@ const data::ClsDataset& tiny_cls() {
 }
 
 const PipelineSpec kSpec{.out_h = 32, .out_w = 32};
+
+// Every zoo architecture, random init, one fixed normal input: an FP32 eval
+// forward under reference and under blocked must leave bytewise-equal values
+// on every tape node. From a zeroed output on finite operands, the blocked
+// kernel runs each element's reference operation sequence, so Table 2's
+// blocked column is a structural zero.
+TEST(ZooBackends, ReferenceAndBlockedFp32ForwardsMatchOnEveryTapeNode) {
+  auto expect_same_tapes = [](const std::string& name, int size,
+                              const std::function<void(nn::Tape&, nn::Node*)>& fwd) {
+    Rng rng(31);
+    Tensor x({2, 3, size, size});
+    for (float& v : x.vec()) v = rng.normal_f(0.0f, 1.0f);
+    nn::Tape ref, blocked;
+    ref.ctx.backend = ComputeBackend::kReference;
+    blocked.ctx.backend = ComputeBackend::kBlocked;
+    fwd(ref, ref.input(x));
+    fwd(blocked, blocked.input(x));
+    ASSERT_EQ(ref.num_nodes(), blocked.num_nodes()) << name;
+    ASSERT_GT(ref.num_nodes(), 10u) << name;
+    for (std::size_t i = 0; i < ref.num_nodes(); ++i) {
+      const Tensor& a = ref.node(i).value;
+      const Tensor& b = blocked.node(i).value;
+      ASSERT_EQ(a.shape(), b.shape()) << name << " node " << i;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+          << name << " node " << i;
+    }
+  };
+  int models = 0;
+  for (const ClassifierSpec& spec : classifier_zoo()) {
+    Rng init(7);
+    auto m = make_classifier(spec.name, 10, init);
+    expect_same_tapes(spec.name, 32, [&](nn::Tape& t, nn::Node* x) {
+      m->forward(t, x, nn::BnMode::kEval);
+    });
+    ++models;
+  }
+  for (const char* backbone : {"resnet", "mobilenet"})
+    for (const bool softmax : {true, false}) {
+      Rng init(8);
+      Detector det(backbone, softmax, 4, init);
+      expect_same_tapes(std::string(backbone) + (softmax ? " softmax" : " sigmoid"),
+                        64, [&](nn::Tape& t, nn::Node* x) {
+                          det.forward(t, x, nn::BnMode::kEval);
+                        });
+      ++models;
+    }
+  for (const char* name : {"DeepLab-S", "DeepLab-M", "UNet"}) {
+    Rng init(9);
+    auto m = make_segmenter(name, 4, init);
+    expect_same_tapes(name, 64, [&](nn::Tape& t, nn::Node* x) {
+      m->forward(t, x, nn::BnMode::kEval);
+    });
+    ++models;
+  }
+  EXPECT_EQ(models, 15 + 4 + 3);
+}
 
 TEST(EvalLoop, FirstArgmaxKeepsTheFirstOfTiedMaximaAndNeverPicksNaN) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
