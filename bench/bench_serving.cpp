@@ -350,7 +350,6 @@ int main(int argc, char** argv) {
       opts.server.max_batch = 8;
       opts.server.max_delay_ms = 2.0;
       opts.server.queue_capacity = 64;
-      opts.server.gemm_workers = 1;
       const double rate = 0.8 * 2 * cap1_worker_rps;
       const auto trace = serve::generate_trace(serve::poisson_spec(
           config_seed + 999, fast ? 100.0 : 250.0, rate, n));

@@ -63,7 +63,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,6 +80,7 @@
 #include "net/socket.h"
 #include "svc/client.h"
 #include "svc/service.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 namespace sysnoise::bench {
@@ -106,32 +106,6 @@ inline std::string write_file(const std::string& name,
     std::exit(2);
   }
   return path;
-}
-
-// Atomic publication for files other processes poll for (port files): write
-// a temp sibling, then rename into place, so a reader never sees a partial
-// write — either the old content, or the complete new one.
-inline void write_file_atomic(const std::string& name,
-                              const std::string& content) {
-  const std::string final_path = results_dir() + "/" + name;
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
-    f << content;
-    f.flush();
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", tmp_path.c_str());
-      std::exit(2);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot publish %s: %s\n", final_path.c_str(),
-                 ec.message().c_str());
-    std::exit(2);
-  }
 }
 
 inline std::string read_file(const std::string& path) {
@@ -478,7 +452,12 @@ inline std::vector<core::MetricMap> coordinate_jobs(
   svc::SweepService service(opts);
   // Atomic: worker launchers poll for this file and must never read a
   // half-written port number.
-  write_file_atomic(cli.bench + ".port", std::to_string(service.port()) + "\n");
+  const std::string port_file = results_dir() + "/" + cli.bench + ".port";
+  if (!util::write_file_atomic(port_file,
+                               std::to_string(service.port()) + "\n")) {
+    std::fprintf(stderr, "cannot write %s\n", port_file.c_str());
+    std::exit(2);
+  }
   std::printf("[%s] coordinating on port %d (min workers: %d; port file: "
               "%s/%s.port)\n",
               cli.bench.c_str(), service.port(), cli.min_workers,

@@ -1,13 +1,11 @@
 #include "core/disk_stage_cache.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include <unistd.h>
-
+#include "util/fs.h"
 #include "util/json.h"
 
 namespace sysnoise::core {
@@ -71,28 +69,10 @@ bool DiskStageCache::load(const std::string& scope, const std::string& key,
 
 void DiskStageCache::store(const std::string& scope, const std::string& key,
                            const std::string& bytes) {
-  const std::string path = entry_path(scope, key);
-  // The temp name must be unique across every concurrent writer — threads
-  // AND processes (distributed workers share $SYSNOISE_STAGE_CACHE_DIR), so
-  // pid + a process-local counter, never thread ids (which collide across
-  // processes and would interleave two writers in one temp file).
-  static std::atomic<std::uint64_t> seq{0};
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "." << seq.fetch_add(1);
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    f << kFormatTag << "\n" << scope << "\n" << key << "\n";
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!f) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return;  // disk full / unwritable: persisting is best-effort
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  std::string entry =
+      std::string(kFormatTag) + "\n" + scope + "\n" + key + "\n" + bytes;
+  // Disk full / unwritable: persisting is best-effort.
+  if (!util::write_file_atomic(entry_path(scope, key), entry)) return;
   std::lock_guard<std::mutex> lock(mu_);
   ++stores_;
 }

@@ -13,7 +13,6 @@
 #include "data/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/backend.h"
 
 namespace sysnoise::core {
 
@@ -185,11 +184,6 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
           cfgs.push_back(&pending[groups[g].members.front()]->cfg);
           pres.push_back(pre_of[g]);
         }
-        // A stacked multi-config forward is the big-M invocation worth
-        // fanning out: grant the kernels intra-forward parallelism for its
-        // duration (bit-identical at any worker count — disjoint row
-        // ranges, unchanged per-element accumulation order).
-        const GemmParallelScope gemm_fanout(/*workers=*/0);
         const std::vector<StageProduct> outs =
             task.run_forward_batched(cfgs, pres);
         if (outs.size() != need.size())

@@ -232,32 +232,22 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
       for (int ox = 0; ox < ow; ++ox)
         coff[j++] = (oy * wpad + ox) * spec.stride;
   }
-  auto conv_one = [&](int idx) {
-    const int ni = idx / groups, g = idx % groups;
-    // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
-    float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
-    const float* w_ptr = wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
-    if (gather) {
-      gemm_gather(ocg, oh * ow, col_rows, w_ptr,
-                  padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
-                  coff.data(), out_ptr);
-      return;
+  for (int ni = 0; ni < n; ++ni)
+    for (int g = 0; g < groups; ++g) {
+      // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
+      float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
+      const float* w_ptr =
+          wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
+      if (gather) {
+        gemm_gather(ocg, oh * ow, col_rows, w_ptr,
+                    padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
+                    coff.data(), out_ptr);
+        continue;
+      }
+      const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride,
+                                      spec.pad, oh, ow, /*slot=*/2);
+      gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
     }
-    const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride, spec.pad,
-                                    oh, ow, /*slot=*/2);
-    gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
-  };
-  // With a parallelism grant (batched executor stacking configs), split the
-  // (image, group) space across the pool — each worker pads or im2cols into
-  // its own scratch and writes a disjoint output slab, so results are
-  // bit-identical at any worker count. A single (image, group) instead lets
-  // the GEMM split its output-channel rows.
-  if (gemm_workers() > 1 && n * groups > 1)
-    parallel_ranges(n * groups, /*align=*/1, [&](int begin, int end) {
-      for (int idx = begin; idx < end; ++idx) conv_one(idx);
-    });
-  else
-    for (int idx = 0; idx < n * groups; ++idx) conv_one(idx);
   if (bias != nullptr) {
     for (int ni = 0; ni < n; ++ni)
       for (int ci = 0; ci < oc; ++ci) {

@@ -1,13 +1,12 @@
 #include "nn/serialize.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
-#include <unistd.h>
+#include "util/fs.h"
 
 namespace sysnoise::nn {
 
@@ -16,31 +15,16 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53594E50;  // "SYNP"
 
 // Zoo-cache files are shared by concurrent processes (distributed workers
-// all resolve the same models against one SYSNOISE_CACHE_DIR), so writes go
-// to a writer-unique temp file and rename into place — a reader never sees
-// a half-written weights/ranges file.
-std::string temp_path_for(const std::string& path) {
-  static std::atomic<std::uint64_t> seq{0};
-  return path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(seq.fetch_add(1));
+// all resolve the same models against one SYSNOISE_CACHE_DIR), so a file is
+// built in memory and published atomically: a reader never sees a
+// half-written weights/ranges file.
+void publish_or_throw(const std::string& path, const std::ostringstream& f,
+                      const char* what) {
+  if (!util::write_file_atomic(path, f.view()))
+    throw std::runtime_error(std::string(what) + ": cannot write " + path);
 }
 
-void commit_or_throw(std::ofstream& f, const std::string& tmp,
-                     const std::string& path, const char* what) {
-  f.close();
-  std::error_code ec;
-  if (!f) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error(std::string(what) + ": write failed " + path);
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error(std::string(what) + ": cannot rename into " + path);
-  }
-}
-
-void write_tensor(std::ofstream& f, const Tensor& t) {
+void write_tensor(std::ostream& f, const Tensor& t) {
   const auto rank = static_cast<std::uint32_t>(t.rank());
   f.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
   for (int d : t.shape()) {
@@ -82,16 +66,14 @@ bool at_end(std::ifstream& f) {
 
 void save_params(const std::string& path, const std::vector<Param*>& params,
                  const std::vector<const Tensor*>& extra_state) {
-  const std::string tmp = temp_path_for(path);
-  std::ofstream f(tmp, std::ios::binary);
-  if (!f) throw std::runtime_error("save_params: cannot open " + tmp);
+  std::ostringstream f(std::ios::binary);
   f.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
   const auto count =
       static_cast<std::uint32_t>(params.size() + extra_state.size());
   f.write(reinterpret_cast<const char*>(&count), sizeof(count));
   for (const Param* p : params) write_tensor(f, p->value);
   for (const Tensor* t : extra_state) write_tensor(f, *t);
-  commit_or_throw(f, tmp, path, "save_params");
+  publish_or_throw(path, f, "save_params");
 }
 
 bool load_params(const std::string& path, const std::vector<Param*>& params,
@@ -122,9 +104,7 @@ bool load_params(const std::string& path, const std::vector<Param*>& params,
 }
 
 void save_ranges(const std::string& path, const ActRanges& ranges) {
-  const std::string tmp = temp_path_for(path);
-  std::ofstream f(tmp, std::ios::binary);
-  if (!f) throw std::runtime_error("save_ranges: cannot open " + tmp);
+  std::ostringstream f(std::ios::binary);
   const auto count = static_cast<std::uint32_t>(ranges.size());
   f.write(reinterpret_cast<const char*>(&count), sizeof(count));
   for (const auto& [key, obs] : ranges) {
@@ -134,7 +114,7 @@ void save_ranges(const std::string& path, const ActRanges& ranges) {
     f.write(reinterpret_cast<const char*>(&obs.lo), sizeof(obs.lo));
     f.write(reinterpret_cast<const char*>(&obs.hi), sizeof(obs.hi));
   }
-  commit_or_throw(f, tmp, path, "save_ranges");
+  publish_or_throw(path, f, "save_ranges");
 }
 
 bool load_ranges(const std::string& path, ActRanges& ranges) {

@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "obs/metrics.h"
+#include "util/fs.h"
 
 namespace sysnoise::obs {
 
@@ -75,15 +76,11 @@ void append_event(TraceEvent ev) {
   buf.events.push_back(std::move(ev));
 }
 
-// Temp + rename so concurrent readers (CI polling for trace files) never
-// see a partial document.
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  std::rename(tmp.c_str(), path.c_str());
+// Atomic, so concurrent readers (CI polling for trace files) never see a
+// partial document. A failed write publishes nothing and says so.
+void publish(const std::string& path, const std::string& bytes) {
+  if (!util::write_file_atomic(path, bytes))
+    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
 }
 
 }  // namespace
@@ -287,9 +284,9 @@ util::Json TraceSession::finish() {
   for (const auto& [key, value] : extras_.items()) summary.set(key, value);
   const std::string base =
       dir_ + "/" + name_ + "_" + std::to_string(::getpid());
-  write_file_atomic(base + "_trace.json", trace.dump(1) + "\n");
-  write_file_atomic(base + "_metrics.json", snap.dump(1) + "\n");
-  write_file_atomic(base + "_summary.json", summary.dump(1) + "\n");
+  publish(base + "_trace.json", trace.dump(1) + "\n");
+  publish(base + "_metrics.json", snap.dump(1) + "\n");
+  publish(base + "_summary.json", summary.dump(1) + "\n");
   return summary;
 }
 

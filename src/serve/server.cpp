@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "obs/trace.h"
-#include "tensor/backend.h"
 
 namespace sysnoise::serve {
 
@@ -111,7 +110,6 @@ struct InferenceServer::Impl {
   }
 
   void worker_loop() {
-    GemmParallelScope gemm(opts.gemm_workers);
     const Clock::duration delay = ms_duration(opts.max_delay_ms);
     std::unique_lock<std::mutex> lock(mu);
     while (true) {

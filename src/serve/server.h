@@ -8,9 +8,9 @@
 // when the queue holds max_batch requests OR the oldest admitted request
 // has waited max_delay_ms, taking min(max_batch, queue) requests. Batches
 // go through ServingModel::predict (for the classifier model: stack_parts
-// + one forward pass under the config's ComputeBackend, optionally fanned
-// out via GemmParallelScope). drain() is the graceful shutdown: no new
-// admissions, every queued request still served, workers joined.
+// + one forward pass under the config's ComputeBackend, on the worker's own
+// thread). drain() is the graceful shutdown: no new admissions, every
+// queued request still served, workers joined.
 //
 // replay_wall_clock() replays a trace against a real InferenceServer,
 // sleeping to each arrival. Its numbers are real and therefore noisy —
@@ -45,9 +45,6 @@ struct ServerOptions {
   // Admission-queue bound; an arrival finding the queue at capacity is shed
   // (counted, never served). 0 = unbounded.
   std::size_t queue_capacity = 256;
-  // GemmParallelScope each wall-clock worker opens around its forwards
-  // (<= 1: serial kernels).
-  int gemm_workers = 1;
 };
 
 // Mergeable accounting for one server lifetime / one replay.

@@ -5,11 +5,12 @@
 //
 //  - kReference  — defined by the seed loops' per-element operation
 //                  sequence, not by one kernel, so its output is
-//                  bit-identical to the seed's. The public GEMMs run the seed
-//                  loops, 8 lanes wide under runtime-detected AVX, never
-//                  fused. A conv forward on finite input computes the same
-//                  sequence on the packed engine (gemm_gather), which skips
-//                  nothing and is faster. Keeps the zero-skip
+//                  bit-identical to the seed's. gemm, gemm_acc and gemm_at*
+//                  run the seed loops, 8 lanes wide under runtime-detected
+//                  AVX, never fused. gemm_bt_acc, whose seed loop never
+//                  skipped, and a conv forward on finite input compute the
+//                  same sequence on the packed engine, which skips nothing
+//                  and is faster. Keeps the zero-skip
 //                  (`if (av == 0.0f) continue;`) as an explicit, documented
 //                  property: it silently drops 0 x inf = NaN propagation, so
 //                  results depend on the sparsity of A when B holds
@@ -34,14 +35,12 @@
 //
 // The process-wide default comes from $SYSNOISE_BACKEND (reference when
 // unset); per-thread overrides (BackendScope) are how ops apply a config's
-// backend around their kernel calls. A small process-wide worker pool
-// provides deterministic intra-forward parallelism: parallel_ranges() splits
-// disjoint row ranges across workers, which cannot change any accumulation
-// order, so results are bit-identical at every worker count.
+// backend around their kernel calls. Every kernel call runs on its calling
+// thread; parallelism lives one level up, across configs (executors),
+// requests (serving workers) and processes (dist workers).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 namespace sysnoise {
@@ -86,45 +85,6 @@ class BackendScope {
 // across machines are interpretable.
 const char* simd_isa_name();
 
-// --- intra-forward parallelism ---------------------------------------------
-
-// Worker count the calling thread's kernel calls may fan out to (>= 1).
-// Defaults to 1 (serial); the batched executor opens a GemmParallelScope
-// around stacked multi-config forward invocations.
-int gemm_workers();
-
-// RAII per-thread parallelism grant. `workers <= 0` means "use the
-// hardware": min(hardware_concurrency, kMaxGemmWorkers).
-class GemmParallelScope {
- public:
-  explicit GemmParallelScope(int workers);
-  ~GemmParallelScope();
-  GemmParallelScope(const GemmParallelScope&) = delete;
-  GemmParallelScope& operator=(const GemmParallelScope&) = delete;
-
- private:
-  int prev_;
-};
-
-// Grow the process worker pool to at least `n` helper threads (capped at
-// the pool's fan-out bound; threads are only ever added). The pool normally
-// sizes itself to hardware_concurrency() - 1, which is zero on a
-// single-core host — every fan-out then collapses to one inline range and
-// the split path is never exercised. Tests and benches that assert
-// split-vs-serial behavior call this first so they are never vacuously
-// green on small machines.
-void ensure_gemm_pool_helpers(int n);
-
-// Split [0, total) into at most gemm_workers() contiguous chunks (aligned
-// down to `align` boundaries) and run fn(begin, end) for each, across the
-// process worker pool plus the calling thread. Every range runs under the
-// caller's active_backend(), whichever thread executes it. Ranges are
-// disjoint, so any writer touching only its range is race-free and
-// order-independent; runs inline when gemm_workers() == 1, total is small,
-// or the caller is itself a pool worker (no nested fan-out).
-void parallel_ranges(int total, int align,
-                     const std::function<void(int, int)>& fn);
-
 // --- scratch arena ----------------------------------------------------------
 
 // Thread-local scratch buffer lender: returns an uninitialized buffer of at
@@ -133,8 +93,7 @@ void parallel_ranges(int total, int align,
 // per thread per doubling of the high-water mark instead of once per
 // invocation. Slot map:
 //  0  the packed engine's A panels;
-//  1  the packed engine's B strips, or the reference gemm_bt_acc's
-//     transposed B strip;
+//  1  the packed engine's B strips;
 //  2  conv: the zero-padded input plane a gathered forward reads, or the
 //     im2col columns of the backward, a depthwise forward and a reference
 //     forward on non-finite input;

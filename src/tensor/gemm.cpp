@@ -4,29 +4,27 @@
 // engine; gemm.h says when that is reference's bytes):
 //  - reference: defined by the seed loops' per-element operation sequence,
 //    so bit-identical to the historical output. gemm_acc keeps each C strip
-//    in registers, 8 lanes wide under runtime-detected AVX; gemm_bt_acc runs
-//    a strip's dot products side by side in 4-lane vectors. Lanes multiply
-//    and add unfused. gemm_acc and gemm_at_acc keep the zero-skip
+//    in registers, 8 lanes wide under runtime-detected AVX, multiplying and
+//    adding unfused. gemm_acc and gemm_at_acc keep the zero-skip
 //    (`if (av == 0.0f) continue;`) as a documented reference-only property
 //    — it drops 0 x inf = NaN propagation, so results depend on the
 //    sparsity of A when B holds non-finite values. The other backends do
-//    NOT skip.
+//    NOT skip. The seed's gemm_bt_acc loop has no zero-skip: it starts each
+//    dot product at +0, accumulates k-ascending and adds to C once, which
+//    is the blocked micro-kernel's sequence, so reference runs it there.
 //  - blocked: one packed-panel engine for all variants. A and B tiles are
 //    packed into k-major micro-panels and a register-tiled MR x NR
 //    micro-kernel accumulates in a fixed, strictly k-ascending order into
 //    fresh accumulators that are added to C once — deterministic at any
-//    tile boundary or worker count. Its micro-kernel also has a baseline and
-//    an unfused AVX build, chosen once per process.
+//    tile boundary. Its micro-kernel also has a baseline and an unfused AVX
+//    build, chosen once per process.
 //  - simd: the same packed engine with an AVX2+FMA (x86) or NEON (ARM)
 //    micro-kernel, chosen by runtime CPU detection; tails and unsupported
 //    CPUs fall back to the blocked micro-kernel. FMA's single
 //    rounding makes this a genuinely different float profile — which is
 //    the point: the backend is a measured noise axis.
 //
-// All public entry points additionally split large-M row ranges across the
-// worker pool when the caller granted parallelism (GemmParallelScope); row
-// ranges are disjoint and accumulation order per element is unchanged, so
-// results are bit-identical at every worker count.
+// Every call runs on its calling thread.
 #include "tensor/gemm.h"
 
 #include <algorithm>
@@ -49,10 +47,9 @@ namespace sysnoise {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference backend: the seed's loops. ref_gemm_acc is register-tiled and
-// ref_gemm_bt_acc lane-tiled, but every C element sees the seed's exact
-// operation sequence. ref_gemm_acc is built twice, for the x86-64 baseline
-// and for "avx", from one body.
+// Reference backend: the seed's loops. ref_gemm_acc is register-tiled, but
+// every C element sees the seed's exact operation sequence. It is built
+// twice, for the x86-64 baseline and for "avx", from one body.
 // ---------------------------------------------------------------------------
 
 constexpr int kRefBlockK = 128;
@@ -166,63 +163,17 @@ __attribute__((target("avx"))) void ref_gemm_acc_avx(int m, int n, int k,
 }
 #endif
 
-void ref_gemm_at_acc(int m, int n, int k, const float* a, int a_stride,
-                     const float* b, float* c) {
-  // A is k x a_stride and this call covers m of its columns starting at
-  // `a` (a_stride == m for a whole-matrix call; a row-split passes the
-  // full output width so each k step strides over the entire A row).
-  // Iterate kk outer so both A and B stream row-wise.
+void ref_gemm_at_acc(int m, int n, int k, const float* a, const float* b,
+                     float* c) {
+  // A is k x m. Iterate kk outer so both A and B stream row-wise.
   for (int kk = 0; kk < k; ++kk) {
-    const float* arow = a + static_cast<std::ptrdiff_t>(kk) * a_stride;
+    const float* arow = a + static_cast<std::ptrdiff_t>(kk) * m;
     const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
     for (int i = 0; i < m; ++i) {
       const float av = arow[i];
       if (av == 0.0f) continue;
       float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-// Reference bt strip: C columns computed side by side per A row, as four
-// Lanes4 accumulators.
-constexpr int kRefBtStrip = 16;
-constexpr int kRefBtGroups = kRefBtStrip / 4;
-
-void ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
-                     float* c) {
-  // B is n x k; C[i][j] += dot(A row i, B row j). Each strip of up to
-  // kRefBtStrip B rows is transposed k-major into `bt` (a partial strip
-  // zero-padded), then every A row runs the strip's dot products side by
-  // side. Each lane is the seed's loop for one C element: acc = +0, then
-  // acc += a[i][kk] * b[j][kk] for kk ascending, then C += acc. Padded lanes
-  // are never stored.
-  float* bt =
-      tls_scratch(static_cast<std::size_t>(k) * kRefBtStrip, /*slot=*/1);
-  for (int j0 = 0; j0 < n; j0 += kRefBtStrip) {
-    const int jb = std::min(kRefBtStrip, n - j0);
-    for (int kk = 0; kk < k; ++kk) {
-      float* dst = bt + static_cast<std::ptrdiff_t>(kk) * kRefBtStrip;
-      for (int j = 0; j < jb; ++j)
-        dst[j] = b[static_cast<std::ptrdiff_t>(j0 + j) * k + kk];
-      for (int j = jb; j < kRefBtStrip; ++j) dst[j] = 0.0f;
-    }
-    for (int i = 0; i < m; ++i) {
-      const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-      Lanes4 acc[kRefBtGroups] = {};
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* bk = bt + static_cast<std::ptrdiff_t>(kk) * kRefBtStrip;
-        for (int g = 0; g < kRefBtGroups; ++g) {
-          Lanes4 bv;
-          std::memcpy(&bv, bk + 4 * g, sizeof(bv));
-          acc[g] += av * bv;
-        }
-      }
-      float out[kRefBtStrip];
-      std::memcpy(out, acc, sizeof(out));
-      float* crow = c + static_cast<std::ptrdiff_t>(i) * n + j0;
-      for (int j = 0; j < jb; ++j) crow[j] += out[j];
     }
   }
 }
@@ -418,22 +369,21 @@ MicroKernel simd_micro_kernel() {
 #endif
 }
 
-// C[i0:i0+mb) rows += op(A) * op(B) over the full k range through packed
-// panels. Packing cost: A once per call (k-major MR panels, zero-padded
-// tail rows), B once per NR column strip (reused across all row panels); a
-// gathered B is read from its source here, so it is never materialized.
+// C += op(A) * op(B) over the full k range through packed panels. Packing
+// cost: A once per call (k-major MR panels, zero-padded tail rows), B once
+// per NR column strip (reused across all row panels); a gathered B is read
+// from its source here, so it is never materialized.
 // Zero padding is only ever multiplied into accumulator lanes that are
 // never stored, so it cannot leak NaNs into C.
-void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
-                      AMode amode, const float* a, int m_full,
-                      const BOperand& b, float* c) {
-  const int mpanels = (mb + MR - 1) / MR;
+void packed_gemm(MicroKernel micro, int m, int n, int k, AMode amode,
+                 const float* a, const BOperand& b, float* c) {
+  const int mpanels = (m + MR - 1) / MR;
   float* apack =
       tls_scratch(static_cast<std::size_t>(mpanels) * MR * k, /*slot=*/0);
   for (int p = 0; p < mpanels; ++p) {
     float* panel = apack + static_cast<std::ptrdiff_t>(p) * MR * k;
-    const int ib = std::min(MR, mb - p * MR);
-    const int row0 = i0 + p * MR;
+    const int ib = std::min(MR, m - p * MR);
+    const int row0 = p * MR;
     if (ib == MR && amode == AMode::kNormal) {
       // Full panel from row-major A: transpose four contiguous rows.
       const float* r = a + static_cast<std::ptrdiff_t>(row0) * k;
@@ -448,13 +398,13 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
       // Full panel from k x m A: each k step is already MR contiguous floats.
       for (int kk = 0; kk < k; ++kk)
         std::memcpy(panel + static_cast<std::ptrdiff_t>(kk) * MR,
-                    a + static_cast<std::ptrdiff_t>(kk) * m_full + row0,
+                    a + static_cast<std::ptrdiff_t>(kk) * m + row0,
                     MR * sizeof(float));
     } else {
       for (int kk = 0; kk < k; ++kk)
         for (int i = 0; i < MR; ++i)
           panel[static_cast<std::ptrdiff_t>(kk) * MR + i] =
-              i < ib ? a_at(amode, a, m_full, k, row0 + i, kk) : 0.0f;
+              i < ib ? a_at(amode, a, m, k, row0 + i, kk) : 0.0f;
     }
   }
 
@@ -497,10 +447,9 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
     }
     for (int p = 0; p < mpanels; ++p) {
       micro(k, apack + static_cast<std::ptrdiff_t>(p) * MR * k, bpack, acc);
-      const int ib = std::min(MR, mb - p * MR);
+      const int ib = std::min(MR, m - p * MR);
       for (int i = 0; i < ib; ++i) {
-        float* crow =
-            c + static_cast<std::ptrdiff_t>(i0 + p * MR + i) * n + j0;
+        float* crow = c + static_cast<std::ptrdiff_t>(p * MR + i) * n + j0;
         for (int j = 0; j < jb; ++j) crow[j] += acc[i * NR + j];
       }
     }
@@ -511,45 +460,25 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
 // Dispatch
 // ---------------------------------------------------------------------------
 
-// Row ranges below this skip the fork/join entirely.
-constexpr int kParallelMinRows = 2 * MR;
-
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
                   const BOperand& b, float* c) {
   const ComputeBackend backend = active_backend();
-  static const RefGemmKernel ref_acc = ref_gemm_acc_kernel(host_build());
-  static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
-  const MicroKernel micro = backend == ComputeBackend::kSimd
-                                ? simd_micro_kernel()
-                                : blocked_micro;
-  // A gathered B has no reference loop: gemm_gather runs the packed engine
-  // under every backend (gemm.h says when that is reference's bytes).
-  const bool packed =
-      backend != ComputeBackend::kReference || b.mode == BMode::kGather;
-  auto rows = [&](int begin, int end) {
-    if (packed) {
-      packed_gemm_rows(micro, begin, end - begin, n, k, amode, a, m, b, c);
-      return;
-    }
-    // The reference loops read A rows / write C rows relative to row 0;
-    // offset the operand bases so each range is self-contained.
-    if (amode == AMode::kNormal && b.mode == BMode::kNormal)
-      ref_acc(end - begin, n, k, a + static_cast<std::ptrdiff_t>(begin) * k,
-              b.b, c + static_cast<std::ptrdiff_t>(begin) * n);
-    else if (amode == AMode::kTransposed)
-      // A is k x m (full width): offset to the range's first column but
-      // keep striding k steps by the full m, not the range width.
-      ref_gemm_at_acc(end - begin, n, k, a + begin, m, b.b,
-                      c + static_cast<std::ptrdiff_t>(begin) * n);
+  // Reference keeps its own loops only where its zero-skip and in-place C
+  // accumulation make its bytes differ from the packed engine's: gemm_acc
+  // and gemm_at_acc. Its gemm_bt_acc and every gemm_gather run the blocked
+  // micro-kernel (gemm.h says when a gather is reference's bytes).
+  if (backend == ComputeBackend::kReference && b.mode == BMode::kNormal) {
+    static const RefGemmKernel ref_acc = ref_gemm_acc_kernel(host_build());
+    if (amode == AMode::kNormal)
+      ref_acc(m, n, k, a, b.b, c);
     else
-      ref_gemm_bt_acc(end - begin, n, k,
-                      a + static_cast<std::ptrdiff_t>(begin) * k, b.b,
-                      c + static_cast<std::ptrdiff_t>(begin) * n);
-  };
-  if (gemm_workers() > 1 && m >= kParallelMinRows)
-    parallel_ranges(m, MR, rows);
-  else
-    rows(0, m);
+      ref_gemm_at_acc(m, n, k, a, b.b, c);
+    return;
+  }
+  static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
+  packed_gemm(backend == ComputeBackend::kSimd ? simd_micro_kernel()
+                                               : blocked_micro,
+              m, n, k, amode, a, b, c);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Small GEMM family powering conv and linear layers.
 //
 // Every entry point runs the kernel of the active ComputeBackend
-// (tensor/backend.h: reference, blocked or simd; see gemm.cpp) and splits
-// large-M row ranges across the backend worker pool only when the caller
-// grants fan-out (GemmParallelScope), bit-identically at any worker count.
-// The one exception is gemm_gather, which runs the packed engine under every
-// backend. The reference backend is defined by its per-element operation
-// sequence, not by a kernel: gemm() and gemm_acc() run the seed loops, and a
-// conv forward on finite input computes the same sequence with gemm_gather.
+// (tensor/backend.h: reference, blocked or simd; see gemm.cpp) on the
+// calling thread. The reference backend is defined by its per-element
+// operation sequence, not by a kernel: gemm(), gemm_acc() and gemm_at*() run
+// the seed loops, while gemm_bt_acc() and a conv forward on finite input
+// (gemm_gather) compute the same sequence on the packed engine.
 // Accumulates in float. Not meant to compete with BLAS, but fast enough to
 // train the mini model zoo in-process.
 #pragma once

@@ -1,23 +1,18 @@
 // Compute-backend seam (tensor/backend.h): name round trips, GEMM parity
 // between the reference / blocked / simd kernel families, per-backend
-// bit-exact self-consistency (including under the intra-forward worker
-// pool), the reference backend's documented zero-skip vs IEEE non-finite
-// propagation, conv2d im2col edge cases per backend, and backend-scoped
-// stage caching (forward products from different kernels never mix, in
-// memory or on disk).
+// bit-exact self-consistency, the reference backend's documented zero-skip
+// vs IEEE non-finite propagation, conv2d im2col edge cases per backend, and
+// backend-scoped stage caching (forward products from different kernels
+// never mix, in memory or on disk).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <initializer_list>
-#include <memory>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -210,47 +205,6 @@ TEST(BackendParity, EachBackendIsBitExactlyRepeatable) {
   }
 }
 
-// The pool sizes itself to hardware_concurrency() - 1, which is zero on a
-// single-core host: every fan-out then collapses to one inline range, and
-// any split-only bug sails through green. Split tests force a real pool
-// first and assert the split actually happened.
-constexpr int kForcedHelpers = 3;
-
-TEST(Backend, ForcedPoolActuallySplitsRanges) {
-  ensure_gemm_pool_helpers(kForcedHelpers);
-  const GemmParallelScope fan(kForcedHelpers + 1);
-  std::mutex mu;
-  std::vector<std::pair<int, int>> seen;
-  parallel_ranges(64, 4, [&](int begin, int end) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.emplace_back(begin, end);
-  });
-  ASSERT_GT(seen.size(), 1u)
-      << "worker pool cannot split even after ensure_gemm_pool_helpers(); "
-         "every worker fan-out test in this binary would be vacuous";
-}
-
-TEST(BackendParity, WorkerFanOutIsBitIdenticalToSerialAtAnyWorkerCount) {
-  ensure_gemm_pool_helpers(kForcedHelpers);
-  Rng rng(11);
-  const int m = 61, n = 37, k = 29;
-  for (const Variant v : kAllVariants) {
-    const auto a = random_vec(a_floats(v, m, k), rng);
-    const auto b = random_vec(b_floats(v, n, k), rng);
-    const auto c0 = random_vec(static_cast<std::size_t>(m) * n, rng);
-    for (const ComputeBackend backend : kAllBackends) {
-      const auto serial = run_variant(v, backend, m, n, k, a, b, c0);
-      for (const int workers : {2, 3, 8, 0 /* = hardware */}) {
-        const GemmParallelScope fan(workers);
-        const auto parallel = run_variant(v, backend, m, n, k, a, b, c0);
-        EXPECT_EQ(serial, parallel)
-            << variant_name(v) << " " << backend_name(backend) << " workers="
-            << workers;
-      }
-    }
-  }
-}
-
 // The seed's reference gemm_acc loop, verbatim: the oracle the register-
 // tiled reference kernel must match bit for bit.
 void seed_ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
@@ -285,8 +239,8 @@ const char* build_name(detail::KernelBuild build) {
 
 TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
   // Shapes straddle the 32-, 16- and 8-column register strips, the
-  // 256-column and 128-deep blocks, and n below one strip; rows reach the
-  // pool split. Both kernel builds run serially against the seed loop too.
+  // 256-column and 128-deep blocks, and n below one strip. Both kernel
+  // builds run against the seed loop too.
   const std::vector<std::array<int, 3>> shapes = {
       {3, 31, 5},    {2, 32, 7},     {5, 33, 129},  {9, 63, 128},
       {4, 255, 127}, {3, 256, 130},  {17, 257, 64}, {8, 300, 260},
@@ -294,7 +248,6 @@ TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
       {48, 16, 432}, {32, 24, 288},  {5, 8, 9},     {7, 40, 130}};
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  ensure_gemm_pool_helpers(kForcedHelpers);
   Rng rng(2024);
   for (const auto& [m, n, k] : shapes) {
     for (const bool special : {false, true}) {
@@ -312,17 +265,14 @@ TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
         std::vector<float> expect =
             acc ? c0 : std::vector<float>(c0.size(), 0.0f);
         seed_ref_gemm_acc(m, n, k, a.data(), b.data(), expect.data());
-        for (const int workers : {1, kForcedHelpers + 1}) {
-          const GemmParallelScope fan(workers);
-          const auto got = run_variant(acc ? Variant::kGemmAcc : Variant::kGemm,
-                                       ComputeBackend::kReference, m, n, k, a,
-                                       b, c0);
-          EXPECT_EQ(std::memcmp(got.data(), expect.data(),
-                                expect.size() * sizeof(float)),
-                    0)
-              << "m=" << m << " n=" << n << " k=" << k << " special=" << special
-              << " acc=" << acc << " workers=" << workers;
-        }
+        const auto got = run_variant(acc ? Variant::kGemmAcc : Variant::kGemm,
+                                     ComputeBackend::kReference, m, n, k, a, b,
+                                     c0);
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                              expect.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k << " special=" << special
+            << " acc=" << acc;
         for (const detail::KernelBuild build : kAllBuilds) {
           if (!detail::kernel_build_supported(build)) continue;
           std::vector<float> got =
@@ -435,10 +385,11 @@ TEST(BackendParity, ReferenceAndBlockedNeverFuse) {
   }
 }
 
-// The seed's reference gemm_bt_acc loop, verbatim: the oracle the lane-
-// tiled reference kernel must match bit for bit.
-void seed_ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
-                          float* c) {
+// The seed's reference gemm_bt_acc loop, verbatim: the oracle the packed
+// engine, which the reference backend runs gemm_bt_acc on, must match bit
+// for bit.
+void seed_gemm_bt_loop(int m, int n, int k, const float* a, const float* b,
+                       float* c) {
   // B is n x k; dot products of A rows with B rows.
   for (int i = 0; i < m; ++i) {
     const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
@@ -453,13 +404,12 @@ void seed_ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
 }
 
 TEST(BackendParity, ReferenceBtGemmIsBitIdenticalToTheSeedLoop) {
-  // Widths straddle one Lanes4 group and the 16-column strip, so partial
-  // strips run with zero-padded lanes. Rows reach the pool split.
+  // Widths and row counts straddle the packed engine's 16-column strip and
+  // 4-row panel, so partial tiles run with zero-padded lanes.
   // NaN outputs must sit where the seed's do; their payload and sign are
   // not compared (two compilations of the seed loop already differ there).
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  ensure_gemm_pool_helpers(kForcedHelpers);
   Rng rng(2025);
   for (const int m : {1, 3, 8, 17})
     for (const int n : {1, 7, 15, 16, 17, 24, 96, 131})
@@ -479,22 +429,18 @@ TEST(BackendParity, ReferenceBtGemmIsBitIdenticalToTheSeedLoop) {
               a[i] = i % 2 == 0 ? -inf : nan;
           }
           std::vector<float> expect = c0;
-          seed_ref_gemm_bt_acc(m, n, k, a.data(), b.data(), expect.data());
-          for (const int workers : {1, kForcedHelpers + 1}) {
-            const GemmParallelScope fan(workers);
-            const auto got = run_variant(Variant::kGemmBtAcc,
-                                         ComputeBackend::kReference, m, n, k,
-                                         a, b, c0);
-            std::size_t mismatches = 0;
-            for (std::size_t i = 0; i < expect.size(); ++i)
-              mismatches += std::isnan(expect[i])
-                                ? !std::isnan(got[i])
-                                : std::memcmp(&got[i], &expect[i],
-                                              sizeof(float)) != 0;
-            EXPECT_EQ(mismatches, 0u)
-                << "m=" << m << " n=" << n << " k=" << k
-                << " special=" << special << " workers=" << workers;
-          }
+          seed_gemm_bt_loop(m, n, k, a.data(), b.data(), expect.data());
+          const auto got = run_variant(Variant::kGemmBtAcc,
+                                       ComputeBackend::kReference, m, n, k, a,
+                                       b, c0);
+          std::size_t mismatches = 0;
+          for (std::size_t i = 0; i < expect.size(); ++i)
+            mismatches += std::isnan(expect[i])
+                              ? !std::isnan(got[i])
+                              : std::memcmp(&got[i], &expect[i],
+                                            sizeof(float)) != 0;
+          EXPECT_EQ(mismatches, 0u) << "m=" << m << " n=" << n << " k=" << k
+                                    << " special=" << special;
         }
 }
 
@@ -579,7 +525,7 @@ TEST(BackendNonFinite, NonReferenceBackendsPropagateNaNInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_ranges
+// Scratch arena
 // ---------------------------------------------------------------------------
 
 TEST(Backend, ScratchSlotsGrowGeometricallyAndKeepTheirBuffer) {
@@ -599,91 +545,6 @@ TEST(Backend, ScratchSlotsGrowGeometricallyAndKeepTheirBuffer) {
     EXPECT_EQ(tls_scratch(10000, 3), r);
     EXPECT_NE(tls_scratch(10, 2), r);  // slots are separate buffers
   }).join();
-}
-
-TEST(Backend, ParallelRangesCoversTotalExactlyOnceWithAlignment) {
-  ensure_gemm_pool_helpers(kForcedHelpers);
-  const GemmParallelScope fan(0);
-  for (const int total : {1, 7, 64, 129}) {
-    for (const int align : {1, 4, 16}) {
-      std::mutex mu;
-      std::vector<std::pair<int, int>> seen;
-      parallel_ranges(total, align, [&](int begin, int end) {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.emplace_back(begin, end);
-      });
-      std::sort(seen.begin(), seen.end());
-      int next = 0;
-      for (const auto& [begin, end] : seen) {
-        EXPECT_EQ(begin, next);
-        EXPECT_LT(begin, end);
-        // Interior boundaries land on align multiples.
-        if (end != total) EXPECT_EQ(end % align, 0) << total << "/" << align;
-        next = end;
-      }
-      EXPECT_EQ(next, total) << total << "/" << align;
-    }
-  }
-}
-
-TEST(Backend, BackToBackJobsExecuteEachRangeExactlyOnce) {
-  // Cross-job integrity: a worker preempted between jobs must never carry a
-  // stale range index into the next job. Alternate a 2-range job with a
-  // 4-range job so a stale overrun index from the small job (2 or 3) would
-  // be in range for the big one — the old race then executes that range
-  // twice, which shows up here as an over-count.
-  ensure_gemm_pool_helpers(kForcedHelpers);
-  constexpr int kTotal = 64, kJobs = 500;
-  std::vector<int> counts(kTotal, 0);
-  for (int j = 0; j < kJobs; ++j) {
-    const GemmParallelScope fan(j % 2 == 0 ? 2 : 4);
-    parallel_ranges(kTotal, 1, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) ++counts[i];
-    });
-  }
-  for (int i = 0; i < kTotal; ++i) EXPECT_EQ(counts[i], kJobs) << "i=" << i;
-}
-
-TEST(Backend, ParallelRangesRunEveryRangeUnderTheCallersBackend) {
-  // BackendScope is thread-local, so a range a pool helper picks up must
-  // still compute with the caller's backend. Every range waits until a
-  // second one is running, which puts at least one range on a helper.
-  ensure_gemm_pool_helpers(kForcedHelpers);
-  const ComputeBackend want = default_backend() == ComputeBackend::kSimd
-                                  ? ComputeBackend::kBlocked
-                                  : ComputeBackend::kSimd;
-  const BackendScope scope(want);
-  const GemmParallelScope fan(kForcedHelpers + 1);
-  constexpr int kTotal = 8;
-  std::mutex mu;
-  std::condition_variable cv;
-  int running = 0;
-  std::set<std::thread::id> threads;
-  std::vector<ComputeBackend> seen(kTotal, default_backend());
-  parallel_ranges(kTotal, 1, [&](int begin, int end) {
-    std::unique_lock<std::mutex> lock(mu);
-    ++running;
-    threads.insert(std::this_thread::get_id());
-    cv.notify_all();
-    cv.wait_for(lock, std::chrono::seconds(10), [&] { return running >= 2; });
-    for (int i = begin; i < end; ++i)
-      seen[static_cast<std::size_t>(i)] = active_backend();
-  });
-  EXPECT_GE(threads.size(), 2u);
-  for (int i = 0; i < kTotal; ++i)
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)], want) << "i=" << i;
-}
-
-TEST(Backend, ParallelRangesRunsInlineWithoutAGrant) {
-  // gemm_workers() defaults to 1: the callback must run on this thread,
-  // exactly once, covering everything.
-  int calls = 0;
-  parallel_ranges(100, 4, [&](int begin, int end) {
-    ++calls;
-    EXPECT_EQ(begin, 0);
-    EXPECT_EQ(end, 100);
-  });
-  EXPECT_EQ(calls, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -767,7 +628,6 @@ TEST(BackendConv, Im2colEdgeCasesMatchDirectConvolutionPerBackend) {
 }
 
 TEST(BackendConv, ForwardIsBitExactPerBackendAcrossRepeatsAndFanOut) {
-  ensure_gemm_pool_helpers(kForcedHelpers);
   Rng rng(321);
   const Tensor x = random_tensor({3, 4, 9, 9}, rng);
   const Tensor w = random_tensor({6, 2, 3, 3}, rng);
@@ -778,10 +638,6 @@ TEST(BackendConv, ForwardIsBitExactPerBackendAcrossRepeatsAndFanOut) {
       tape.ctx.backend = backend;
       nn::Param wp(w);
       nn::Node* in = tape.input(x);
-      // rep 2 runs under a worker-pool grant: the (image, group) fan-out
-      // must not change a single bit.
-      std::unique_ptr<GemmParallelScope> fan;
-      if (rep == 2) fan = std::make_unique<GemmParallelScope>(0);
       nn::Node* y = nn::conv2d(tape, in, wp, nullptr, {1, 1, 2}, "t");
       if (rep == 0)
         first = y->value.vec();
@@ -925,9 +781,10 @@ bool same_bytes(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// conv2d of one case under every backend and each of `precisions`, with
-// fan-out off and forced on: the forward, and at FP32 the backward, must be
-// bytewise the seed im2col conv's under the same backend.
+// conv2d of one case under every backend and each of `precisions`, twice on
+// fresh tapes: the forward, and at FP32 the backward under each pass's own
+// random upstream gradient, must be bytewise the seed im2col conv's under
+// the same backend.
 void expect_seed_conv_bytes(const ConvCase& cc, const Tensor& x, const Tensor& w,
                             const Tensor& bias,
                             std::initializer_list<nn::Precision> precisions,
@@ -941,9 +798,7 @@ void expect_seed_conv_bytes(const ConvCase& cc, const Tensor& x, const Tensor& w
       ctx.precision = precision;
       ctx.ranges = &ranges;
       const Tensor expect = seed_conv(ctx, x, w, bias, cc);
-      for (const bool fan_out : {false, true}) {
-        std::unique_ptr<GemmParallelScope> fan;
-        if (fan_out) fan = std::make_unique<GemmParallelScope>(kForcedHelpers + 1);
+      for (int pass = 0; pass < 2; ++pass) {
         nn::Tape tape;
         tape.ctx = ctx;
         nn::Param wp(w), bp(bias);
@@ -955,7 +810,7 @@ void expect_seed_conv_bytes(const ConvCase& cc, const Tensor& x, const Tensor& w
             nn::precision_name(precision) + " k=" + std::to_string(cc.k) +
             " s=" + std::to_string(cc.stride) + " p=" + std::to_string(cc.pad) +
             " " + std::to_string(cc.h) + "x" + std::to_string(cc.w) +
-            " g=" + std::to_string(cc.groups) + " fan=" + std::to_string(fan_out);
+            " g=" + std::to_string(cc.groups) + " pass=" + std::to_string(pass);
         EXPECT_TRUE(same_bytes(y->value, expect)) << where;
         if (precision != nn::Precision::kFP32) continue;
         // Backward (straight-through, so FP32 only): a random upstream grad
@@ -977,7 +832,6 @@ TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
   // window overhangs, and a narrow one (w < k for k >= 5), for a plain, a
   // grouped and a depthwise conv. k=1/stride 1/pad 0 is the in-place 1x1
   // path; pad 2 with k <= 3 pads more than k/2.
-  ensure_gemm_pool_helpers(kForcedHelpers);
   struct Grouping {
     int n, c, oc, groups;
   };
@@ -1007,10 +861,9 @@ TEST(BackendConv, ForwardAndBackwardAreBytewiseTheSeedIm2colConv) {
 TEST(BackendConv, GatheredColumnsAreBytewiseTheSeedConvOnWideGroupedImages) {
   // A 21x19 image: at stride 1 some 16-column B strips lie inside one output
   // row (one contiguous run of the padded input) and others cross a row
-  // boundary. The groupings cover a row-split GEMM under fan-out (one image,
-  // one group, 12 output rows), a grouped icg = 4 conv and a two-image
-  // grouped icg = 3 conv split over (image, group), and a depthwise conv.
-  ensure_gemm_pool_helpers(kForcedHelpers);
+  // boundary. The groupings cover one image in one group with 12 output
+  // rows, a grouped icg = 4 conv, a two-image grouped icg = 3 conv and a
+  // depthwise conv.
   const ConvCase shapes[] = {{1, 4, 21, 19, 12, 0, 0, 0, 1},
                              {1, 8, 21, 19, 16, 0, 0, 0, 2},
                              {2, 6, 21, 19, 8, 0, 0, 0, 2},
@@ -1040,7 +893,6 @@ TEST(BackendConv, NonFiniteInputsKeepTheSeedZeroSkipOnlyUnderReference) {
   // multiplies those values: all outputs finite. Blocked and simd multiply
   // them (0 x inf = 0 x NaN = NaN), so every output whose window covers one
   // is NaN.
-  ensure_gemm_pool_helpers(kForcedHelpers);
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(79);

@@ -20,7 +20,6 @@
 #include "nn/tape.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/backend.h"
 #include "tensor/rng.h"
 
 namespace sysnoise::nn {
@@ -901,7 +900,6 @@ TEST(WeightCache, TentAdaptationIsSeenOnFp16AndInt8) {
 }
 
 TEST(WeightCache, ConcurrentForwardsOfSharedModelsMatchSerial) {
-  ensure_gemm_pool_helpers(3);
   // The shared models start with cold caches, so the threads race to fill
   // them; identically seeded twins give the serial reference.
   Rng cls_rng(106), cls_twin_rng(106);

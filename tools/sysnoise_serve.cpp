@@ -12,7 +12,7 @@
 //                  [--queue-capacity N]
 //                  [--virtual [--base-ms X] [--item-ms X]
 //                             [--compute-threads N]]
-//                  [--time-scale X] [--gemm-workers N] [--out FILE]
+//                  [--time-scale X] [--out FILE]
 //
 // `gen` expands a spec into its concrete arrival list (deterministic from
 // the seed) and writes it as JSON: {"spec": ..., "requests": ...,
@@ -60,7 +60,7 @@ namespace {
       "           ramp:DUR:RATE0:RATE1]... [--out FILE]\n"
       "       %s replay --trace FILE [--model synthetic|MCUNet]\n"
       "          [--config NAME] [--workers N] [--max-batch N]\n"
-      "          [--max-delay-ms X] [--queue-capacity N] [--gemm-workers N]\n"
+      "          [--max-delay-ms X] [--queue-capacity N]\n"
       "          [--virtual [--base-ms X] [--item-ms X] "
       "[--compute-threads N]]\n"
       "          [--time-scale X] [--out FILE]\n",
@@ -239,8 +239,6 @@ int run_replay(int argc, char** argv) {
       opts.server.max_delay_ms = number_arg(argv[++i], argv[0]);
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
       opts.server.queue_capacity = u64_arg(argv[++i], SIZE_MAX, argv[0]);
-    } else if (arg == "--gemm-workers" && i + 1 < argc) {
-      opts.server.gemm_workers = int_arg(argv[++i], 0, argv[0]);
     } else if (arg == "--virtual") {
       virtual_clock = true;
     } else if (arg == "--base-ms" && i + 1 < argc) {

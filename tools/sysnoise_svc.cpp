@@ -33,6 +33,7 @@
 #include "net/socket.h"
 #include "obs/trace.h"
 #include "svc/service.h"
+#include "util/fs.h"
 
 using namespace sysnoise;
 
@@ -52,19 +53,11 @@ void handle_signal(int) { g_stop.store(true); }
   std::exit(2);
 }
 
-// Temp + rename, so launchers polling for the file never read a partial
-// port number.
+// Atomic, so launchers polling for the file never read a partial port
+// number.
 void write_port_file(const std::string& path, int port) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sysnoise_svc: cannot write %s\n", tmp.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "%d\n", port);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "sysnoise_svc: cannot publish %s\n", path.c_str());
+  if (!util::write_file_atomic(path, std::to_string(port) + "\n")) {
+    std::fprintf(stderr, "sysnoise_svc: cannot write %s\n", path.c_str());
     std::exit(1);
   }
 }
