@@ -411,9 +411,10 @@ std::string perf_json_disk_cache() {
 // zoo shapes are timed alongside it: the ResNet-S last conv and the detector
 // stem. The classifier timing runs a real ResNet-XS forward (conv +
 // linear through the same backend seam), and conv_forward_ms times single
-// conv2d forwards at two sweep shapes; reference and blocked must give those
-// convs the same bytes. The CI perf-gate asserts the blocked
-// and simd kernels are strictly faster than reference at the gated shape and
+// conv2d forwards at three sweep shapes, one of them depthwise; reference and
+// blocked must give those convs the same bytes. The reference gemm() is the
+// seed loop. The CI perf-gate asserts the blocked and simd kernels are
+// strictly faster than it at the gated shape and
 // that every backend is bit-exactly repeatable, so the gated GEMM timings
 // take the best of extra repetitions. Repetitions run round-robin over the
 // backends, so a host slowdown hits every backend alike rather than only
@@ -433,13 +434,15 @@ std::string perf_json_backends() {
   // enough to time.
   constexpr int kZooCallsPerRep = 50;
   // 3x3, stride-1, pad-1 convs of a sweep: the detector stem on a batch of
-  // 64x64 images and a ResNet-S block conv on a batch of 16x16 maps.
+  // 64x64 images, a ResNet-S block conv on a batch of 16x16 maps and the
+  // MCUNet b1 depthwise conv on a batch of 8x8 maps.
   struct ConvShape {
     const char* name;
-    int n, c, oc, hw;
+    int n, c, oc, hw, groups;
   };
-  constexpr ConvShape kConvShapes[] = {{"detector_stem", 8, 3, 16, 64},
-                                       {"resnet_s_block", 16, 12, 12, 16}};
+  constexpr ConvShape kConvShapes[] = {{"detector_stem", 8, 3, 16, 64, 1},
+                                       {"resnet_s_block", 16, 12, 12, 16, 1},
+                                       {"mcunet_b1_dw", 16, 24, 24, 8, 24}};
   constexpr std::size_t kNumConvShapes = std::size(kConvShapes);
   constexpr int kConvCallsPerRep = 5;
 
@@ -464,7 +467,8 @@ std::string perf_json_backends() {
   };
   std::deque<ConvOperands> convs;
   for (const ConvShape& s : kConvShapes) {
-    Tensor cx({s.n, s.c, s.hw, s.hw}), cw({s.oc, s.c, 3, 3}), cb({s.oc});
+    Tensor cx({s.n, s.c, s.hw, s.hw}), cw({s.oc, s.c / s.groups, 3, 3}),
+        cb({s.oc});
     for (Tensor* t : {&cx, &cw, &cb})
       for (float& v : t->vec()) v = model_rng.normal_f(0.0f, 1.0f);
     convs.emplace_back(std::move(cx), std::move(cw), std::move(cb));
@@ -475,8 +479,8 @@ std::string perf_json_backends() {
     nn::Tape tape;
     tape.ctx.backend = backend;
     ConvOperands& op = convs[ci];
-    const nn::Node* y =
-        nn::conv2d(tape, tape.input(op.x), op.w, &op.bias, {1, 1, 1}, "bench");
+    const nn::Node* y = nn::conv2d(tape, tape.input(op.x), op.w, &op.bias,
+                                   {1, 1, kConvShapes[ci].groups}, "bench");
     benchmark::DoNotOptimize(y->value.data());
     if (out != nullptr) *out = y->value;
   };
@@ -551,7 +555,8 @@ std::string perf_json_backends() {
   for (const ConvShape& c : kConvShapes)
     os << (&c == kConvShapes ? "" : ", ") << "\"" << c.name << "\": {\"n\": " << c.n
        << ", \"c\": " << c.c << ", \"oc\": " << c.oc << ", \"h\": " << c.hw
-       << ", \"w\": " << c.hw << ", \"k\": 3, \"stride\": 1, \"pad\": 1}";
+       << ", \"w\": " << c.hw << ", \"k\": 3, \"stride\": 1, \"pad\": 1"
+       << ", \"groups\": " << c.groups << "}";
   os << "},\n"
      << "    \"conv_forward_reference_bytes_equal_blocked\": "
      << (conv_ref_equals_blocked ? "true" : "false") << ",\n"

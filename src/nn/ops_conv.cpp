@@ -1,7 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -76,31 +74,19 @@ void im2col(const Tensor& x, int n, int c_begin, int c_count, int k, int stride,
     }
 }
 
-// The [c_count*k*k, oh*ow] column matrix of image n. A 1x1, stride-1,
-// unpadded conv's columns are the input channels' [c_count, h*w] slab
-// itself, so it is returned in place; every other conv gathers into
-// scratch slot `slot`.
+// The [c_count*k*k, oh*ow] column matrix of image n, for the backward. A
+// 1x1, stride-1, unpadded conv's columns are the input channels' [c_count,
+// h*w] slab itself, so it is returned in place; every other conv gathers
+// into scratch slot 2.
 const float* conv_columns(const Tensor& x, int n, int c_begin, int c_count, int k,
-                          int stride, int pad, int oh, int ow, int slot) {
+                          int stride, int pad, int oh, int ow) {
   if (k == 1 && stride == 1 && pad == 0)
     return x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) *
                           x.dim(2) * x.dim(3);
-  float* col = tls_scratch(static_cast<std::size_t>(c_count) * k * k * oh * ow, slot);
+  float* col = tls_scratch(static_cast<std::size_t>(c_count) * k * k * oh * ow,
+                           /*slot=*/2);
   im2col(x, n, c_begin, c_count, k, stride, pad, oh, ow, col);
   return col;
-}
-
-// Whether no value of t is inf or NaN: an exponent-bit test, so the loop
-// vectorizes.
-bool all_finite(const Tensor& t) {
-  const float* p = t.data();
-  std::uint32_t nonfinite = 0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    std::uint32_t u;
-    std::memcpy(&u, p + i, sizeof(u));
-    nonfinite |= static_cast<std::uint32_t>((u & 0x7f800000u) == 0x7f800000u);
-  }
-  return nonfinite == 0;
 }
 
 // Image n's channels [c_begin, c_begin + c_count) as a [c_count, h+2*pad,
@@ -211,42 +197,26 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
-  // A non-depthwise conv reads its column matrix straight from the padded
-  // input (gemm_gather). Under reference that holds only for finite input:
-  // the packed engine then matches the seed gemm byte for byte, while a
-  // non-finite input keeps the seed kernel's zero-skip. Depthwise convs and
-  // that fallback build im2col columns in scratch slot 2.
-  const bool gather =
-      icg > 1 && (t.ctx.backend != ComputeBackend::kReference || all_finite(xin));
-  // Column matrix row kk = (ci, ky, kx) starts at koff[kk] of the padded
-  // [icg, hpad, wpad] input; column j = (oy, ox) adds coff[j].
+  // Every forward reads its column matrix straight from the padded input
+  // (gemm_gather), which gives gemm()'s bytes on that matrix under every
+  // backend. Column matrix row kk = (ci, ky, kx) starts at koff[kk] of the
+  // padded [icg, hpad, wpad] input; column j = (oy, ox) adds coff[j].
   const int hpad = h + 2 * spec.pad, wpad = wd + 2 * spec.pad;
-  std::vector<int> koff, coff;
-  if (gather) {
-    koff.resize(static_cast<std::size_t>(col_rows));
-    coff.resize(static_cast<std::size_t>(oh) * ow);
-    for (int ci = 0, kk = 0; ci < icg; ++ci)
-      for (int ky = 0; ky < k; ++ky)
-        for (int kx = 0; kx < k; ++kx) koff[kk++] = (ci * hpad + ky) * wpad + kx;
-    for (int oy = 0, j = 0; oy < oh; ++oy)
-      for (int ox = 0; ox < ow; ++ox)
-        coff[j++] = (oy * wpad + ox) * spec.stride;
-  }
+  std::vector<int> koff(static_cast<std::size_t>(col_rows));
+  std::vector<int> coff(static_cast<std::size_t>(oh) * ow);
+  for (int ci = 0, kk = 0; ci < icg; ++ci)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) koff[kk++] = (ci * hpad + ky) * wpad + kx;
+  for (int oy = 0, j = 0; oy < oh; ++oy)
+    for (int ox = 0; ox < ow; ++ox) coff[j++] = (oy * wpad + ox) * spec.stride;
   for (int ni = 0; ni < n; ++ni)
     for (int g = 0; g < groups; ++g) {
       // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
-      float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
       const float* w_ptr =
           wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
-      if (gather) {
-        gemm_gather(ocg, oh * ow, col_rows, w_ptr,
-                    padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
-                    coff.data(), out_ptr);
-        continue;
-      }
-      const float* col = conv_columns(xin, ni, g * icg, icg, k, spec.stride,
-                                      spec.pad, oh, ow, /*slot=*/2);
-      gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
+      gemm_gather(ocg, oh * ow, col_rows, w_ptr,
+                  padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
+                  coff.data(), &out.at4(ni, g * ocg, 0, 0));
     }
   if (bias != nullptr) {
     for (int ni = 0; ni < n; ++ni)
@@ -272,7 +242,7 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
     for (int ni = 0; ni < n; ++ni) {
       for (int g = 0; g < groups; ++g) {
         const float* col = conv_columns(xn->value, ni, g * icg, icg, k, sp.stride,
-                                        sp.pad, oh, ow, /*slot=*/2);
+                                        sp.pad, oh, ow);
         const float* gout = &y->grad.at4(ni, g * ocg, 0, 0);
         // grad_w += gout [ocg x ohw] * col^T  (col is [col_rows x ohw])
         float* gw = wp->grad.data() + static_cast<std::size_t>(g) * ocg * col_rows;

@@ -6,20 +6,21 @@
 //  - kReference  — defined by the seed loops' per-element operation
 //                  sequence, not by one kernel, so its output is
 //                  bit-identical to the seed's. gemm, gemm_acc and gemm_at*
-//                  run the seed loops, 8 lanes wide under runtime-detected
-//                  AVX, never fused. gemm_bt_acc, whose seed loop never
-//                  skipped, and a conv forward on finite input compute the
+//                  are the seed loops themselves, built once, never fused.
+//                  gemm_bt_acc, whose seed loop never skipped, and
+//                  gemm_gather (every conv forward) on finite B compute the
 //                  same sequence on the packed engine, which skips nothing
 //                  and is faster. Keeps the zero-skip
 //                  (`if (av == 0.0f) continue;`) as an explicit, documented
 //                  property: it silently drops 0 x inf = NaN propagation, so
 //                  results depend on the sparsity of A when B holds
 //                  non-finite values. With finite B and a zeroed C the skip
-//                  is invisible, which is what lets the conv forward switch.
+//                  is invisible; a gather that reads inf or NaN runs the
+//                  seed gemm on its materialized B.
 //  - kBlocked    — register-tiled micro-kernel over packed panels with a
 //                  fixed, k-ascending accumulation order (no zero-skip, so
-//                  IEEE non-finite propagation is exact). Like kReference,
-//                  it may run unfused 8-lane AVX, never fused.
+//                  IEEE non-finite propagation is exact). Its micro-kernel
+//                  has a baseline and an 8-lane AVX build, both unfused.
 //  - kSimd       — AVX2+FMA on x86 / NEON on ARM, picked by runtime CPU
 //                  detection with the blocked micro-kernel as fallback. FMA
 //                  legitimately rounds differently from the unfused
@@ -93,10 +94,10 @@ const char* simd_isa_name();
 // per thread per doubling of the high-water mark instead of once per
 // invocation. Slot map:
 //  0  the packed engine's A panels;
-//  1  the packed engine's B strips;
-//  2  conv: the zero-padded input plane a gathered forward reads, or the
-//     im2col columns of the backward, a depthwise forward and a reference
-//     forward on non-finite input;
+//  1  the packed engine's B strips, or the materialized B of a reference
+//     gather that reads a non-finite value;
+//  2  conv: the zero-padded input plane every forward gathers from, or the
+//     backward's im2col columns;
 //  3  conv backward: the column-matrix gradient.
 // The buffer stays valid until the same thread asks for the same slot again.
 float* tls_scratch(std::size_t floats, int slot);

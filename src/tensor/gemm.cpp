@@ -1,17 +1,19 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
-// Three implementations of every variant (gemm_gather has only the packed
-// engine; gemm.h says when that is reference's bytes):
+// Three implementations of every variant (gemm_gather reads its B through
+// the packed engine's gather; gemm.h gives its contract):
 //  - reference: defined by the seed loops' per-element operation sequence,
-//    so bit-identical to the historical output. gemm_acc keeps each C strip
-//    in registers, 8 lanes wide under runtime-detected AVX, multiplying and
-//    adding unfused. gemm_acc and gemm_at_acc keep the zero-skip
+//    so bit-identical to the historical output. gemm_acc and gemm_at_acc are
+//    the seed loops themselves, built once. They keep the zero-skip
 //    (`if (av == 0.0f) continue;`) as a documented reference-only property
 //    — it drops 0 x inf = NaN propagation, so results depend on the
 //    sparsity of A when B holds non-finite values. The other backends do
-//    NOT skip. The seed's gemm_bt_acc loop has no zero-skip: it starts each
-//    dot product at +0, accumulates k-ascending and adds to C once, which
-//    is the blocked micro-kernel's sequence, so reference runs it there.
+//    NOT skip. Where the skip is invisible, reference runs the blocked
+//    micro-kernel, which gives each element the same sequence: gemm_bt_acc,
+//    whose seed loop starts each dot product at +0, accumulates k-ascending
+//    and adds to C once, and a gather (C from +0) whose B values are all
+//    finite. A gather that reads inf or NaN materializes B and runs the seed
+//    gemm_acc.
 //  - blocked: one packed-panel engine for all variants. A and B tiles are
 //    packed into k-major micro-panels and a register-tiled MR x NR
 //    micro-kernel accumulates in a fixed, strictly k-ascending order into
@@ -28,9 +30,9 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "tensor/backend.h"
 
@@ -47,77 +49,15 @@ namespace sysnoise {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference backend: the seed's loops. ref_gemm_acc is register-tiled, but
-// every C element sees the seed's exact operation sequence. It is built
-// twice, for the x86-64 baseline and for "avx", from one body.
+// Reference backend: the seed's loops, verbatim and built once.
 // ---------------------------------------------------------------------------
 
 constexpr int kRefBlockK = 128;
 constexpr int kRefBlockN = 256;
 
-// Floats side by side (GCC/Clang vector extension): plain IEEE multiplies
-// and adds per lane, never reassociated, and never fused in the builds below
-// (neither the x86-64 baseline nor "avx" has FMA). Lanes4 is one xmm
-// register; Lanes8 is one ymm register in an AVX build.
-typedef float Lanes4 __attribute__((vector_size(16)));
-typedef float Lanes8 __attribute__((vector_size(32)));
-// Unaligned views of the same lanes in memory, so loads and stores leave
-// the lane values themselves in registers.
-typedef float Lanes4Mem __attribute__((vector_size(16), aligned(4), may_alias));
-typedef float Lanes8Mem __attribute__((vector_size(32), aligned(4), may_alias));
-
-template <int kLanes>
-struct LanesOf;
-template <>
-struct LanesOf<4> {
-  using Reg = Lanes4;
-  using Mem = Lanes4Mem;
-};
-template <>
-struct LanesOf<8> {
-  using Reg = Lanes8;
-  using Mem = Lanes8Mem;
-};
-
-template <int kLanes>
-inline typename LanesOf<kLanes>::Mem& lanes_at(float* p) {
-  return *reinterpret_cast<typename LanesOf<kLanes>::Mem*>(p);
-}
-template <int kLanes>
-inline const typename LanesOf<kLanes>::Mem& lanes_at(const float* p) {
-  return *reinterpret_cast<const typename LanesOf<kLanes>::Mem*>(p);
-}
-
-// One register-resident strip of kW C columns (a multiple of kLanes) of one
-// C row for the k block [k0, k1): loaded once, given the seed's
-// kk-ascending, zero-skipping `c += av * b` updates in registers, and
-// stored once.
-template <int kLanes, int kW>
-inline __attribute__((always_inline)) void ref_acc_strip(
-    int k0, int k1, int n, const float* arow, const float* b, float* cstrip,
-    int j0) {
-  constexpr int kGroups = kW / kLanes;
-  typename LanesOf<kLanes>::Reg acc[kGroups];
-  for (int g = 0; g < kGroups; ++g)
-    acc[g] = lanes_at<kLanes>(cstrip + kLanes * g);
-  for (int kk = k0; kk < k1; ++kk) {
-    const float av = arow[kk];
-    if (av == 0.0f) continue;
-    const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n + j0;
-    for (int g = 0; g < kGroups; ++g)
-      acc[g] += av * lanes_at<kLanes>(brow + kLanes * g);
-  }
-  for (int g = 0; g < kGroups; ++g)
-    lanes_at<kLanes>(cstrip + kLanes * g) = acc[g];
-}
-
-// The reference gemm_acc body, built once per instruction set below.
-template <int kLanes>
-inline __attribute__((always_inline)) void ref_gemm_acc_body(
-    int m, int n, int k, const float* a, const float* b, float* c) {
-  // i-k-j loop order with k/n blocking: B rows stream through cache. A C row
-  // runs as 32-column strips, then one 16- and one 8-column strip where they
-  // fit; fewer than 8 leftover columns run the untiled loop.
+void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
+                  float* c) {
+  // i-k-j loop order with k/n blocking: B rows stream through cache.
   for (int k0 = 0; k0 < k; k0 += kRefBlockK) {
     const int k1 = std::min(k, k0 + kRefBlockK);
     for (int n0 = 0; n0 < n; n0 += kRefBlockN) {
@@ -125,43 +65,16 @@ inline __attribute__((always_inline)) void ref_gemm_acc_body(
       for (int i = 0; i < m; ++i) {
         float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
         const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-        int j0 = n0;
-        for (; j0 + 32 <= n1; j0 += 32)
-          ref_acc_strip<kLanes, 32>(k0, k1, n, arow, b, crow + j0, j0);
-        if (j0 + 16 <= n1) {
-          ref_acc_strip<kLanes, 16>(k0, k1, n, arow, b, crow + j0, j0);
-          j0 += 16;
-        }
-        if (j0 + 8 <= n1) {
-          ref_acc_strip<kLanes, 8>(k0, k1, n, arow, b, crow + j0, j0);
-          j0 += 8;
-        }
-        if (j0 == n1) continue;
         for (int kk = k0; kk < k1; ++kk) {
           const float av = arow[kk];
           if (av == 0.0f) continue;
           const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
-          for (int j = j0; j < n1; ++j) crow[j] += av * brow[j];
+          for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
         }
       }
     }
   }
 }
-
-void ref_gemm_acc_baseline(int m, int n, int k, const float* a,
-                           const float* b, float* c) {
-  ref_gemm_acc_body<4>(m, n, k, a, b, c);
-}
-
-#if defined(SYSNOISE_GEMM_X86)
-// "avx" only: no FMA, so every lane still rounds its multiply and its add.
-__attribute__((target("avx"))) void ref_gemm_acc_avx(int m, int n, int k,
-                                                     const float* a,
-                                                     const float* b,
-                                                     float* c) {
-  ref_gemm_acc_body<8>(m, n, k, a, b, c);
-}
-#endif
 
 void ref_gemm_at_acc(int m, int n, int k, const float* a, const float* b,
                      float* c) {
@@ -223,6 +136,39 @@ bool gather_strip_is_run(const int* cj) {
   return true;
 }
 
+// Floats side by side (GCC/Clang vector extension): plain IEEE multiplies
+// and adds per lane, never reassociated, and never fused in the blocked
+// micro-kernel's builds (neither the x86-64 baseline nor "avx" has FMA).
+// Lanes4 is one xmm register; Lanes8 is one ymm register in an AVX build.
+typedef float Lanes4 __attribute__((vector_size(16)));
+typedef float Lanes8 __attribute__((vector_size(32)));
+// Unaligned views of the same lanes in memory, so loads and stores leave
+// the lane values themselves in registers.
+typedef float Lanes4Mem __attribute__((vector_size(16), aligned(4), may_alias));
+typedef float Lanes8Mem __attribute__((vector_size(32), aligned(4), may_alias));
+
+template <int kLanes>
+struct LanesOf;
+template <>
+struct LanesOf<4> {
+  using Reg = Lanes4;
+  using Mem = Lanes4Mem;
+};
+template <>
+struct LanesOf<8> {
+  using Reg = Lanes8;
+  using Mem = Lanes8Mem;
+};
+
+template <int kLanes>
+inline typename LanesOf<kLanes>::Mem& lanes_at(float* p) {
+  return *reinterpret_cast<typename LanesOf<kLanes>::Mem*>(p);
+}
+template <int kLanes>
+inline const typename LanesOf<kLanes>::Mem& lanes_at(const float* p) {
+  return *reinterpret_cast<const typename LanesOf<kLanes>::Mem*>(p);
+}
+
 // Blocked micro-kernel: acc[MR x NR] = ap panel * bp panel over k steps in
 // strictly ascending order, starting from fresh zero accumulators (like the
 // vector kernels' registers). The tile runs as NR / kPass column passes whose
@@ -260,7 +206,7 @@ void micro_blocked_baseline(int k, const float* ap, const float* bp,
 }
 
 #if defined(SYSNOISE_GEMM_X86)
-// "avx" only, as for the reference kernel: unfused 8-lane multiplies and adds.
+// "avx" only: no FMA, so every lane rounds its multiply and its add.
 __attribute__((target("avx"))) void micro_blocked_avx(int k, const float* ap,
                                                       const float* bp,
                                                       float* acc) {
@@ -326,8 +272,6 @@ void micro_neon(int k, const float* ap, const float* bp, float* acc) {
 #endif
 
 using MicroKernel = void (*)(int, const float*, const float*, float*);
-using RefGemmKernel = void (*)(int, int, int, const float*, const float*,
-                               float*);
 
 // The widest kernel build this host runs, detected once.
 detail::KernelBuild host_build() {
@@ -339,13 +283,6 @@ detail::KernelBuild host_build() {
 #else
   return detail::KernelBuild::kBaseline;
 #endif
-}
-
-RefGemmKernel ref_gemm_acc_kernel(detail::KernelBuild build) {
-#if defined(SYSNOISE_GEMM_X86)
-  if (build == detail::KernelBuild::kAvx) return &ref_gemm_acc_avx;
-#endif
-  return &ref_gemm_acc_baseline;
 }
 
 MicroKernel blocked_micro_kernel(detail::KernelBuild build) {
@@ -460,19 +397,55 @@ void packed_gemm(MicroKernel micro, int m, int n, int k, AMode amode,
 // Dispatch
 // ---------------------------------------------------------------------------
 
+// Whether every B value a gather reads is finite. Scans the source between
+// the lowest and the highest offset the gather reads (both are reads), a
+// superset of its reads, with an exponent-bit test, so the loop vectorizes.
+bool gather_reads_finite(int n, int k, const BOperand& b) {
+  if (n == 0 || k == 0) return true;
+  const auto [klo, khi] = std::minmax_element(b.koff, b.koff + k);
+  const auto [clo, chi] = std::minmax_element(b.coff, b.coff + n);
+  const float* p = b.b + (static_cast<std::ptrdiff_t>(*klo) + *clo);
+  const std::ptrdiff_t len =
+      static_cast<std::ptrdiff_t>(*khi) + *chi - *klo - *clo + 1;
+  std::uint32_t nonfinite = 0;
+  for (std::ptrdiff_t i = 0; i < len; ++i) {
+    std::uint32_t u;
+    std::memcpy(&u, p + i, sizeof(u));
+    nonfinite |= static_cast<std::uint32_t>((u & 0x7f800000u) == 0x7f800000u);
+  }
+  return nonfinite == 0;
+}
+
+// The gathered B as a k x n matrix, in scratch slot 1 (free while the seed
+// loops run).
+const float* materialize_gather(int n, int k, const BOperand& b) {
+  float* bmat = tls_scratch(static_cast<std::size_t>(k) * n, /*slot=*/1);
+  for (int kk = 0; kk < k; ++kk) {
+    const float* src = b.b + b.koff[kk];
+    float* row = bmat + static_cast<std::ptrdiff_t>(kk) * n;
+    for (int j = 0; j < n; ++j) row[j] = src[b.coff[j]];
+  }
+  return bmat;
+}
+
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
                   const BOperand& b, float* c) {
   const ComputeBackend backend = active_backend();
-  // Reference keeps its own loops only where its zero-skip and in-place C
-  // accumulation make its bytes differ from the packed engine's: gemm_acc
-  // and gemm_at_acc. Its gemm_bt_acc and every gemm_gather run the blocked
-  // micro-kernel (gemm.h says when a gather is reference's bytes).
+  // Reference runs the seed loops only where their zero-skip and in-place C
+  // accumulation make their bytes differ from the packed engine's: gemm_acc,
+  // gemm_at_acc, and a gather that reads a non-finite value, whose B it
+  // materializes in slot 1. Its gemm_bt_acc and every other gather run the
+  // blocked micro-kernel.
   if (backend == ComputeBackend::kReference && b.mode == BMode::kNormal) {
-    static const RefGemmKernel ref_acc = ref_gemm_acc_kernel(host_build());
     if (amode == AMode::kNormal)
-      ref_acc(m, n, k, a, b.b, c);
+      ref_gemm_acc(m, n, k, a, b.b, c);
     else
       ref_gemm_at_acc(m, n, k, a, b.b, c);
+    return;
+  }
+  if (backend == ComputeBackend::kReference && b.mode == BMode::kGather &&
+      !gather_reads_finite(n, k, b)) {
+    ref_gemm_acc(m, n, k, a, materialize_gather(n, k, b), c);
     return;
   }
   static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
@@ -495,12 +468,6 @@ void require_build(KernelBuild build) {
     throw std::invalid_argument("gemm: kernel build not supported on this host");
 }
 }  // namespace
-
-void ref_gemm_acc(KernelBuild build, int m, int n, int k, const float* a,
-                  const float* b, float* c) {
-  require_build(build);
-  ref_gemm_acc_kernel(build)(m, n, k, a, b, c);
-}
 
 void blocked_micro(KernelBuild build, int k, const float* ap, const float* bp,
                    float* acc) {

@@ -205,8 +205,8 @@ TEST(BackendParity, EachBackendIsBitExactlyRepeatable) {
   }
 }
 
-// The seed's reference gemm_acc loop, verbatim: the oracle the register-
-// tiled reference kernel must match bit for bit.
+// The seed's reference gemm_acc loop, verbatim: the oracle the reference
+// gemm_acc must match bit for bit.
 void seed_ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
                        float* c) {
   constexpr int kRefBlockK = 128;
@@ -238,9 +238,8 @@ const char* build_name(detail::KernelBuild build) {
 }
 
 TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
-  // Shapes straddle the 32-, 16- and 8-column register strips, the
-  // 256-column and 128-deep blocks, and n below one strip. Both kernel
-  // builds run against the seed loop too.
+  // Shapes straddle the 256-column and 128-deep blocks, with n from 1 to
+  // 300.
   const std::vector<std::array<int, 3>> shapes = {
       {3, 31, 5},    {2, 32, 7},     {5, 33, 129},  {9, 63, 128},
       {4, 255, 127}, {3, 256, 130},  {17, 257, 64}, {8, 300, 260},
@@ -273,17 +272,6 @@ TEST(BackendParity, ReferenceGemmIsBitIdenticalToTheSeedLoop) {
                   0)
             << "m=" << m << " n=" << n << " k=" << k << " special=" << special
             << " acc=" << acc;
-        for (const detail::KernelBuild build : kAllBuilds) {
-          if (!detail::kernel_build_supported(build)) continue;
-          std::vector<float> got =
-              acc ? c0 : std::vector<float>(c0.size(), 0.0f);
-          detail::ref_gemm_acc(build, m, n, k, a.data(), b.data(), got.data());
-          EXPECT_EQ(std::memcmp(got.data(), expect.data(),
-                                expect.size() * sizeof(float)),
-                    0)
-              << "m=" << m << " n=" << n << " k=" << k << " special=" << special
-              << " acc=" << acc << " build=" << build_name(build);
-        }
       }
     }
   }
@@ -368,10 +356,6 @@ TEST(BackendParity, ReferenceAndBlockedNeverFuse) {
   }
   for (const detail::KernelBuild build : kAllBuilds) {
     if (!detail::kernel_build_supported(build)) continue;
-    float one_c[] = {c};
-    const float one_a[] = {a};
-    detail::ref_gemm_acc(build, 1, 1, 1, one_a, one_a, one_c);
-    EXPECT_EQ(one_c[0], unfused) << "reference " << build_name(build);
     // A full micro tile whose every element runs c + a * a.
     std::vector<float> ap(2 * detail::kMicroRows), bp(2 * detail::kMicroCols);
     std::fill(ap.begin(), ap.begin() + detail::kMicroRows, 1.0f);
@@ -460,6 +444,75 @@ TEST(BackendParity, SimdDriftsFromReferenceWhenAVectorIsaDispatches) {
   const auto simd =
       run_variant(Variant::kGemm, ComputeBackend::kSimd, m, n, k, a, b, c0);
   EXPECT_GT(max_abs_diff(ref, simd), 0.0f);
+}
+
+TEST(BackendParity, GatherIsGemmOnTheGatheredMatrixUnderEveryBackend) {
+  // Conv-like offsets over a zero-padded [c, hp, wp] source: B row
+  // kk = (ci, ky, kx) starts at koff[kk], column j = (oy, ox) adds coff[j].
+  // A holds +0 and -0. When `poison` is non-finite, channel 0 holds it at
+  // four places (stride 2 skips some of them), and every A value that reads
+  // channel 0 is zero: the seed gemm skips them, the packed engine does not.
+  struct Case {
+    int m, c, h, w, k, stride, pad;
+  };
+  const Case cases[] = {{1, 1, 9, 7, 3, 1, 1},   {5, 2, 9, 7, 3, 2, 1},
+                        {8, 3, 21, 19, 3, 1, 1}, {6, 2, 21, 19, 1, 2, 0},
+                        {4, 3, 8, 8, 5, 1, 2},   {3, 2, 6, 3, 3, 2, 2}};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(2027);
+  for (const Case& cs : cases)
+    for (const float poison : {1.0f, nan, inf, -inf}) {
+      const int hp = cs.h + 2 * cs.pad, wp = cs.w + 2 * cs.pad;
+      const int oh = (hp - cs.k) / cs.stride + 1;
+      const int ow = (wp - cs.k) / cs.stride + 1;
+      const int n = oh * ow, k = cs.c * cs.k * cs.k;
+      std::vector<float> src(static_cast<std::size_t>(cs.c) * hp * wp, 0.0f);
+      for (int ci = 0; ci < cs.c; ++ci)
+        for (int y = 0; y < cs.h; ++y)
+          for (int x = 0; x < cs.w; ++x)
+            src[(static_cast<std::size_t>(ci) * hp + y + cs.pad) * wp + x +
+                cs.pad] = rng.uniform_f(-2.0f, 2.0f);
+      const bool poisoned = !std::isfinite(poison);
+      if (poisoned)
+        for (const auto& [y, x] : {std::pair{0, 0}, std::pair{1, 1},
+                                   std::pair{cs.h / 2, cs.w - 1},
+                                   std::pair{cs.h - 1, cs.w / 2}})
+          src[static_cast<std::size_t>(y + cs.pad) * wp + x + cs.pad] = poison;
+      std::vector<int> koff, coff;
+      for (int ci = 0; ci < cs.c; ++ci)
+        for (int ky = 0; ky < cs.k; ++ky)
+          for (int kx = 0; kx < cs.k; ++kx)
+            koff.push_back((ci * hp + ky) * wp + kx);
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox)
+          coff.push_back((oy * wp + ox) * cs.stride);
+      auto a = random_vec(static_cast<std::size_t>(cs.m) * k, rng);
+      for (std::size_t i = 0; i < a.size(); i += 3)
+        a[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      if (poisoned)
+        for (int i = 0; i < cs.m; ++i)
+          for (int kk = 0; kk < cs.k * cs.k; ++kk)
+            a[static_cast<std::size_t>(i) * k + kk] = kk % 2 == 0 ? 0.0f : -0.0f;
+      std::vector<float> bmat(static_cast<std::size_t>(k) * n);
+      for (int kk = 0; kk < k; ++kk)
+        for (int j = 0; j < n; ++j)
+          bmat[static_cast<std::size_t>(kk) * n + j] = src[koff[kk] + coff[j]];
+      for (const ComputeBackend backend : kAllBackends) {
+        const BackendScope scope(backend);
+        std::vector<float> expect(static_cast<std::size_t>(cs.m) * n);
+        gemm(cs.m, n, k, a.data(), bmat.data(), expect.data());
+        std::vector<float> got(expect.size(), 7.0f);
+        gemm_gather(cs.m, n, k, a.data(), src.data(), koff.data(), coff.data(),
+                    got.data());
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                              expect.size() * sizeof(float)),
+                  0)
+            << backend_name(backend) << " m=" << cs.m << " c=" << cs.c << " "
+            << cs.h << "x" << cs.w << " k=" << cs.k << " s=" << cs.stride
+            << " p=" << cs.pad << " poison=" << poison;
+      }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -896,9 +949,11 @@ TEST(BackendConv, NonFiniteInputsKeepTheSeedZeroSkipOnlyUnderReference) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(79);
+  // Plain, grouped and depthwise (groups == c, two outputs per channel).
+  const std::array<int, 2> groupings[] = {{1, 6}, {2, 6}, {4, 8}};
   for (const float poison : {nan, inf, -inf})
-    for (const int groups : {1, 2}) {
-      const ConvCase cc{2, 4, 21, 19, 6, 3, 1, 1, groups};
+    for (const auto& [groups, oc] : groupings) {
+      const ConvCase cc{2, 4, 21, 19, oc, 3, 1, 1, groups};
       Tensor x = random_tensor({cc.n, cc.c, cc.h, cc.w}, rng);
       x.at4(0, 0, 4, 5) = poison;
       x.at4(0, 0, 12, 17) = poison;
