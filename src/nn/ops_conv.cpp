@@ -28,65 +28,23 @@ ValidSpan valid_span(int in, int tap, int stride, int pad, int out) {
   return {lo, std::max(first_at_or_after(in), lo)};
 }
 
-// col layout: [c_count*k*k, oh*ow]. Row-wise gather of image n's channels
-// [c_begin, c_begin + c_count): zeros for padding, a copy (stride 1) or a
-// strided read of each in-bounds span.
-void im2col(const Tensor& x, int n, int c_begin, int c_count, int k, int stride,
-            int pad, int oh, int ow, float* col) {
-  const int h = x.dim(2), w = x.dim(3);
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
-  const float* src =
-      x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) * plane;
-  for (int c = 0; c < c_count; ++c, src += plane)
-    for (int ky = 0; ky < k; ++ky) {
-      const ValidSpan ys = valid_span(h, ky, stride, pad, oh);
-      for (int kx = 0; kx < k; ++kx) {
-        const ValidSpan xs = valid_span(w, kx, stride, pad, ow);
-        float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * ohw;
-        std::fill(row, row + static_cast<std::size_t>(ys.lo) * ow, 0.0f);
-        // Stride 1 with ow == w: input and column rows share a pitch, so the
-        // in-bounds spans of all rows form one run. It is copied at once; the
-        // per-row fills below then overwrite the gaps between spans with 0.
-        const bool one_run = stride == 1 && ow == w && xs.lo < xs.hi;
-        if (one_run && ys.lo < ys.hi) {
-          const float* in = src + static_cast<std::size_t>(ys.lo - pad + ky) * w +
-                            (xs.lo - pad + kx);
-          std::copy(in, in + static_cast<std::size_t>(ys.hi - 1 - ys.lo) * ow +
-                               (xs.hi - xs.lo),
-                    row + static_cast<std::size_t>(ys.lo) * ow + xs.lo);
-        }
-        for (int oy = ys.lo; oy < ys.hi; ++oy) {
-          float* dst = row + static_cast<std::size_t>(oy) * ow;
-          std::fill(dst, dst + xs.lo, 0.0f);
-          if (!one_run && xs.lo < xs.hi) {
-            const float* in = src + static_cast<std::size_t>(oy * stride - pad + ky) * w +
-                              (xs.lo * stride - pad + kx);
-            if (stride == 1)
-              std::copy(in, in + (xs.hi - xs.lo), dst + xs.lo);
-            else
-              for (int ox = xs.lo; ox < xs.hi; ++ox, in += stride) dst[ox] = *in;
-          }
-          std::fill(dst + xs.hi, dst + ow, 0.0f);
-        }
-        std::fill(row + static_cast<std::size_t>(ys.hi) * ow, row + ohw, 0.0f);
-      }
-    }
-}
+// Where a conv's [c*k*k, oh*ow] column matrix lies in its padded [c, hpad,
+// wpad] input: row kk = (ci, ky, kx) starts at koff[kk], column j = (oy, ox)
+// adds coff[j].
+struct ColumnOffsets {
+  std::vector<int> koff, coff;
+};
 
-// The [c_count*k*k, oh*ow] column matrix of image n, for the backward. A
-// 1x1, stride-1, unpadded conv's columns are the input channels' [c_count,
-// h*w] slab itself, so it is returned in place; every other conv gathers
-// into scratch slot 2.
-const float* conv_columns(const Tensor& x, int n, int c_begin, int c_count, int k,
-                          int stride, int pad, int oh, int ow) {
-  if (k == 1 && stride == 1 && pad == 0)
-    return x.data() + (static_cast<std::size_t>(n) * x.dim(1) + c_begin) *
-                          x.dim(2) * x.dim(3);
-  float* col = tls_scratch(static_cast<std::size_t>(c_count) * k * k * oh * ow,
-                           /*slot=*/2);
-  im2col(x, n, c_begin, c_count, k, stride, pad, oh, ow, col);
-  return col;
+ColumnOffsets column_offsets(int c, int k, int hpad, int wpad, int oh, int ow,
+                             int stride) {
+  ColumnOffsets o{std::vector<int>(static_cast<std::size_t>(c) * k * k),
+                  std::vector<int>(static_cast<std::size_t>(oh) * ow)};
+  for (int ci = 0, kk = 0; ci < c; ++ci)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx) o.koff[kk++] = (ci * hpad + ky) * wpad + kx;
+  for (int oy = 0, j = 0; oy < oh; ++oy)
+    for (int ox = 0; ox < ow; ++ox) o.coff[j++] = (oy * wpad + ox) * stride;
+  return o;
 }
 
 // Image n's channels [c_begin, c_begin + c_count) as a [c_count, h+2*pad,
@@ -178,6 +136,9 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const int groups = spec.groups;
   if (c != icg * groups || oc % groups != 0)
     throw std::invalid_argument("conv2d: channel/group mismatch");
+  if (spec.stride < 1 || spec.pad < 0 || k > h + 2 * spec.pad ||
+      k > wd + 2 * spec.pad)
+    throw std::invalid_argument("conv2d: kernel does not fit the padded input");
   const int oh = (h + 2 * spec.pad - k) / spec.stride + 1;
   const int ow = (wd + 2 * spec.pad - k) / spec.stride + 1;
   const int ocg = oc / groups;
@@ -197,26 +158,19 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
-  // Every forward reads its column matrix straight from the padded input
-  // (gemm_gather), which gives gemm()'s bytes on that matrix under every
-  // backend. Column matrix row kk = (ci, ky, kx) starts at koff[kk] of the
-  // padded [icg, hpad, wpad] input; column j = (oy, ox) adds coff[j].
-  const int hpad = h + 2 * spec.pad, wpad = wd + 2 * spec.pad;
-  std::vector<int> koff(static_cast<std::size_t>(col_rows));
-  std::vector<int> coff(static_cast<std::size_t>(oh) * ow);
-  for (int ci = 0, kk = 0; ci < icg; ++ci)
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx) koff[kk++] = (ci * hpad + ky) * wpad + kx;
-  for (int oy = 0, j = 0; oy < oh; ++oy)
-    for (int ox = 0; ox < ow; ++ox) coff[j++] = (oy * wpad + ox) * spec.stride;
+  // Forward and backward read the column matrix straight from the padded
+  // input (gemm_gather, gemm_bt_gather_acc), which gives gemm()'s and
+  // gemm_bt_acc()'s bytes on that matrix under every backend.
+  const ColumnOffsets off = column_offsets(icg, k, h + 2 * spec.pad,
+                                           wd + 2 * spec.pad, oh, ow, spec.stride);
   for (int ni = 0; ni < n; ++ni)
     for (int g = 0; g < groups; ++g) {
       // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
       const float* w_ptr =
           wq->data() + static_cast<std::size_t>(g) * ocg * col_rows;
       gemm_gather(ocg, oh * ow, col_rows, w_ptr,
-                  padded_input(xin, ni, g * icg, icg, spec.pad), koff.data(),
-                  coff.data(), &out.at4(ni, g * ocg, 0, 0));
+                  padded_input(xin, ni, g * icg, icg, spec.pad), off.koff.data(),
+                  off.coff.data(), &out.at4(ni, g * ocg, 0, 0));
     }
   if (bias != nullptr) {
     for (int ni = 0; ni < n; ++ni)
@@ -233,20 +187,25 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   Param* bp = bias;
   const Conv2dSpec sp = spec;
   const ComputeBackend backend = t.ctx.backend;
-  // Backward uses the full-precision weights/input (straight-through).
+  // Backward uses the full-precision weights/input (straight-through). It
+  // works the offsets out again rather than holding them: an eval forward
+  // never runs it, and its tape would keep them alive until it is freed.
   y->backprop = [y, xn, wp, bp, sp, n, icg, k, oh, ow, ocg, groups, col_rows,
                  backend]() {
     const BackendScope bw_scope(backend);
+    const ColumnOffsets off =
+        column_offsets(icg, k, xn->value.dim(2) + 2 * sp.pad,
+                       xn->value.dim(3) + 2 * sp.pad, oh, ow, sp.stride);
     float* gcol =
         tls_scratch(static_cast<std::size_t>(col_rows) * oh * ow, /*slot=*/3);
     for (int ni = 0; ni < n; ++ni) {
       for (int g = 0; g < groups; ++g) {
-        const float* col = conv_columns(xn->value, ni, g * icg, icg, k, sp.stride,
-                                        sp.pad, oh, ow);
         const float* gout = &y->grad.at4(ni, g * ocg, 0, 0);
         // grad_w += gout [ocg x ohw] * col^T  (col is [col_rows x ohw])
         float* gw = wp->grad.data() + static_cast<std::size_t>(g) * ocg * col_rows;
-        gemm_bt_acc(ocg, col_rows, oh * ow, gout, col, gw);
+        gemm_bt_gather_acc(ocg, col_rows, oh * ow, gout,
+                           padded_input(xn->value, ni, g * icg, icg, sp.pad),
+                           off.koff.data(), off.coff.data(), gw);
         if (xn->requires_grad) {
           // gcol = W^T [col_rows x ocg] * gout
           const float* w_ptr =

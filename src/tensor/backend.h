@@ -7,8 +7,9 @@
 //                  sequence, not by one kernel, so its output is
 //                  bit-identical to the seed's. gemm, gemm_acc and gemm_at*
 //                  are the seed loops themselves, built once, never fused.
-//                  gemm_bt_acc, whose seed loop never skipped, and
-//                  gemm_gather (every conv forward) on finite B compute the
+//                  gemm_bt_acc and gemm_bt_gather_acc (every conv weight
+//                  gradient), whose seed loop never skipped, and gemm_gather
+//                  (every conv forward) on finite B compute the
 //                  same sequence on the packed engine, which skips nothing
 //                  and is faster. Keeps the zero-skip
 //                  (`if (av == 0.0f) continue;`) as an explicit, documented
@@ -96,8 +97,8 @@ const char* simd_isa_name();
 //  0  the packed engine's A panels;
 //  1  the packed engine's B strips, or the materialized B of a reference
 //     gather that reads a non-finite value;
-//  2  conv: the zero-padded input plane every forward gathers from, or the
-//     backward's im2col columns;
+//  2  conv: the zero-padded input plane every conv GEMM, forward and
+//     backward, gathers its columns from;
 //  3  conv backward: the column-matrix gradient.
 // The buffer stays valid until the same thread asks for the same slot again.
 float* tls_scratch(std::size_t floats, int slot);

@@ -1,7 +1,8 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
-// Three implementations of every variant (gemm_gather reads its B through
-// the packed engine's gather; gemm.h gives its contract):
+// Three implementations of every variant (gemm_gather and gemm_bt_gather_acc
+// read their B through the packed engine's gather; gemm.h gives their
+// contracts):
 //  - reference: defined by the seed loops' per-element operation sequence,
 //    so bit-identical to the historical output. gemm_acc and gemm_at_acc are
 //    the seed loops themselves, built once. They keep the zero-skip
@@ -9,11 +10,11 @@
 //    — it drops 0 x inf = NaN propagation, so results depend on the
 //    sparsity of A when B holds non-finite values. The other backends do
 //    NOT skip. Where the skip is invisible, reference runs the blocked
-//    micro-kernel, which gives each element the same sequence: gemm_bt_acc,
-//    whose seed loop starts each dot product at +0, accumulates k-ascending
-//    and adds to C once, and a gather (C from +0) whose B values are all
-//    finite. A gather that reads inf or NaN materializes B and runs the seed
-//    gemm_acc.
+//    micro-kernel, which gives each element the same sequence: gemm_bt_acc
+//    and gemm_bt_gather_acc, whose seed loop starts each dot product at +0,
+//    accumulates k-ascending and adds to C once, and a gemm_gather (C from
+//    +0) whose B values are all finite. A gemm_gather that reads inf or NaN
+//    materializes B and runs the seed gemm_acc.
 //  - blocked: one packed-panel engine for all variants. A and B tiles are
 //    packed into k-major micro-panels and a register-tiled MR x NR
 //    micro-kernel accumulates in a fixed, strictly k-ascending order into
@@ -103,7 +104,7 @@ constexpr int NR = detail::kMicroCols;
 // How the engine reads its operands. The packing gathers normalize every
 // variant to the same k-major micro-panels, so one micro-kernel serves
 // gemm_acc (A m x k, B k x n), gemm_at_acc (A k x m), gemm_bt_acc (B n x k)
-// and gemm_gather (B[kk][j] = b[koff[kk] + coff[j]]).
+// and both gathers (B[kk][j] = b[koff[kk] + coff[j]]).
 enum class AMode { kNormal, kTransposed };
 enum class BMode { kNormal, kTransposed, kGather };
 
@@ -428,14 +429,21 @@ const float* materialize_gather(int n, int k, const BOperand& b) {
   return bmat;
 }
 
+// The packed engine's micro-kernel under `backend`: simd's own, else the
+// blocked one (reference runs the packed engine with it too).
+MicroKernel packed_micro_kernel(ComputeBackend backend) {
+  static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
+  return backend == ComputeBackend::kSimd ? simd_micro_kernel() : blocked_micro;
+}
+
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
                   const BOperand& b, float* c) {
   const ComputeBackend backend = active_backend();
   // Reference runs the seed loops only where their zero-skip and in-place C
   // accumulation make their bytes differ from the packed engine's: gemm_acc,
   // gemm_at_acc, and a gather that reads a non-finite value, whose B it
-  // materializes in slot 1. Its gemm_bt_acc and every other gather run the
-  // blocked micro-kernel.
+  // materializes in slot 1. Its gemm_bt_acc and every other gemm_gather run
+  // the blocked micro-kernel.
   if (backend == ComputeBackend::kReference && b.mode == BMode::kNormal) {
     if (amode == AMode::kNormal)
       ref_gemm_acc(m, n, k, a, b.b, c);
@@ -448,10 +456,7 @@ void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
     ref_gemm_acc(m, n, k, a, materialize_gather(n, k, b), c);
     return;
   }
-  static const MicroKernel blocked_micro = blocked_micro_kernel(host_build());
-  packed_gemm(backend == ComputeBackend::kSimd ? simd_micro_kernel()
-                                               : blocked_micro,
-              m, n, k, amode, a, b, c);
+  packed_gemm(packed_micro_kernel(backend), m, n, k, amode, a, b, c);
 }
 
 }  // namespace
@@ -504,6 +509,14 @@ void gemm_gather(int m, int n, int k, const float* a, const float* src,
   std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * n);
   dispatch_acc(m, n, k, AMode::kNormal, a, {BMode::kGather, src, koff, coff},
                c);
+}
+
+void gemm_bt_gather_acc(int m, int n, int k, const float* a, const float* src,
+                        const int* koff, const int* coff, float* c) {
+  // B^T[kk][j] = G[j][kk] = src[coff[kk] + koff[j]]: a gather with the roles
+  // of the two offset lists swapped.
+  packed_gemm(packed_micro_kernel(active_backend()), m, n, k, AMode::kNormal, a,
+              {BMode::kGather, src, coff, koff}, c);
 }
 
 }  // namespace sysnoise

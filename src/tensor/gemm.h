@@ -4,8 +4,8 @@
 // (tensor/backend.h: reference, blocked or simd; see gemm.cpp) on the
 // calling thread. The reference backend is defined by its per-element
 // operation sequence, not by a kernel: gemm(), gemm_acc() and gemm_at*() run
-// the seed loops, while gemm_bt_acc() and gemm_gather() on finite B compute
-// the same sequence on the packed engine.
+// the seed loops, while gemm_bt_acc(), gemm_bt_gather_acc() and, on finite
+// B, gemm_gather() compute the same sequence on the packed engine.
 // Accumulates in float. Not meant to compete with BLAS, but fast enough to
 // train the mini model zoo in-process.
 #pragma once
@@ -31,7 +31,7 @@ void gemm_bt_acc(int m, int n, int k, const float* a, const float* b, float* c);
 
 // C[m x n] = A[m x k] * B[k x n] (C overwritten) with B gathered from `src`:
 // B[kk][j] = src[koff[kk] + coff[j]]. A convolution passes its zero-padded
-// input, so B is its im2col column matrix without that matrix being written.
+// input, so B is its column matrix without that matrix being written.
 // Under every backend the result is gemm()'s bytes on the gathered matrix.
 // Blocked and simd run their packed engine on it. Reference runs the blocked
 // one when every B value is finite: from a zeroed C it gives each element the
@@ -40,6 +40,14 @@ void gemm_bt_acc(int m, int n, int k, const float* a, const float* b, float* c);
 // an inf or NaN, reference materializes B and runs the seed gemm.
 void gemm_gather(int m, int n, int k, const float* a, const float* src,
                  const int* koff, const int* coff, float* c);
+
+// C[m x n] += A[m x k] * G^T with G[n x k] gathered from `src`:
+// G[j][kk] = src[koff[j] + coff[kk]]. A convolution's weight gradient passes
+// its zero-padded input, so G is its column matrix. Under every backend the
+// result is gemm_bt_acc()'s bytes on G, non-finite values included: C is
+// accumulated into, so gemm_gather's reference fallback does not apply.
+void gemm_bt_gather_acc(int m, int n, int k, const float* a, const float* src,
+                        const int* koff, const int* coff, float* c);
 
 namespace detail {
 

@@ -45,7 +45,7 @@ class Tensor {
     return data_[i];
   }
 
-  // NCHW accessors (rank-4 only). Inline: im2col and pooling call them once
+  // NCHW accessors (rank-4 only). Inline: col2im and pooling call them once
   // per element.
   float& at4(int n, int c, int h, int w) {
     assert(rank() == 4);

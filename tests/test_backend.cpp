@@ -1,7 +1,7 @@
 // Compute-backend seam (tensor/backend.h): name round trips, GEMM parity
 // between the reference / blocked / simd kernel families, per-backend
 // bit-exact self-consistency, the reference backend's documented zero-skip
-// vs IEEE non-finite propagation, conv2d im2col edge cases per backend, and
+// vs IEEE non-finite propagation, conv2d edge cases per backend, and
 // backend-scoped stage caching (forward products from different kernels
 // never mix, in memory or on disk).
 #include <gtest/gtest.h>
@@ -452,6 +452,10 @@ TEST(BackendParity, GatherIsGemmOnTheGatheredMatrixUnderEveryBackend) {
   // A holds +0 and -0. When `poison` is non-finite, channel 0 holds it at
   // four places (stride 2 skips some of them), and every A value that reads
   // channel 0 is zero: the seed gemm skips them, the packed engine does not.
+  // The same source, read as the transposed B of gemm_bt_gather_acc (a conv
+  // weight gradient: A is [m x oh*ow], G is the [c*k*k x oh*ow] column
+  // matrix), must give gemm_bt_acc's bytes on G, accumulated into a non-zero
+  // C; its A holds +0 and -0 too, and no backend skips them.
   struct Case {
     int m, c, h, w, k, stride, pad;
   };
@@ -460,7 +464,7 @@ TEST(BackendParity, GatherIsGemmOnTheGatheredMatrixUnderEveryBackend) {
                         {4, 3, 8, 8, 5, 1, 2},   {3, 2, 6, 3, 3, 2, 2}};
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  Rng rng(2027);
+  Rng rng(2027), rng_bt(2028);
   for (const Case& cs : cases)
     for (const float poison : {1.0f, nan, inf, -inf}) {
       const int hp = cs.h + 2 * cs.pad, wp = cs.w + 2 * cs.pad;
@@ -498,8 +502,18 @@ TEST(BackendParity, GatherIsGemmOnTheGatheredMatrixUnderEveryBackend) {
       for (int kk = 0; kk < k; ++kk)
         for (int j = 0; j < n; ++j)
           bmat[static_cast<std::size_t>(kk) * n + j] = src[koff[kk] + coff[j]];
+      auto at = random_vec(static_cast<std::size_t>(cs.m) * n, rng_bt);
+      for (std::size_t i = 0; i < at.size(); i += 3)
+        at[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      const auto ct0 = random_vec(static_cast<std::size_t>(cs.m) * k, rng_bt);
       for (const ComputeBackend backend : kAllBackends) {
         const BackendScope scope(backend);
+        const std::string where =
+            std::string(backend_name(backend)) + " m=" + std::to_string(cs.m) +
+            " c=" + std::to_string(cs.c) + " " + std::to_string(cs.h) + "x" +
+            std::to_string(cs.w) + " k=" + std::to_string(cs.k) +
+            " s=" + std::to_string(cs.stride) + " p=" + std::to_string(cs.pad) +
+            " poison=" + std::to_string(poison);
         std::vector<float> expect(static_cast<std::size_t>(cs.m) * n);
         gemm(cs.m, n, k, a.data(), bmat.data(), expect.data());
         std::vector<float> got(expect.size(), 7.0f);
@@ -508,9 +522,15 @@ TEST(BackendParity, GatherIsGemmOnTheGatheredMatrixUnderEveryBackend) {
         EXPECT_EQ(std::memcmp(got.data(), expect.data(),
                               expect.size() * sizeof(float)),
                   0)
-            << backend_name(backend) << " m=" << cs.m << " c=" << cs.c << " "
-            << cs.h << "x" << cs.w << " k=" << cs.k << " s=" << cs.stride
-            << " p=" << cs.pad << " poison=" << poison;
+            << where;
+        std::vector<float> expect_t = ct0, got_t = ct0;
+        gemm_bt_acc(cs.m, k, n, at.data(), bmat.data(), expect_t.data());
+        gemm_bt_gather_acc(cs.m, k, n, at.data(), src.data(), koff.data(),
+                           coff.data(), got_t.data());
+        EXPECT_EQ(std::memcmp(got_t.data(), expect_t.data(),
+                              expect_t.size() * sizeof(float)),
+                  0)
+            << where << " bt";
       }
     }
 }
@@ -601,7 +621,7 @@ TEST(Backend, ScratchSlotsGrowGeometricallyAndKeepTheirBuffer) {
 }
 
 // ---------------------------------------------------------------------------
-// conv2d im2col edge cases, per backend
+// conv2d edge cases, per backend
 // ---------------------------------------------------------------------------
 
 // Direct O(everything) convolution oracle.

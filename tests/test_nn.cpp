@@ -110,6 +110,37 @@ TEST(OpsForward, DepthwiseConvGroups) {
   EXPECT_NEAR(y->value.at4(0, 2, 2, 2), expect, 1e-4f);
 }
 
+TEST(OpsForward, Conv2dRejectsGeometryTheKernelDoesNotFit) {
+  Rng rng(3);
+  Param w3(random_tensor({1, 1, 3, 3}, rng));
+  // The output shape of a 3x3 conv over a random input of `shape`.
+  auto run = [&](std::vector<int> shape, Conv2dSpec spec) {
+    Tape t;
+    return conv2d(t, t.input(random_tensor(std::move(shape), rng)), w3, nullptr,
+                  spec, "c")
+        ->value.shape();
+  };
+  // Without the check, truncating division gives oh = ow = 1 here and the
+  // gather reads past the 2x2 input.
+  EXPECT_THROW(run({1, 1, 2, 2}, {.stride = 2, .pad = 0, .groups = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(run({1, 1, 2, 2}, {.stride = 1, .pad = 0, .groups = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(run({1, 1, 6, 2}, {.stride = 2, .pad = 0, .groups = 1}),
+               std::invalid_argument);  // only the width is too small
+  EXPECT_THROW(run({1, 1, 2, 6}, {.stride = 2, .pad = 0, .groups = 1}),
+               std::invalid_argument);  // only the height is too small
+  EXPECT_THROW(run({1, 1, 5, 5}, {.stride = 0, .pad = 1, .groups = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(run({1, 1, 5, 5}, {.stride = 1, .pad = -1, .groups = 1}),
+               std::invalid_argument);
+  // A kernel exactly as large as the padded input fits: one output.
+  EXPECT_EQ(run({1, 1, 1, 1}, {.stride = 2, .pad = 1, .groups = 1}),
+            (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(run({1, 1, 3, 3}, {.stride = 3, .pad = 0, .groups = 1}),
+            (std::vector<int>{1, 1, 1, 1}));
+}
+
 TEST(OpsForward, MaxPoolFloorVsCeilShapes) {
   Rng rng(3);
   Tensor x = random_tensor({1, 2, 16, 16}, rng);
